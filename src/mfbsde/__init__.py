@@ -1,9 +1,13 @@
 """Monte Carlo solver and verification harness for multi-dimensional
-mean-field BSDEs with diagonally quadratic drivers."""
+mean-field BSDEs with diagonally quadratic drivers.
+
+The package namespace carries the names the library example and the tests
+use; everything else is reached through its module (``mfbsde.engine``,
+``mfbsde.global_solver``, ...).
+"""
 
 from .benchmarks import (
     CATALOG,
-    BenchmarkCase,
     case_colehopf_diagonal,
     case_loggrowth,
     case_meanfield_linear,
@@ -14,7 +18,6 @@ from .benchmarks import (
     residual_self_check,
 )
 from .constants import (
-    FORMULAS,
     ConstantsLedger,
     apriori_lambda,
     c_delta_k_n,
@@ -25,25 +28,18 @@ from .constants import (
     log_inequality_gap,
 )
 from .engine import (
-    PROXY_CAVEAT,
     Ensemble,
     ProcessPair,
     RegressionBasis,
     TimeGrid,
-    bmo_norm_estimate,
     bmo_profile,
-    conditional_expectation,
     default_basis,
-    empirical_means,
     generate_ensemble,
     project,
     sup_norm_estimate,
 )
 from .errors import BlowUpError, ConfigError, StitchError, TerminalBoundError
 from .global_solver import (
-    CheckResult,
-    GlobalReport,
-    StitchPlan,
     lambda_ball,
     plan_stitch,
     solve_auto,
@@ -52,7 +48,6 @@ from .global_solver import (
     verify_bmo_membership,
 )
 from .model import (
-    AssumptionReport,
     Generator,
     ModelParams,
     TerminalCondition,
@@ -62,20 +57,10 @@ from .model import (
     run_checks,
     terminal_values,
 )
-from .picard import (
-    BallSpec,
-    ContractionReport,
-    PicardIteration,
-    PicardTrace,
-    apply_gamma,
-    contraction_report,
-    picard_solve,
-    row_substitute,
-)
+from .picard import BallSpec, apply_gamma, contraction_report, picard_solve
 from .qbsde1d import (
     FrozenGenerator1D,
     GrowthEnvelope,
-    Solve1DResult,
     bound_y,
     bound_z,
     solve_1d,
@@ -83,24 +68,3 @@ from .qbsde1d import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AssumptionReport", "BallSpec", "BenchmarkCase", "BlowUpError", "CATALOG",
-    "CheckResult", "ConfigError", "ConstantsLedger", "ContractionReport",
-    "Ensemble", "FORMULAS", "FrozenGenerator1D", "Generator", "GlobalReport",
-    "GrowthEnvelope", "ModelParams", "PROXY_CAVEAT", "PicardIteration",
-    "PicardTrace", "ProcessPair", "RegressionBasis", "Solve1DResult",
-    "StitchError", "StitchPlan", "TerminalBoundError", "TerminalCondition",
-    "TimeGrid", "apply_gamma", "apriori_lambda", "bmo_norm_estimate",
-    "bmo_profile", "bound_y", "bound_z", "c_delta_k_n",
-    "case_colehopf_diagonal", "case_loggrowth", "case_meanfield_linear",
-    "case_zero", "check_h1", "check_h2", "check_h4", "compute_ledger",
-    "conditional_expectation", "contraction_coefficients",
-    "contraction_report", "default_basis", "empirical_means",
-    "generate_ensemble", "lambda_ball", "local_ball", "local_step",
-    "log_inequality_gap", "make_case", "oracle_errors", "oracle_fields",
-    "picard_solve", "plan_stitch", "project", "residual_self_check",
-    "row_substitute", "run_checks", "solve_1d", "solve_auto", "solve_global",
-    "sup_norm_estimate", "terminal_values", "truncation_radius",
-    "verify_apriori", "verify_bmo_membership",
-]

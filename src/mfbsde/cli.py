@@ -21,18 +21,9 @@ import numpy as np
 
 from .benchmarks import CATALOG, BenchmarkCase, make_case, oracle_errors
 from .constants import FORMULAS, compute_ledger
-from .engine import (
-    PROXY_CAVEAT,
-    ProcessPair,
-    RegressionBasis,
-    TimeGrid,
-    bmo_profile,
-    default_basis,
-    generate_ensemble,
-    sup_norm_estimate,
-)
+from .engine import PROXY_CAVEAT, RegressionBasis, TimeGrid, default_basis, generate_ensemble
 from .errors import BlowUpError, ConfigError, TerminalBoundError
-from .global_solver import solve_auto, verify_apriori, verify_bmo_membership
+from .global_solver import GlobalReport, solve_auto
 from .model import run_checks
 
 
@@ -57,11 +48,20 @@ def _sanitize(obj):
     return obj
 
 
+SECTIONS = ("case", "grid", "ensemble", "basis", "solver", "checks", "output", "sweep")
+
+
 def _load_config(path: str) -> configparser.ConfigParser:
     cfg = configparser.ConfigParser()
     found = cfg.read(path)
     if not found:
         raise ConfigError(f"config file not found: {path}")
+    unknown = [s for s in cfg.sections() if s not in SECTIONS]
+    if unknown:
+        raise ConfigError(
+            f"unknown config section(s) {', '.join(f'[{s}]' for s in unknown)}; "
+            f"expected {', '.join(f'[{s}]' for s in SECTIONS)}"
+        )
     return cfg
 
 
@@ -142,26 +142,23 @@ def _seed(cfg, args) -> int:
 
 
 def _write_solution_csv(
-    path: Path, case: BenchmarkCase, pair: ProcessPair, ens, basis
+    path: Path, case: BenchmarkCase, report: GlobalReport, ens, errors
 ) -> None:
     n = case.params.n
+    pair = report.pair
     header = (
         ["t"]
         + [f"mean_Y{i + 1}" for i in range(n)]
         + ["sup_abs_Y", "bmo_to_go", "oracle_err_Y", "oracle_err_Z"]
     )
     sup_nodes = np.sqrt((pair.Y * pair.Y).sum(axis=2)).max(axis=0)
-    bmo_nodes = bmo_profile(pair, ens, basis)
-    if case.oracle is not None:
-        err_y, err_z = oracle_errors(case, pair.Y, pair.Z, ens)
-    else:
-        err_y = err_z = None
+    err_y, err_z = errors if errors is not None else (None, None)
     M = ens.grid.M
     lines = [",".join(header)]
     for k in range(M + 1):
         row = [_fmt(ens.grid.nodes[k])]
         row += [_fmt(pair.mean_Y[k, i]) for i in range(n)]
-        row += [_fmt(sup_nodes[k]), _fmt(bmo_nodes[k])]
+        row += [_fmt(sup_nodes[k]), _fmt(report.bmo_nodes[k])]
         row.append(_fmt(err_y[k]) if err_y is not None else "nan")
         row.append(_fmt(err_z[k]) if (err_z is not None and k < M) else "nan")
         lines.append(",".join(row))
@@ -169,7 +166,8 @@ def _write_solution_csv(
 
 
 def _solve_case(case: BenchmarkCase, cfg, seed: int):
-    """Shared core of solve/bench/sweep: checkers, global solve, verifications."""
+    """Shared core of solve/bench/sweep: checkers, verified global solve and
+    the oracle errors of the solution (None for a case without an oracle)."""
     M = _get(cfg, "grid", "m", int, 50)
     N = _get(cfg, "ensemble", "n", int, 10_000)
     grid = TimeGrid.make(M, case.params.T)
@@ -185,50 +183,42 @@ def _solve_case(case: BenchmarkCase, cfg, seed: int):
     )
     ledger = compute_ledger(case.params)
     report = solve_auto(case.generator, case.terminal, ens, basis, ledger, **settings)
-
-    if cfg.has_option("debug", "force_apriori_violation") and cfg.getboolean(
-        "debug", "force_apriori_violation"
-    ):
-        # Test hook: inflate the solved field past lambda so the downstream
-        # verification must flag it.
-        lam = ledger.lam
-        Y = report.pair.Y.copy()
-        cur = sup_norm_estimate(report.pair)
-        if cur > 0.0:
-            Y *= 1.01 * lam / cur
-        else:
-            Y[:] = 1.01 * lam / np.sqrt(case.params.n)
-        report.pair = ProcessPair.from_fields(Y, report.pair.Z)
-        report.checks = (
-            verify_apriori(report.pair, ledger),
-            verify_bmo_membership(report.pair, ens, basis, ledger),
-        )
-
-    return structural, report, ens, basis
+    errors = None
+    if case.oracle is not None:
+        errors = oracle_errors(case, report.pair.Y, report.pair.Z, ens)
+    return structural, report, ens, errors
 
 
-def _solve_payload(case, structural, report, ens, basis) -> dict:
-    payload = {
+def _y0_mean(report: GlobalReport) -> float:
+    """Euclidean norm of the particle mean of Y at t = 0."""
+    return float(np.sqrt((report.pair.mean_Y[0] ** 2).sum()))
+
+
+def _oracle_summary(case, report, errors) -> dict | None:
+    """Y0 and mean node errors against the case's oracle, None without one."""
+    if errors is None:
+        return None
+    err_y, err_z = errors
+    y0 = _y0_mean(report)
+    return {
+        "y0_mean": y0,
+        "y0_exact": case.y0_exact,
+        "y0_abs_err": abs(y0 - case.y0_exact) if case.y0_exact is not None else None,
+        "mean_node_err_Y": float(err_y.mean()),
+        "mean_node_err_Z": float(err_z.mean()),
+    }
+
+
+def _solve_payload(case, structural, report, ens, errors) -> dict:
+    return {
         "case": case.name,
         "grid": {"M": ens.grid.M, "T": ens.grid.T, "dt": ens.grid.dt},
         "ensemble": {"N": ens.N, "d": ens.d, "seed": ens.seed},
         "structural_checks": {k: v.to_dict() for k, v in structural.items()},
         "solve": report.to_dict(),
         "caveats": [PROXY_CAVEAT],
+        "oracle": _oracle_summary(case, report, errors),
     }
-    if case.oracle is not None:
-        err_y, err_z = oracle_errors(case, report.pair.Y, report.pair.Z, ens)
-        y0 = float(np.sqrt((report.pair.mean_Y[0] ** 2).sum()))
-        payload["oracle"] = {
-            "y0_mean": y0,
-            "y0_exact": case.y0_exact,
-            "y0_abs_err": abs(y0 - case.y0_exact) if case.y0_exact is not None else None,
-            "mean_node_err_Y": float(err_y.mean()),
-            "mean_node_err_Z": float(err_z.mean()),
-        }
-    else:
-        payload["oracle"] = None
-    return payload
 
 
 def _passed(structural, report) -> bool:
@@ -275,7 +265,7 @@ def cmd_solve(args) -> int:
     seed = _seed(cfg, args)
     out = _out_dir(cfg, args)
     try:
-        structural, report, ens, basis = _solve_case(case, cfg, seed)
+        structural, report, ens, errors = _solve_case(case, cfg, seed)
     except BlowUpError as exc:
         partial = {
             "case": case.name,
@@ -290,11 +280,11 @@ def cmd_solve(args) -> int:
         print(f"blow-up: {exc}", file=sys.stderr)
         return 3
 
-    payload = _solve_payload(case, structural, report, ens, basis)
+    payload = _solve_payload(case, structural, report, ens, errors)
     (out / f"{case.name}_report.json").write_text(
         json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n"
     )
-    _write_solution_csv(out / f"{case.name}_solution.csv", case, report.pair, ens, basis)
+    _write_solution_csv(out / f"{case.name}_solution.csv", case, report, ens, errors)
     if args.save_state:
         np.savez_compressed(
             out / f"{case.name}_state.npz",
@@ -320,12 +310,12 @@ def cmd_bench(args) -> int:
     all_ok = True
     for name in sorted(CATALOG):
         case = make_case(name)
-        structural, report, ens, basis = _solve_case(case, cfg, seed)
-        payload = _solve_payload(case, structural, report, ens, basis)
+        structural, report, ens, errors = _solve_case(case, cfg, seed)
+        payload = _solve_payload(case, structural, report, ens, errors)
         (out / f"bench_{name}_report.json").write_text(
             json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n"
         )
-        _write_solution_csv(out / f"bench_{name}_solution.csv", case, report.pair, ens, basis)
+        _write_solution_csv(out / f"bench_{name}_solution.csv", case, report, ens, errors)
         ok = _passed(structural, report)
         all_ok = all_ok and ok
         extra = ""
@@ -372,16 +362,16 @@ def cmd_sweep(args) -> int:
         sub.set("ensemble", "n", str(N))
         case = _build_case(sub)
         start = time.perf_counter()
-        structural, report, ens, basis = _solve_case(case, sub, seed)
+        structural, report, ens, errors = _solve_case(case, sub, seed)
         elapsed = time.perf_counter() - start
-        y0 = float(np.sqrt((report.pair.mean_Y[0] ** 2).sum()))
-        if case.oracle is not None:
-            err_y, err_z = oracle_errors(case, report.pair.Y, report.pair.Z, ens)
-            y0_err = abs(y0 - case.y0_exact) if case.y0_exact is not None else float("nan")
-            row = [str(M), str(N), _fmt(y0), _fmt(y0_err),
-                   _fmt(err_y.mean()), _fmt(err_z.mean())]
+        oracle = _oracle_summary(case, report, errors)
+        if oracle is not None:
+            y0_err = oracle["y0_abs_err"]
+            row = [str(M), str(N), _fmt(oracle["y0_mean"]),
+                   _fmt(float("nan") if y0_err is None else y0_err),
+                   _fmt(oracle["mean_node_err_Y"]), _fmt(oracle["mean_node_err_Z"])]
         else:
-            row = [str(M), str(N), _fmt(y0), "nan", "nan", "nan"]
+            row = [str(M), str(N), _fmt(_y0_mean(report)), "nan", "nan", "nan"]
         rows.append(",".join(row))
         print(f"sweep {case.name} M={M} N={N}: {elapsed:.2f}s "
               f"{'pass' if _passed(structural, report) else 'FAIL'}")

@@ -171,14 +171,6 @@ def project(values: np.ndarray, k: int, ens: Ensemble, basis: RegressionBasis):
     return (out[:, 0] if single else out), RegressionInfo(cond=cond, fallback=False)
 
 
-def conditional_expectation(
-    values: np.ndarray, k: int, ens: Ensemble, basis: RegressionBasis
-) -> np.ndarray:
-    """Per-particle estimate of E[values | W_{t_k}]."""
-    fitted, _ = project(values, k, ens, basis)
-    return fitted
-
-
 @dataclass(eq=False)
 class ProcessPair:
     """Solution fields on the full grid: Y (N, M+1, n) and Z (N, M, n, d),
@@ -199,16 +191,6 @@ class ProcessPair:
             raise ValueError(f"inconsistent field shapes {Y.shape}, {Z.shape}")
         return cls(Y=Y, Z=Z, mean_Y=Y.mean(axis=0), mean_Z=Z.mean(axis=0))
 
-    def means_current(self) -> bool:
-        return np.array_equal(self.mean_Y, self.Y.mean(axis=0)) and np.array_equal(
-            self.mean_Z, self.Z.mean(axis=0)
-        )
-
-
-def empirical_means(pair: ProcessPair) -> tuple[np.ndarray, np.ndarray]:
-    """Recompute (mean_Y, mean_Z) from the particle fields."""
-    return pair.Y.mean(axis=0), pair.Z.mean(axis=0)
-
 
 def sup_norm_estimate(pair: ProcessPair, k_lo: int = 0, k_hi: int | None = None) -> float:
     """Max over particles and nodes in [k_lo, k_hi] of the Euclidean norm of Y."""
@@ -220,18 +202,19 @@ def sup_norm_estimate(pair: ProcessPair, k_lo: int = 0, k_hi: int | None = None)
     return float(np.sqrt((block * block).sum(axis=2)).max())
 
 
-def bmo_norm_estimate(
+def bmo_profile(
     pair: ProcessPair,
     ens: Ensemble,
     basis: RegressionBasis,
     k_lo: int = 0,
     k_hi: int | None = None,
-) -> float:
-    """Discrete BMO proxy of Z on [k_lo, k_hi].
+) -> np.ndarray:
+    """Per-node remaining quadratic variation proxy of Z on [k_lo, k_hi], (M+1,).
 
-    sqrt of the max over nodes k and particles of the regression estimate of
-    E[ sum_{j >= k} |Z_{t_j}|^2 dt | W_{t_k} ], the remaining quadratic
-    variation inside the window.
+    Entry k in [k_lo, k_hi) is the square root of the worst-particle
+    regression estimate of E[ sum_{k <= j < k_hi} |Z_{t_j}|^2 dt | W_{t_k} ];
+    entries outside that range are zero.  The discrete BMO proxy of Z on the
+    window is the profile's max.
     """
     M = ens.grid.M
     k_hi = M if k_hi is None else k_hi
@@ -239,27 +222,8 @@ def bmo_norm_estimate(
         raise ValueError(f"bad node range [{k_lo}, {k_hi}] for M = {M}")
     z_sq = (pair.Z * pair.Z).sum(axis=(2, 3))           # (N, M)
     tail = np.zeros(ens.N)
-    best = 0.0
-    for k in range(k_hi - 1, k_lo - 1, -1):
-        tail += z_sq[:, k] * ens.grid.dt
-        est, _ = project(tail, k, ens, basis)
-        top = float(est.max())
-        if top > best:
-            best = top
-    return float(np.sqrt(max(best, 0.0)))
-
-
-def bmo_profile(pair: ProcessPair, ens: Ensemble, basis: RegressionBasis) -> np.ndarray:
-    """Per-node remaining quadratic variation proxy, (M+1,), zero at T.
-
-    Entry k is the square root of the worst-particle regression estimate of
-    E[ sum_{j >= k} |Z_{t_j}|^2 dt | W_{t_k} ] over the full remaining horizon.
-    """
-    M = ens.grid.M
-    z_sq = (pair.Z * pair.Z).sum(axis=(2, 3))
-    tail = np.zeros(ens.N)
     out = np.zeros(M + 1)
-    for k in range(M - 1, -1, -1):
+    for k in range(k_hi - 1, k_lo - 1, -1):
         tail += z_sq[:, k] * ens.grid.dt
         est, _ = project(tail, k, ens, basis)
         out[k] = math.sqrt(max(float(est.max()), 0.0))

@@ -21,7 +21,7 @@ from .engine import (
     ProcessPair,
     RegressionBasis,
     TimeGrid,
-    bmo_norm_estimate,
+    bmo_profile,
     sup_norm_estimate,
 )
 from .errors import ConfigError, StitchError
@@ -105,15 +105,9 @@ class CheckResult:
         }
 
 
-def verify_apriori(
-    pair: ProcessPair,
-    ledger: ConstantsLedger,
-    k_lo: int = 0,
-    k_hi: int | None = None,
-    slack: float = 1e-9,
-) -> CheckResult:
-    """Check sup_t |Y_t| <= lambda on the node range."""
-    sup = sup_norm_estimate(pair, k_lo, k_hi)
+def verify_apriori(pair: ProcessPair, ledger: ConstantsLedger, slack: float = 1e-9) -> CheckResult:
+    """Check sup_t |Y_t| <= lambda on the whole grid."""
+    sup = sup_norm_estimate(pair)
     lam = ledger.lam
     passed = sup <= lam * (1.0 + slack) + slack
     return CheckResult(
@@ -137,20 +131,14 @@ def _log_bmo_ceiling(ledger: ConstantsLedger) -> float:
     return math.log(4.0) + np.logaddexp(term1, term2)
 
 
-def verify_bmo_membership(
-    pair: ProcessPair,
-    ens: Ensemble,
-    basis: RegressionBasis,
-    ledger: ConstantsLedger,
-    k_lo: int = 0,
-    k_hi: int | None = None,
-) -> CheckResult:
-    """Check the squared BMO proxy of Z against its explicit ceiling.
+def verify_bmo_membership(bmo: float, ledger: ConstantsLedger) -> CheckResult:
+    """Check the squared BMO proxy ``bmo`` of Z against its explicit ceiling.
 
+    ``bmo`` is the max of the solution's ``bmo_profile`` over the whole grid.
     The ceiling routinely overflows a float (it carries e^{gamma*lambda}), so
     the comparison runs in log space; the reported bound saturates to inf.
     """
-    bmo = bmo_norm_estimate(pair, ens, basis, k_lo, k_hi)
+    bmo = float(bmo)
     log_ceiling = _log_bmo_ceiling(ledger)
     if bmo == 0.0:
         passed = True
@@ -204,6 +192,7 @@ class GlobalReport:
     ledger: ConstantsLedger
     windows: tuple[WindowSummary, ...]
     checks: tuple[CheckResult, ...]
+    bmo_nodes: np.ndarray = field(repr=False)   # bmo_profile of pair, out of to_dict()
     converged: bool
     continuity_ok: bool | None = None
     plan: StitchPlan | None = None
@@ -237,6 +226,17 @@ def _window_summary(idx: int, trace: PicardTrace, grid: TimeGrid) -> WindowSumma
         truncation_hits=trace.truncation_hits,
         in_ball=trace.in_ball_throughout(),
     )
+
+
+def _verified_report(pair: ProcessPair, ens: Ensemble, basis: RegressionBasis,
+                     ledger: ConstantsLedger, **fields) -> GlobalReport:
+    """The report of a solved pair, checked against the sup and BMO ceilings."""
+    bmo_nodes = bmo_profile(pair, ens, basis)
+    checks = (
+        verify_apriori(pair, ledger),
+        verify_bmo_membership(bmo_nodes.max(), ledger),
+    )
+    return GlobalReport(pair=pair, ledger=ledger, checks=checks, bmo_nodes=bmo_nodes, **fields)
 
 
 def solve_global(
@@ -302,17 +302,10 @@ def solve_global(
                 f"lambda = {lam:.6g}; stitched terminal is inadmissible"
             )
 
-    pair = ProcessPair.from_fields(Y_g, Z_g)
-    checks = (
-        verify_apriori(pair, ledger),
-        verify_bmo_membership(pair, ens, basis, ledger),
-    )
-    return GlobalReport(
+    return _verified_report(
+        ProcessPair.from_fields(Y_g, Z_g), ens, basis, ledger,
         mode="stitched",
-        pair=pair,
-        ledger=ledger,
         windows=tuple(summaries),
-        checks=checks,
         converged=True,
         continuity_ok=continuity_ok,
         plan=plan,
@@ -346,16 +339,10 @@ def solve_auto(
             gen, terminal, ens, basis, ball,
             tol=tol, max_iter=max_iter, init=init, safety=safety,
         )
-        checks = (
-            verify_apriori(trace.pair, ledger),
-            verify_bmo_membership(trace.pair, ens, basis, ledger),
-        )
-        return GlobalReport(
+        return _verified_report(
+            trace.pair, ens, basis, ledger,
             mode="full-interval-fallback",
-            pair=trace.pair,
-            ledger=ledger,
             windows=(_window_summary(0, trace, ens.grid),),
-            checks=checks,
             converged=trace.converged,
             continuity_ok=None,
             plan=None,

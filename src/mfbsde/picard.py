@@ -22,7 +22,7 @@ from .engine import (
     ProcessPair,
     RegressionBasis,
     TimeGrid,
-    bmo_norm_estimate,
+    bmo_profile,
     sup_norm_estimate,
 )
 from .errors import BlowUpError
@@ -105,31 +105,6 @@ class BallSpec:
         )
 
 
-def row_substitute(z: np.ndarray, i: int, row: np.ndarray) -> np.ndarray:
-    """Copy of z with its i-th row (0-based) replaced.
-
-    Accepts a single matrix z (n, d) with row (d,), or a batch z (N, n, d)
-    with rows (N, d).
-    """
-    z = np.asarray(z, dtype=float)
-    row = np.asarray(row, dtype=float)
-    if z.ndim == 2:
-        n, d = z.shape
-        if row.shape != (d,):
-            raise ValueError(f"row shape {row.shape} does not match d = {d}")
-    elif z.ndim == 3:
-        _, n, d = z.shape
-        if row.shape != (z.shape[0], d):
-            raise ValueError(f"row shape {row.shape} does not match batch {z.shape}")
-    else:
-        raise ValueError(f"z must be (n, d) or (N, n, d), got {z.shape}")
-    if not 0 <= i < n:
-        raise IndexError(f"row index {i} out of range for n = {n}")
-    out = z.copy()
-    out[..., i, :] = row
-    return out
-
-
 @dataclass(frozen=True)
 class ComponentInfo:
     index: int
@@ -166,9 +141,14 @@ def apply_gamma(
     ens: Ensemble,
     basis: RegressionBasis,
     ball: BallSpec,
+    u_norm: float,
+    v_norm: float,
     safety: float = 3.0,
 ) -> tuple[ProcessPair, ApplyInfo]:
     """One application of the decoupling map on the window of ``ball``.
+
+    u_norm and v_norm are the sup and BMO proxies of the environment ``pair``
+    on the window; they set the envelope bounds of every frozen equation.
 
     For each component i the system generator is frozen: y-slots and the time
     argument at the step midpoint (average of the two endpoint nodes, which
@@ -186,8 +166,6 @@ def apply_gamma(
     L = ball.steps
 
     eta = _resolve_eta(terminal, ens, p.n)
-    u_norm = sup_norm_estimate(pair, k_lo, k_hi)
-    v_norm = bmo_norm_estimate(pair, ens, basis, k_lo, k_hi)
 
     # Deterministic drift budget on the window: the integrable density plus
     # the mean-field coupling of the frozen environment, as suffix sums.
@@ -306,6 +284,12 @@ def _initial_pair(init: str, eta: np.ndarray, ens: Ensemble, n: int, ball: BallS
     return ProcessPair.from_fields(Y, Z)
 
 
+def _norms(pair: ProcessPair, ens: Ensemble, basis: RegressionBasis, ball: BallSpec):
+    """(sup, BMO) proxies of pair on the window of ball."""
+    sup = sup_norm_estimate(pair, ball.k_lo, ball.k_hi)
+    return sup, float(bmo_profile(pair, ens, basis, ball.k_lo, ball.k_hi).max())
+
+
 def picard_solve(
     gen: Generator,
     terminal,
@@ -322,6 +306,8 @@ def picard_solve(
     Convergence is declared when both the sup distance of Y and of Z between
     consecutive sweeps fall below tol on the window.  Every sweep records its
     ball membership against the slackened radii (2*k1, 2*k2) * BALL_SLACK.
+    The sup and BMO proxies of each iterate are measured once and serve both
+    that record and the envelope of the next sweep.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -330,6 +316,7 @@ def picard_solve(
     p = gen.params
     eta = _resolve_eta(terminal, ens, p.n)
     cur = _initial_pair(init, eta, ens, p.n, ball)
+    sup_y, bmo = _norms(cur, ens, basis, ball)
     k_lo, k_hi = ball.k_lo, ball.k_hi
 
     iterations: list[PicardIteration] = []
@@ -339,12 +326,11 @@ def picard_solve(
     converged = False
 
     for r in range(1, max_iter + 1):
-        nxt, info = apply_gamma(cur, gen, eta, ens, basis, ball, safety=safety)
+        nxt, info = apply_gamma(cur, gen, eta, ens, basis, ball, sup_y, bmo, safety=safety)
         hits += info.truncation_hits
         diff_y = float(np.abs(nxt.Y - cur.Y)[:, k_lo : k_hi + 1].max())
         diff_z = float(np.abs(nxt.Z - cur.Z)[:, k_lo:k_hi].max())
-        sup_y = sup_norm_estimate(nxt, k_lo, k_hi)
-        bmo = bmo_norm_estimate(nxt, ens, basis, k_lo, k_hi)
+        sup_y, bmo = _norms(nxt, ens, basis, ball)
         iterations.append(
             PicardIteration(
                 index=r,

@@ -14,7 +14,7 @@ blow-up guard of the backward recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -113,7 +113,6 @@ class Solve1DResult:
     k_lo: int
     k_hi: int
     truncation_hits: int
-    condition_numbers: list = field(default_factory=list)
 
 
 def solve_1d(
@@ -158,13 +157,11 @@ def solve_1d(
             g.envelope, ens.grid.nodes[k_lo], g.u_norm, g.v_norm
         )
     hits = 0
-    conds: list = []
 
     for j in range(L - 1, -1, -1):
         k = k_lo + j
         y_next = Y[:, j + 1]
-        m, info_m = project(y_next, k, ens, basis)
-        conds.append((k, info_m.cond))
+        m, _ = project(y_next, k, ens, basis)
         if np.ptp(y_next) == 0.0:
             # Constant continuation: the martingale increment is exactly zero.
             zk = np.zeros((ens.N, ens.d))
@@ -183,4 +180,4 @@ def solve_1d(
         if not np.isfinite(worst) or worst > blowup_guard:
             raise BlowUpError(node=k, value=worst, guard=float(blowup_guard))
 
-    return Solve1DResult(Y=Y, Z=Z, k_lo=k_lo, k_hi=k_hi, truncation_hits=hits, condition_numbers=conds)
+    return Solve1DResult(Y=Y, Z=Z, k_lo=k_lo, k_hi=k_hi, truncation_hits=hits)

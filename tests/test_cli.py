@@ -6,7 +6,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from mfbsde import BlowUpError, case_zero, compute_ledger
+from mfbsde import BlowUpError, ProcessPair, case_zero, compute_ledger, verify_apriori
 from mfbsde.cli import _fmt, main
 
 
@@ -132,8 +132,21 @@ def test_solve_is_byte_deterministic(tmp_path):
     assert csv_a != (c / "colehopf_solution.csv").read_bytes()
 
 
-def test_solve_debug_hook_forces_bound_failure(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, ZERO_FAST + "\n[debug]\nforce_apriori_violation = true\n")
+def test_solve_failed_check_exits_1(tmp_path, monkeypatch, capsys):
+    import mfbsde.cli as cli
+
+    solve_auto = cli.solve_auto
+
+    def violating(*args, **kwargs):
+        # the solved field inflated past lambda must fail the a priori check
+        report = solve_auto(*args, **kwargs)
+        lam = report.ledger.lam
+        big = ProcessPair.from_fields(report.pair.Y * (1.01 * lam), report.pair.Z)
+        report.checks = (verify_apriori(big, report.ledger),) + report.checks[1:]
+        return report
+
+    monkeypatch.setattr(cli, "solve_auto", violating)
+    cfg = write_cfg(tmp_path, ZERO_FAST)
     rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "r")])
     assert rc == 1
     out = capsys.readouterr().out
@@ -141,6 +154,27 @@ def test_solve_debug_hook_forces_bound_failure(tmp_path, capsys):
     report = json.loads((tmp_path / "r" / "zero_report.json").read_text())
     checks = {c["name"]: c for c in report["solve"]["checks"]}
     assert checks["apriori_sup"]["passed"] is False
+
+
+def test_solve_writes_the_verification_bmo_profile(tmp_path, bmo_passes):
+    # one BMO pass for the initial guess, one per sweep, one for verification;
+    # the CSV reuses the verification profile instead of a pass of its own
+    cfg = write_cfg(
+        tmp_path,
+        "[case]\nname = loggrowth\n[grid]\nm = 10\n[ensemble]\nn = 300\nseed = 5\n"
+        "[checks]\nsamples = 500\n",
+    )
+    out = tmp_path / "r"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "loggrowth_report.json").read_text())
+    sweeps = report["solve"]["windows"][0]["iterations"]
+    assert report["solve"]["mode"] == "full-interval-fallback" and sweeps >= 2
+    assert len(bmo_passes) == sweeps + 2
+    lines = (out / "loggrowth_solution.csv").read_text().splitlines()
+    col = lines[0].split(",").index("bmo_to_go")
+    bmo = max(float(line.split(",")[col]) for line in lines[1:])
+    checks = {c["name"]: c for c in report["solve"]["checks"]}
+    assert checks["bmo_membership"]["observed"] == bmo * bmo
 
 
 def test_solve_blowup_exits_3_with_partial_report(tmp_path, monkeypatch, capsys):
@@ -171,6 +205,7 @@ def test_solve_blowup_exits_3_with_partial_report(tmp_path, monkeypatch, capsys)
         "[case]\nname = zero\n\n[solver]\ninit = sideways\n",
         "[case]\nname = zero\n\n[basis]\nkind = fourier\n",
         "[case]\nname = loggrowth\nkappa = -1\n",            # factory rejects
+        "[case]\nname = zero\n[debug]\nforce_apriori_violation = true\n",  # unknown section
     ],
 )
 def test_config_errors_exit_2(tmp_path, body, capsys):

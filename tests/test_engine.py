@@ -9,11 +9,8 @@ from mfbsde import (
     ProcessPair,
     RegressionBasis,
     TimeGrid,
-    bmo_norm_estimate,
     bmo_profile,
-    conditional_expectation,
     default_basis,
-    empirical_means,
     generate_ensemble,
     project,
     sup_norm_estimate,
@@ -165,14 +162,6 @@ def test_projection_rank_deficient_falls_back_to_mean(caplog):
     assert any("rank-deficient" in r.message for r in caplog.records)
 
 
-def test_conditional_expectation_matches_project():
-    ens = make_ens(seed=21)
-    vals = np.sin(ens.cumulative[:, 2, 0])
-    a = conditional_expectation(vals, 2, ens, default_basis(1))
-    b, _ = project(vals, 2, ens, default_basis(1))
-    assert np.array_equal(a, b)
-
-
 @given(k=st.integers(1, 9))
 @settings(max_examples=20, deadline=None)
 def test_projection_tower_property_of_means(k):
@@ -195,9 +184,8 @@ def test_process_pair_validation_and_means():
     Y = np.random.default_rng(0).normal(size=(8, 5, 2))
     Z = np.random.default_rng(1).normal(size=(8, 4, 2, 3))
     pair = pair_from(Y, Z)
-    my, mz = empirical_means(pair)
-    assert np.array_equal(my, pair.mean_Y) and np.array_equal(mz, pair.mean_Z)
-    assert pair.means_current()
+    assert np.array_equal(pair.mean_Y, Y.mean(axis=0))
+    assert np.array_equal(pair.mean_Z, Z.mean(axis=0))
     with pytest.raises(ValueError):
         pair_from(Y, np.zeros((8, 5, 2, 3)))      # Z must have M = 4 steps
     with pytest.raises(ValueError):
@@ -222,9 +210,8 @@ def test_bmo_estimate_constant_z():
     Y = np.zeros((ens.N, 21, 1))
     Z = np.full((ens.N, 20, 1, 1), c)
     pair = pair_from(Y, Z)
-    est = bmo_norm_estimate(pair, ens, default_basis(1))
-    assert est == pytest.approx(c * np.sqrt(2.0), rel=1e-9)
     prof = bmo_profile(pair, ens, default_basis(1))
+    assert prof.max() == pytest.approx(c * np.sqrt(2.0), rel=1e-9)
     assert prof.shape == (21,)
     assert prof[-1] == 0.0
     np.testing.assert_allclose(prof[:-1] ** 2, c**2 * (2.0 - ens.grid.nodes[:-1]), rtol=1e-9)
@@ -235,6 +222,10 @@ def test_bmo_estimate_window_restriction():
     Z = np.zeros((ens.N, 10, 1, 1))
     Z[:, :5] = 2.0                                 # activity only before t=0.5
     pair = pair_from(np.zeros((ens.N, 11, 1)), Z)
-    full = bmo_norm_estimate(pair, ens, default_basis(1))
-    late = bmo_norm_estimate(pair, ens, default_basis(1), k_lo=5)
+    full = bmo_profile(pair, ens, default_basis(1)).max()
+    late = bmo_profile(pair, ens, default_basis(1), k_lo=5).max()
     assert full > 0.0 and late == 0.0
+    early = bmo_profile(pair, ens, default_basis(1), k_hi=5)
+    assert early.max() == full and np.array_equal(early[5:], np.zeros(6))
+    with pytest.raises(ValueError):
+        bmo_profile(pair, ens, default_basis(1), k_lo=6, k_hi=5)

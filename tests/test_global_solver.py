@@ -9,7 +9,9 @@ from mfbsde import (
     ProcessPair,
     StitchError,
     TimeGrid,
+    bmo_profile,
     case_colehopf_diagonal,
+    case_loggrowth,
     case_meanfield_linear,
     case_zero,
     compute_ledger,
@@ -125,7 +127,7 @@ def test_verify_apriori_pass_and_fail():
 
 def test_verify_bmo_membership_zero_and_overflow_ceiling():
     case, ens, ledger, trace = run_small_linear()
-    res = verify_bmo_membership(trace.pair, ens, BASIS, ledger)
+    res = verify_bmo_membership(bmo_profile(trace.pair, ens, BASIS).max(), ledger)
     assert res.passed and res.name == "bmo_membership"
     assert res.observed == 0.0          # the linear solution carries Z = 0
 
@@ -135,7 +137,7 @@ def test_verify_bmo_membership_zero_and_overflow_ceiling():
     noisy = ProcessPair.from_fields(
         trace.pair.Y, trace.pair.Z + 0.5
     )
-    res2 = verify_bmo_membership(noisy, ens, BASIS, ledger)
+    res2 = verify_bmo_membership(bmo_profile(noisy, ens, BASIS).max(), ledger)
     assert res2.passed and res2.observed > 0.0
 
 
@@ -218,6 +220,20 @@ def test_solve_auto_falls_back_when_step_unusable():
     assert report.plan is None and report.continuity_ok is None
     assert report.converged and report.all_checks_passed()
     assert len(report.windows) == 1 and report.windows[0].k_hi == 20
+
+
+def test_solve_auto_measures_each_iterate_once(bmo_passes):
+    # one BMO pass for the initial guess, one per sweep and one for the
+    # verification of the solution, whose profile the report keeps
+    case = case_loggrowth()
+    ens = generate_ensemble(TimeGrid.make(10, case.params.T), 300, 1, 5)
+    report = solve_auto(case.generator, case.terminal, ens, BASIS)
+    sweeps = len(report.traces[0].iterations)
+    assert report.mode == "full-interval-fallback" and sweeps >= 2
+    assert len(bmo_passes) == sweeps + 2
+    assert bmo_passes[-1] is report.pair
+    assert np.array_equal(report.bmo_nodes, bmo_profile(report.pair, ens, BASIS))
+    assert report.checks[1].observed == report.bmo_nodes.max() ** 2
 
 
 def test_solve_auto_prefers_stitching_when_guaranteed():

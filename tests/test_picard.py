@@ -19,8 +19,9 @@ from mfbsde import (
     contraction_report,
     default_basis,
     generate_ensemble,
+    bmo_profile,
     picard_solve,
-    row_substitute,
+    sup_norm_estimate,
 )
 
 BASIS = default_basis(1)
@@ -83,36 +84,15 @@ def test_ballspec_full_interval_flags_guarantee():
     assert ledger.eps0 < 1.0 and not ball.within_guarantee
 
 
-# ----------------------------------------------------------- row substitute
-
-
-def test_row_substitute_matrix_and_batch():
-    z = np.arange(6.0).reshape(2, 3)
-    out = row_substitute(z, 1, np.array([9.0, 9.0, 9.0]))
-    assert np.array_equal(out[1], [9.0, 9.0, 9.0])
-    assert np.array_equal(out[0], z[0])
-    assert np.array_equal(z[1], [3.0, 4.0, 5.0])      # input untouched
-
-    zb = np.zeros((4, 2, 3))
-    rows = np.ones((4, 3))
-    outb = row_substitute(zb, 0, rows)
-    assert np.array_equal(outb[:, 0], rows)
-    assert np.array_equal(outb[:, 1], np.zeros((4, 3)))
-
-
-def test_row_substitute_rejects_bad_shapes_and_index():
-    z = np.zeros((2, 3))
-    with pytest.raises(IndexError):
-        row_substitute(z, 2, np.zeros(3))
-    with pytest.raises(ValueError):
-        row_substitute(z, 0, np.zeros(4))
-    with pytest.raises(ValueError):
-        row_substitute(np.zeros((4, 2, 3)), 0, np.zeros(3))
-    with pytest.raises(ValueError):
-        row_substitute(np.zeros(3), 0, np.zeros(3))
-
-
 # --------------------------------------------------------------- one sweep
+
+
+def norms(pair, ens, ball):
+    """The (sup, BMO) environment norms picard_solve hands to apply_gamma."""
+    return (
+        sup_norm_estimate(pair, ball.k_lo, ball.k_hi),
+        bmo_profile(pair, ens, BASIS, ball.k_lo, ball.k_hi).max(),
+    )
 
 
 def test_apply_gamma_single_sweep_hand_value_on_flat_environment():
@@ -124,7 +104,7 @@ def test_apply_gamma_single_sweep_hand_value_on_flat_environment():
     Y0 = np.ones((ens.N, 11, 1))
     Z0 = np.zeros((ens.N, 10, 1, 1))
     pair = ProcessPair.from_fields(Y0, Z0)
-    out, info = apply_gamma(pair, case.generator, eta, ens, BASIS, ball)
+    out, info = apply_gamma(pair, case.generator, eta, ens, BASIS, ball, *norms(pair, ens, ball))
     dt = ens.grid.dt
     for k in range(11):
         np.testing.assert_allclose(out.Y[:, k, 0], 1.0 + dt * (10 - k), rtol=1e-12)
@@ -142,7 +122,7 @@ def test_apply_gamma_masks_outside_window():
     pair = ProcessPair.from_fields(
         np.ones((ens.N, 11, 1)), np.zeros((ens.N, 10, 1, 1))
     )
-    out, _ = apply_gamma(pair, case.generator, eta, ens, BASIS, ball)
+    out, _ = apply_gamma(pair, case.generator, eta, ens, BASIS, ball, *norms(pair, ens, ball))
     assert np.array_equal(out.Y[:, :5], np.zeros((ens.N, 5, 1)))
     assert out.Y[:, 5:].min() > 1.0 - 1e-12
 
@@ -154,7 +134,7 @@ def test_apply_gamma_rejects_bad_terminal_shape():
         np.zeros((ens.N, 11, 1)), np.zeros((ens.N, 10, 1, 1))
     )
     with pytest.raises(ValueError, match="terminal array"):
-        apply_gamma(pair, case.generator, np.zeros((ens.N, 2)), ens, BASIS, ball)
+        apply_gamma(pair, case.generator, np.zeros((ens.N, 2)), ens, BASIS, ball, 0.0, 0.0)
 
 
 def test_apply_gamma_blowup_carries_component_index():
@@ -177,7 +157,7 @@ def test_apply_gamma_blowup_carries_component_index():
         np.zeros((64, 11, 2)), np.zeros((64, 10, 2, 1))
     )
     with pytest.raises(BlowUpError) as exc:
-        apply_gamma(pair, gen, np.zeros((64, 2)), ens, BASIS, ball)
+        apply_gamma(pair, gen, np.zeros((64, 2)), ens, BASIS, ball, *norms(pair, ens, ball))
     assert exc.value.component == 1
     assert "component 1" in str(exc.value)
 
