@@ -120,9 +120,15 @@ def _solver_settings(cfg) -> dict:
     init = _get(cfg, "solver", "init", str, "terminal-flat")
     if init not in ("terminal-flat", "zero"):
         raise ConfigError(f"[solver] init = {init!r}: expected terminal-flat or zero")
+    tol = _get(cfg, "solver", "tol", float, 1e-3)
+    if not tol > 0.0:
+        raise ConfigError(f"[solver] tol = {tol!r}: expected a positive number")
+    max_iter = _get(cfg, "solver", "max_iter", int, 25)
+    if max_iter < 1:
+        raise ConfigError(f"[solver] max_iter = {max_iter}: expected an integer >= 1")
     return {
-        "tol": _get(cfg, "solver", "tol", float, 1e-3),
-        "max_iter": _get(cfg, "solver", "max_iter", int, 25),
+        "tol": tol,
+        "max_iter": max_iter,
         "init": init,
         "safety": _get(cfg, "solver", "safety", float, 3.0),
     }
@@ -169,7 +175,12 @@ def _solve_case(case: BenchmarkCase, cfg, seed: int):
     """Shared core of solve/bench/sweep: checkers, verified global solve and
     the oracle errors of the solution (None for a case without an oracle)."""
     M = _get(cfg, "grid", "m", int, 50)
+    if M < 1:
+        raise ConfigError(f"[grid] m = {M}: expected an integer >= 1")
     N = _get(cfg, "ensemble", "n", int, 10_000)
+    if N < 2:
+        raise ConfigError(f"[ensemble] n = {N}: expected an integer >= 2 (regression "
+                          "needs two particles)")
     grid = TimeGrid.make(M, case.params.T)
     ens = generate_ensemble(grid, N, case.params.d, seed)
     basis = _build_basis(cfg, case.params.d)
@@ -351,6 +362,7 @@ def cmd_sweep(args) -> int:
     out = _out_dir(cfg, args)
     seed = _seed(cfg, args)
     rows = ["M,N,y0_mean,y0_abs_err,mean_node_err_Y,mean_node_err_Z"]
+    all_ok = True
     for M, N in _sweep_pairs(cfg):
         sub = configparser.ConfigParser()
         sub.read_dict({s: dict(cfg.items(s)) for s in cfg.sections()})
@@ -373,10 +385,11 @@ def cmd_sweep(args) -> int:
         else:
             row = [str(M), str(N), _fmt(_y0_mean(report)), "nan", "nan", "nan"]
         rows.append(",".join(row))
-        print(f"sweep {case.name} M={M} N={N}: {elapsed:.2f}s "
-              f"{'pass' if _passed(structural, report) else 'FAIL'}")
+        ok = _passed(structural, report)
+        all_ok = all_ok and ok
+        print(f"sweep {case.name} M={M} N={N}: {elapsed:.2f}s {'pass' if ok else 'FAIL'}")
     (out / f"sweep_{case_name}.csv").write_text("\n".join(rows) + "\n")
-    return 0
+    return 0 if all_ok else 1
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -5,6 +5,15 @@ expectations are least-squares projections of particle values onto a basis of
 functions of the Markovian state W_{t_k}; at the root node (k = 0) the
 projection degenerates to the plain sample mean.  Constant targets bypass the
 solver entirely so that deterministic fields are reproduced bitwise.
+
+The projection at a node is one fixed linear operator per (ensemble, basis,
+node).  Its factor -- the p x p triangular R of a thin QR of the design
+matrix, with the design's rank and condition number -- is built on first use
+and cached on the ensemble, so every later projection at that node (both
+projections of a backward step, every component, sweep and window, every BMO
+pass) only rebuilds the design and applies two triangular solves.  Only the
+p x p factor is kept, never the N x p design, and the fitted values equal
+those of a fresh ``lstsq`` to round-off.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 log = logging.getLogger(__name__)
 
@@ -48,7 +58,11 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """N Brownian paths on a grid: increments (N, M, d) and cumulative (N, M+1, d)."""
+    """N Brownian paths on a grid: increments (N, M, d) and cumulative (N, M+1, d).
+
+    ``factors`` caches the regression factor of each (basis, node) that
+    ``project`` has used on these paths; it starts empty.
+    """
 
     grid: TimeGrid
     N: int
@@ -56,6 +70,7 @@ class Ensemble:
     seed: int
     increments: np.ndarray = field(repr=False)
     cumulative: np.ndarray = field(repr=False)
+    factors: dict = field(default_factory=dict, init=False, repr=False)
 
 
 def generate_ensemble(grid: TimeGrid, N: int, d: int, seed: int) -> Ensemble:
@@ -96,14 +111,26 @@ class RegressionBasis:
         states = np.asarray(states, dtype=float)
         N, d = states.shape
         if self.kind == "polynomial":
-            cols = [np.ones(N)]
-            for deg in range(1, self.degree + 1):
-                for combo in itertools.combinations_with_replacement(range(d), deg):
-                    col = np.ones(N)
-                    for j in combo:
-                        col = col * states[:, j]
-                    cols.append(col)
-            return np.column_stack(cols)
+            # Each monomial column is its parent column (the combination
+            # minus its last coordinate) times that coordinate, in place;
+            # as 1 * x == x, it is bitwise the product 1 * s_a * s_b * ...
+            # taken left to right.
+            combos = [
+                combo
+                for deg in range(1, self.degree + 1)
+                for combo in itertools.combinations_with_replacement(range(d), deg)
+            ]
+            column = {}
+            X = np.empty((N, len(combos) + 1), order="F")
+            X[:, 0] = 1.0
+            for idx, combo in enumerate(combos, start=1):
+                column[combo] = idx
+                if len(combo) == 1:
+                    X[:, idx] = states[:, combo[0]]
+                else:
+                    np.multiply(X[:, column[combo[:-1]]], X[:, column[combo[-1:]]],
+                                out=X[:, idx])
+            return X
         if d != 1:
             raise ValueError("piecewise-bins basis supports d = 1 only")
         w = states[:, 0]
@@ -123,6 +150,46 @@ def default_basis(d: int) -> RegressionBasis:
 class RegressionInfo:
     cond: float
     fallback: bool
+
+
+@dataclass(frozen=True, eq=False)
+class RegressionFactor:
+    """The cached operator of one (basis, node): R of a thin QR of the design
+    X (so R^T R = X^T X), with the rank and condition number of X read off
+    the singular values of R under ``lstsq``'s default cut-off."""
+
+    R: np.ndarray = field(repr=False)
+    rank: int
+    cond: float
+
+    @property
+    def full_rank(self) -> bool:
+        return self.rank == self.R.shape[1]
+
+
+def _factorize(X: np.ndarray) -> RegressionFactor:
+    """Factor a design matrix; singular values at or below
+    eps * max(N, p) * sigma_max count as zero, as in ``np.linalg.lstsq``."""
+    R = np.linalg.qr(X, mode="r")
+    sv = np.linalg.svd(R, compute_uv=False)
+    cut = np.finfo(float).eps * max(X.shape) * sv[0]
+    rank = int((sv > cut).sum())
+    full = rank == X.shape[1]
+    cond = float(sv[0] / sv[-1]) if full else float("inf")
+    return RegressionFactor(R=R, rank=rank, cond=cond)
+
+
+def regression_summary(ens: Ensemble, basis: RegressionBasis) -> dict:
+    """What the cached factors of ``basis`` on ``ens`` say about conditioning:
+    nodes factored, max condition number over the full-rank ones (None when
+    there are none) and the rank-deficient nodes, which fall back to the mean."""
+    mine = {k: f for (b, k), f in ens.factors.items() if b == basis}
+    conds = [f.cond for f in mine.values() if f.full_rank]
+    return {
+        "nodes_factored": len(mine),
+        "max_cond": max(conds) if conds else None,
+        "rank_deficient_nodes": sorted(k for k, f in mine.items() if not f.full_rank),
+    }
 
 
 def project(values: np.ndarray, k: int, ens: Ensemble, basis: RegressionBasis):
@@ -157,18 +224,22 @@ def project(values: np.ndarray, k: int, ens: Ensemble, basis: RegressionBasis):
         return _mean_fallback(1.0, False)
 
     X = basis.design(ens.cumulative[:, k, :])
-    coef, _, rank, sv = np.linalg.lstsq(X, V, rcond=None)
-    if rank < X.shape[1]:
+    factor = ens.factors.get((basis, k))
+    if factor is None:
+        factor = ens.factors[(basis, k)] = _factorize(X)
+    if not factor.full_rank:
         log.warning(
             "rank-deficient regression design at node %d (rank %d < %d); "
             "falling back to the sample mean",
-            k, rank, X.shape[1],
+            k, factor.rank, X.shape[1],
         )
         return _mean_fallback(float("inf"), True)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
+    # Normal equations R^T R coef = X^T V, by two triangular solves.
+    coef = solve_triangular(factor.R, X.T @ V, trans="T")
+    coef = solve_triangular(factor.R, coef, overwrite_b=True)
     out = X @ coef
     out[:, const_cols] = V[0:1, const_cols]
-    return (out[:, 0] if single else out), RegressionInfo(cond=cond, fallback=False)
+    return (out[:, 0] if single else out), RegressionInfo(cond=factor.cond, fallback=False)
 
 
 @dataclass(eq=False)

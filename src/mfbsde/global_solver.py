@@ -22,6 +22,7 @@ from .engine import (
     RegressionBasis,
     TimeGrid,
     bmo_profile,
+    regression_summary,
     sup_norm_estimate,
 )
 from .errors import ConfigError, StitchError
@@ -193,6 +194,7 @@ class GlobalReport:
     windows: tuple[WindowSummary, ...]
     checks: tuple[CheckResult, ...]
     bmo_nodes: np.ndarray = field(repr=False)   # bmo_profile of pair, out of to_dict()
+    regression: dict               # engine.regression_summary after verification
     converged: bool
     continuity_ok: bool | None = None
     plan: StitchPlan | None = None
@@ -209,6 +211,7 @@ class GlobalReport:
             "plan": self.plan.to_dict() if self.plan is not None else None,
             "windows": [w.to_dict() for w in self.windows],
             "checks": [c.to_dict() for c in self.checks],
+            "regression": self.regression,
             "constants": self.ledger.to_dict(),
         }
 
@@ -230,13 +233,15 @@ def _window_summary(idx: int, trace: PicardTrace, grid: TimeGrid) -> WindowSumma
 
 def _verified_report(pair: ProcessPair, ens: Ensemble, basis: RegressionBasis,
                      ledger: ConstantsLedger, **fields) -> GlobalReport:
-    """The report of a solved pair, checked against the sup and BMO ceilings."""
+    """The report of a solved pair, checked against the sup and BMO ceilings,
+    with the conditioning of the regression factors cached on the ensemble."""
     bmo_nodes = bmo_profile(pair, ens, basis)
     checks = (
         verify_apriori(pair, ledger),
         verify_bmo_membership(bmo_nodes.max(), ledger),
     )
-    return GlobalReport(pair=pair, ledger=ledger, checks=checks, bmo_nodes=bmo_nodes, **fields)
+    return GlobalReport(pair=pair, ledger=ledger, checks=checks, bmo_nodes=bmo_nodes,
+                        regression=regression_summary(ens, basis), **fields)
 
 
 def solve_global(

@@ -132,7 +132,9 @@ def test_solve_is_byte_deterministic(tmp_path):
     assert csv_a != (c / "colehopf_solution.csv").read_bytes()
 
 
-def test_solve_failed_check_exits_1(tmp_path, monkeypatch, capsys):
+@pytest.fixture
+def failing_apriori(monkeypatch):
+    """Make every CLI solve report a failed a priori check."""
     import mfbsde.cli as cli
 
     solve_auto = cli.solve_auto
@@ -146,6 +148,9 @@ def test_solve_failed_check_exits_1(tmp_path, monkeypatch, capsys):
         return report
 
     monkeypatch.setattr(cli, "solve_auto", violating)
+
+
+def test_solve_failed_check_exits_1(tmp_path, failing_apriori, capsys):
     cfg = write_cfg(tmp_path, ZERO_FAST)
     rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "r")])
     assert rc == 1
@@ -177,6 +182,27 @@ def test_solve_writes_the_verification_bmo_profile(tmp_path, bmo_passes):
     assert checks["bmo_membership"]["observed"] == bmo * bmo
 
 
+@pytest.mark.parametrize("case", ["colehopf", "zero"])
+def test_solve_reports_regression_conditioning(tmp_path, case):
+    # read off the factors cached on the ensemble; the CSV does not carry it
+    cfg = write_cfg(
+        tmp_path,
+        f"[case]\nname = {case}\n[grid]\nm = 10\n[ensemble]\nn = 300\nseed = 3\n"
+        "[checks]\nsamples = 500\n",
+    )
+    out = tmp_path / "r"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    regression = json.loads((out / f"{case}_report.json").read_text())["solve"]["regression"]
+    if case == "colehopf":
+        assert regression["nodes_factored"] == 9
+        assert 1.0 <= regression["max_cond"] < float("inf")
+    else:                              # constant targets never reach a factor
+        assert regression["nodes_factored"] == 0 and regression["max_cond"] is None
+    assert regression["rank_deficient_nodes"] == []
+    header = (out / f"{case}_solution.csv").read_text().splitlines()[0]
+    assert header.endswith("sup_abs_Y,bmo_to_go,oracle_err_Y,oracle_err_Z")
+
+
 def test_solve_blowup_exits_3_with_partial_report(tmp_path, monkeypatch, capsys):
     import mfbsde.cli as cli
 
@@ -206,12 +232,27 @@ def test_solve_blowup_exits_3_with_partial_report(tmp_path, monkeypatch, capsys)
         "[case]\nname = zero\n\n[basis]\nkind = fourier\n",
         "[case]\nname = loggrowth\nkappa = -1\n",            # factory rejects
         "[case]\nname = zero\n[debug]\nforce_apriori_violation = true\n",  # unknown section
+        "[case]\nname = zero\n[grid]\nm = 0\n",
+        "[case]\nname = zero\n[ensemble]\nn = 1\n",
+        "[case]\nname = zero\n[solver]\ntol = -1\n",
+        "[case]\nname = zero\n[solver]\nmax_iter = 0\n",
     ],
 )
 def test_config_errors_exit_2(tmp_path, body, capsys):
     cfg = write_cfg(tmp_path, body)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("grid", "m", "0"), ("ensemble", "n", "1"), ("solver", "tol", "-1"),
+     ("solver", "max_iter", "0")],
+)
+def test_bad_numeric_config_names_its_key(tmp_path, section, key, value, capsys):
+    cfg = write_cfg(tmp_path, f"[case]\nname = zero\n[{section}]\n{key} = {value}\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    assert f"[{section}] {key} = " in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -285,6 +326,18 @@ def test_sweep_writes_refinement_table(tmp_path, capsys):
     # the deterministic linear case must refine under a finer grid
     assert float(m10[3]) < float(m5[3])
     assert "sweep meanfield_linear M=5 N=100" in capsys.readouterr().out
+
+
+def test_sweep_failed_check_exits_1(tmp_path, failing_apriori, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        "[case]\nname = zero\n[checks]\nsamples = 500\n[sweep]\npairs = 5:100, 10:200\n",
+    )
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    assert "sweep zero M=10 N=200" in capsys.readouterr().out
+    rows = (out / "sweep_zero.csv").read_text().splitlines()
+    assert len(rows) == 3 and rows[2].startswith("10,200,")
 
 
 def test_sweep_rejects_malformed_pairs(tmp_path, capsys):

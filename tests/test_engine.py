@@ -1,5 +1,7 @@
 """Ensemble generation and regression conditional expectations."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,11 +12,15 @@ from mfbsde import (
     RegressionBasis,
     TimeGrid,
     bmo_profile,
+    compute_ledger,
     default_basis,
     generate_ensemble,
+    make_case,
     project,
+    solve_auto,
     sup_norm_estimate,
 )
+from mfbsde import engine
 
 
 def make_ens(M=10, T=1.0, N=500, d=1, seed=0):
@@ -79,6 +85,21 @@ def test_polynomial_design_columns():
     basis2 = RegressionBasis(kind="polynomial", degree=2)
     X2 = basis2.design(np.random.default_rng(0).normal(size=(20, 2)))
     assert X2.shape == (20, 6)                    # 1, w1, w2, w1^2, w1w2, w2^2
+
+
+@pytest.mark.parametrize("d, degree", [(1, 3), (2, 2), (2, 3)])
+def test_polynomial_design_matches_the_product_recipe_bitwise(d, degree):
+    # each column is 1 * s_a * s_b * ... multiplied left to right
+    states = np.random.default_rng(d + degree).normal(size=(50, d))
+    cols = [np.ones(50)]
+    for deg in range(1, degree + 1):
+        for combo in itertools.combinations_with_replacement(range(d), deg):
+            col = np.ones(50)
+            for j in combo:
+                col = col * states[:, j]
+            cols.append(col)
+    X = RegressionBasis(kind="polynomial", degree=degree).design(states)
+    assert np.array_equal(X, np.column_stack(cols))
 
 
 def test_piecewise_bins_design_partitions():
@@ -152,14 +173,103 @@ def test_projection_rejects_bad_input():
 
 
 def test_projection_rank_deficient_falls_back_to_mean(caplog):
-    # two particles cannot support a 4-column design: lstsq rank < p
+    # two particles cannot support a 4-column design: rank < p.  The cached
+    # factor keeps the node deficient, and every call warns again.
     ens = make_ens(N=2, seed=8)
     vals = np.array([1.0, 3.0])
-    with caplog.at_level("WARNING"):
-        fitted, info = project(vals, 2, ens, default_basis(1))
-    assert info.fallback
-    np.testing.assert_allclose(fitted, 2.0)
-    assert any("rank-deficient" in r.message for r in caplog.records)
+    for call in (1, 2):
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            fitted, info = project(vals, 2, ens, default_basis(1))
+        assert info.fallback and info.cond == float("inf")
+        np.testing.assert_allclose(fitted, 2.0)
+        assert any("rank-deficient" in r.message for r in caplog.records), call
+    assert len(ens.factors) == 1
+    assert engine.regression_summary(ens, default_basis(1)) == {
+        "nodes_factored": 1, "max_cond": None, "rank_deficient_nodes": [2],
+    }
+
+
+def lstsq_fit(values, k, ens, basis):
+    X = basis.design(ens.cumulative[:, k, :])
+    coef = np.linalg.lstsq(X, values, rcond=None)[0]
+    return X @ coef
+
+
+@pytest.mark.parametrize(
+    "basis, d",
+    [
+        (RegressionBasis(kind="polynomial", degree=3), 1),
+        (RegressionBasis(kind="polynomial", degree=2), 2),
+        (RegressionBasis(kind="piecewise-bins", bins=6), 1),
+    ],
+)
+def test_projection_matches_lstsq(basis, d):
+    ens = make_ens(M=8, N=2_000, d=d, seed=13)
+    rng = np.random.default_rng(4)
+    for k in (1, 4, 8):
+        w = ens.cumulative[:, k, :]
+        single = np.sin(w.sum(axis=1)) + 0.3 * rng.normal(size=ens.N)
+        block = np.column_stack([single, np.exp(w[:, 0]), np.full(ens.N, -1.25)])
+        # twice per node: the second call reuses the cached factor
+        for _ in range(2):
+            fitted, info = project(single, k, ens, basis)
+            np.testing.assert_allclose(fitted, lstsq_fit(single, k, ens, basis),
+                                       rtol=0.0, atol=1e-10)
+            assert not info.fallback and np.isfinite(info.cond)
+            fitted_block, _ = project(block, k, ens, basis)
+            np.testing.assert_allclose(fitted_block[:, :2],
+                                       lstsq_fit(block[:, :2], k, ens, basis),
+                                       rtol=0.0, atol=1e-10)
+            assert np.array_equal(fitted_block[:, 2], block[:, 2])
+    assert sorted(ens.factors) == [(basis, k) for k in (1, 4, 8)]
+
+
+def test_factor_cache_is_per_basis():
+    ens = make_ens(M=6, N=400, seed=3)
+    cubic, bins = default_basis(1), RegressionBasis(kind="piecewise-bins", bins=4)
+    vals = np.tanh(ens.cumulative[:, 3, 0])
+    project(vals, 3, ens, cubic)
+    project(vals, 3, ens, bins)
+    assert set(ens.factors) == {(cubic, 3), (bins, 3)}
+    assert ens.factors[(cubic, 3)].R.shape == (4, 4)
+    assert ens.factors[(bins, 3)].R.shape == (4, 4)
+    assert engine.regression_summary(ens, cubic)["nodes_factored"] == 1
+    assert engine.regression_summary(ens, bins)["nodes_factored"] == 1
+
+
+def test_solve_factors_each_node_once(monkeypatch):
+    # every projection of a solve (both per backward step, every sweep, every
+    # BMO pass) shares one factor per non-root node
+    built, projections = [], []
+    factorize, proj = engine._factorize, engine.project
+
+    def counting_factorize(X):
+        built.append(X.shape)
+        return factorize(X)
+
+    def counting_project(values, k, ens, basis):
+        projections.append(k)
+        return proj(values, k, ens, basis)
+
+    monkeypatch.setattr(engine, "_factorize", counting_factorize)
+    monkeypatch.setattr(engine, "project", counting_project)
+    monkeypatch.setattr("mfbsde.qbsde1d.project", counting_project)
+    case = make_case("colehopf")
+    ens = generate_ensemble(TimeGrid.make(10, case.params.T), 300, case.params.d, 3)
+    basis = default_basis(case.params.d)
+    report = solve_auto(case.generator, case.terminal, ens, basis,
+                        compute_ledger(case.params), tol=1e-3, max_iter=40)
+    assert report.mode == "stitched"
+    assert len(projections) > 3 * 9
+    assert sorted(set(projections) - {0}) == list(range(1, 10))
+    assert len(built) == 9
+    assert sorted(k for _, k in ens.factors) == list(range(1, 10))
+    summary = report.to_dict()["regression"]
+    assert summary["nodes_factored"] == 9 and summary["rank_deficient_nodes"] == []
+    # a second solve on the same ensemble builds nothing
+    solve_auto(case.generator, case.terminal, ens, basis, compute_ledger(case.params))
+    assert len(built) == 9
 
 
 @given(k=st.integers(1, 9))
