@@ -263,6 +263,19 @@ class ProcessPair:
         return cls(Y=Y, Z=Z, mean_Y=Y.mean(axis=0), mean_Z=Z.mean(axis=0))
 
 
+def _sum_of_squares(a: np.ndarray) -> np.ndarray:
+    """Sum of squares over the last axis, added left to right.
+
+    numpy adds fewer than 8 terms sequentially too, so for such axes this is
+    bitwise ``(a * a).sum(axis=-1)``, without the per-element cost of a
+    reduction over a short axis.
+    """
+    out = a[..., 0] * a[..., 0]
+    for c in range(1, a.shape[-1]):
+        out += a[..., c] * a[..., c]
+    return out
+
+
 def sup_norm_estimate(pair: ProcessPair, k_lo: int = 0, k_hi: int | None = None) -> float:
     """Max over particles and nodes in [k_lo, k_hi] of the Euclidean norm of Y."""
     M = pair.Y.shape[1] - 1
@@ -291,7 +304,8 @@ def bmo_profile(
     k_hi = M if k_hi is None else k_hi
     if not 0 <= k_lo <= k_hi <= M:
         raise ValueError(f"bad node range [{k_lo}, {k_hi}] for M = {M}")
-    z_sq = (pair.Z * pair.Z).sum(axis=(2, 3))           # (N, M)
+    N, _, n, d = pair.Z.shape
+    z_sq = _sum_of_squares(pair.Z.reshape(N, M, n * d))  # (N, M)
     tail = np.zeros(ens.N)
     out = np.zeros(M + 1)
     for k in range(k_hi - 1, k_lo - 1, -1):

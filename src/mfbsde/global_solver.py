@@ -232,16 +232,23 @@ def _window_summary(idx: int, trace: PicardTrace, grid: TimeGrid) -> WindowSumma
 
 
 def _verified_report(pair: ProcessPair, ens: Ensemble, basis: RegressionBasis,
-                     ledger: ConstantsLedger, **fields) -> GlobalReport:
+                     ledger: ConstantsLedger, traces: tuple[PicardTrace, ...],
+                     **fields) -> GlobalReport:
     """The report of a solved pair, checked against the sup and BMO ceilings,
-    with the conditioning of the regression factors cached on the ensemble."""
-    bmo_nodes = bmo_profile(pair, ens, basis)
+    with the conditioning of the regression factors cached on the ensemble.
+
+    When the solve is one window spanning the whole grid, its trace already
+    holds the full-grid BMO profile of ``pair`` and no new pass is made."""
+    if len(traces) == 1 and (traces[0].ball.k_lo, traces[0].ball.k_hi) == (0, ens.grid.M):
+        bmo_nodes = traces[0].bmo_nodes
+    else:
+        bmo_nodes = bmo_profile(pair, ens, basis)
     checks = (
         verify_apriori(pair, ledger),
         verify_bmo_membership(bmo_nodes.max(), ledger),
     )
     return GlobalReport(pair=pair, ledger=ledger, checks=checks, bmo_nodes=bmo_nodes,
-                        regression=regression_summary(ens, basis), **fields)
+                        regression=regression_summary(ens, basis), traces=traces, **fields)
 
 
 def solve_global(

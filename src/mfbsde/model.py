@@ -115,16 +115,15 @@ class Generator:
     name: str = ""
 
     def eval(self, t, y, ybar, z, zbar) -> np.ndarray:
-        out = np.asarray(
-            self.fn(
-                t,
-                np.asarray(y, dtype=float),
-                np.asarray(ybar, dtype=float),
-                np.asarray(z, dtype=float),
-                np.asarray(zbar, dtype=float),
-            ),
-            dtype=float,
-        )
+        """fn at the given arguments; raises ValueError unless the result has
+        the broadcast shape of y, ybar and the rows of z and zbar."""
+        y, ybar, z, zbar = (np.asarray(a, dtype=float) for a in (y, ybar, z, zbar))
+        out = np.asarray(self.fn(t, y, ybar, z, zbar), dtype=float)
+        expected = np.broadcast_shapes(y.shape, ybar.shape, z.shape[:-1], zbar.shape[:-1])
+        if out.shape != expected:
+            raise ValueError(
+                f"generator {self.name!r} returned shape {out.shape}, expected {expected}"
+            )
         return out
 
     def component(self, i: int, t, y, ybar, z, zbar) -> np.ndarray:

@@ -3,7 +3,7 @@
 One application of the map takes an environment pair (U, V) together with its
 empirical mean fields, freezes every slot of the system generator except the
 own z-row of one component, and solves the resulting n scalar quadratic
-equations backward on a window of the grid.  Iterating from a cheap initial
+equations backward on a window of the grid, all in one pass.  Iterating from a cheap initial
 guess converges, inside the guaranteed ball and step size, at a contraction
 rate with an explicit coefficient.
 """
@@ -11,7 +11,7 @@ rate with an explicit coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -25,7 +25,6 @@ from .engine import (
     bmo_profile,
     sup_norm_estimate,
 )
-from .errors import BlowUpError
 from .model import Generator, TerminalCondition, terminal_values
 from .qbsde1d import (
     FrozenGenerator1D,
@@ -154,10 +153,18 @@ def apply_gamma(
     argument at the step midpoint (average of the two endpoint nodes, which
     makes the fixed point satisfy a trapezoid-accurate relation in y), z-slots
     at the left endpoint, with the own row i substituted by the regression
-    estimate.  Each scalar equation is solved backward with truncation and
-    guard radii derived from the frozen envelope.
+    estimate.  Given the frozen environment the n scalar equations are
+    independent, so they are solved together in one backward ``solve_1d``
+    pass over the (N, n) block of rows, sharing each node's projections; each
+    row keeps its own truncation radius and guard (ten times its
+    ``bound_y``) derived from the frozen envelope.  The generator is
+    evaluated once per node on a stacked (N, n, n, d) block whose slice i is
+    V with row i substituted, and row i's drift is the diagonal entry (i, i).
+    A BlowUpError names the first node reached backward at which any row
+    exceeds its guard, and the lowest such row there.
     """
     p = gen.params
+    n, N, d = p.n, ens.N, ens.d
     U, V = pair.Y, pair.Z
     mean_U, mean_V = pair.mean_Y, pair.mean_Z
     k_lo, k_hi = ball.k_lo, ball.k_hi
@@ -165,7 +172,7 @@ def apply_gamma(
     dt = ens.grid.dt
     L = ball.steps
 
-    eta = _resolve_eta(terminal, ens, p.n)
+    eta = _resolve_eta(terminal, ens, n)
 
     # Deterministic drift budget on the window: the integrable density plus
     # the mean-field coupling of the frozen environment, as suffix sums.
@@ -186,55 +193,59 @@ def apply_gamma(
         gamma=p.gamma,
         K=p.K,
         delta=p.delta,
-        n=p.n,
+        n=n,
         T=float(nodes[k_hi]),
         phi=p.phi,
         a_integral=a_integral,
         eta_bound=0.0,  # per-component value substituted below
     )
 
-    Y_full = np.zeros((ens.N, ens.grid.M + 1, p.n))
-    Z_full = np.zeros((ens.N, ens.grid.M, p.n, ens.d))
-    infos = []
     t_lo = float(nodes[k_lo])
-
-    for i in range(p.n):
-        eta_i = eta[:, i]
-        eta_bound_i = float(np.abs(eta_i).max())
-        env_i = replace(env, eta_bound=eta_bound_i)
+    eta_bounds = np.abs(eta).max(axis=0)
+    y_bounds, radii = [], []
+    for i in range(n):
+        env_i = replace(env, eta_bound=float(eta_bounds[i]))
         y_bound_i = bound_y(env_i, t_lo, u_norm, v_norm)
         z_bound_i = bound_z(env_i, t_lo, y_bound_i, u_norm, v_norm)
-        trunc_R = truncation_radius(z_bound_i, mult=safety)
+        y_bounds.append(y_bound_i)
+        radii.append(truncation_radius(z_bound_i, mult=safety))
 
-        def g_i(k: int, zrow: np.ndarray, _i=i) -> np.ndarray:
-            vsub = V[:, k].copy()
-            vsub[:, _i, :] = zrow
-            t_mid = 0.5 * (nodes[k] + nodes[k + 1])
-            u_mid = 0.5 * (U[:, k] + U[:, k + 1])
-            mu_mid = 0.5 * (mean_U[k] + mean_U[k + 1])
-            return gen.component(_i, t_mid, u_mid, mu_mid, vsub, mean_V[k])
+    diag = np.arange(n)
 
-        frozen = FrozenGenerator1D(g=g_i, envelope=env_i, u_norm=u_norm, v_norm=v_norm)
-        try:
-            res = solve_1d(eta_i, frozen, ens, basis, trunc_R, k_lo=k_lo, k_hi=k_hi)
-        except BlowUpError as exc:
-            raise BlowUpError(
-                node=exc.node, value=exc.value, guard=exc.guard, component=i
-            ) from exc
-        Y_full[:, k_lo : k_hi + 1, i] = res.Y
-        Z_full[:, k_lo:k_hi, i, :] = res.Z
-        infos.append(
-            ComponentInfo(
-                index=i,
-                eta_bound=eta_bound_i,
-                y_bound=y_bound_i,
-                trunc_R=trunc_R,
-                truncation_hits=res.truncation_hits,
-            )
+    def g_rows(k: int, z: np.ndarray) -> np.ndarray:
+        t_mid = 0.5 * (nodes[k] + nodes[k + 1])
+        u_mid = 0.5 * (U[:, k] + U[:, k + 1])
+        mu_mid = 0.5 * (mean_U[k] + mean_U[k + 1])
+        vsub = np.repeat(V[:, k, None], n, axis=1)     # (N, n, n, d)
+        vsub[:, diag, diag] = z
+        y = np.broadcast_to(u_mid[:, None, :], (N, n, n))
+        return gen.eval(t_mid, y, mu_mid, vsub, mean_V[k])[:, diag, diag]
+
+    frozen = FrozenGenerator1D(
+        g=g_rows, envelope=replace(env, eta_bound=float(eta_bounds.max())),
+        u_norm=u_norm, v_norm=v_norm,
+    )
+    res = solve_1d(eta, frozen, ens, basis, np.array(radii), k_lo=k_lo, k_hi=k_hi,
+                   blowup_guard=10.0 * np.array(y_bounds))
+    if (k_lo, k_hi) == (0, ens.grid.M):
+        Y_full, Z_full = res.Y, res.Z
+    else:
+        Y_full = np.zeros((N, ens.grid.M + 1, n))
+        Z_full = np.zeros((N, ens.grid.M, n, d))
+        Y_full[:, k_lo : k_hi + 1] = res.Y
+        Z_full[:, k_lo:k_hi] = res.Z
+    infos = tuple(
+        ComponentInfo(
+            index=i,
+            eta_bound=float(eta_bounds[i]),
+            y_bound=y_bounds[i],
+            trunc_R=radii[i],
+            truncation_hits=res.row_hits[i],
         )
-
+        for i in range(n)
+    )
     out = ProcessPair.from_fields(Y_full, Z_full)
-    return out, ApplyInfo(u_norm=u_norm, v_norm=v_norm, components=tuple(infos))
+    return out, ApplyInfo(u_norm=u_norm, v_norm=v_norm, components=infos)
 
 
 @dataclass(frozen=True)
@@ -261,6 +272,7 @@ class PicardTrace:
     init: str
     tol: float
     truncation_hits: int
+    bmo_nodes: np.ndarray = field(repr=False)   # bmo_profile of pair on the window
 
     def in_ball_throughout(self) -> bool:
         return all(it.in_ball_y and it.in_ball_z for it in self.iterations)
@@ -285,9 +297,10 @@ def _initial_pair(init: str, eta: np.ndarray, ens: Ensemble, n: int, ball: BallS
 
 
 def _norms(pair: ProcessPair, ens: Ensemble, basis: RegressionBasis, ball: BallSpec):
-    """(sup, BMO) proxies of pair on the window of ball."""
+    """(sup, BMO, BMO profile) proxies of pair on the window of ball."""
     sup = sup_norm_estimate(pair, ball.k_lo, ball.k_hi)
-    return sup, float(bmo_profile(pair, ens, basis, ball.k_lo, ball.k_hi).max())
+    profile = bmo_profile(pair, ens, basis, ball.k_lo, ball.k_hi)
+    return sup, float(profile.max()), profile
 
 
 def picard_solve(
@@ -307,7 +320,8 @@ def picard_solve(
     consecutive sweeps fall below tol on the window.  Every sweep records its
     ball membership against the slackened radii (2*k1, 2*k2) * BALL_SLACK.
     The sup and BMO proxies of each iterate are measured once and serve both
-    that record and the envelope of the next sweep.
+    that record and the envelope of the next sweep; the trace keeps the BMO
+    profile of its final pair.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -316,7 +330,7 @@ def picard_solve(
     p = gen.params
     eta = _resolve_eta(terminal, ens, p.n)
     cur = _initial_pair(init, eta, ens, p.n, ball)
-    sup_y, bmo = _norms(cur, ens, basis, ball)
+    sup_y, bmo, profile = _norms(cur, ens, basis, ball)
     k_lo, k_hi = ball.k_lo, ball.k_hi
 
     iterations: list[PicardIteration] = []
@@ -330,7 +344,7 @@ def picard_solve(
         hits += info.truncation_hits
         diff_y = float(np.abs(nxt.Y - cur.Y)[:, k_lo : k_hi + 1].max())
         diff_z = float(np.abs(nxt.Z - cur.Z)[:, k_lo:k_hi].max())
-        sup_y, bmo = _norms(nxt, ens, basis, ball)
+        sup_y, bmo, profile = _norms(nxt, ens, basis, ball)
         iterations.append(
             PicardIteration(
                 index=r,
@@ -358,6 +372,7 @@ def picard_solve(
         init=init,
         tol=tol,
         truncation_hits=hits,
+        bmo_nodes=profile,
     )
 
 

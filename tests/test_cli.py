@@ -162,7 +162,8 @@ def test_solve_failed_check_exits_1(tmp_path, failing_apriori, capsys):
 
 
 def test_solve_writes_the_verification_bmo_profile(tmp_path, bmo_passes):
-    # one BMO pass for the initial guess, one per sweep, one for verification;
+    # one BMO pass for the initial guess and one per sweep; verification
+    # reuses the last sweep's profile (one window over the whole grid) and
     # the CSV reuses the verification profile instead of a pass of its own
     cfg = write_cfg(
         tmp_path,
@@ -174,7 +175,7 @@ def test_solve_writes_the_verification_bmo_profile(tmp_path, bmo_passes):
     report = json.loads((out / "loggrowth_report.json").read_text())
     sweeps = report["solve"]["windows"][0]["iterations"]
     assert report["solve"]["mode"] == "full-interval-fallback" and sweeps >= 2
-    assert len(bmo_passes) == sweeps + 2
+    assert len(bmo_passes) == sweeps + 1
     lines = (out / "loggrowth_solution.csv").read_text().splitlines()
     col = lines[0].split(",").index("bmo_to_go")
     bmo = max(float(line.split(",")[col]) for line in lines[1:])

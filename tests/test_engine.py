@@ -339,3 +339,23 @@ def test_bmo_estimate_window_restriction():
     assert early.max() == full and np.array_equal(early[5:], np.zeros(6))
     with pytest.raises(ValueError):
         bmo_profile(pair, ens, default_basis(1), k_lo=6, k_hi=5)
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (2, 1), (2, 2), (3, 2)])
+def test_bmo_profile_squared_norm_is_the_reduction_bitwise(n, d):
+    # the squared norm of each (n, d) block, added left to right, is bitwise
+    # numpy's reduction over both axes, and so is the whole profile
+    ens = make_ens(M=6, T=1.0, N=500, seed=2)
+    rng = np.random.default_rng(n * 10 + d)
+    Z = rng.standard_normal((ens.N, 6, n, d)) * np.exp(rng.uniform(-8.0, 8.0, (ens.N, 6, n, d)))
+    pair = pair_from(np.zeros((ens.N, 7, n)), Z)
+    z_sq = (Z * Z).sum(axis=(2, 3))
+    assert np.array_equal(engine._sum_of_squares(Z.reshape(ens.N, 6, n * d)), z_sq)
+
+    basis = default_basis(1)
+    tail = np.zeros(ens.N)
+    expect = np.zeros(7)
+    for k in range(5, -1, -1):
+        tail += z_sq[:, k] * ens.grid.dt
+        expect[k] = np.sqrt(max(float(project(tail, k, ens, basis)[0].max()), 0.0))
+    assert np.array_equal(bmo_profile(pair, ens, basis), expect)

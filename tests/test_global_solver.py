@@ -223,17 +223,33 @@ def test_solve_auto_falls_back_when_step_unusable():
 
 
 def test_solve_auto_measures_each_iterate_once(bmo_passes):
-    # one BMO pass for the initial guess, one per sweep and one for the
-    # verification of the solution, whose profile the report keeps
+    # one BMO pass for the initial guess and one per sweep; the window spans
+    # the whole grid, so verification reuses the last sweep's profile, which
+    # the report keeps
     case = case_loggrowth()
     ens = generate_ensemble(TimeGrid.make(10, case.params.T), 300, 1, 5)
     report = solve_auto(case.generator, case.terminal, ens, BASIS)
     sweeps = len(report.traces[0].iterations)
     assert report.mode == "full-interval-fallback" and sweeps >= 2
-    assert len(bmo_passes) == sweeps + 2
-    assert bmo_passes[-1] is report.pair
+    assert len(bmo_passes) == sweeps + 1
+    assert report.bmo_nodes is report.traces[0].bmo_nodes
     assert np.array_equal(report.bmo_nodes, bmo_profile(report.pair, ens, BASIS))
     assert report.checks[1].observed == report.bmo_nodes.max() ** 2
+
+
+def test_multi_window_solve_verifies_with_its_own_pass(bmo_passes):
+    # no window covers the whole grid, so verification makes one full-grid
+    # pass on the assembled pair after each window's initial and sweep passes
+    case = case_colehopf_diagonal(gamma=1.0, n=1)
+    T2 = 2.5 * compute_ledger(case.params).t_lambda
+    case2 = case_colehopf_diagonal(gamma=1.0, n=1, T=T2)
+    ens = generate_ensemble(TimeGrid.make(30, T2), 500, 1, 11)
+    report = solve_auto(case2.generator, case2.terminal, ens, BASIS, tol=2e-3, max_iter=40)
+    assert report.mode == "stitched" and len(report.traces) >= 3
+    per_window = sum(len(t.iterations) + 1 for t in report.traces)
+    assert len(bmo_passes) == per_window + 1
+    assert bmo_passes[-1] is report.pair
+    assert np.array_equal(report.bmo_nodes, bmo_profile(report.pair, ens, BASIS))
 
 
 def test_solve_auto_prefers_stitching_when_guaranteed():

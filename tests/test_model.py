@@ -185,3 +185,19 @@ def test_generator_component_bounds():
     case = make_case("loggrowth")
     with pytest.raises(IndexError):
         case.generator.component(2, 0.0, np.zeros(2), np.zeros(2), np.zeros((2, 1)), np.zeros((2, 1)))
+
+
+def test_generator_eval_checks_the_result_shape():
+    p = simple_params(n=2)
+    y, ybar, z, zbar = np.zeros((5, 2)), np.zeros(2), np.zeros((5, 2, 1)), np.zeros((2, 1))
+    good = Generator(fn=lambda t, y, ybar, z, zbar: np.zeros(y.shape), params=p, name="flat")
+    assert good.eval(0.0, y, ybar, z, zbar).shape == (5, 2)
+    # stacked rows: y broadcast over the copies of z gives (5, 2, 2)
+    zs = np.zeros((5, 2, 2, 1))
+    assert good.eval(0.0, np.broadcast_to(y[:, None], (5, 2, 2)), ybar, zs, zbar).shape == (5, 2, 2)
+    # a result that ignores the z block is refused with the generator's name
+    with pytest.raises(ValueError, match="'flat' returned shape \\(5, 1, 2\\)"):
+        good.eval(0.0, y[:, None], ybar, zs, zbar)
+    summed = Generator(fn=lambda t, y, ybar, z, zbar: z.sum(axis=(-2, -1)), params=p, name="summed")
+    with pytest.raises(ValueError, match="summed"):
+        summed.eval(0.0, y, ybar, z, zbar)

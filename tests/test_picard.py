@@ -5,14 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from collections import Counter
+
 from mfbsde import (
     BallSpec,
     BlowUpError,
+    FrozenGenerator1D,
     Generator,
     ModelParams,
     ProcessPair,
     TimeGrid,
     apply_gamma,
+    case_colehopf_diagonal,
+    case_loggrowth,
     case_meanfield_linear,
     case_zero,
     compute_ledger,
@@ -21,8 +26,13 @@ from mfbsde import (
     generate_ensemble,
     bmo_profile,
     picard_solve,
+    solve_1d,
     sup_norm_estimate,
+    terminal_values,
+    TerminalCondition,
 )
+from mfbsde import qbsde1d
+from mfbsde.benchmarks import BenchmarkCase
 
 BASIS = default_basis(1)
 
@@ -160,6 +170,147 @@ def test_apply_gamma_blowup_carries_component_index():
         apply_gamma(pair, gen, np.zeros((64, 2)), ens, BASIS, ball, *norms(pair, ens, ball))
     assert exc.value.component == 1
     assert "component 1" in str(exc.value)
+
+
+# ------------------------------------------------------ one pass, all rows
+
+
+def per_row_reference(pair, gen, eta, ens, basis, ball, info):
+    """The sweep of apply_gamma solved one row at a time: scalar solve_1d with
+    each row's own frozen closure, radius and guard.  Returns (Y, Z, hits)
+    on the window."""
+    U, V = pair.Y, pair.Z
+    nodes = ens.grid.nodes
+    Y = np.zeros((ens.N, ball.steps + 1, gen.params.n))
+    Z = np.zeros((ens.N, ball.steps, gen.params.n, ens.d))
+    hits = []
+    for i, comp in enumerate(info.components):
+        def g_i(k, zrow, i=i):
+            vsub = V[:, k].copy()
+            vsub[:, i, :] = zrow
+            t_mid = 0.5 * (nodes[k] + nodes[k + 1])
+            u_mid = 0.5 * (U[:, k] + U[:, k + 1])
+            mu_mid = 0.5 * (pair.mean_Y[k] + pair.mean_Y[k + 1])
+            return gen.component(i, t_mid, u_mid, mu_mid, vsub, pair.mean_Z[k])
+
+        # the envelope only sets the default guard, which is given here
+        frozen = FrozenGenerator1D(g=g_i, envelope=None, u_norm=info.u_norm, v_norm=info.v_norm)
+        res = solve_1d(eta[:, i], frozen, ens, basis, comp.trunc_R, ball.k_lo, ball.k_hi,
+                       blowup_guard=10.0 * comp.y_bound)
+        Y[:, :, i], Z[:, :, i] = res.Y, res.Z
+        hits.append(res.truncation_hits)
+    return Y, Z, hits
+
+
+def env_norms(pair, ens, basis, ball):
+    return (
+        sup_norm_estimate(pair, ball.k_lo, ball.k_hi),
+        bmo_profile(pair, ens, basis, ball.k_lo, ball.k_hi).max(),
+    )
+
+
+def second_sweep(case, ens, basis, safety=3.0):
+    """An environment with nonzero Z (one sweep from the flat guess), the
+    next sweep on it, and what that sweep was given."""
+    ball = BallSpec.full_interval(ens.grid, compute_ledger(case.params))
+    eta = terminal_values(case.terminal, ens.cumulative)
+    flat = np.repeat(eta[:, None, :], ens.grid.M + 1, axis=1)
+    pair = ProcessPair.from_fields(flat, np.zeros((ens.N, ens.grid.M, case.params.n, ens.d)))
+    pair, _ = apply_gamma(pair, case.generator, eta, ens, basis, ball,
+                          *env_norms(pair, ens, basis, ball), safety=safety)
+    out, info = apply_gamma(pair, case.generator, eta, ens, basis, ball,
+                            *env_norms(pair, ens, basis, ball), safety=safety)
+    return pair, eta, ball, out, info
+
+
+def record_projections(monkeypatch):
+    """(node, target shape) of every projection the backward pass makes."""
+    calls = []
+    project = qbsde1d.project
+
+    def recording(values, k, ens, basis):
+        calls.append((k, np.shape(values)))
+        return project(values, k, ens, basis)
+
+    monkeypatch.setattr(qbsde1d, "project", recording)
+    return calls
+
+
+def test_apply_gamma_rows_match_per_row_reference():
+    case = case_loggrowth()
+    ens = generate_ensemble(TimeGrid.make(10, case.params.T), 300, 1, 4)
+    pair, eta, ball, out, info = second_sweep(case, ens, BASIS)
+    assert np.abs(pair.Z).max() > 0.0           # the frozen z-slots are live
+    Y, Z, hits = per_row_reference(pair, case.generator, eta, ens, BASIS, ball, info)
+    np.testing.assert_allclose(out.Y, Y, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(out.Z, Z, rtol=0.0, atol=1e-12)
+    assert [c.truncation_hits for c in info.components] == hits
+
+
+def test_apply_gamma_single_row_is_the_scalar_solve_bitwise():
+    case = case_colehopf_diagonal(gamma=1.0, n=1)
+    ens = generate_ensemble(TimeGrid.make(10, case.params.T), 300, 1, 4)
+    pair, eta, ball, out, info = second_sweep(case, ens, BASIS)
+    Y, Z, hits = per_row_reference(pair, case.generator, eta, ens, BASIS, ball, info)
+    assert np.array_equal(out.Y, Y) and np.array_equal(out.Z, Z)
+    assert info.truncation_hits == hits[0]
+
+
+def test_apply_gamma_projects_all_rows_together(monkeypatch):
+    # two projections per node for both rows: the (N, 2) continuation and
+    # the (N, 2) martingale targets, where solving row by row makes four
+    case = case_loggrowth()
+    ens = generate_ensemble(TimeGrid.make(10, case.params.T), 300, 1, 4)
+    ball = BallSpec.full_interval(ens.grid, compute_ledger(case.params))
+    eta = terminal_values(case.terminal, ens.cumulative)
+    pair = ProcessPair.from_fields(
+        np.repeat(eta[:, None, :], 11, axis=1), np.zeros((ens.N, 10, 2, 1))
+    )
+    norms_ = env_norms(pair, ens, BASIS, ball)
+    calls = record_projections(monkeypatch)
+    apply_gamma(pair, case.generator, eta, ens, BASIS, ball, *norms_)
+    assert Counter(k for k, _ in calls) == {k: 2 for k in range(10)}
+    assert {shape for _, shape in calls} == {(ens.N, 2)}
+
+
+def test_apply_gamma_two_rows_two_dims(monkeypatch):
+    # n = 2, d = 2: the martingale targets of both rows are one (N, 4)
+    # projection, each row's Z is clipped in Euclidean norm over d at its own
+    # radius, and each row counts its own clips
+    p = ModelParams(
+        n=2, d=2, T=1.0, gamma=1.0, K=0.05, delta=0.0,
+        phi=lambda r: 0.5, a=lambda t: 0.01, alpha=lambda t: 0.01,
+        beta=lambda t: 0.01, eta=lambda t: 0.05, C0=0.01, C1=10.0, C2=0.1,
+    )
+
+    def fn(t, y, ybar, z, zbar):
+        rows = np.sqrt((z * z).sum(axis=-1))
+        return 0.5 * rows**2 + 0.05 * np.log1p(rows[..., ::-1])
+
+    def xi(paths):
+        w = np.clip(paths[:, -1, :], -3.0, 3.0)
+        return np.column_stack([w[:, 0] + w[:, 1], 2.0 * w[:, 1]])
+
+    case = BenchmarkCase(
+        name="rows2d", params=p, generator=Generator(fn=fn, params=p, name="rows2d"),
+        terminal=TerminalCondition(g=xi, bound=10.0, params=p),
+        oracle=None, y0_exact=None, tolerance_profile={},
+    )
+    basis = default_basis(2)
+    ens = generate_ensemble(TimeGrid.make(8, 1.0), 400, 2, 6)
+    calls = record_projections(monkeypatch)
+    pair, eta, ball, out, info = second_sweep(case, ens, basis, safety=1e-3)
+    assert {shape for _, shape in calls} == {(ens.N, 2), (ens.N, 4)}
+    Y, Z, hits = per_row_reference(pair, case.generator, eta, ens, basis, ball, info)
+    np.testing.assert_allclose(out.Y, Y, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(out.Z, Z, rtol=0.0, atol=1e-12)
+    row_hits = [c.truncation_hits for c in info.components]
+    assert row_hits == hits and all(h > 0 for h in row_hits)
+    assert info.truncation_hits == sum(row_hits)
+    for i, comp in enumerate(info.components):
+        norms = np.sqrt((out.Z[:, :, i, :] ** 2).sum(axis=-1))
+        assert norms.max() <= comp.trunc_R * (1 + 1e-12)
+    assert info.components[0].trunc_R != info.components[1].trunc_R
 
 
 # ------------------------------------------------------------- fixed point

@@ -219,3 +219,85 @@ def test_terminal_column_is_bitwise_eta():
     eta = ens.cumulative[:, -1, 0]
     res = solve_1d(eta, g, ens, default_basis(1), trunc_R=50.0)
     assert np.array_equal(res.Y[:, -1], eta)
+
+
+# ------------------------------------------------------------ row blocks
+
+
+def test_block_constant_row_next_to_live_row(monkeypatch):
+    calls = []
+    project = qbsde1d.project
+
+    def recording(values, k, ens, basis):
+        calls.append(np.shape(values))
+        return project(values, k, ens, basis)
+
+    monkeypatch.setattr(qbsde1d, "project", recording)
+    ens = setup_ens(N=500, seed=5)
+    g = frozen(make_env(eta_bound=20.0), lambda k, z: 0.5 * (z * z).sum(axis=-1) * [0.0, 1.0])
+    eta = np.column_stack([np.full(ens.N, 4.25), ens.cumulative[:, -1, 0]])
+    res = solve_1d(eta, g, ens, default_basis(1), trunc_R=50.0)
+    assert res.Y.shape == (ens.N, 9, 2) and res.Z.shape == (ens.N, 8, 2, 1)
+    assert np.array_equal(res.Y[:, :, 0], np.full((ens.N, 9), 4.25))
+    assert np.array_equal(res.Z[:, :, 0], np.zeros((ens.N, 8, 1)))
+    assert not np.signbit(res.Z[:, :, 0]).any()          # +0.0, not -0.0
+    assert np.ptp(res.Y[:, 4, 1]) > 0.0 and np.abs(res.Z[:, 1:, 1]).min() > 0.0
+    # the continuation of both rows is one projection, the martingale
+    # targets of the live row alone another
+    assert calls == [(ens.N, 2), (ens.N, 1)] * 8
+
+
+def test_block_matches_scalar_rows():
+    ens = setup_ens(N=400, seed=8)
+    env = make_env(eta_bound=20.0)
+    w = ens.cumulative[:, -1, 0]
+    eta = np.column_stack([w, np.sin(w), 0.5 * w])
+
+    def drift(k, z):
+        return 0.5 * (z * z).sum(axis=-1)
+
+    radii = np.array([50.0, 0.3, 0.05])
+    res = solve_1d(eta, frozen(env, drift), ens, default_basis(1), trunc_R=radii)
+    assert sum(res.row_hits) == res.truncation_hits and res.row_hits[2] > 0
+    for i in range(3):
+        one = solve_1d(eta[:, i], frozen(env, drift), ens, default_basis(1), trunc_R=radii[i])
+        np.testing.assert_allclose(res.Y[:, :, i], one.Y, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(res.Z[:, :, i], one.Z, rtol=0.0, atol=1e-12)
+        assert res.row_hits[i] == one.truncation_hits
+
+
+@pytest.mark.parametrize(
+    "guards, node, component",
+    [
+        # row 1 leaves its guard at node 7, row 0 only at node 4
+        ([3.5, 1.0], 7, 1),
+        # both rows leave at node 6: the lower index is named
+        ([1.5, 2.5], 6, 0),
+    ],
+)
+def test_block_blowup_names_first_node_then_lowest_row(guards, node, component):
+    ens = setup_ens(N=200)
+    # drift c_i makes Y at node k equal c_i * dt * (8 - k) on row i
+    g = frozen(make_env(), lambda k, z: np.broadcast_to([8.0, 12.0], z.shape[:-1]).copy())
+    with pytest.raises(BlowUpError) as exc:
+        solve_1d(np.zeros((ens.N, 2)), g, ens, default_basis(1), trunc_R=10.0,
+                 blowup_guard=np.array(guards))
+    assert (exc.value.node, exc.value.component) == (node, component)
+    assert exc.value.guard == guards[component]
+    assert f"component {component}" in str(exc.value)
+
+
+def test_block_input_validation():
+    ens = setup_ens(N=100)
+    basis = default_basis(1)
+    g = frozen(make_env(), lambda k, z: np.zeros(z.shape[:-1]))
+    with pytest.raises(ValueError, match="trunc_R"):
+        solve_1d(np.ones((ens.N, 2)), g, ens, basis, trunc_R=[1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="blowup_guard"):
+        solve_1d(np.ones((ens.N, 2)), g, ens, basis, trunc_R=1.0, blowup_guard=[1.0])
+    for bad in (np.ones((ens.N, 2, 1)), np.ones((ens.N, 0))):
+        with pytest.raises(ValueError, match="eta"):
+            solve_1d(bad, g, ens, basis, trunc_R=1.0)
+    wrong = frozen(make_env(), lambda k, z: np.zeros(z.shape[0]))
+    with pytest.raises(ValueError, match="shape"):
+        solve_1d(np.ones((ens.N, 2)), wrong, ens, basis, trunc_R=1.0)
