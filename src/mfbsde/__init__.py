@@ -59,7 +59,6 @@ from .model import (
 )
 from .picard import BallSpec, apply_gamma, contraction_report, picard_solve
 from .qbsde1d import (
-    FrozenGenerator1D,
     GrowthEnvelope,
     bound_y,
     bound_z,

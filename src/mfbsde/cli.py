@@ -48,7 +48,18 @@ def _sanitize(obj):
     return obj
 
 
-SECTIONS = ("case", "grid", "ensemble", "basis", "solver", "checks", "output", "sweep")
+# The keys each section accepts; [case] takes name plus the parameters of the
+# chosen catalog factory, checked in _build_case.
+KEYS = {
+    "grid": ("m",),
+    "ensemble": ("n", "seed"),
+    "basis": ("kind", "degree", "bins"),
+    "solver": ("tol", "max_iter", "init"),
+    "checks": ("samples", "seed"),
+    "output": ("dir",),
+    "sweep": ("pairs",),
+}
+SECTIONS = ("case",) + tuple(KEYS)
 
 
 def _load_config(path: str) -> configparser.ConfigParser:
@@ -62,6 +73,14 @@ def _load_config(path: str) -> configparser.ConfigParser:
             f"unknown config section(s) {', '.join(f'[{s}]' for s in unknown)}; "
             f"expected {', '.join(f'[{s}]' for s in SECTIONS)}"
         )
+    for section, keys in KEYS.items():
+        if not cfg.has_section(section):
+            continue
+        for key, raw in cfg.items(section):
+            if key not in keys:
+                raise ConfigError(
+                    f"[{section}] {key} = {raw!r}: unknown key; expected {', '.join(keys)}"
+                )
     return cfg
 
 
@@ -126,12 +145,7 @@ def _solver_settings(cfg) -> dict:
     max_iter = _get(cfg, "solver", "max_iter", int, 25)
     if max_iter < 1:
         raise ConfigError(f"[solver] max_iter = {max_iter}: expected an integer >= 1")
-    return {
-        "tol": tol,
-        "max_iter": max_iter,
-        "init": init,
-        "safety": _get(cfg, "solver", "safety", float, 3.0),
-    }
+    return {"tol": tol, "max_iter": max_iter, "init": init}
 
 
 def _out_dir(cfg, args) -> Path:
@@ -282,6 +296,7 @@ def cmd_solve(args) -> int:
             "case": case.name,
             "error": str(exc),
             "node": exc.node,
+            "component": exc.component,
             "guard": exc.guard,
             "caveats": [PROXY_CAVEAT],
         }

@@ -21,6 +21,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 LOG2 = math.log(2.0)
 
+# Energy (c2) and moment (L4) comparison constants of the contraction
+# estimate, taken as 1.0.
+CONTRACTION_C2 = 1.0
+CONTRACTION_L4 = 1.0
+
 # Human-readable formula text, printed by the CLI alongside the numbers.
 FORMULAS = {
     "c_dkn": "0.5*(1-delta) * (1+delta)**((1+delta)/(1-delta)) * (n*K)**(2/(1-delta))",
@@ -150,25 +155,13 @@ def log_inequality_gap(x, y, C):
 
 
 def contraction_coefficients(
-    eps: float,
-    k1: float,
-    k2: float,
-    p: "ModelParams",
-    c1: float = 1.0,
-    c2: float = 1.0,
-    L4: float = 1.0,
+    eps: float, k1: float, k2: float, p: "ModelParams"
 ) -> tuple[float, float]:
-    """Coefficients (coef_U, coef_V) of the one-step contraction estimate.
-
-    c1 scales the Z-difference norm on the left-hand side and does not enter
-    the right-hand coefficients; c2 and L4 are energy/moment comparison
-    constants supplied by the caller (diagnostic inputs, default 1.0).
-    """
+    """Coefficients (coef_U, coef_V) of the one-step contraction estimate,
+    with the comparison constants CONTRACTION_C2 and CONTRACTION_L4."""
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    for name, v in (("c1", c1), ("c2", c2), ("L4", L4)):
-        if v <= 0.0:
-            raise ValueError(f"{name} must be positive, got {v}")
+    c2, L4 = CONTRACTION_C2, CONTRACTION_L4
     n, delta, T = p.n, p.delta, p.T
     phi_sq = float(p.phi(2.0 * k1)) ** 2
     coef_u = 64.0 * n * eps * phi_sq * (T + 16.0 * c2**2 * k2 + 8.0 * k2)

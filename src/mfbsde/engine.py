@@ -146,10 +146,11 @@ def default_basis(d: int) -> RegressionBasis:
     return RegressionBasis(kind="polynomial", degree=3 if d == 1 else 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegressionInfo:
     cond: float
     fallback: bool
+    constant: np.ndarray    # (m,) bool: target columns reproduced bitwise as constants
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,8 +198,10 @@ def project(values: np.ndarray, k: int, ens: Ensemble, basis: RegressionBasis):
 
     values: (N,) or (N, m) for several targets sharing one design matrix.
     Returns (fitted, RegressionInfo).  Constant columns are reproduced
-    bitwise; k = 0 yields the sample mean; a rank-deficient design falls back
-    to the sample mean with a logged warning.
+    bitwise and flagged in ``info.constant`` (one flag per target column, a
+    single one for (N,) values); k = 0 yields the sample mean; a
+    rank-deficient design falls back to the sample mean with a logged
+    warning.
     """
     vals = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(vals)):
@@ -213,12 +216,12 @@ def project(values: np.ndarray, k: int, ens: Ensemble, basis: RegressionBasis):
     const_cols = np.ptp(V, axis=0) == 0.0
     if const_cols.all():
         out = V.copy()
-        return (out[:, 0] if single else out), RegressionInfo(cond=1.0, fallback=False)
+        return (out[:, 0] if single else out), RegressionInfo(1.0, False, const_cols)
 
     def _mean_fallback(cond, flag):
         out = np.broadcast_to(V.mean(axis=0), V.shape).copy()
         out[:, const_cols] = V[0:1, const_cols]
-        return (out[:, 0] if single else out), RegressionInfo(cond=cond, fallback=flag)
+        return (out[:, 0] if single else out), RegressionInfo(cond, flag, const_cols)
 
     if k == 0:
         return _mean_fallback(1.0, False)
@@ -239,7 +242,7 @@ def project(values: np.ndarray, k: int, ens: Ensemble, basis: RegressionBasis):
     coef = solve_triangular(factor.R, coef, overwrite_b=True)
     out = X @ coef
     out[:, const_cols] = V[0:1, const_cols]
-    return (out[:, 0] if single else out), RegressionInfo(cond=factor.cond, fallback=False)
+    return (out[:, 0] if single else out), RegressionInfo(factor.cond, False, const_cols)
 
 
 @dataclass(eq=False)

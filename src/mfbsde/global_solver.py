@@ -29,6 +29,9 @@ from .errors import ConfigError, StitchError
 from .model import Generator
 from .picard import BallSpec, PicardTrace, _resolve_eta, picard_solve
 
+# Relative and absolute slack of the a priori sup check against lambda.
+APRIORI_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class StitchPlan:
@@ -106,11 +109,11 @@ class CheckResult:
         }
 
 
-def verify_apriori(pair: ProcessPair, ledger: ConstantsLedger, slack: float = 1e-9) -> CheckResult:
-    """Check sup_t |Y_t| <= lambda on the whole grid."""
+def verify_apriori(pair: ProcessPair, ledger: ConstantsLedger) -> CheckResult:
+    """Check sup_t |Y_t| <= lambda on the whole grid, up to APRIORI_SLACK."""
     sup = sup_norm_estimate(pair)
     lam = ledger.lam
-    passed = sup <= lam * (1.0 + slack) + slack
+    passed = sup <= lam * (1.0 + APRIORI_SLACK) + APRIORI_SLACK
     return CheckResult(
         name="apriori_sup",
         passed=bool(passed),
@@ -260,7 +263,6 @@ def solve_global(
     tol: float = 1e-3,
     max_iter: int = 25,
     init: str = "terminal-flat",
-    safety: float = 3.0,
 ) -> GlobalReport:
     """Solve on [0, T] by stitching guaranteed windows backward from T.
 
@@ -292,7 +294,7 @@ def solve_global(
         ball = lambda_ball(ens.grid, ledger, k_lo, k_hi)
         trace = picard_solve(
             gen, cur_terminal, ens, basis, ball,
-            tol=tol, max_iter=max_iter, init=init, safety=safety,
+            tol=tol, max_iter=max_iter, init=init,
         )
         if not trace.converged:
             raise StitchError(
@@ -334,7 +336,6 @@ def solve_auto(
     tol: float = 1e-3,
     max_iter: int = 25,
     init: str = "terminal-flat",
-    safety: float = 3.0,
 ) -> GlobalReport:
     """Stitched solve when the guaranteed window covers a grid step, else a
     single full-interval fixed-point solve outside the guarantee."""
@@ -343,13 +344,13 @@ def solve_auto(
     try:
         return solve_global(
             gen, terminal, ens, basis, ledger,
-            tol=tol, max_iter=max_iter, init=init, safety=safety,
+            tol=tol, max_iter=max_iter, init=init,
         )
     except StitchError:
         ball = BallSpec.full_interval(ens.grid, ledger)
         trace = picard_solve(
             gen, terminal, ens, basis, ball,
-            tol=tol, max_iter=max_iter, init=init, safety=safety,
+            tol=tol, max_iter=max_iter, init=init,
         )
         return _verified_report(
             trace.pair, ens, basis, ledger,

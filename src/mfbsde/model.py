@@ -23,6 +23,11 @@ from .errors import TerminalBoundError
 # equality do not flag on floating-point reassociation.
 _INEQ_RTOL = 1e-9
 
+# Half-widths of the sampled boxes: y and ybar uniform in [-_BOX_Y, _BOX_Y]^n,
+# z and zbar uniform in [-_BOX_Z, _BOX_Z]^(n x d).
+_BOX_Y = 5.0
+_BOX_Z = 5.0
+
 
 def _sample_fn(fn: Callable[[float], float], ts: np.ndarray) -> np.ndarray:
     return np.array([float(fn(float(t))) for t in ts])
@@ -200,12 +205,12 @@ class AssumptionReport:
         }
 
 
-def _draw(rng, p: ModelParams, samples: int, R_y: float, R_z: float):
+def _draw(rng, p: ModelParams, samples: int):
     t = rng.uniform(0.0, p.T, samples)
-    y = rng.uniform(-R_y, R_y, (samples, p.n))
-    ybar = rng.uniform(-R_y, R_y, (samples, p.n))
-    z = rng.uniform(-R_z, R_z, (samples, p.n, p.d))
-    zbar = rng.uniform(-R_z, R_z, (samples, p.n, p.d))
+    y = rng.uniform(-_BOX_Y, _BOX_Y, (samples, p.n))
+    ybar = rng.uniform(-_BOX_Y, _BOX_Y, (samples, p.n))
+    z = rng.uniform(-_BOX_Z, _BOX_Z, (samples, p.n, p.d))
+    zbar = rng.uniform(-_BOX_Z, _BOX_Z, (samples, p.n, p.d))
     return t, y, ybar, z, zbar
 
 
@@ -252,8 +257,6 @@ def check_h1(
     p: ModelParams,
     samples: int = 10_000,
     rng_seed: int = 0,
-    R_y: float = 5.0,
-    R_z: float = 5.0,
 ) -> AssumptionReport:
     """Sampled check of the componentwise growth envelope.
 
@@ -263,7 +266,7 @@ def check_h1(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    t, y, ybar, z, zbar = _draw(rng, p, samples, R_y, R_z)
+    t, y, ybar, z, zbar = _draw(rng, p, samples)
     f = gen.eval(t, y, ybar, z, zbar)
     a_t = _sample_fn(p.a, t)
     phi_t = _sample_fn(p.phi, np.maximum(_vec_norm(y), _vec_norm(ybar)))
@@ -291,20 +294,18 @@ def check_h2(
     p: ModelParams,
     samples: int = 10_000,
     rng_seed: int = 0,
-    R_y: float = 5.0,
-    R_z: float = 5.0,
 ) -> AssumptionReport:
     """Sampled check of the local Lipschitz envelope between pairs of tuples.
 
     Pairs share t; the second tuple perturbs the first at a log-uniform scale
-    in [1e-4, max(R_y, R_z)], so discontinuities are probed at all distances,
-    including nearly coincident points.
+    in [1e-4, max(_BOX_Y, _BOX_Z)], so discontinuities are probed at all
+    distances, including nearly coincident points.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    t, y1, ybar1, z1, zbar1 = _draw(rng, p, samples, R_y, R_z)
-    scale = np.exp(rng.uniform(math.log(1e-4), math.log(max(R_y, R_z)), samples))
+    t, y1, ybar1, z1, zbar1 = _draw(rng, p, samples)
+    scale = np.exp(rng.uniform(math.log(1e-4), math.log(max(_BOX_Y, _BOX_Z)), samples))
     y2 = y1 + scale[:, None] * rng.uniform(-1.0, 1.0, y1.shape)
     ybar2 = ybar1 + scale[:, None] * rng.uniform(-1.0, 1.0, ybar1.shape)
     z2 = z1 + scale[:, None, None] * rng.uniform(-1.0, 1.0, z1.shape)
@@ -354,8 +355,6 @@ def check_h4(
     p: ModelParams,
     samples: int = 10_000,
     rng_seed: int = 0,
-    R_y: float = 5.0,
-    R_z: float = 5.0,
 ) -> AssumptionReport:
     """Sampled check of the signed (one-sided) growth envelope.
 
@@ -365,7 +364,7 @@ def check_h4(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    t, y, ybar, z, zbar = _draw(rng, p, samples, R_y, R_z)
+    t, y, ybar, z, zbar = _draw(rng, p, samples)
     f = gen.eval(t, y, ybar, z, zbar)
     lhs = np.sign(y) * f
     alpha_t = _sample_fn(p.alpha, t)
@@ -392,12 +391,10 @@ def run_checks(
     p: ModelParams,
     samples: int = 10_000,
     rng_seed: int = 0,
-    R_y: float = 5.0,
-    R_z: float = 5.0,
 ) -> dict[str, AssumptionReport]:
     """Run all sampled structural checks and key the reports by name."""
     return {
-        "H1": check_h1(gen, p, samples, rng_seed, R_y, R_z),
-        "H2": check_h2(gen, p, samples, rng_seed, R_y, R_z),
-        "H4": check_h4(gen, p, samples, rng_seed, R_y, R_z),
+        "H1": check_h1(gen, p, samples, rng_seed),
+        "H2": check_h2(gen, p, samples, rng_seed),
+        "H4": check_h4(gen, p, samples, rng_seed),
     }

@@ -27,7 +27,6 @@ from .engine import (
 )
 from .model import Generator, TerminalCondition, terminal_values
 from .qbsde1d import (
-    FrozenGenerator1D,
     GrowthEnvelope,
     bound_y,
     bound_z,
@@ -142,7 +141,6 @@ def apply_gamma(
     ball: BallSpec,
     u_norm: float,
     v_norm: float,
-    safety: float = 3.0,
 ) -> tuple[ProcessPair, ApplyInfo]:
     """One application of the decoupling map on the window of ``ball``.
 
@@ -156,8 +154,9 @@ def apply_gamma(
     estimate.  Given the frozen environment the n scalar equations are
     independent, so they are solved together in one backward ``solve_1d``
     pass over the (N, n) block of rows, sharing each node's projections; each
-    row keeps its own truncation radius and guard (ten times its
-    ``bound_y``) derived from the frozen envelope.  The generator is
+    row keeps its own truncation radius (``truncation_radius`` of its
+    ``bound_z``) and guard (ten times its ``bound_y``), both derived from
+    the frozen envelope.  The generator is
     evaluated once per node on a stacked (N, n, n, d) block whose slice i is
     V with row i substituted, and row i's drift is the diagonal entry (i, i).
     A BlowUpError names the first node reached backward at which any row
@@ -208,7 +207,7 @@ def apply_gamma(
         y_bound_i = bound_y(env_i, t_lo, u_norm, v_norm)
         z_bound_i = bound_z(env_i, t_lo, y_bound_i, u_norm, v_norm)
         y_bounds.append(y_bound_i)
-        radii.append(truncation_radius(z_bound_i, mult=safety))
+        radii.append(truncation_radius(z_bound_i))
 
     diag = np.arange(n)
 
@@ -221,12 +220,8 @@ def apply_gamma(
         y = np.broadcast_to(u_mid[:, None, :], (N, n, n))
         return gen.eval(t_mid, y, mu_mid, vsub, mean_V[k])[:, diag, diag]
 
-    frozen = FrozenGenerator1D(
-        g=g_rows, envelope=replace(env, eta_bound=float(eta_bounds.max())),
-        u_norm=u_norm, v_norm=v_norm,
-    )
-    res = solve_1d(eta, frozen, ens, basis, np.array(radii), k_lo=k_lo, k_hi=k_hi,
-                   blowup_guard=10.0 * np.array(y_bounds))
+    res = solve_1d(eta, g_rows, ens, basis, np.array(radii), 10.0 * np.array(y_bounds),
+                   k_lo=k_lo, k_hi=k_hi)
     if (k_lo, k_hi) == (0, ens.grid.M):
         Y_full, Z_full = res.Y, res.Z
     else:
@@ -312,7 +307,6 @@ def picard_solve(
     tol: float = 1e-3,
     max_iter: int = 25,
     init: str = "terminal-flat",
-    safety: float = 3.0,
 ) -> PicardTrace:
     """Iterate the decoupling map on one window until successive sweeps agree.
 
@@ -340,7 +334,7 @@ def picard_solve(
     converged = False
 
     for r in range(1, max_iter + 1):
-        nxt, info = apply_gamma(cur, gen, eta, ens, basis, ball, sup_y, bmo, safety=safety)
+        nxt, info = apply_gamma(cur, gen, eta, ens, basis, ball, sup_y, bmo)
         hits += info.truncation_hits
         diff_y = float(np.abs(nxt.Y - cur.Y)[:, k_lo : k_hi + 1].max())
         diff_z = float(np.abs(nxt.Z - cur.Z)[:, k_lo:k_hi].max())
@@ -386,13 +380,7 @@ class ContractionReport:
     observed_contracting: bool
 
 
-def contraction_report(
-    trace: PicardTrace,
-    ledger: ConstantsLedger,
-    c1: float = 1.0,
-    c2: float = 1.0,
-    L4: float = 1.0,
-) -> ContractionReport:
+def contraction_report(trace: PicardTrace, ledger: ConstantsLedger) -> ContractionReport:
     """Predicted vs observed contraction of the iteration.
 
     The predicted coefficients use the window length of the trace; observed
@@ -403,7 +391,7 @@ def contraction_report(
     if len(trace.iterations) < 3:
         raise ValueError("need at least 3 sweeps to assess contraction")
     coef_u, coef_v = contraction_coefficients(
-        trace.ball.eps, trace.ball.k1, trace.ball.k2, ledger.params, c1=c1, c2=c2, L4=L4
+        trace.ball.eps, trace.ball.k1, trace.ball.k2, ledger.params
     )
     ry = tuple(it.ratio_y for it in trace.iterations[2:] if it.ratio_y is not None)
     rz = tuple(it.ratio_z for it in trace.iterations[2:] if it.ratio_z is not None)

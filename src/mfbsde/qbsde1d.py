@@ -8,14 +8,14 @@ in its own z-row.  That scalar equation admits explicit bounds
     E[ integral_t^T |Z|^2 | F_t ]  <=  bound_z(t)
 
 expressed through the growth envelope of the frozen generator, and those
-bounds drive both the truncation radius of the regression Z estimate and the
-blow-up guard of the backward recursion.
+bounds fix both the truncation radius of the regression Z estimate and the
+blow-up guard of the backward recursion, which the caller passes per row.
 
-The rows of one frozen environment are independent, so ``solve_1d`` takes
-either one row (terminal data (N,)) or a block of n rows (terminal data
-(N, n), fields (N, L+1, n) and (N, L, n, d)) and steps them backward
-together: each node's two projections serve every row, and each row keeps
-its own truncation radius and guard.
+The rows of one frozen environment are independent, so ``solve_1d`` takes a
+block of n rows (terminal data (N, n), fields (N, L+1, n) and (N, L, n, d);
+one row is the block n = 1) and steps them backward together: each node's
+two projections serve every row, and each row keeps its own truncation
+radius and guard.
 """
 
 from __future__ import annotations
@@ -52,21 +52,6 @@ class GrowthEnvelope:
     phi: Callable[[float], float]
     a_integral: Callable[[float], float]
     eta_bound: float
-
-
-@dataclass(frozen=True, eq=False)
-class FrozenGenerator1D:
-    """Frozen generator of a block of scalar rows: g(k_abs, Z) -> drift.
-
-    For a single row Z has shape (N, d) and g returns (N,); for a block of n
-    rows Z has shape (N, n, d) and g returns (N, n), row i depending only on
-    Z[:, i].  ``envelope`` must dominate every row of the block.
-    """
-
-    g: Callable[[int, np.ndarray], np.ndarray]
-    envelope: GrowthEnvelope
-    u_norm: float
-    v_norm: float
 
 
 def bound_y(env: GrowthEnvelope, t: float, u_norm: float, v_norm: float) -> float:
@@ -108,7 +93,7 @@ def bound_z(env: GrowthEnvelope, t: float, y_norm: float, u_norm: float, v_norm:
 def truncation_radius(z_bound: float, mult: float = 3.0) -> float:
     """Row-norm clip radius for the regression Z estimate.
 
-    A safety multiple of sqrt(z_bound): the true Z cannot concentrate more
+    A multiple of sqrt(z_bound): the true Z cannot concentrate more
     quadratic variation than z_bound in any remaining window, so rows far
     outside that scale are regression noise.
     """
@@ -119,8 +104,8 @@ def truncation_radius(z_bound: float, mult: float = 3.0) -> float:
 
 @dataclass(eq=False)
 class Solve1DResult:
-    Y: np.ndarray                     # (N, L+1), or (N, L+1, n) for a block
-    Z: np.ndarray                     # (N, L, d), or (N, L, n, d) for a block
+    Y: np.ndarray                     # (N, L+1, n)
+    Z: np.ndarray                     # (N, L, n, d)
     k_lo: int
     k_hi: int
     truncation_hits: int              # total over the rows
@@ -128,34 +113,33 @@ class Solve1DResult:
 
 
 def _per_row(value, n: int, name: str) -> np.ndarray:
-    """A scalar or one value per row, as an (n,) float array."""
+    """One value per row, as an (n,) float array."""
     arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return np.full(n, float(arr))
     if arr.shape != (n,):
-        raise ValueError(f"{name} must be a scalar or have shape ({n},), got {arr.shape}")
+        raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
     return arr
 
 
 def solve_1d(
     eta: np.ndarray,
-    g: FrozenGenerator1D,
+    drift: Callable[[int, np.ndarray], np.ndarray],
     ens: Ensemble,
     basis: RegressionBasis,
-    trunc_R: float | np.ndarray,
+    trunc_R: np.ndarray,
+    blowup_guard: np.ndarray,
     k_lo: int = 0,
     k_hi: int | None = None,
-    blowup_guard: float | np.ndarray | None = None,
 ) -> Solve1DResult:
-    """Backward regression scheme for scalar rows on nodes [k_lo, k_hi].
+    """Backward regression scheme for a block of scalar rows on nodes [k_lo, k_hi].
 
-    eta is (N,) for one row or (N, n) for a block of n independent rows that
-    share every node's regressions; trunc_R and blowup_guard are a scalar or
-    one value per row, shape (n,).  Per backward step at node k (local
-    index j), for every row at once:
+    eta is (N, n): the terminal data of n independent rows that share every
+    node's regressions.  drift(k, Z) maps the rows' Z at node k, (N, n, d),
+    to their frozen generator values (N, n), row i depending only on
+    Z[:, i].  trunc_R and blowup_guard hold one value per row, shape (n,).
+    Per backward step at node k (local index j), for every row at once:
         m_k  = Ehat[ Y_{k+1} | W_{t_k} ]
         Z_k  = Ehat[ (Y_{k+1} - m_k) dW_k^T | W_{t_k} ] / dt, row-clipped at trunc_R
-        Y_k  = m_k + g(k, Z_k) dt
+        Y_k  = m_k + drift(k, Z_k) dt
     The continuation of all rows is one projection of an (N, n) target and
     the martingale increments of the non-constant rows one projection of an
     (N, n_live * d) target.  The working state is the current node only, as
@@ -163,42 +147,38 @@ def solve_1d(
     memory.
 
     The centered martingale-increment estimator makes Z exactly zero whenever
-    Y_{k+1} is constant across particles, so deterministic rows stay
-    deterministic.  A row exceeding its blowup_guard (default: ten times
-    ``bound_y`` of the envelope at t_{k_lo}) in sup norm aborts with
-    BlowUpError at the first node reached backward; when several rows exceed
-    at that node the lowest row index is reported, as ``component`` for a
-    block.
+    Y_{k+1} is constant across particles (the continuation projection flags
+    such rows), so deterministic rows stay deterministic.  A row exceeding
+    its blowup_guard in sup norm aborts with BlowUpError at the first node
+    reached backward; when several rows exceed at that node the lowest row
+    index is reported as ``component``.
     """
     M = ens.grid.M
     k_hi = M if k_hi is None else k_hi
     if not 0 <= k_lo < k_hi <= M:
         raise ValueError(f"bad window [{k_lo}, {k_hi}] for M = {M}")
     eta = np.asarray(eta, dtype=float)
-    block = eta.ndim == 2
-    if eta.ndim not in (1, 2) or eta.shape[0] != ens.N or eta.size == 0:
-        raise ValueError(f"eta must have shape ({ens.N},) or ({ens.N}, n >= 1), got {eta.shape}")
+    if eta.ndim != 2 or eta.shape[0] != ens.N or eta.size == 0:
+        raise ValueError(f"eta must have shape ({ens.N}, n >= 1), got {eta.shape}")
     if not np.all(np.isfinite(eta)):
         raise ValueError("terminal data must be finite")
     N, d = ens.N, ens.d
-    n = eta.shape[1] if block else 1
+    n = eta.shape[1]
     radius = _per_row(trunc_R, n, "trunc_R")
-    if blowup_guard is None:
-        blowup_guard = 10.0 * bound_y(g.envelope, ens.grid.nodes[k_lo], g.u_norm, g.v_norm)
     guard = _per_row(blowup_guard, n, "blowup_guard")
 
     L = k_hi - k_lo
     dt = ens.grid.dt
     Y = np.empty((N, L + 1, n))
     Z = np.empty((N, L, n, d))
-    Y[:, L, :] = eta.reshape(N, n)
-    cur = np.ascontiguousarray(eta.reshape(N, n).T)   # (n, N): Y_{k+1} of every row
+    Y[:, L, :] = eta
+    cur = np.ascontiguousarray(eta.T)                 # (n, N): Y_{k+1} of every row
     hits = np.zeros(n, dtype=np.int64)
 
     for j in range(L - 1, -1, -1):
         k = k_lo + j
-        m, _ = project(cur.T, k, ens, basis)          # (N, n)
-        live = np.flatnonzero(np.ptp(cur, axis=1) != 0.0)
+        m, info = project(cur.T, k, ens, basis)       # (N, n)
+        live = np.flatnonzero(~info.constant)
         if live.size == n:
             zk, clipped = _live_z(cur, m, live, k, ens, basis, radius)
         else:
@@ -207,10 +187,10 @@ def solve_1d(
             if live.size:
                 zk[:, live], clipped = _live_z(cur, m, live, k, ens, basis, radius)
         hits[live] += clipped
-        drift = np.asarray(g.g(k, zk if block else zk[:, 0, :]), dtype=float)
-        if drift.shape != ((N, n) if block else (N,)):
-            raise ValueError(f"frozen generator returned shape {drift.shape} at node {k}")
-        m += drift.reshape(N, n) * dt                 # Y_k
+        g = np.asarray(drift(k, zk), dtype=float)
+        if g.shape != (N, n):
+            raise ValueError(f"frozen generator returned shape {g.shape} at node {k}")
+        m += g * dt                                   # Y_k
         Z[:, j] = zk
         Y[:, j] = m
         cur = np.ascontiguousarray(m.T)
@@ -219,10 +199,8 @@ def solve_1d(
         if bad.size:
             i = int(bad[0])
             raise BlowUpError(node=k, value=float(worst[i]), guard=float(guard[i]),
-                              component=i if block else None)
+                              component=i)
 
-    if not block:
-        Y, Z = Y[:, :, 0], Z[:, :, 0, :]
     return Solve1DResult(Y=Y, Z=Z, k_lo=k_lo, k_hi=k_hi, truncation_hits=int(hits.sum()),
                          row_hits=tuple(int(h) for h in hits))
 

@@ -208,7 +208,7 @@ def test_solve_blowup_exits_3_with_partial_report(tmp_path, monkeypatch, capsys)
     import mfbsde.cli as cli
 
     def explode(*args, **kwargs):
-        raise BlowUpError(node=3, value=1e9, guard=10.0)
+        raise BlowUpError(node=3, value=1e9, guard=10.0, component=1)
 
     monkeypatch.setattr(cli, "solve_auto", explode)
     cfg = write_cfg(tmp_path, ZERO_FAST)
@@ -217,6 +217,7 @@ def test_solve_blowup_exits_3_with_partial_report(tmp_path, monkeypatch, capsys)
     assert "blow-up" in capsys.readouterr().err
     partial = json.loads((tmp_path / "r" / "zero_report.json").read_text())
     assert partial["node"] == 3 and partial["guard"] == 10.0
+    assert partial["component"] == 1
 
 
 # -------------------------------------------------------------- bad configs
@@ -237,6 +238,9 @@ def test_solve_blowup_exits_3_with_partial_report(tmp_path, monkeypatch, capsys)
         "[case]\nname = zero\n[ensemble]\nn = 1\n",
         "[case]\nname = zero\n[solver]\ntol = -1\n",
         "[case]\nname = zero\n[solver]\nmax_iter = 0\n",
+        "[case]\nname = zero\n[solver]\nsafety = 3\n",        # unknown keys
+        "[case]\nname = zero\n[solver]\nsafety = -1\n",
+        "[case]\nname = zero\n[grid]\nsteps = 9\n",
     ],
 )
 def test_config_errors_exit_2(tmp_path, body, capsys):
@@ -248,7 +252,7 @@ def test_config_errors_exit_2(tmp_path, body, capsys):
 @pytest.mark.parametrize(
     "section, key, value",
     [("grid", "m", "0"), ("ensemble", "n", "1"), ("solver", "tol", "-1"),
-     ("solver", "max_iter", "0")],
+     ("solver", "max_iter", "0"), ("solver", "safety", "-1"), ("solver", "toll", "5")],
 )
 def test_bad_numeric_config_names_its_key(tmp_path, section, key, value, capsys):
     cfg = write_cfg(tmp_path, f"[case]\nname = zero\n[{section}]\n{key} = {value}\n")

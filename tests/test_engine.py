@@ -149,10 +149,15 @@ def test_projection_constant_column_bitwise():
     fitted, info = project(vals, 5, ens, default_basis(1))
     assert np.array_equal(fitted, vals)
     assert info.cond == 1.0
+    assert info.constant.tolist() == [True]
     # multi-column: constant columns bitwise even when others are fitted
     both = np.column_stack([vals, ens.cumulative[:, 5, 0]])
-    fitted2, _ = project(both, 5, ens, default_basis(1))
+    fitted2, info2 = project(both, 5, ens, default_basis(1))
     assert np.array_equal(fitted2[:, 0], vals)
+    assert info2.constant.tolist() == [True, False]
+    # the flags hold on the root-node mean too
+    _, info0 = project(both, 0, ens, default_basis(1))
+    assert info0.constant.tolist() == [True, False]
 
 
 def test_projection_root_node_is_sample_mean():
@@ -217,7 +222,8 @@ def test_projection_matches_lstsq(basis, d):
             np.testing.assert_allclose(fitted, lstsq_fit(single, k, ens, basis),
                                        rtol=0.0, atol=1e-10)
             assert not info.fallback and np.isfinite(info.cond)
-            fitted_block, _ = project(block, k, ens, basis)
+            fitted_block, info_block = project(block, k, ens, basis)
+            assert info_block.constant.tolist() == [False, False, True]
             np.testing.assert_allclose(fitted_block[:, :2],
                                        lstsq_fit(block[:, :2], k, ens, basis),
                                        rtol=0.0, atol=1e-10)

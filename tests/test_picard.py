@@ -1,5 +1,6 @@
 """Decoupling-map sweeps and their fixed-point iteration."""
 
+import functools
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from collections import Counter
 from mfbsde import (
     BallSpec,
     BlowUpError,
-    FrozenGenerator1D,
     Generator,
     ModelParams,
     ProcessPair,
@@ -30,8 +30,9 @@ from mfbsde import (
     sup_norm_estimate,
     terminal_values,
     TerminalCondition,
+    truncation_radius,
 )
-from mfbsde import qbsde1d
+from mfbsde import picard, qbsde1d
 from mfbsde.benchmarks import BenchmarkCase
 
 BASIS = default_basis(1)
@@ -176,9 +177,9 @@ def test_apply_gamma_blowup_carries_component_index():
 
 
 def per_row_reference(pair, gen, eta, ens, basis, ball, info):
-    """The sweep of apply_gamma solved one row at a time: scalar solve_1d with
-    each row's own frozen closure, radius and guard.  Returns (Y, Z, hits)
-    on the window."""
+    """The sweep of apply_gamma solved one row at a time: solve_1d on the
+    (N, 1) block of each row, with its own frozen closure, radius and guard.
+    Returns (Y, Z, hits) on the window."""
     U, V = pair.Y, pair.Z
     nodes = ens.grid.nodes
     Y = np.zeros((ens.N, ball.steps + 1, gen.params.n))
@@ -187,17 +188,15 @@ def per_row_reference(pair, gen, eta, ens, basis, ball, info):
     for i, comp in enumerate(info.components):
         def g_i(k, zrow, i=i):
             vsub = V[:, k].copy()
-            vsub[:, i, :] = zrow
+            vsub[:, i, :] = zrow[:, 0]
             t_mid = 0.5 * (nodes[k] + nodes[k + 1])
             u_mid = 0.5 * (U[:, k] + U[:, k + 1])
             mu_mid = 0.5 * (pair.mean_Y[k] + pair.mean_Y[k + 1])
-            return gen.component(i, t_mid, u_mid, mu_mid, vsub, pair.mean_Z[k])
+            return gen.component(i, t_mid, u_mid, mu_mid, vsub, pair.mean_Z[k])[:, None]
 
-        # the envelope only sets the default guard, which is given here
-        frozen = FrozenGenerator1D(g=g_i, envelope=None, u_norm=info.u_norm, v_norm=info.v_norm)
-        res = solve_1d(eta[:, i], frozen, ens, basis, comp.trunc_R, ball.k_lo, ball.k_hi,
-                       blowup_guard=10.0 * comp.y_bound)
-        Y[:, :, i], Z[:, :, i] = res.Y, res.Z
+        res = solve_1d(eta[:, i : i + 1], g_i, ens, basis, np.array([comp.trunc_R]),
+                       np.array([10.0 * comp.y_bound]), ball.k_lo, ball.k_hi)
+        Y[:, :, i], Z[:, :, i] = res.Y[:, :, 0], res.Z[:, :, 0]
         hits.append(res.truncation_hits)
     return Y, Z, hits
 
@@ -209,7 +208,7 @@ def env_norms(pair, ens, basis, ball):
     )
 
 
-def second_sweep(case, ens, basis, safety=3.0):
+def second_sweep(case, ens, basis):
     """An environment with nonzero Z (one sweep from the flat guess), the
     next sweep on it, and what that sweep was given."""
     ball = BallSpec.full_interval(ens.grid, compute_ledger(case.params))
@@ -217,9 +216,9 @@ def second_sweep(case, ens, basis, safety=3.0):
     flat = np.repeat(eta[:, None, :], ens.grid.M + 1, axis=1)
     pair = ProcessPair.from_fields(flat, np.zeros((ens.N, ens.grid.M, case.params.n, ens.d)))
     pair, _ = apply_gamma(pair, case.generator, eta, ens, basis, ball,
-                          *env_norms(pair, ens, basis, ball), safety=safety)
+                          *env_norms(pair, ens, basis, ball))
     out, info = apply_gamma(pair, case.generator, eta, ens, basis, ball,
-                            *env_norms(pair, ens, basis, ball), safety=safety)
+                            *env_norms(pair, ens, basis, ball))
     return pair, eta, ball, out, info
 
 
@@ -298,8 +297,11 @@ def test_apply_gamma_two_rows_two_dims(monkeypatch):
     )
     basis = default_basis(2)
     ens = generate_ensemble(TimeGrid.make(8, 1.0), 400, 2, 6)
+    # radii small enough that both rows clip
+    monkeypatch.setattr(picard, "truncation_radius",
+                        functools.partial(qbsde1d.truncation_radius, mult=1e-3))
     calls = record_projections(monkeypatch)
-    pair, eta, ball, out, info = second_sweep(case, ens, basis, safety=1e-3)
+    pair, eta, ball, out, info = second_sweep(case, ens, basis)
     assert {shape for _, shape in calls} == {(ens.N, 2), (ens.N, 4)}
     Y, Z, hits = per_row_reference(pair, case.generator, eta, ens, basis, ball, info)
     np.testing.assert_allclose(out.Y, Y, rtol=0.0, atol=1e-12)
@@ -311,6 +313,35 @@ def test_apply_gamma_two_rows_two_dims(monkeypatch):
         norms = np.sqrt((out.Z[:, :, i, :] ** 2).sum(axis=-1))
         assert norms.max() <= comp.trunc_R * (1 + 1e-12)
     assert info.components[0].trunc_R != info.components[1].trunc_R
+
+
+def test_apply_gamma_passes_each_row_its_radius_and_guard(monkeypatch):
+    # row i is clipped at truncation_radius of its own bound_z, at the
+    # default multiple, and guarded at ten times its own bound_y
+    case = case_loggrowth()
+    ens = generate_ensemble(TimeGrid.make(10, case.params.T), 300, 1, 4)
+    solves, z_bounds = [], []
+    solve, bound_z = picard.solve_1d, picard.bound_z
+
+    def recording_solve(eta, drift, ens, basis, trunc_R, blowup_guard, **window):
+        solves.append((trunc_R, blowup_guard, window))
+        return solve(eta, drift, ens, basis, trunc_R, blowup_guard, **window)
+
+    def recording_bound_z(*args):
+        z_bounds.append(bound_z(*args))
+        return z_bounds[-1]
+
+    monkeypatch.setattr(picard, "solve_1d", recording_solve)
+    monkeypatch.setattr(picard, "bound_z", recording_bound_z)
+    pair, eta, ball, out, info = second_sweep(case, ens, BASIS)
+    # two sweeps, each one solve_1d pass and one bound_z per row
+    assert len(solves) == 2 and len(z_bounds) == 4
+    trunc_R, guard, window = solves[-1]
+    assert window == {"k_lo": ball.k_lo, "k_hi": ball.k_hi}
+    assert trunc_R.shape == guard.shape == (2,)
+    for i, comp in enumerate(info.components):
+        assert trunc_R[i] == comp.trunc_R == truncation_radius(z_bounds[2 + i])
+        assert guard[i] == 10.0 * comp.y_bound
 
 
 # ------------------------------------------------------------- fixed point

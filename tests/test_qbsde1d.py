@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mfbsde import (
     BlowUpError,
-    FrozenGenerator1D,
     GrowthEnvelope,
     TimeGrid,
     bound_y,
@@ -34,8 +33,10 @@ def make_env(gamma=1.0, K=0.0, delta=0.0, n=1, T=1.0, phi=0.5, a=0.1, eta_bound=
     )
 
 
-def frozen(env, fn, u=1.0, v=1.0):
-    return FrozenGenerator1D(g=fn, envelope=env, u_norm=u, v_norm=v)
+def envelope_guard(env, ens, n=1, k_lo=0, u=1.0, v=1.0):
+    """The blow-up guard apply_gamma gives a row of envelope env: ten times
+    its bound_y at t_{k_lo}, for each of n rows."""
+    return np.full(n, 10.0 * bound_y(env, ens.grid.nodes[k_lo], u, v))
 
 
 def record_projection_nodes(monkeypatch):
@@ -115,15 +116,19 @@ def setup_ens(M=8, T=1.0, N=4_000, seed=3):
     return generate_ensemble(TimeGrid.make(M, T), N, 1, seed)
 
 
+def no_drift(k, z):
+    return np.zeros(z.shape[:-1])
+
+
 def test_constant_terminal_zero_generator_is_bitwise_constant(monkeypatch):
     nodes = record_projection_nodes(monkeypatch)
     ens = setup_ens(N=500)
     env = make_env()
-    g = frozen(env, lambda k, z: np.zeros(z.shape[0]))
-    eta = np.full(ens.N, 4.25)
-    res = solve_1d(eta, g, ens, default_basis(1), trunc_R=10.0)
-    assert np.array_equal(res.Y, np.full((ens.N, 9), 4.25))
-    assert np.array_equal(res.Z, np.zeros((ens.N, 8, 1)))
+    eta = np.full((ens.N, 1), 4.25)
+    res = solve_1d(eta, no_drift, ens, default_basis(1), np.array([10.0]),
+                   envelope_guard(env, ens))
+    assert np.array_equal(res.Y, np.full((ens.N, 9, 1), 4.25))
+    assert np.array_equal(res.Z, np.zeros((ens.N, 8, 1, 1)))
     assert res.truncation_hits == 0
     assert len(nodes) == 8          # one continuation regression per step, none for Z
 
@@ -132,92 +137,81 @@ def test_constant_drift_integrates_exactly():
     ens = setup_ens(N=300)
     env = make_env(a=1.0)
     c = 0.7
-    g = frozen(env, lambda k, z: np.full(z.shape[0], c))
-    res = solve_1d(np.ones(ens.N), g, ens, default_basis(1), trunc_R=10.0)
+    res = solve_1d(np.ones((ens.N, 1)), lambda k, z: np.full(z.shape[:-1], c), ens,
+                   default_basis(1), np.array([10.0]), envelope_guard(env, ens))
     dt = ens.grid.dt
     for j in range(9):
-        np.testing.assert_allclose(res.Y[:, j], 1.0 + c * dt * (8 - j), rtol=1e-12)
+        np.testing.assert_allclose(res.Y[:, j, 0], 1.0 + c * dt * (8 - j), rtol=1e-12)
 
 
 def test_martingale_terminal_recovers_brownian_path_and_unit_z():
     # eta = W_T, g = 0: the true solution is Y_t = W_t, Z = 1
     ens = setup_ens(M=8, N=8_000, seed=13)
     env = make_env(phi=0.0, a=0.0, eta_bound=20.0)
-    g = frozen(env, lambda k, z: np.zeros(z.shape[0]))
-    eta = ens.cumulative[:, -1, 0]
-    res = solve_1d(eta, g, ens, default_basis(1), trunc_R=100.0)
+    eta = ens.cumulative[:, -1, :]
+    res = solve_1d(eta, no_drift, ens, default_basis(1), np.array([100.0]),
+                   envelope_guard(env, ens))
     for k in range(1, 8):
-        rms = np.sqrt(np.mean((res.Y[:, k] - ens.cumulative[:, k, 0]) ** 2))
+        rms = np.sqrt(np.mean((res.Y[:, k, 0] - ens.cumulative[:, k, 0]) ** 2))
         assert rms < 0.05, f"node {k}: rms {rms}"
-    z_means = res.Z[:, 1:, 0].mean(axis=0)
+    z_means = res.Z[:, 1:, 0, 0].mean(axis=0)
     np.testing.assert_allclose(z_means, 1.0, atol=0.06)
 
 
 def test_truncation_clips_row_norms_and_counts():
     ens = setup_ens(N=2_000, seed=4)
     env = make_env(eta_bound=20.0)
-    g = frozen(env, lambda k, z: np.zeros(z.shape[0]))
-    eta = ens.cumulative[:, -1, 0]
-    res = solve_1d(eta, g, ens, default_basis(1), trunc_R=0.5)
+    eta = ens.cumulative[:, -1, :]
+    res = solve_1d(eta, no_drift, ens, default_basis(1), np.array([0.5]),
+                   envelope_guard(env, ens))
     assert res.truncation_hits > 0
-    norms = np.sqrt((res.Z**2).sum(axis=2))
+    norms = np.sqrt((res.Z**2).sum(axis=-1))
     assert norms.max() <= 0.5 * (1 + 1e-12)
 
 
 def test_blowup_guard_raises_with_location():
     ens = setup_ens(N=200)
-    env = make_env()
-    g = frozen(env, lambda k, z: np.full(z.shape[0], 1e6))
     with pytest.raises(BlowUpError) as exc:
-        solve_1d(np.zeros(ens.N), g, ens, default_basis(1), trunc_R=10.0, blowup_guard=50.0)
+        solve_1d(np.zeros((ens.N, 1)), lambda k, z: np.full(z.shape[:-1], 1e6), ens,
+                 default_basis(1), np.array([10.0]), np.array([50.0]))
     assert exc.value.node == 7
     assert exc.value.guard == 50.0
+    assert exc.value.component == 0
     assert "blow-up" in str(exc.value)
-
-
-def test_default_guard_derives_from_envelope():
-    # guard = 10 * bound_y must stop a generator that violates its own
-    # declared envelope by orders of magnitude
-    ens = setup_ens(N=200)
-    env = make_env(phi=0.01, a=0.0, eta_bound=0.1)
-    g = frozen(env, lambda k, z: np.full(z.shape[0], 1e4), u=0.1, v=0.0)
-    with pytest.raises(BlowUpError):
-        solve_1d(np.zeros(ens.N), g, ens, default_basis(1), trunc_R=10.0)
 
 
 def test_window_solve_shapes_and_indices(monkeypatch):
     nodes = record_projection_nodes(monkeypatch)
     ens = setup_ens(M=10, N=300)
     env = make_env()
-    g = frozen(env, lambda k, z: np.zeros(z.shape[0]))
-    res = solve_1d(np.ones(ens.N), g, ens, default_basis(1), trunc_R=5.0, k_lo=3, k_hi=7)
-    assert res.Y.shape == (ens.N, 5)
-    assert res.Z.shape == (ens.N, 4, 1)
+    res = solve_1d(np.ones((ens.N, 1)), no_drift, ens, default_basis(1), np.array([5.0]),
+                   envelope_guard(env, ens, k_lo=3), k_lo=3, k_hi=7)
+    assert res.Y.shape == (ens.N, 5, 1)
+    assert res.Z.shape == (ens.N, 4, 1, 1)
     assert (res.k_lo, res.k_hi) == (3, 7)
     assert nodes == [6, 5, 4, 3]
 
 
 def test_input_validation():
     ens = setup_ens(N=100)
-    env = make_env()
-    g = frozen(env, lambda k, z: np.zeros(z.shape[0]))
     basis = default_basis(1)
+    R, guard = np.array([1.0]), envelope_guard(make_env(), ens)
     with pytest.raises(ValueError):
-        solve_1d(np.ones(ens.N + 1), g, ens, basis, trunc_R=1.0)
+        solve_1d(np.ones((ens.N + 1, 1)), no_drift, ens, basis, R, guard)
     with pytest.raises(ValueError):
-        solve_1d(np.full(ens.N, np.inf), g, ens, basis, trunc_R=1.0)
+        solve_1d(np.full((ens.N, 1), np.inf), no_drift, ens, basis, R, guard)
     with pytest.raises(ValueError):
-        solve_1d(np.ones(ens.N), g, ens, basis, trunc_R=1.0, k_lo=5, k_hi=5)
+        solve_1d(np.ones((ens.N, 1)), no_drift, ens, basis, R, guard, k_lo=5, k_hi=5)
     with pytest.raises(ValueError):
-        solve_1d(np.ones(ens.N), g, ens, basis, trunc_R=1.0, k_hi=99)
+        solve_1d(np.ones((ens.N, 1)), no_drift, ens, basis, R, guard, k_hi=99)
 
 
 def test_terminal_column_is_bitwise_eta():
     ens = setup_ens(N=150, seed=9)
     env = make_env(eta_bound=20.0)
-    g = frozen(env, lambda k, z: np.zeros(z.shape[0]))
-    eta = ens.cumulative[:, -1, 0]
-    res = solve_1d(eta, g, ens, default_basis(1), trunc_R=50.0)
+    eta = ens.cumulative[:, -1, :]
+    res = solve_1d(eta, no_drift, ens, default_basis(1), np.array([50.0]),
+                   envelope_guard(env, ens))
     assert np.array_equal(res.Y[:, -1], eta)
 
 
@@ -234,9 +228,10 @@ def test_block_constant_row_next_to_live_row(monkeypatch):
 
     monkeypatch.setattr(qbsde1d, "project", recording)
     ens = setup_ens(N=500, seed=5)
-    g = frozen(make_env(eta_bound=20.0), lambda k, z: 0.5 * (z * z).sum(axis=-1) * [0.0, 1.0])
     eta = np.column_stack([np.full(ens.N, 4.25), ens.cumulative[:, -1, 0]])
-    res = solve_1d(eta, g, ens, default_basis(1), trunc_R=50.0)
+    res = solve_1d(eta, lambda k, z: 0.5 * (z * z).sum(axis=-1) * [0.0, 1.0], ens,
+                   default_basis(1), np.full(2, 50.0),
+                   envelope_guard(make_env(eta_bound=20.0), ens, n=2))
     assert res.Y.shape == (ens.N, 9, 2) and res.Z.shape == (ens.N, 8, 2, 1)
     assert np.array_equal(res.Y[:, :, 0], np.full((ens.N, 9), 4.25))
     assert np.array_equal(res.Z[:, :, 0], np.zeros((ens.N, 8, 1)))
@@ -257,12 +252,14 @@ def test_block_matches_scalar_rows():
         return 0.5 * (z * z).sum(axis=-1)
 
     radii = np.array([50.0, 0.3, 0.05])
-    res = solve_1d(eta, frozen(env, drift), ens, default_basis(1), trunc_R=radii)
+    res = solve_1d(eta, drift, ens, default_basis(1), radii, envelope_guard(env, ens, n=3))
     assert sum(res.row_hits) == res.truncation_hits and res.row_hits[2] > 0
     for i in range(3):
-        one = solve_1d(eta[:, i], frozen(env, drift), ens, default_basis(1), trunc_R=radii[i])
-        np.testing.assert_allclose(res.Y[:, :, i], one.Y, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(res.Z[:, :, i], one.Z, rtol=0.0, atol=1e-12)
+        # row i alone, as a block of one
+        one = solve_1d(eta[:, i : i + 1], drift, ens, default_basis(1), radii[i : i + 1],
+                       envelope_guard(env, ens))
+        np.testing.assert_allclose(res.Y[:, :, i], one.Y[:, :, 0], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(res.Z[:, :, i], one.Z[:, :, 0], rtol=0.0, atol=1e-12)
         assert res.row_hits[i] == one.truncation_hits
 
 
@@ -278,10 +275,10 @@ def test_block_matches_scalar_rows():
 def test_block_blowup_names_first_node_then_lowest_row(guards, node, component):
     ens = setup_ens(N=200)
     # drift c_i makes Y at node k equal c_i * dt * (8 - k) on row i
-    g = frozen(make_env(), lambda k, z: np.broadcast_to([8.0, 12.0], z.shape[:-1]).copy())
     with pytest.raises(BlowUpError) as exc:
-        solve_1d(np.zeros((ens.N, 2)), g, ens, default_basis(1), trunc_R=10.0,
-                 blowup_guard=np.array(guards))
+        solve_1d(np.zeros((ens.N, 2)),
+                 lambda k, z: np.broadcast_to([8.0, 12.0], z.shape[:-1]).copy(), ens,
+                 default_basis(1), np.full(2, 10.0), np.array(guards))
     assert (exc.value.node, exc.value.component) == (node, component)
     assert exc.value.guard == guards[component]
     assert f"component {component}" in str(exc.value)
@@ -290,14 +287,17 @@ def test_block_blowup_names_first_node_then_lowest_row(guards, node, component):
 def test_block_input_validation():
     ens = setup_ens(N=100)
     basis = default_basis(1)
-    g = frozen(make_env(), lambda k, z: np.zeros(z.shape[:-1]))
+    guard = envelope_guard(make_env(), ens, n=2)
     with pytest.raises(ValueError, match="trunc_R"):
-        solve_1d(np.ones((ens.N, 2)), g, ens, basis, trunc_R=[1.0, 2.0, 3.0])
+        solve_1d(np.ones((ens.N, 2)), no_drift, ens, basis, [1.0, 2.0, 3.0], guard)
+    with pytest.raises(ValueError, match="trunc_R"):       # one value per row, not a scalar
+        solve_1d(np.ones((ens.N, 2)), no_drift, ens, basis, 1.0, guard)
     with pytest.raises(ValueError, match="blowup_guard"):
-        solve_1d(np.ones((ens.N, 2)), g, ens, basis, trunc_R=1.0, blowup_guard=[1.0])
-    for bad in (np.ones((ens.N, 2, 1)), np.ones((ens.N, 0))):
+        solve_1d(np.ones((ens.N, 2)), no_drift, ens, basis, np.ones(2), [1.0])
+    # an (N,) row is not a block: there is no one-row mode
+    for bad in (np.ones((ens.N, 2, 1)), np.ones((ens.N, 0)), np.ones(ens.N)):
         with pytest.raises(ValueError, match="eta"):
-            solve_1d(bad, g, ens, basis, trunc_R=1.0)
-    wrong = frozen(make_env(), lambda k, z: np.zeros(z.shape[0]))
+            solve_1d(bad, no_drift, ens, basis, np.ones(2), guard)
     with pytest.raises(ValueError, match="shape"):
-        solve_1d(np.ones((ens.N, 2)), wrong, ens, basis, trunc_R=1.0)
+        solve_1d(np.ones((ens.N, 2)), lambda k, z: np.zeros(z.shape[0]), ens, basis,
+                 np.ones(2), guard)
