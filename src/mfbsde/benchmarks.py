@@ -34,8 +34,6 @@ class BenchmarkCase:
 
     ``oracle(t, w)`` maps a node time and states (..., d) to exact values
     (Y (..., n), Z (..., n, d)); None when the case has no closed form.
-    ``tolerance_profile`` maps (M, N) to an indicative combined error level
-    (|Y_0 error| plus mean-node Z error) for documentation and sweeps.
     """
 
     name: str
@@ -44,7 +42,6 @@ class BenchmarkCase:
     terminal: TerminalCondition
     oracle: Callable[[float, np.ndarray], tuple[np.ndarray, np.ndarray]] | None
     y0_exact: float | None
-    tolerance_profile: dict
     description: str = ""
 
 
@@ -151,7 +148,6 @@ def case_zero(c: float = 1.0, n: int = 1, d: int = 1, T: float = 1.0, gamma: flo
         terminal=TerminalCondition(g=xi, bound=abs(c) * math.sqrt(n), params=params),
         oracle=oracle,
         y0_exact=c,
-        tolerance_profile={(50, 10_000): 0.0},
         description="f = 0 with constant terminal; solver output is exact",
     ))
 
@@ -195,7 +191,6 @@ def case_meanfield_linear(
         terminal=TerminalCondition(g=xi, bound=abs(c) * math.sqrt(n), params=params),
         oracle=oracle,
         y0_exact=c * math.exp((a + b) * T),
-        tolerance_profile={(50, 10_000): 0.02},
         description="deterministic linear mean-field drift, ODE oracle",
     ))
 
@@ -243,7 +238,6 @@ def case_colehopf_diagonal(
         terminal=TerminalCondition(g=xi, bound=B * math.sqrt(n), params=params),
         oracle=oracle,
         y0_exact=0.5 * gamma * T,
-        tolerance_profile={(25, 1_000): 0.15, (50, 10_000): 0.05, (100, 100_000): 0.02},
         description="diagonal quadratic driver with exponential-transform oracle",
     ))
 
@@ -288,7 +282,6 @@ def case_loggrowth(
         terminal=TerminalCondition(g=xi, bound=B * math.sqrt(2.0), params=params),
         oracle=None,
         y0_exact=None,
-        tolerance_profile={},
         description="logarithmic cross-row coupling, property-based scoring only",
     )
 

@@ -185,9 +185,8 @@ def _write_solution_csv(
     path.write_text("\n".join(lines) + "\n")
 
 
-def _solve_case(case: BenchmarkCase, cfg, seed: int):
-    """Shared core of solve/bench/sweep: checkers, verified global solve and
-    the oracle errors of the solution (None for a case without an oracle)."""
+def _grid_size(cfg) -> tuple[int, int]:
+    """(M, N) of [grid] m and [ensemble] n."""
     M = _get(cfg, "grid", "m", int, 50)
     if M < 1:
         raise ConfigError(f"[grid] m = {M}: expected an integer >= 1")
@@ -195,6 +194,13 @@ def _solve_case(case: BenchmarkCase, cfg, seed: int):
     if N < 2:
         raise ConfigError(f"[ensemble] n = {N}: expected an integer >= 2 (regression "
                           "needs two particles)")
+    return M, N
+
+
+def _solve_case(case: BenchmarkCase, cfg, seed: int, M: int, N: int):
+    """Shared core of solve/bench/sweep: checkers, verified global solve on M
+    steps with N particles, and the oracle errors of the solution (None for
+    a case without an oracle)."""
     grid = TimeGrid.make(M, case.params.T)
     ens = generate_ensemble(grid, N, case.params.d, seed)
     basis = _build_basis(cfg, case.params.d)
@@ -289,8 +295,9 @@ def cmd_solve(args) -> int:
     case = _build_case(cfg)
     seed = _seed(cfg, args)
     out = _out_dir(cfg, args)
+    M, N = _grid_size(cfg)
     try:
-        structural, report, ens, errors = _solve_case(case, cfg, seed)
+        structural, report, ens, errors = _solve_case(case, cfg, seed, M, N)
     except BlowUpError as exc:
         partial = {
             "case": case.name,
@@ -333,10 +340,11 @@ def cmd_bench(args) -> int:
     cfg = _load_config(args.config)
     seed = _seed(cfg, args)
     out = _out_dir(cfg, args)
+    M, N = _grid_size(cfg)
     all_ok = True
     for name in sorted(CATALOG):
         case = make_case(name)
-        structural, report, ens, errors = _solve_case(case, cfg, seed)
+        structural, report, ens, errors = _solve_case(case, cfg, seed, M, N)
         payload = _solve_payload(case, structural, report, ens, errors)
         (out / f"bench_{name}_report.json").write_text(
             json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n"
@@ -361,11 +369,17 @@ def _sweep_pairs(cfg) -> list[tuple[int, int]]:
             continue
         try:
             m_str, n_str = item.split(":")
-            pairs.append((int(m_str), int(n_str)))
+            M, N = int(m_str), int(n_str)
         except ValueError:
             raise ConfigError(
                 f"[sweep] pairs entry {item!r}: expected M:N with integers"
             ) from None
+        if M < 1 or N < 2:
+            raise ConfigError(
+                f"[sweep] pairs entry {item!r}: expected M >= 1 and N >= 2 (regression "
+                "needs two particles)"
+            )
+        pairs.append((M, N))
     if not pairs:
         raise ConfigError("[sweep] pairs must list at least one M:N entry")
     return pairs
@@ -373,23 +387,14 @@ def _sweep_pairs(cfg) -> list[tuple[int, int]]:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    case_name = cfg.get("case", "name", fallback="(missing)")
+    case = _build_case(cfg)
     out = _out_dir(cfg, args)
     seed = _seed(cfg, args)
     rows = ["M,N,y0_mean,y0_abs_err,mean_node_err_Y,mean_node_err_Z"]
     all_ok = True
     for M, N in _sweep_pairs(cfg):
-        sub = configparser.ConfigParser()
-        sub.read_dict({s: dict(cfg.items(s)) for s in cfg.sections()})
-        if not sub.has_section("grid"):
-            sub.add_section("grid")
-        sub.set("grid", "m", str(M))
-        if not sub.has_section("ensemble"):
-            sub.add_section("ensemble")
-        sub.set("ensemble", "n", str(N))
-        case = _build_case(sub)
         start = time.perf_counter()
-        structural, report, ens, errors = _solve_case(case, sub, seed)
+        structural, report, ens, errors = _solve_case(case, cfg, seed, M, N)
         elapsed = time.perf_counter() - start
         oracle = _oracle_summary(case, report, errors)
         if oracle is not None:
@@ -403,7 +408,7 @@ def cmd_sweep(args) -> int:
         ok = _passed(structural, report)
         all_ok = all_ok and ok
         print(f"sweep {case.name} M={M} N={N}: {elapsed:.2f}s {'pass' if ok else 'FAIL'}")
-    (out / f"sweep_{case_name}.csv").write_text("\n".join(rows) + "\n")
+    (out / f"sweep_{case.name}.csv").write_text("\n".join(rows) + "\n")
     return 0 if all_ok else 1
 
 

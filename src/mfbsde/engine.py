@@ -247,8 +247,10 @@ def project(values: np.ndarray, k: int, ens: Ensemble, basis: RegressionBasis):
 
 @dataclass(eq=False)
 class ProcessPair:
-    """Solution fields on the full grid: Y (N, M+1, n) and Z (N, M, n, d),
-    with their per-node particle means carried alongside."""
+    """Solution fields on L+1 consecutive grid nodes: Y (N, L+1, n) and
+    Z (N, L, n, d), with their per-node particle means carried alongside.
+    A window solve holds its window's nodes; the global solution holds all
+    M+1 nodes of the grid."""
 
     Y: np.ndarray
     Z: np.ndarray
@@ -260,7 +262,7 @@ class ProcessPair:
         Y = np.asarray(Y, dtype=float)
         Z = np.asarray(Z, dtype=float)
         if Y.ndim != 3 or Z.ndim != 4:
-            raise ValueError(f"expected Y (N, M+1, n) and Z (N, M, n, d), got {Y.shape}, {Z.shape}")
+            raise ValueError(f"expected Y (N, L+1, n) and Z (N, L, n, d), got {Y.shape}, {Z.shape}")
         if Z.shape[0] != Y.shape[0] or Z.shape[1] != Y.shape[1] - 1 or Z.shape[2] != Y.shape[2]:
             raise ValueError(f"inconsistent field shapes {Y.shape}, {Z.shape}")
         return cls(Y=Y, Z=Z, mean_Y=Y.mean(axis=0), mean_Z=Z.mean(axis=0))
@@ -279,40 +281,27 @@ def _sum_of_squares(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def sup_norm_estimate(pair: ProcessPair, k_lo: int = 0, k_hi: int | None = None) -> float:
-    """Max over particles and nodes in [k_lo, k_hi] of the Euclidean norm of Y."""
-    M = pair.Y.shape[1] - 1
-    k_hi = M if k_hi is None else k_hi
-    if not 0 <= k_lo <= k_hi <= M:
-        raise ValueError(f"bad node range [{k_lo}, {k_hi}] for M = {M}")
-    block = pair.Y[:, k_lo : k_hi + 1, :]
-    return float(np.sqrt((block * block).sum(axis=2)).max())
+def sup_norm_estimate(pair: ProcessPair) -> float:
+    """Max over particles and the pair's nodes of the Euclidean norm of Y."""
+    return float(np.sqrt((pair.Y * pair.Y).sum(axis=2)).max())
 
 
-def bmo_profile(
-    pair: ProcessPair,
-    ens: Ensemble,
-    basis: RegressionBasis,
-    k_lo: int = 0,
-    k_hi: int | None = None,
-) -> np.ndarray:
-    """Per-node remaining quadratic variation proxy of Z on [k_lo, k_hi], (M+1,).
+def bmo_profile(pair: ProcessPair, ens: Ensemble, basis: RegressionBasis, k_lo: int = 0) -> np.ndarray:
+    """Per-node remaining quadratic variation proxy of Z, (L+1,), for a pair
+    on the L+1 grid nodes k_lo..k_lo+L.
 
-    Entry k in [k_lo, k_hi) is the square root of the worst-particle
-    regression estimate of E[ sum_{k <= j < k_hi} |Z_{t_j}|^2 dt | W_{t_k} ];
-    entries outside that range are zero.  The discrete BMO proxy of Z on the
-    window is the profile's max.
+    Entry j < L is the square root of the worst-particle regression estimate
+    of E[ sum_{j <= i < L} |Z_i|^2 dt | W_{t_{k_lo+j}} ]; entry L is zero.
+    The discrete BMO proxy of Z on those nodes is the profile's max.
     """
-    M = ens.grid.M
-    k_hi = M if k_hi is None else k_hi
-    if not 0 <= k_lo <= k_hi <= M:
-        raise ValueError(f"bad node range [{k_lo}, {k_hi}] for M = {M}")
-    N, _, n, d = pair.Z.shape
-    z_sq = _sum_of_squares(pair.Z.reshape(N, M, n * d))  # (N, M)
+    N, L, n, d = pair.Z.shape
+    if not 0 <= k_lo <= ens.grid.M - L:
+        raise ValueError(f"{L} steps from node {k_lo} overrun the grid 0..{ens.grid.M}")
+    z_sq = _sum_of_squares(pair.Z.reshape(N, L, n * d))  # (N, L)
     tail = np.zeros(ens.N)
-    out = np.zeros(M + 1)
-    for k in range(k_hi - 1, k_lo - 1, -1):
-        tail += z_sq[:, k] * ens.grid.dt
-        est, _ = project(tail, k, ens, basis)
-        out[k] = math.sqrt(max(float(est.max()), 0.0))
+    out = np.zeros(L + 1)
+    for j in range(L - 1, -1, -1):
+        tail += z_sq[:, j] * ens.grid.dt
+        est, _ = project(tail, k_lo + j, ens, basis)
+        out[j] = math.sqrt(max(float(est.max()), 0.0))
     return out

@@ -4,8 +4,9 @@ The a priori sup bound lambda dominates the solution on the whole interval,
 so every window of length at most t_lambda admits the fixed-point iteration
 inside the enlarged ball built from lambda.  Solving windows from the
 terminal backward, each window's left edge becomes the next window's
-terminal data, bitwise, and the assembled fields are checked against the
-explicit sup-norm and BMO ceilings.
+terminal data, bitwise.  Each window is solved on its own nodes; only the
+verification step assembles the windows into fields on the whole grid, and
+checks those against the explicit sup-norm and BMO ceilings.
 """
 
 from __future__ import annotations
@@ -234,24 +235,37 @@ def _window_summary(idx: int, trace: PicardTrace, grid: TimeGrid) -> WindowSumma
     )
 
 
-def _verified_report(pair: ProcessPair, ens: Ensemble, basis: RegressionBasis,
-                     ledger: ConstantsLedger, traces: tuple[PicardTrace, ...],
-                     **fields) -> GlobalReport:
-    """The report of a solved pair, checked against the sup and BMO ceilings,
-    with the conditioning of the regression factors cached on the ensemble.
+def _verified_report(traces: tuple[PicardTrace, ...], ens: Ensemble, basis: RegressionBasis,
+                     ledger: ConstantsLedger, **fields) -> GlobalReport:
+    """The report of a solve from the traces of its windows, which tile the
+    grid latest first: their summaries, the checks against the sup and BMO
+    ceilings and the conditioning of the regression factors cached on the
+    ensemble.
 
-    When the solve is one window spanning the whole grid, its trace already
-    holds the full-grid BMO profile of ``pair`` and no new pass is made."""
-    if len(traces) == 1 and (traces[0].ball.k_lo, traces[0].ball.k_hi) == (0, ens.grid.M):
-        bmo_nodes = traces[0].bmo_nodes
+    One window spans the whole grid, so its pair and BMO profile are the
+    solution's as they are.  Several windows are joined at their shared
+    seam nodes into one full-grid pair, which gets one BMO pass of its own."""
+    if len(traces) == 1:
+        pair, bmo_nodes = traces[0].pair, traces[0].bmo_nodes
     else:
+        N, _, n, d = traces[0].pair.Z.shape
+        Y = np.zeros((N, ens.grid.M + 1, n))
+        Z = np.zeros((N, ens.grid.M, n, d))
+        for t in traces:
+            Y[:, t.ball.k_lo : t.ball.k_hi + 1] = t.pair.Y
+            Z[:, t.ball.k_lo : t.ball.k_hi] = t.pair.Z
+        pair = ProcessPair.from_fields(Y, Z)
         bmo_nodes = bmo_profile(pair, ens, basis)
     checks = (
         verify_apriori(pair, ledger),
         verify_bmo_membership(bmo_nodes.max(), ledger),
     )
-    return GlobalReport(pair=pair, ledger=ledger, checks=checks, bmo_nodes=bmo_nodes,
-                        regression=regression_summary(ens, basis), traces=traces, **fields)
+    return GlobalReport(
+        pair=pair, ledger=ledger, checks=checks, bmo_nodes=bmo_nodes,
+        windows=tuple(_window_summary(i, t, ens.grid) for i, t in enumerate(traces)),
+        converged=all(t.converged for t in traces),
+        regression=regression_summary(ens, basis), traces=traces, **fields,
+    )
 
 
 def solve_global(
@@ -283,10 +297,7 @@ def solve_global(
             f"lambda = {lam:.6g}"
         )
 
-    Y_g = np.zeros((ens.N, ens.grid.M + 1, p.n))
-    Z_g = np.zeros((ens.N, ens.grid.M, p.n, ens.d))
     cur_terminal = eta
-    summaries = []
     traces = []
     continuity_ok = True
 
@@ -301,14 +312,11 @@ def solve_global(
                 f"window {idx} (nodes {k_lo}..{k_hi}) did not converge within "
                 f"{max_iter} sweeps (tol {tol:g})"
             )
-        if idx > 0 and not np.array_equal(trace.pair.Y[:, k_hi], Y_g[:, k_hi]):
+        if traces and not np.array_equal(trace.pair.Y[:, -1], traces[-1].pair.Y[:, 0]):
             continuity_ok = False
-        Y_g[:, k_lo : k_hi + 1] = trace.pair.Y[:, k_lo : k_hi + 1]
-        Z_g[:, k_lo:k_hi] = trace.pair.Z[:, k_lo:k_hi]
-        summaries.append(_window_summary(idx, trace, ens.grid))
         traces.append(trace)
 
-        cur_terminal = trace.pair.Y[:, k_lo].copy()
+        cur_terminal = trace.pair.Y[:, 0].copy()
         edge_sup = float(np.sqrt((cur_terminal * cur_terminal).sum(axis=1)).max())
         if edge_sup > lam * (1.0 + 1e-9):
             raise StitchError(
@@ -317,13 +325,10 @@ def solve_global(
             )
 
     return _verified_report(
-        ProcessPair.from_fields(Y_g, Z_g), ens, basis, ledger,
+        tuple(traces), ens, basis, ledger,
         mode="stitched",
-        windows=tuple(summaries),
-        converged=True,
         continuity_ok=continuity_ok,
         plan=plan,
-        traces=tuple(traces),
     )
 
 
@@ -353,11 +358,8 @@ def solve_auto(
             tol=tol, max_iter=max_iter, init=init,
         )
         return _verified_report(
-            trace.pair, ens, basis, ledger,
+            (trace,), ens, basis, ledger,
             mode="full-interval-fallback",
-            windows=(_window_summary(0, trace, ens.grid),),
-            converged=trace.converged,
             continuity_ok=None,
             plan=None,
-            traces=(trace,),
         )

@@ -6,6 +6,9 @@ own z-row of one component, and solves the resulting n scalar quadratic
 equations backward on a window of the grid, all in one pass.  Iterating from a cheap initial
 guess converges, inside the guaranteed ball and step size, at a contraction
 rate with an explicit coefficient.
+
+Every pair here is window-local: on the L+1 nodes k_lo..k_hi of its
+``BallSpec``, local node j being grid node k_lo + j.
 """
 
 from __future__ import annotations
@@ -45,7 +48,9 @@ class BallSpec:
 
     The iteration lives in {sup |Y| <= 2*k1, bmo(Z)^2 <= 2*k2} on grid nodes
     [k_lo, k_hi]; ``within_guarantee`` records whether the window length is
-    inside the proven step-size budget.
+    inside the proven step-size budget.  The ball is the only record of
+    where its window sits in the grid: the window's pairs hold its nodes
+    only.
     """
 
     k_lo: int
@@ -114,8 +119,6 @@ class ComponentInfo:
 
 @dataclass(frozen=True)
 class ApplyInfo:
-    u_norm: float
-    v_norm: float
     components: tuple[ComponentInfo, ...]
 
     @property
@@ -144,8 +147,9 @@ def apply_gamma(
 ) -> tuple[ProcessPair, ApplyInfo]:
     """One application of the decoupling map on the window of ``ball``.
 
-    u_norm and v_norm are the sup and BMO proxies of the environment ``pair``
-    on the window; they set the envelope bounds of every frozen equation.
+    ``pair`` is the environment on the window's L+1 nodes and the result is
+    too.  u_norm and v_norm are its sup and BMO proxies; they set the
+    envelope bounds of every frozen equation.
 
     For each component i the system generator is frozen: y-slots and the time
     argument at the step midpoint (average of the two endpoint nodes, which
@@ -163,13 +167,15 @@ def apply_gamma(
     exceeds its guard, and the lowest such row there.
     """
     p = gen.params
-    n, N, d = p.n, ens.N, ens.d
+    n, N = p.n, ens.N
     U, V = pair.Y, pair.Z
     mean_U, mean_V = pair.mean_Y, pair.mean_Z
     k_lo, k_hi = ball.k_lo, ball.k_hi
     nodes = ens.grid.nodes
     dt = ens.grid.dt
     L = ball.steps
+    if U.shape[1] != L + 1:
+        raise ValueError(f"environment has {U.shape[1]} nodes; window [{k_lo}, {k_hi}] has {L + 1}")
 
     eta = _resolve_eta(terminal, ens, n)
 
@@ -179,7 +185,7 @@ def apply_gamma(
     for j in range(L):
         k = k_lo + j
         a_step = quad(p.a, nodes[k], nodes[k + 1], limit=200)[0]
-        mz = float(np.sqrt((mean_V[k] * mean_V[k]).sum()))
+        mz = float(np.sqrt((mean_V[j] * mean_V[j]).sum()))
         step_cost[j] = a_step + p.K * mz ** (1.0 + p.delta) * dt
     suffix = np.zeros(L + 1)
     suffix[:L] = step_cost[::-1].cumsum()[::-1]
@@ -212,23 +218,17 @@ def apply_gamma(
     diag = np.arange(n)
 
     def g_rows(k: int, z: np.ndarray) -> np.ndarray:
+        j = k - k_lo
         t_mid = 0.5 * (nodes[k] + nodes[k + 1])
-        u_mid = 0.5 * (U[:, k] + U[:, k + 1])
-        mu_mid = 0.5 * (mean_U[k] + mean_U[k + 1])
-        vsub = np.repeat(V[:, k, None], n, axis=1)     # (N, n, n, d)
+        u_mid = 0.5 * (U[:, j] + U[:, j + 1])
+        mu_mid = 0.5 * (mean_U[j] + mean_U[j + 1])
+        vsub = np.repeat(V[:, j, None], n, axis=1)     # (N, n, n, d)
         vsub[:, diag, diag] = z
         y = np.broadcast_to(u_mid[:, None, :], (N, n, n))
-        return gen.eval(t_mid, y, mu_mid, vsub, mean_V[k])[:, diag, diag]
+        return gen.eval(t_mid, y, mu_mid, vsub, mean_V[j])[:, diag, diag]
 
     res = solve_1d(eta, g_rows, ens, basis, np.array(radii), 10.0 * np.array(y_bounds),
                    k_lo=k_lo, k_hi=k_hi)
-    if (k_lo, k_hi) == (0, ens.grid.M):
-        Y_full, Z_full = res.Y, res.Z
-    else:
-        Y_full = np.zeros((N, ens.grid.M + 1, n))
-        Z_full = np.zeros((N, ens.grid.M, n, d))
-        Y_full[:, k_lo : k_hi + 1] = res.Y
-        Z_full[:, k_lo:k_hi] = res.Z
     infos = tuple(
         ComponentInfo(
             index=i,
@@ -239,8 +239,7 @@ def apply_gamma(
         )
         for i in range(n)
     )
-    out = ProcessPair.from_fields(Y_full, Z_full)
-    return out, ApplyInfo(u_norm=u_norm, v_norm=v_norm, components=infos)
+    return ProcessPair.from_fields(res.Y, res.Z), ApplyInfo(components=infos)
 
 
 @dataclass(frozen=True)
@@ -264,10 +263,8 @@ class PicardTrace:
     converged: bool
     pair: ProcessPair
     ball: BallSpec
-    init: str
-    tol: float
     truncation_hits: int
-    bmo_nodes: np.ndarray = field(repr=False)   # bmo_profile of pair on the window
+    bmo_nodes: np.ndarray = field(repr=False)   # bmo_profile of pair, (L+1,)
 
     def in_ball_throughout(self) -> bool:
         return all(it.in_ball_y and it.in_ball_z for it in self.iterations)
@@ -281,20 +278,21 @@ def _ratio(prev: float | None, cur: float) -> float | None:
     return cur / prev
 
 
-def _initial_pair(init: str, eta: np.ndarray, ens: Ensemble, n: int, ball: BallSpec) -> ProcessPair:
-    Y = np.zeros((ens.N, ens.grid.M + 1, n))
-    Z = np.zeros((ens.N, ens.grid.M, n, ens.d))
+def _initial_pair(init: str, eta: np.ndarray, ens: Ensemble, ball: BallSpec) -> ProcessPair:
+    N, n = eta.shape
+    Y = np.zeros((N, ball.steps + 1, n))
+    Z = np.zeros((N, ball.steps, n, ens.d))
     if init == "terminal-flat":
-        Y[:, ball.k_lo : ball.k_hi + 1, :] = eta[:, None, :]
+        Y[:] = eta[:, None, :]
     elif init != "zero":
         raise ValueError(f"unknown init {init!r}; expected 'zero' or 'terminal-flat'")
     return ProcessPair.from_fields(Y, Z)
 
 
 def _norms(pair: ProcessPair, ens: Ensemble, basis: RegressionBasis, ball: BallSpec):
-    """(sup, BMO, BMO profile) proxies of pair on the window of ball."""
-    sup = sup_norm_estimate(pair, ball.k_lo, ball.k_hi)
-    profile = bmo_profile(pair, ens, basis, ball.k_lo, ball.k_hi)
+    """(sup, BMO, BMO profile) proxies of the window pair of ball."""
+    sup = sup_norm_estimate(pair)
+    profile = bmo_profile(pair, ens, basis, ball.k_lo)
     return sup, float(profile.max()), profile
 
 
@@ -311,7 +309,7 @@ def picard_solve(
     """Iterate the decoupling map on one window until successive sweeps agree.
 
     Convergence is declared when both the sup distance of Y and of Z between
-    consecutive sweeps fall below tol on the window.  Every sweep records its
+    consecutive sweeps fall below tol.  Every sweep records its
     ball membership against the slackened radii (2*k1, 2*k2) * BALL_SLACK.
     The sup and BMO proxies of each iterate are measured once and serve both
     that record and the envelope of the next sweep; the trace keeps the BMO
@@ -323,9 +321,8 @@ def picard_solve(
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     p = gen.params
     eta = _resolve_eta(terminal, ens, p.n)
-    cur = _initial_pair(init, eta, ens, p.n, ball)
+    cur = _initial_pair(init, eta, ens, ball)
     sup_y, bmo, profile = _norms(cur, ens, basis, ball)
-    k_lo, k_hi = ball.k_lo, ball.k_hi
 
     iterations: list[PicardIteration] = []
     hits = 0
@@ -336,8 +333,8 @@ def picard_solve(
     for r in range(1, max_iter + 1):
         nxt, info = apply_gamma(cur, gen, eta, ens, basis, ball, sup_y, bmo)
         hits += info.truncation_hits
-        diff_y = float(np.abs(nxt.Y - cur.Y)[:, k_lo : k_hi + 1].max())
-        diff_z = float(np.abs(nxt.Z - cur.Z)[:, k_lo:k_hi].max())
+        diff_y = float(np.abs(nxt.Y - cur.Y).max())
+        diff_z = float(np.abs(nxt.Z - cur.Z).max())
         sup_y, bmo, profile = _norms(nxt, ens, basis, ball)
         iterations.append(
             PicardIteration(
@@ -363,8 +360,6 @@ def picard_solve(
         converged=converged,
         pair=cur,
         ball=ball,
-        init=init,
-        tol=tol,
         truncation_hits=hits,
         bmo_nodes=profile,
     )

@@ -31,6 +31,8 @@ from .errors import BlowUpError
 
 # Beyond this the square in bound_z overflows; treated as "no truncation".
 _TRUNC_CAP = 1e154
+# Clip radius of the regression Z estimate, in multiples of sqrt(bound_z).
+_TRUNC_MULT = 3.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,24 +92,22 @@ def bound_z(env: GrowthEnvelope, t: float, y_norm: float, u_norm: float, v_norm:
     return float(lead + body * budget)
 
 
-def truncation_radius(z_bound: float, mult: float = 3.0) -> float:
+def truncation_radius(z_bound: float) -> float:
     """Row-norm clip radius for the regression Z estimate.
 
-    A multiple of sqrt(z_bound): the true Z cannot concentrate more
+    _TRUNC_MULT times sqrt(z_bound): the true Z cannot concentrate more
     quadratic variation than z_bound in any remaining window, so rows far
     outside that scale are regression noise.
     """
     if z_bound < 0.0 or not np.isfinite(z_bound):
         return _TRUNC_CAP
-    return float(min(mult * np.sqrt(z_bound), _TRUNC_CAP))
+    return float(min(_TRUNC_MULT * np.sqrt(z_bound), _TRUNC_CAP))
 
 
 @dataclass(eq=False)
 class Solve1DResult:
     Y: np.ndarray                     # (N, L+1, n)
     Z: np.ndarray                     # (N, L, n, d)
-    k_lo: int
-    k_hi: int
     truncation_hits: int              # total over the rows
     row_hits: tuple[int, ...]         # per row
 
@@ -201,7 +201,7 @@ def solve_1d(
             raise BlowUpError(node=k, value=float(worst[i]), guard=float(guard[i]),
                               component=i)
 
-    return Solve1DResult(Y=Y, Z=Z, k_lo=k_lo, k_hi=k_hi, truncation_hits=int(hits.sum()),
+    return Solve1DResult(Y=Y, Z=Z, truncation_hits=int(hits.sum()),
                          row_hits=tuple(int(h) for h in hits))
 
 

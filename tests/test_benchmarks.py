@@ -168,12 +168,3 @@ def test_linear_case_matches_ode_to_discretization_error():
     ey, ez = oracle_errors(case, report.pair.Y, report.pair.Z, ens)
     assert ey.max() < 5e-4                # trapezoid-level, far under O(dt)
     assert ez.max() == 0.0
-
-
-def test_tolerance_profiles_document_expected_scale():
-    case = case_colehopf_diagonal()
-    prof = case.tolerance_profile
-    assert (50, 10_000) in prof
-    # documented levels shrink along the refinement ladder
-    levels = [prof[k] for k in sorted(prof)]
-    assert levels == sorted(levels, reverse=True)

@@ -346,12 +346,40 @@ def test_sweep_failed_check_exits_1(tmp_path, failing_apriori, capsys):
 
 
 def test_sweep_rejects_malformed_pairs(tmp_path, capsys):
+    for pairs, why in (("5-100", "expected M:N"), ("0:100", "M >= 1"), ("5:1", "N >= 2")):
+        cfg = write_cfg(
+            tmp_path,
+            f"[case]\nname = zero\n\n[sweep]\npairs = 5:100, {pairs}\n",
+        )
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+        err = capsys.readouterr().err
+        # the entry is named as written, before any pair is solved
+        assert f"[sweep] pairs entry {pairs!r}" in err and why in err
+        assert "[grid]" not in err and "[ensemble]" not in err
+        assert not (tmp_path / "s" / "sweep_zero.csv").exists()
+
+
+def test_sweep_builds_its_case_once(tmp_path, monkeypatch):
+    # the catalog case, with its oracle self-check, is built once for all pairs
+    import mfbsde.benchmarks as benchmarks
+
+    checks = []
+    original = benchmarks.residual_self_check
+
+    def counting(case, *args, **kwargs):
+        checks.append(case.name)
+        return original(case, *args, **kwargs)
+
+    monkeypatch.setattr(benchmarks, "residual_self_check", counting)
     cfg = write_cfg(
         tmp_path,
-        "[case]\nname = zero\n\n[sweep]\npairs = 5-100\n",
+        "[case]\nname = zero\n[checks]\nsamples = 500\n[sweep]\npairs = 5:100, 6:100, 7:120\n",
     )
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
-    assert "expected M:N" in capsys.readouterr().err
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert checks == ["zero"]
+    rows = (out / "sweep_zero.csv").read_text().splitlines()
+    assert [r.split(",")[:2] for r in rows[1:]] == [["5", "100"], ["6", "100"], ["7", "120"]]
 
 
 # ------------------------------------------------------------------ helpers

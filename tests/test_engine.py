@@ -313,9 +313,9 @@ def test_sup_norm_estimate_hand_value():
     Y[1, 2] = [3.0, 4.0]
     pair = pair_from(Y, np.zeros((3, 3, 2, 1)))
     assert sup_norm_estimate(pair) == 5.0
-    assert sup_norm_estimate(pair, k_lo=3, k_hi=3) == 0.0
-    with pytest.raises(ValueError):
-        sup_norm_estimate(pair, k_lo=2, k_hi=9)
+    # a pair on a window of the grid: the max runs over its own nodes only
+    assert sup_norm_estimate(pair_from(Y[:, 2:], np.zeros((3, 1, 2, 1)))) == 5.0
+    assert sup_norm_estimate(pair_from(Y[:, 3:], np.zeros((3, 0, 2, 1)))) == 0.0
 
 
 def test_bmo_estimate_constant_z():
@@ -339,12 +339,33 @@ def test_bmo_estimate_window_restriction():
     Z[:, :5] = 2.0                                 # activity only before t=0.5
     pair = pair_from(np.zeros((ens.N, 11, 1)), Z)
     full = bmo_profile(pair, ens, default_basis(1)).max()
-    late = bmo_profile(pair, ens, default_basis(1), k_lo=5).max()
-    assert full > 0.0 and late == 0.0
-    early = bmo_profile(pair, ens, default_basis(1), k_hi=5)
-    assert early.max() == full and np.array_equal(early[5:], np.zeros(6))
-    with pytest.raises(ValueError):
-        bmo_profile(pair, ens, default_basis(1), k_lo=6, k_hi=5)
+    # window pairs on nodes 5..10 and 0..5, each placed by its node offset
+    late = bmo_profile(pair_from(np.zeros((ens.N, 6, 1)), Z[:, 5:]), ens,
+                       default_basis(1), k_lo=5)
+    assert full > 0.0 and late.shape == (6,) and late.max() == 0.0
+    early_pair = pair_from(np.zeros((ens.N, 6, 1)), Z[:, :5])
+    early = bmo_profile(early_pair, ens, default_basis(1))
+    assert early.shape == (6,) and early.max() == full and early[5] == 0.0
+    # an offset that puts the window's 5 steps past node M = 10 is refused
+    for k_lo in (6, 10, -1):
+        with pytest.raises(ValueError, match="overrun"):
+            bmo_profile(early_pair, ens, default_basis(1), k_lo=k_lo)
+    assert bmo_profile(early_pair, ens, default_basis(1), k_lo=5).shape == (6,)
+
+
+def test_bmo_profile_of_window_pair_is_the_embedded_profile_bitwise():
+    # a window pair on nodes 3..8 of a 12-step grid gives bitwise the nodes
+    # 3..8 of the profile of the same fields set in zeros on the whole grid
+    ens = make_ens(M=12, T=1.0, N=400, seed=4)
+    rng = np.random.default_rng(8)
+    Zw = rng.standard_normal((ens.N, 5, 2, 1))
+    window = pair_from(np.zeros((ens.N, 6, 2)), Zw)
+    Z = np.zeros((ens.N, 12, 2, 1))
+    Z[:, 3:8] = Zw
+    embedded = bmo_profile(pair_from(np.zeros((ens.N, 13, 2)), Z), ens, default_basis(1))
+    local = bmo_profile(window, ens, default_basis(1), k_lo=3)
+    assert local.shape == (6,) and local.max() > 0.0
+    assert np.array_equal(local, embedded[3:9])
 
 
 @pytest.mark.parametrize("n, d", [(1, 1), (2, 1), (2, 2), (3, 2)])

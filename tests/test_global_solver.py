@@ -157,6 +157,9 @@ def test_single_window_global_equals_plain_picard_bitwise():
     assert np.array_equal(report.pair.Z, trace.pair.Z)
     assert report.converged and report.all_checks_passed()
     assert report.continuity_ok
+    # one window over the whole grid: its fields are the solution's, uncopied
+    assert report.pair is report.traces[0].pair
+    assert report.bmo_nodes is report.traces[0].bmo_nodes
 
 
 def test_multi_window_stitch_continuity_bitwise():
@@ -173,8 +176,19 @@ def test_multi_window_stitch_continuity_bitwise():
     # window was solved from
     for idx in range(1, len(report.traces)):
         k_hi = report.plan.windows[idx][1]
-        prev_edge = report.traces[idx - 1].pair.Y[:, k_hi]
+        prev_edge = report.traces[idx - 1].pair.Y[:, 0]
         assert np.array_equal(report.pair.Y[:, k_hi], prev_edge)
+    # each window is solved on its own nodes, and the solution is the
+    # windows' fields joined at their seams, bitwise
+    assert report.pair.Y.shape == (2_000, 31, 1) and report.pair.Z.shape == (2_000, 30, 1, 1)
+    for (k_lo, k_hi), trace in zip(report.plan.windows, report.traces):
+        assert (trace.ball.k_lo, trace.ball.k_hi) == (k_lo, k_hi)
+        L = k_hi - k_lo
+        assert trace.pair.Y.shape == (2_000, L + 1, 1)
+        assert trace.pair.Z.shape == (2_000, L, 1, 1)
+        assert trace.pair.mean_Y.shape == (L + 1, 1) and trace.bmo_nodes.shape == (L + 1,)
+        assert np.array_equal(report.pair.Y[:, k_lo : k_hi + 1], trace.pair.Y)
+        assert np.array_equal(report.pair.Z[:, k_lo:k_hi], trace.pair.Z)
     assert report.all_checks_passed()
     d = report.to_dict()
     assert d["mode"] == "stitched" and len(d["windows"]) == len(report.plan.windows)
@@ -220,6 +234,8 @@ def test_solve_auto_falls_back_when_step_unusable():
     assert report.plan is None and report.continuity_ok is None
     assert report.converged and report.all_checks_passed()
     assert len(report.windows) == 1 and report.windows[0].k_hi == 20
+    assert report.pair is report.traces[0].pair
+    assert report.bmo_nodes is report.traces[0].bmo_nodes
 
 
 def test_solve_auto_measures_each_iterate_once(bmo_passes):

@@ -1,6 +1,5 @@
 """Decoupling-map sweeps and their fixed-point iteration."""
 
-import functools
 import math
 
 import numpy as np
@@ -98,12 +97,10 @@ def test_ballspec_full_interval_flags_guarantee():
 # --------------------------------------------------------------- one sweep
 
 
-def norms(pair, ens, ball):
-    """The (sup, BMO) environment norms picard_solve hands to apply_gamma."""
-    return (
-        sup_norm_estimate(pair, ball.k_lo, ball.k_hi),
-        bmo_profile(pair, ens, BASIS, ball.k_lo, ball.k_hi).max(),
-    )
+def norms(pair, ens, ball, basis=BASIS):
+    """The (sup, BMO) norms picard_solve hands apply_gamma for the window
+    pair of ball."""
+    return sup_norm_estimate(pair), bmo_profile(pair, ens, basis, ball.k_lo).max()
 
 
 def test_apply_gamma_single_sweep_hand_value_on_flat_environment():
@@ -120,22 +117,32 @@ def test_apply_gamma_single_sweep_hand_value_on_flat_environment():
     for k in range(11):
         np.testing.assert_allclose(out.Y[:, k, 0], 1.0 + dt * (10 - k), rtol=1e-12)
     assert np.array_equal(out.Z, np.zeros_like(out.Z))
-    assert info.u_norm == 1.0
     assert info.truncation_hits == 0
     assert len(info.components) == 1 and info.components[0].trunc_R > 0.0
 
 
-def test_apply_gamma_masks_outside_window():
+def test_apply_gamma_works_on_the_window_nodes():
+    # window [5, 10]: the environment and the result hold the window's 6
+    # nodes, local node j being grid node 5 + j.  An environment equal to j
+    # at local node j makes the drift (a + b) * (j + 1/2) = j + 1/2 on the
+    # step from local node j, so Y_j = 1 + dt * sum_{i >= j} (i + 1/2).
     case, ens, ledger = linear_setup(M=10, N=128)
     ball = BallSpec.from_ledger(ens.grid, ledger, eps=0.5, k_hi=10)
     assert ball.k_lo == 5
     eta = np.ones((ens.N, 1))
-    pair = ProcessPair.from_fields(
-        np.ones((ens.N, 11, 1)), np.zeros((ens.N, 10, 1, 1))
-    )
+    ramp = np.broadcast_to(np.arange(6.0)[None, :, None], (ens.N, 6, 1))
+    pair = ProcessPair.from_fields(ramp, np.zeros((ens.N, 5, 1, 1)))
     out, _ = apply_gamma(pair, case.generator, eta, ens, BASIS, ball, *norms(pair, ens, ball))
-    assert np.array_equal(out.Y[:, :5], np.zeros((ens.N, 5, 1)))
-    assert out.Y[:, 5:].min() > 1.0 - 1e-12
+    assert out.Y.shape == (ens.N, 6, 1) and out.Z.shape == (ens.N, 5, 1, 1)
+    dt = ens.grid.dt
+    for j in range(6):
+        expect = 1.0 + dt * sum(i + 0.5 for i in range(j, 5))
+        np.testing.assert_allclose(out.Y[:, j, 0], expect, rtol=1e-12)
+    assert out.Y.min() > 1.0 - 1e-12
+    # a full-grid environment is not the window's
+    full = ProcessPair.from_fields(np.ones((ens.N, 11, 1)), np.zeros((ens.N, 10, 1, 1)))
+    with pytest.raises(ValueError, match="11 nodes"):
+        apply_gamma(full, case.generator, eta, ens, BASIS, ball, 1.0, 0.0)
 
 
 def test_apply_gamma_rejects_bad_terminal_shape():
@@ -187,25 +194,19 @@ def per_row_reference(pair, gen, eta, ens, basis, ball, info):
     hits = []
     for i, comp in enumerate(info.components):
         def g_i(k, zrow, i=i):
-            vsub = V[:, k].copy()
+            j = k - ball.k_lo
+            vsub = V[:, j].copy()
             vsub[:, i, :] = zrow[:, 0]
             t_mid = 0.5 * (nodes[k] + nodes[k + 1])
-            u_mid = 0.5 * (U[:, k] + U[:, k + 1])
-            mu_mid = 0.5 * (pair.mean_Y[k] + pair.mean_Y[k + 1])
-            return gen.component(i, t_mid, u_mid, mu_mid, vsub, pair.mean_Z[k])[:, None]
+            u_mid = 0.5 * (U[:, j] + U[:, j + 1])
+            mu_mid = 0.5 * (pair.mean_Y[j] + pair.mean_Y[j + 1])
+            return gen.component(i, t_mid, u_mid, mu_mid, vsub, pair.mean_Z[j])[:, None]
 
         res = solve_1d(eta[:, i : i + 1], g_i, ens, basis, np.array([comp.trunc_R]),
                        np.array([10.0 * comp.y_bound]), ball.k_lo, ball.k_hi)
         Y[:, :, i], Z[:, :, i] = res.Y[:, :, 0], res.Z[:, :, 0]
         hits.append(res.truncation_hits)
     return Y, Z, hits
-
-
-def env_norms(pair, ens, basis, ball):
-    return (
-        sup_norm_estimate(pair, ball.k_lo, ball.k_hi),
-        bmo_profile(pair, ens, basis, ball.k_lo, ball.k_hi).max(),
-    )
 
 
 def second_sweep(case, ens, basis):
@@ -216,9 +217,9 @@ def second_sweep(case, ens, basis):
     flat = np.repeat(eta[:, None, :], ens.grid.M + 1, axis=1)
     pair = ProcessPair.from_fields(flat, np.zeros((ens.N, ens.grid.M, case.params.n, ens.d)))
     pair, _ = apply_gamma(pair, case.generator, eta, ens, basis, ball,
-                          *env_norms(pair, ens, basis, ball))
+                          *norms(pair, ens, ball, basis))
     out, info = apply_gamma(pair, case.generator, eta, ens, basis, ball,
-                            *env_norms(pair, ens, basis, ball))
+                            *norms(pair, ens, ball, basis))
     return pair, eta, ball, out, info
 
 
@@ -265,7 +266,7 @@ def test_apply_gamma_projects_all_rows_together(monkeypatch):
     pair = ProcessPair.from_fields(
         np.repeat(eta[:, None, :], 11, axis=1), np.zeros((ens.N, 10, 2, 1))
     )
-    norms_ = env_norms(pair, ens, BASIS, ball)
+    norms_ = norms(pair, ens, ball)
     calls = record_projections(monkeypatch)
     apply_gamma(pair, case.generator, eta, ens, BASIS, ball, *norms_)
     assert Counter(k for k, _ in calls) == {k: 2 for k in range(10)}
@@ -293,13 +294,12 @@ def test_apply_gamma_two_rows_two_dims(monkeypatch):
     case = BenchmarkCase(
         name="rows2d", params=p, generator=Generator(fn=fn, params=p, name="rows2d"),
         terminal=TerminalCondition(g=xi, bound=10.0, params=p),
-        oracle=None, y0_exact=None, tolerance_profile={},
+        oracle=None, y0_exact=None,
     )
     basis = default_basis(2)
     ens = generate_ensemble(TimeGrid.make(8, 1.0), 400, 2, 6)
     # radii small enough that both rows clip
-    monkeypatch.setattr(picard, "truncation_radius",
-                        functools.partial(qbsde1d.truncation_radius, mult=1e-3))
+    monkeypatch.setattr(qbsde1d, "_TRUNC_MULT", 1e-3)
     calls = record_projections(monkeypatch)
     pair, eta, ball, out, info = second_sweep(case, ens, basis)
     assert {shape for _, shape in calls} == {(ens.N, 2), (ens.N, 4)}
