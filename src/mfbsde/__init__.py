@@ -58,12 +58,6 @@ from .model import (
     terminal_values,
 )
 from .picard import BallSpec, apply_gamma, contraction_report, picard_solve
-from .qbsde1d import (
-    GrowthEnvelope,
-    bound_y,
-    bound_z,
-    solve_1d,
-    truncation_radius,
-)
+from .qbsde1d import bound_y, bound_z, solve_1d, truncation_radius
 
 __version__ = "0.1.0"

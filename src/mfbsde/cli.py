@@ -121,10 +121,18 @@ def _get(cfg, section, key, caster, default):
         raise ConfigError(f"[{section}] {key} = {raw!r}: expected {caster.__name__}") from None
 
 
+# The [basis] key each kind does not read: setting it is a config error.
+_UNREAD_BASIS_KEY = {"polynomial": "bins", "piecewise-bins": "degree"}
+
+
 def _build_basis(cfg: configparser.ConfigParser, d: int) -> RegressionBasis:
     if not cfg.has_section("basis"):
         return default_basis(d)
     kind = cfg.get("basis", "kind", fallback="polynomial")
+    unread = _UNREAD_BASIS_KEY.get(kind)
+    if unread is not None and cfg.has_option("basis", unread):
+        raise ConfigError(f"[basis] {unread} = {cfg.get('basis', unread)!r}: "
+                          f"kind {kind} does not read it")
     try:
         return RegressionBasis(
             kind=kind,
@@ -201,10 +209,10 @@ def _solve_case(case: BenchmarkCase, cfg, seed: int, M: int, N: int):
     """Shared core of solve/bench/sweep: checkers, verified global solve on M
     steps with N particles, and the oracle errors of the solution (None for
     a case without an oracle)."""
-    grid = TimeGrid.make(M, case.params.T)
-    ens = generate_ensemble(grid, N, case.params.d, seed)
     basis = _build_basis(cfg, case.params.d)
     settings = _solver_settings(cfg)
+    grid = TimeGrid.make(M, case.params.T)
+    ens = generate_ensemble(grid, N, case.params.d, seed)
 
     structural = run_checks(
         case.generator,
@@ -361,6 +369,10 @@ def cmd_bench(args) -> int:
 
 
 def _sweep_pairs(cfg) -> list[tuple[int, int]]:
+    for section, key in (("grid", "m"), ("ensemble", "n")):
+        if cfg.has_option(section, key):
+            raise ConfigError(f"[{section}] {key}: sweep does not read it; each "
+                              "[sweep] pairs entry sets M:N")
     raw = _get(cfg, "sweep", "pairs", str, "25:1000, 50:10000, 100:100000")
     pairs = []
     for item in raw.split(","):
@@ -388,11 +400,12 @@ def _sweep_pairs(cfg) -> list[tuple[int, int]]:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     case = _build_case(cfg)
+    pairs = _sweep_pairs(cfg)
     out = _out_dir(cfg, args)
     seed = _seed(cfg, args)
     rows = ["M,N,y0_mean,y0_abs_err,mean_node_err_Y,mean_node_err_Z"]
     all_ok = True
-    for M, N in _sweep_pairs(cfg):
+    for M, N in pairs:
         start = time.perf_counter()
         structural, report, ens, errors = _solve_case(case, cfg, seed, M, N)
         elapsed = time.perf_counter() - start

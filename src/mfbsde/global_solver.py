@@ -12,7 +12,7 @@ checks those against the explicit sup-norm and BMO ceilings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .engine import (
     TimeGrid,
     bmo_profile,
     regression_summary,
-    sup_norm_estimate,
 )
 from .errors import ConfigError, StitchError
 from .model import Generator
@@ -101,18 +100,15 @@ class CheckResult:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "observed": self.observed,
-            "bound": self.bound,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
-def verify_apriori(pair: ProcessPair, ledger: ConstantsLedger) -> CheckResult:
-    """Check sup_t |Y_t| <= lambda on the whole grid, up to APRIORI_SLACK."""
-    sup = sup_norm_estimate(pair)
+def verify_apriori(sup: float, ledger: ConstantsLedger) -> CheckResult:
+    """Check the sup proxy ``sup`` of Y against lambda, up to APRIORI_SLACK.
+
+    ``sup`` is ``sup_norm_estimate`` of the solution over the whole grid.
+    """
+    sup = float(sup)
     lam = ledger.lam
     passed = sup <= lam * (1.0 + APRIORI_SLACK) + APRIORI_SLACK
     return CheckResult(
@@ -175,17 +171,7 @@ class WindowSummary:
     in_ball: bool
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "k_lo": self.k_lo,
-            "k_hi": self.k_hi,
-            "t_lo": self.t_lo,
-            "t_hi": self.t_hi,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "truncation_hits": self.truncation_hits,
-            "in_ball": self.in_ball,
-        }
+        return asdict(self)
 
 
 @dataclass(eq=False)
@@ -244,7 +230,9 @@ def _verified_report(traces: tuple[PicardTrace, ...], ens: Ensemble, basis: Regr
 
     One window spans the whole grid, so its pair and BMO profile are the
     solution's as they are.  Several windows are joined at their shared
-    seam nodes into one full-grid pair, which gets one BMO pass of its own."""
+    seam nodes into one full-grid pair, which gets one BMO pass of its own.
+    Either way the solution's sup is the largest of the windows' last-sweep
+    sups, since each seam node is a copy of a window's own node."""
     if len(traces) == 1:
         pair, bmo_nodes = traces[0].pair, traces[0].bmo_nodes
     else:
@@ -257,7 +245,7 @@ def _verified_report(traces: tuple[PicardTrace, ...], ens: Ensemble, basis: Regr
         pair = ProcessPair.from_fields(Y, Z)
         bmo_nodes = bmo_profile(pair, ens, basis)
     checks = (
-        verify_apriori(pair, ledger),
+        verify_apriori(max(t.iterations[-1].sup_y for t in traces), ledger),
         verify_bmo_membership(bmo_nodes.max(), ledger),
     )
     return GlobalReport(

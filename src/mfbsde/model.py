@@ -11,7 +11,7 @@ declaration, never prove it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -194,15 +194,7 @@ class AssumptionReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "samples": self.samples,
-            "seed": self.seed,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "first_violation": self.first_violation,
-        }
+        return asdict(self)
 
 
 def _draw(rng, p: ModelParams, samples: int):

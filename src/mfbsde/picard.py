@@ -14,7 +14,7 @@ Every pair here is window-local: on the L+1 nodes k_lo..k_hi of its
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
@@ -29,13 +29,7 @@ from .engine import (
     sup_norm_estimate,
 )
 from .model import Generator, TerminalCondition, terminal_values
-from .qbsde1d import (
-    GrowthEnvelope,
-    bound_y,
-    bound_z,
-    solve_1d,
-    truncation_radius,
-)
+from .qbsde1d import bound_y, bound_z, solve_1d, truncation_radius
 
 # Slack applied to the theoretical ball radii before flagging an iterate as
 # escaping: regression noise may overshoot the exact radius slightly.
@@ -149,7 +143,7 @@ def apply_gamma(
 
     ``pair`` is the environment on the window's L+1 nodes and the result is
     too.  u_norm and v_norm are its sup and BMO proxies; they set the
-    envelope bounds of every frozen equation.
+    a priori bounds of every frozen equation.
 
     For each component i the system generator is frozen: y-slots and the time
     argument at the step midpoint (average of the two endpoint nodes, which
@@ -159,8 +153,9 @@ def apply_gamma(
     independent, so they are solved together in one backward ``solve_1d``
     pass over the (N, n) block of rows, sharing each node's projections; each
     row keeps its own truncation radius (``truncation_radius`` of its
-    ``bound_z``) and guard (ten times its ``bound_y``), both derived from
-    the frozen envelope.  The generator is
+    ``bound_z``) and guard (ten times its ``bound_y``), both read at the
+    window start from the model's growth parameters, the window's horizon
+    and drift budget, and the row's terminal sup.  The generator is
     evaluated once per node on a stacked (N, n, n, d) block whose slice i is
     V with row i substituted, and row i's drift is the diagonal entry (i, i).
     A BlowUpError names the first node reached backward at which any row
@@ -179,39 +174,22 @@ def apply_gamma(
 
     eta = _resolve_eta(terminal, ens, n)
 
-    # Deterministic drift budget on the window: the integrable density plus
-    # the mean-field coupling of the frozen environment, as suffix sums.
-    step_cost = np.empty(L)
-    for j in range(L):
-        k = k_lo + j
-        a_step = quad(p.a, nodes[k], nodes[k + 1], limit=200)[0]
+    # Deterministic drift budget of the window, summed from its last step
+    # backward: the integrable density plus the mean-field coupling of the
+    # frozen environment.  The bounds read it at the window start.
+    budget = 0.0
+    for j in range(L - 1, -1, -1):
+        a_step = quad(p.a, nodes[k_lo + j], nodes[k_lo + j + 1], limit=200)[0]
         mz = float(np.sqrt((mean_V[j] * mean_V[j]).sum()))
-        step_cost[j] = a_step + p.K * mz ** (1.0 + p.delta) * dt
-    suffix = np.zeros(L + 1)
-    suffix[:L] = step_cost[::-1].cumsum()[::-1]
-    window_nodes = nodes[k_lo : k_hi + 1]
+        budget += a_step + p.K * mz ** (1.0 + p.delta) * dt
+    horizon = float(nodes[k_hi]) - float(nodes[k_lo])
 
-    def a_integral(t: float) -> float:
-        return float(np.interp(t, window_nodes, suffix))
-
-    env = GrowthEnvelope(
-        gamma=p.gamma,
-        K=p.K,
-        delta=p.delta,
-        n=n,
-        T=float(nodes[k_hi]),
-        phi=p.phi,
-        a_integral=a_integral,
-        eta_bound=0.0,  # per-component value substituted below
-    )
-
-    t_lo = float(nodes[k_lo])
     eta_bounds = np.abs(eta).max(axis=0)
     y_bounds, radii = [], []
     for i in range(n):
-        env_i = replace(env, eta_bound=float(eta_bounds[i]))
-        y_bound_i = bound_y(env_i, t_lo, u_norm, v_norm)
-        z_bound_i = bound_z(env_i, t_lo, y_bound_i, u_norm, v_norm)
+        eta_i = float(eta_bounds[i])
+        y_bound_i = bound_y(p, horizon, budget, eta_i, u_norm, v_norm)
+        z_bound_i = bound_z(p, horizon, budget, eta_i, y_bound_i, u_norm, v_norm)
         y_bounds.append(y_bound_i)
         radii.append(truncation_radius(z_bound_i))
 

@@ -2,14 +2,19 @@
 
 A frozen environment (the other components' fields and the mean fields) turns
 one row of the system into a scalar BSDE whose generator is at most quadratic
-in its own z-row.  That scalar equation admits explicit bounds
+in its own z-row.  On a window [t_lo, t_hi] that scalar equation admits
+explicit bounds
 
-    |Y_t|      <=  bound_y(t)
-    E[ integral_t^T |Z|^2 | F_t ]  <=  bound_z(t)
+    sup_t |Y_t|                        <=  bound_y
+    E[ integral_t^t_hi |Z|^2 | F_t ]   <=  bound_z
 
-expressed through the growth envelope of the frozen generator, and those
-bounds fix both the truncation radius of the regression Z estimate and the
-blow-up guard of the backward recursion, which the caller passes per row.
+read at the window start, where the a priori estimate is largest.  Both are
+built from the model's growth parameters (gamma, K, delta, n, phi), the
+window's horizon t_hi - t_lo, its drift budget (the integral of a over the
+window plus the mean-field coupling K * sum_j |E[Z_j]|^{1+delta} dt) and the
+row's terminal sup.  They fix the truncation radius of the regression Z
+estimate and the blow-up guard of the backward recursion, which the caller
+passes per row.
 
 The rows of one frozen environment are independent, so ``solve_1d`` takes a
 block of n rows (terminal data (N, n), fields (N, L+1, n) and (N, L, n, d);
@@ -28,6 +33,7 @@ import numpy as np
 from .constants import LOG2, c_delta_k_n
 from .engine import Ensemble, RegressionBasis, _sum_of_squares, project
 from .errors import BlowUpError
+from .model import ModelParams
 
 # Beyond this the square in bound_z overflows; treated as "no truncation".
 _TRUNC_CAP = 1e154
@@ -35,61 +41,38 @@ _TRUNC_CAP = 1e154
 _TRUNC_MULT = 3.0
 
 
-@dataclass(frozen=True, eq=False)
-class GrowthEnvelope:
-    """Envelope data of a frozen scalar generator.
-
-    |g(t, z)| <= a_integral-density + phi(u_norm) + (gamma/2)|z|^2
-                 + K * (coupling terms bounded through v_norm),
-    where u_norm / v_norm are sup bounds on the frozen environment.
-    a_integral(t) must return integral_t^T of the time density, including any
-    coupling budget already folded in by the caller.
-    """
-
-    gamma: float
-    K: float
-    delta: float
-    n: int
-    T: float
-    phi: Callable[[float], float]
-    a_integral: Callable[[float], float]
-    eta_bound: float
-
-
-def bound_y(env: GrowthEnvelope, t: float, u_norm: float, v_norm: float) -> float:
-    """A priori sup bound on the scalar solution at time t."""
-    if not 0.0 <= t <= env.T * (1 + 1e-12):
-        raise ValueError(f"t = {t} outside [0, {env.T}]")
-    q = (1.0 + env.delta) / (1.0 - env.delta)
-    cdkn = c_delta_k_n(env.delta, env.K, env.n)
-    horizon = env.T - min(t, env.T)
+def bound_y(p: ModelParams, horizon: float, budget: float, eta_bound: float,
+            u_norm: float, v_norm: float) -> float:
+    """A priori sup bound on the scalar solution over a window of length
+    horizon, read at its start, where it is largest."""
+    q = (1.0 + p.delta) / (1.0 - p.delta)
+    cdkn = c_delta_k_n(p.delta, p.K, p.n)
     return (
-        LOG2 / env.gamma
-        + env.eta_bound
-        + env.a_integral(t)
-        + env.phi(u_norm) * horizon
-        + env.gamma**q * cdkn * v_norm ** (2.0 * q) * horizon
+        LOG2 / p.gamma
+        + eta_bound
+        + budget
+        + p.phi(u_norm) * horizon
+        + p.gamma**q * cdkn * v_norm ** (2.0 * q) * horizon
     )
 
 
-def bound_z(env: GrowthEnvelope, t: float, y_norm: float, u_norm: float, v_norm: float) -> float:
-    """A priori bound on the conditional remaining quadratic variation of Z at t."""
-    if not 0.0 <= t <= env.T * (1 + 1e-12):
-        raise ValueError(f"t = {t} outside [0, {env.T}]")
-    q = (1.0 + env.delta) / (1.0 - env.delta)
-    cdkn = c_delta_k_n(env.delta, env.K, env.n)
-    horizon = env.T - min(t, env.T)
+def bound_z(p: ModelParams, horizon: float, budget: float, eta_bound: float,
+            y_norm: float, u_norm: float, v_norm: float) -> float:
+    """A priori bound on the conditional quadratic variation of Z over a
+    window of length horizon, read at its start."""
+    q = (1.0 + p.delta) / (1.0 - p.delta)
+    cdkn = c_delta_k_n(p.delta, p.K, p.n)
     with np.errstate(over="ignore"):
         # saturation to inf is the honest answer for enormous y_norm
-        lead = np.exp(2.0 * env.gamma * env.eta_bound) / env.gamma**2
-        body = np.exp(2.0 * env.gamma * y_norm) / env.gamma
-    budget = (
+        lead = np.exp(2.0 * p.gamma * eta_bound) / p.gamma**2
+        body = np.exp(2.0 * p.gamma * y_norm) / p.gamma
+    total = (
         1.0
-        + 2.0 * env.a_integral(t)
-        + 2.0 * env.phi(u_norm) * horizon
+        + 2.0 * budget
+        + 2.0 * p.phi(u_norm) * horizon
         + 2.0 * cdkn * v_norm ** (2.0 * q) * horizon
     )
-    return float(lead + body * budget)
+    return float(lead + body * total)
 
 
 def truncation_radius(z_bound: float) -> float:

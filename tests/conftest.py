@@ -7,21 +7,33 @@ import pytest
 from mfbsde import engine
 
 
-@pytest.fixture
-def bmo_passes(monkeypatch):
-    """Record one entry per BMO regression pass, wherever the package calls it.
+def _record_passes(monkeypatch, name):
+    """Record the pair of every call of ``engine.<name>``, wherever the
+    package calls it.
 
-    Every module of the package that binds ``engine.bmo_profile`` gets a
-    counting wrapper, so a new call site is counted without editing this.
+    Every module of the package that binds the engine function gets a
+    recording wrapper, so a new call site is counted without editing this.
     """
     passes = []
-    original = engine.bmo_profile
+    original = getattr(engine, name)
 
-    def counting(*args, **kwargs):
+    def recording(*args, **kwargs):
         passes.append(args[0])
         return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "mfbsde" and getattr(module, "bmo_profile", None) is original:
-            monkeypatch.setattr(module, "bmo_profile", counting)
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "mfbsde" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, recording)
     return passes
+
+
+@pytest.fixture
+def bmo_passes(monkeypatch):
+    """One entry per BMO regression pass (``bmo_profile``)."""
+    return _record_passes(monkeypatch, "bmo_profile")
+
+
+@pytest.fixture
+def sup_passes(monkeypatch):
+    """One entry per sup pass (``sup_norm_estimate``)."""
+    return _record_passes(monkeypatch, "sup_norm_estimate")

@@ -6,7 +6,14 @@ import textwrap
 import numpy as np
 import pytest
 
-from mfbsde import BlowUpError, ProcessPair, case_zero, compute_ledger, verify_apriori
+from mfbsde import (
+    BlowUpError,
+    ProcessPair,
+    case_zero,
+    compute_ledger,
+    sup_norm_estimate,
+    verify_apriori,
+)
 from mfbsde.cli import _fmt, main
 
 
@@ -144,7 +151,8 @@ def failing_apriori(monkeypatch):
         report = solve_auto(*args, **kwargs)
         lam = report.ledger.lam
         big = ProcessPair.from_fields(report.pair.Y * (1.01 * lam), report.pair.Z)
-        report.checks = (verify_apriori(big, report.ledger),) + report.checks[1:]
+        apriori = verify_apriori(sup_norm_estimate(big), report.ledger)
+        report.checks = (apriori,) + report.checks[1:]
         return report
 
     monkeypatch.setattr(cli, "solve_auto", violating)
@@ -241,6 +249,9 @@ def test_solve_blowup_exits_3_with_partial_report(tmp_path, monkeypatch, capsys)
         "[case]\nname = zero\n[solver]\nsafety = 3\n",        # unknown keys
         "[case]\nname = zero\n[solver]\nsafety = -1\n",
         "[case]\nname = zero\n[grid]\nsteps = 9\n",
+        "[case]\nname = zero\n[basis]\nkind = piecewise-bins\ndegree = 2\n",  # keys the
+        "[case]\nname = zero\n[basis]\nkind = polynomial\nbins = 4\n",       # kind does
+        "[case]\nname = zero\n[basis]\nbins = 4\n",                          # not read
     ],
 )
 def test_config_errors_exit_2(tmp_path, body, capsys):
@@ -252,7 +263,8 @@ def test_config_errors_exit_2(tmp_path, body, capsys):
 @pytest.mark.parametrize(
     "section, key, value",
     [("grid", "m", "0"), ("ensemble", "n", "1"), ("solver", "tol", "-1"),
-     ("solver", "max_iter", "0"), ("solver", "safety", "-1"), ("solver", "toll", "5")],
+     ("solver", "max_iter", "0"), ("solver", "safety", "-1"), ("solver", "toll", "5"),
+     ("basis", "bins", "4")],                # not read by the default polynomial kind
 )
 def test_bad_numeric_config_names_its_key(tmp_path, section, key, value, capsys):
     cfg = write_cfg(tmp_path, f"[case]\nname = zero\n[{section}]\n{key} = {value}\n")
@@ -357,6 +369,20 @@ def test_sweep_rejects_malformed_pairs(tmp_path, capsys):
         assert f"[sweep] pairs entry {pairs!r}" in err and why in err
         assert "[grid]" not in err and "[ensemble]" not in err
         assert not (tmp_path / "s" / "sweep_zero.csv").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [("grid", "m", "0"), ("ensemble", "n", "1"),
+                                                ("grid", "m", "10")])
+def test_sweep_rejects_grid_and_ensemble_size(tmp_path, section, key, value, capsys):
+    # each pair sets M and N, so a sweep reads neither key, in range or not
+    cfg = write_cfg(
+        tmp_path,
+        f"[case]\nname = zero\n[{section}]\n{key} = {value}\n[sweep]\npairs = 5:100\n",
+    )
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    assert f"[{section}] {key}" in err and "[sweep] pairs" in err and "M:N" in err
+    assert not (tmp_path / "s" / "sweep_zero.csv").exists()
 
 
 def test_sweep_builds_its_case_once(tmp_path, monkeypatch):

@@ -6,6 +6,8 @@ import pytest
 from mfbsde import (
     BallSpec,
     ConfigError,
+    Generator,
+    ModelParams,
     ProcessPair,
     StitchError,
     TimeGrid,
@@ -22,6 +24,7 @@ from mfbsde import (
     plan_stitch,
     solve_auto,
     solve_global,
+    sup_norm_estimate,
     verify_apriori,
     verify_bmo_membership,
 )
@@ -111,7 +114,7 @@ def run_small_linear(M=20, N=300, seed=3):
 
 def test_verify_apriori_pass_and_fail():
     _, _, ledger, trace = run_small_linear()
-    ok = verify_apriori(trace.pair, ledger)
+    ok = verify_apriori(sup_norm_estimate(trace.pair), ledger)
     assert ok.passed and ok.name == "apriori_sup"
     assert ok.observed <= ok.bound
     assert "lambda" in ok.detail
@@ -120,7 +123,7 @@ def test_verify_apriori_pass_and_fail():
     big = ProcessPair.from_fields(
         trace.pair.Y * (1.01 * ledger.lam / ok.observed), trace.pair.Z
     )
-    bad = verify_apriori(big, ledger)
+    bad = verify_apriori(sup_norm_estimate(big), ledger)
     assert not bad.passed
     assert bad.to_dict()["passed"] is False
 
@@ -203,23 +206,42 @@ def test_global_rejects_oversized_terminal():
         solve_global(case.generator, eta, ens, BASIS, ledger)
 
 
+def small_params(T=1.0):
+    """A scalar model with a small drift budget, whose guaranteed step
+    (t_lambda = 2.02) is usable."""
+    return ModelParams(
+        n=1, d=1, T=T, gamma=1.0, K=0.0, delta=0.0,
+        phi=lambda r: 0.5, a=lambda t: 0.01 / T, alpha=lambda t: 0.01 / T,
+        beta=lambda t: 0.01 / T, eta=lambda t: 0.0, C0=0.01, C1=1.0, C2=0.05,
+    )
+
+
 def test_global_raises_on_window_nonconvergence():
     # needs a generator with y-feedback (the diagonal-quadratic cases settle
     # in one sweep because their frozen scalar equations never change) and a
     # model whose guaranteed step is still usable
-    from mfbsde import Generator, ModelParams
-
-    p = ModelParams(
-        n=1, d=1, T=1.0, gamma=1.0, K=0.0, delta=0.0,
-        phi=lambda r: 0.5, a=lambda t: 0.01, alpha=lambda t: 0.01,
-        beta=lambda t: 0.01, eta=lambda t: 0.0, C0=0.01, C1=1.0, C2=0.05,
-    )
+    p = small_params()
     gen = Generator(fn=lambda t, y, ybar, z, zbar: 0.4 * y, params=p, name="relax")
     ens = generate_ensemble(TimeGrid.make(20, 1.0), 200, 1, 7)
     ledger = compute_ledger(p)
     assert ledger.t_lambda > ens.grid.dt
     with pytest.raises(StitchError, match="did not converge"):
         solve_global(gen, np.full((200, 1), 0.5), ens, BASIS, ledger, tol=1e-14, max_iter=2)
+
+
+def test_stitched_apriori_check_reads_the_largest_window_sup():
+    # a constant drift makes Y = 0.5 + 0.5 (T - t) grow backward, so the
+    # earliest window holds the solution's sup, not the latest
+    T = 2.5 * compute_ledger(small_params()).t_lambda
+    p = small_params(T)
+    gen = Generator(fn=lambda t, y, ybar, z, zbar: 0.0 * y + 0.5, params=p, name="drift")
+    ens = generate_ensemble(TimeGrid.make(30, T), 200, 1, 7)
+    report = solve_global(gen, np.full((200, 1), 0.5), ens, BASIS, tol=1e-3, max_iter=40)
+    assert report.mode == "stitched" and len(report.traces) == 3
+    sups = [t.iterations[-1].sup_y for t in report.traces]
+    assert sups[0] < sups[1] < sups[2]
+    assert report.checks[0].observed == sups[2] == sup_norm_estimate(report.pair)
+    assert report.checks[0].observed == pytest.approx(0.5 + 0.5 * T)
 
 
 def test_solve_auto_falls_back_when_step_unusable():
@@ -238,24 +260,27 @@ def test_solve_auto_falls_back_when_step_unusable():
     assert report.bmo_nodes is report.traces[0].bmo_nodes
 
 
-def test_solve_auto_measures_each_iterate_once(bmo_passes):
-    # one BMO pass for the initial guess and one per sweep; the window spans
-    # the whole grid, so verification reuses the last sweep's profile, which
-    # the report keeps
+def test_solve_auto_measures_each_iterate_once(bmo_passes, sup_passes):
+    # one BMO and one sup pass for the initial guess and one of each per
+    # sweep; the window spans the whole grid, so verification reuses the
+    # last sweep's profile, which the report keeps, and its sup
     case = case_loggrowth()
     ens = generate_ensemble(TimeGrid.make(10, case.params.T), 300, 1, 5)
     report = solve_auto(case.generator, case.terminal, ens, BASIS)
     sweeps = len(report.traces[0].iterations)
     assert report.mode == "full-interval-fallback" and sweeps >= 2
     assert len(bmo_passes) == sweeps + 1
+    assert len(sup_passes) == sweeps + 1
     assert report.bmo_nodes is report.traces[0].bmo_nodes
     assert np.array_equal(report.bmo_nodes, bmo_profile(report.pair, ens, BASIS))
     assert report.checks[1].observed == report.bmo_nodes.max() ** 2
+    assert report.checks[0].observed == sup_norm_estimate(report.pair)
 
 
-def test_multi_window_solve_verifies_with_its_own_pass(bmo_passes):
+def test_multi_window_solve_verifies_with_its_own_pass(bmo_passes, sup_passes):
     # no window covers the whole grid, so verification makes one full-grid
-    # pass on the assembled pair after each window's initial and sweep passes
+    # BMO pass on the assembled pair after each window's initial and sweep
+    # passes; the solution's sup is the largest window sup, with no pass
     case = case_colehopf_diagonal(gamma=1.0, n=1)
     T2 = 2.5 * compute_ledger(case.params).t_lambda
     case2 = case_colehopf_diagonal(gamma=1.0, n=1, T=T2)
@@ -265,7 +290,9 @@ def test_multi_window_solve_verifies_with_its_own_pass(bmo_passes):
     per_window = sum(len(t.iterations) + 1 for t in report.traces)
     assert len(bmo_passes) == per_window + 1
     assert bmo_passes[-1] is report.pair
+    assert len(sup_passes) == per_window
     assert np.array_equal(report.bmo_nodes, bmo_profile(report.pair, ens, BASIS))
+    assert report.checks[0].observed == sup_norm_estimate(report.pair)
 
 
 def test_solve_auto_prefers_stitching_when_guaranteed():

@@ -7,6 +7,8 @@ import pytest
 
 from collections import Counter
 
+from scipy.integrate import quad
+
 from mfbsde import (
     BallSpec,
     BlowUpError,
@@ -24,6 +26,7 @@ from mfbsde import (
     default_basis,
     generate_ensemble,
     bmo_profile,
+    bound_y,
     picard_solve,
     solve_1d,
     sup_norm_estimate,
@@ -209,13 +212,15 @@ def per_row_reference(pair, gen, eta, ens, basis, ball, info):
     return Y, Z, hits
 
 
-def second_sweep(case, ens, basis):
+def second_sweep(case, ens, basis, ball=None):
     """An environment with nonzero Z (one sweep from the flat guess), the
-    next sweep on it, and what that sweep was given."""
-    ball = BallSpec.full_interval(ens.grid, compute_ledger(case.params))
+    next sweep on it, and what that sweep was given; on the whole grid
+    unless a window ball is given."""
+    if ball is None:
+        ball = BallSpec.full_interval(ens.grid, compute_ledger(case.params))
     eta = terminal_values(case.terminal, ens.cumulative)
-    flat = np.repeat(eta[:, None, :], ens.grid.M + 1, axis=1)
-    pair = ProcessPair.from_fields(flat, np.zeros((ens.N, ens.grid.M, case.params.n, ens.d)))
+    flat = np.repeat(eta[:, None, :], ball.steps + 1, axis=1)
+    pair = ProcessPair.from_fields(flat, np.zeros((ens.N, ball.steps, case.params.n, ens.d)))
     pair, _ = apply_gamma(pair, case.generator, eta, ens, basis, ball,
                           *norms(pair, ens, ball, basis))
     out, info = apply_gamma(pair, case.generator, eta, ens, basis, ball,
@@ -342,6 +347,28 @@ def test_apply_gamma_passes_each_row_its_radius_and_guard(monkeypatch):
     for i, comp in enumerate(info.components):
         assert trunc_R[i] == comp.trunc_R == truncation_radius(z_bounds[2 + i])
         assert guard[i] == 10.0 * comp.y_bound
+
+
+def test_apply_gamma_bounds_read_the_window_budget():
+    # each row's y_bound is bound_y over the window [t_lo, t_hi] with the
+    # drift budget integral_{t_lo}^{t_hi} a + K dt sum_j |E[V_j]|^{1+delta}
+    case = case_loggrowth()
+    p = case.params
+    ens = generate_ensemble(TimeGrid.make(10, p.T), 300, 1, 4)
+    ledger = compute_ledger(p)
+    ball = BallSpec(k_lo=3, k_hi=10, eps=0.7 * p.T, k1=ledger.k1, k2=ledger.k2,
+                    within_guarantee=False)
+    pair, eta, ball, out, info = second_sweep(case, ens, BASIS, ball)
+    t_lo, t_hi = ens.grid.nodes[3], ens.grid.nodes[10]
+    mean_z = np.sqrt((pair.mean_Z**2).sum(axis=(1, 2)))           # (L,)
+    coupling = p.K * ens.grid.dt * (mean_z ** (1.0 + p.delta)).sum()
+    assert coupling > 1e-6                       # the mean-field term is pinned too
+    budget = quad(p.a, t_lo, t_hi)[0] + coupling
+    u, v = norms(pair, ens, ball)
+    for comp in info.components:
+        assert comp.eta_bound == np.abs(eta[:, comp.index]).max()
+        expect = bound_y(p, t_hi - t_lo, budget, comp.eta_bound, u, v)
+        assert comp.y_bound == pytest.approx(expect, rel=0.0, abs=1e-12)
 
 
 # ------------------------------------------------------------- fixed point

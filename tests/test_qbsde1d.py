@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mfbsde import (
     BlowUpError,
-    GrowthEnvelope,
+    ModelParams,
     TimeGrid,
     bound_y,
     bound_z,
@@ -20,23 +20,23 @@ from mfbsde import qbsde1d
 from mfbsde.constants import LOG2
 
 
-def make_env(gamma=1.0, K=0.0, delta=0.0, n=1, T=1.0, phi=0.5, a=0.1, eta_bound=2.0):
-    return GrowthEnvelope(
-        gamma=gamma,
-        K=K,
-        delta=delta,
-        n=n,
-        T=T,
-        phi=lambda r, _p=phi: _p,
-        a_integral=lambda t, _a=a, _T=T: _a * (_T - t),
-        eta_bound=eta_bound,
-    )
+def make_params(K=0.0, phi=0.5):
+    """Model parameters for the bounds: gamma = 1, delta = 0, n = 1, the
+    given K and a constant phi; the rest are zero."""
+    zero = lambda t: 0.0
+    return ModelParams(n=1, d=1, T=1.0, gamma=1.0, K=K, delta=0.0,
+                       phi=lambda r, _p=phi: _p, a=zero, alpha=zero, beta=zero, eta=zero,
+                       C0=0.0, C1=0.0, C2=0.0)
 
 
-def envelope_guard(env, ens, n=1, k_lo=0, u=1.0, v=1.0):
-    """The blow-up guard apply_gamma gives a row of envelope env: ten times
-    its bound_y at t_{k_lo}, for each of n rows."""
-    return np.full(n, 10.0 * bound_y(env, ens.grid.nodes[k_lo], u, v))
+def envelope_guard(ens, n=1, k_lo=0, k_hi=None, a=0.1, phi=0.5, eta_bound=2.0):
+    """The blow-up guard apply_gamma gives each of n rows on the window
+    [k_lo, k_hi] with drift density a and unit environment norms: ten times
+    bound_y at the window start."""
+    nodes = ens.grid.nodes
+    horizon = nodes[ens.grid.M if k_hi is None else k_hi] - nodes[k_lo]
+    y_bound = bound_y(make_params(phi=phi), horizon, a * horizon, eta_bound, 1.0, 1.0)
+    return np.full(n, 10.0 * y_bound)
 
 
 def record_projection_nodes(monkeypatch):
@@ -56,48 +56,45 @@ def record_projection_nodes(monkeypatch):
 
 
 def test_bound_y_hand_value_uncoupled():
-    env = make_env()
-    # log2/gamma + eta + a-integral + phi * horizon; the coupling term
-    # vanishes because K = 0 makes its constant zero
-    assert bound_y(env, 0.0, 1.0, 1.0) == pytest.approx(LOG2 + 2.0 + 0.1 + 0.5)
-    assert bound_y(env, 1.0, 1.0, 1.0) == pytest.approx(LOG2 + 2.0)
+    p = make_params()
+    # log2/gamma + eta + budget + phi * horizon; the coupling term vanishes
+    # because K = 0 makes its constant zero
+    assert bound_y(p, 1.0, 0.1, 2.0, 1.0, 1.0) == pytest.approx(LOG2 + 2.0 + 0.1 + 0.5)
+    # a window of length 0 has no budget left: the terminal bound alone
+    assert bound_y(p, 0.0, 0.0, 2.0, 1.0, 1.0) == pytest.approx(LOG2 + 2.0)
 
 
 def test_bound_y_hand_value_coupled():
-    env = make_env(K=1.0, delta=0.0, n=1)
+    p = make_params(K=1.0)
     # constant for (delta=0, K=1, n=1) is 1/2; q = 1
     expect = LOG2 + 2.0 + 0.1 + 0.5 + 1.0 * 0.5 * 3.0**2
-    assert bound_y(env, 0.0, 1.0, 3.0) == pytest.approx(expect)
-
-
-def test_bound_y_rejects_time_outside_horizon():
-    env = make_env()
-    with pytest.raises(ValueError):
-        bound_y(env, -0.1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        bound_y(env, 1.5, 1.0, 1.0)
+    assert bound_y(p, 1.0, 0.1, 2.0, 1.0, 3.0) == pytest.approx(expect)
 
 
 def test_bound_z_hand_value():
-    env = make_env(phi=0.0, a=0.0, eta_bound=0.0)
+    p = make_params(phi=0.0)
     # lead = e^0 / 1 = 1, body = e^0 * (1 + 0 + 0 + 0) = 1
-    assert bound_z(env, 0.0, 0.0, 1.0, 0.0) == pytest.approx(2.0)
+    assert bound_z(p, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0) == pytest.approx(2.0)
+    # horizon 0 and no budget: the phi and coupling terms drop out
+    assert bound_z(make_params(K=1.0), 0.0, 0.0, 0.0, 0.0, 1.0, 3.0) == pytest.approx(2.0)
 
 
 def test_bound_z_saturates_not_crashes_for_huge_y():
-    env = make_env()
-    assert bound_z(env, 0.0, 1e6, 1.0, 1.0) == np.inf
+    assert bound_z(make_params(), 1.0, 0.1, 2.0, 1e6, 1.0, 1.0) == np.inf
 
 
 @given(
-    t1=st.floats(0.0, 1.0),
-    t2=st.floats(0.0, 1.0),
+    h1=st.floats(0.0, 1.0),
+    h2=st.floats(0.0, 1.0),
 )
 @settings(max_examples=50, deadline=None)
-def test_bound_y_nonincreasing_in_time(t1, t2):
-    env = make_env(K=0.5)
-    lo, hi = min(t1, t2), max(t1, t2)
-    assert bound_y(env, lo, 1.0, 1.0) >= bound_y(env, hi, 1.0, 1.0) - 1e-12
+def test_bound_y_nondecreasing_in_horizon(h1, h2):
+    # a longer window carries more drift budget (density 0.1) and more
+    # phi and coupling growth
+    p = make_params(K=0.5)
+    lo, hi = min(h1, h2), max(h1, h2)
+    longer = bound_y(p, hi, 0.1 * hi, 2.0, 1.0, 1.0)
+    assert longer >= bound_y(p, lo, 0.1 * lo, 2.0, 1.0, 1.0) - 1e-12
 
 
 def test_truncation_radius(monkeypatch):
@@ -124,10 +121,9 @@ def no_drift(k, z):
 def test_constant_terminal_zero_generator_is_bitwise_constant(monkeypatch):
     nodes = record_projection_nodes(monkeypatch)
     ens = setup_ens(N=500)
-    env = make_env()
     eta = np.full((ens.N, 1), 4.25)
     res = solve_1d(eta, no_drift, ens, default_basis(1), np.array([10.0]),
-                   envelope_guard(env, ens))
+                   envelope_guard(ens))
     assert np.array_equal(res.Y, np.full((ens.N, 9, 1), 4.25))
     assert np.array_equal(res.Z, np.zeros((ens.N, 8, 1, 1)))
     assert res.truncation_hits == 0
@@ -136,10 +132,9 @@ def test_constant_terminal_zero_generator_is_bitwise_constant(monkeypatch):
 
 def test_constant_drift_integrates_exactly():
     ens = setup_ens(N=300)
-    env = make_env(a=1.0)
     c = 0.7
     res = solve_1d(np.ones((ens.N, 1)), lambda k, z: np.full(z.shape[:-1], c), ens,
-                   default_basis(1), np.array([10.0]), envelope_guard(env, ens))
+                   default_basis(1), np.array([10.0]), envelope_guard(ens, a=1.0))
     dt = ens.grid.dt
     for j in range(9):
         np.testing.assert_allclose(res.Y[:, j, 0], 1.0 + c * dt * (8 - j), rtol=1e-12)
@@ -148,10 +143,9 @@ def test_constant_drift_integrates_exactly():
 def test_martingale_terminal_recovers_brownian_path_and_unit_z():
     # eta = W_T, g = 0: the true solution is Y_t = W_t, Z = 1
     ens = setup_ens(M=8, N=8_000, seed=13)
-    env = make_env(phi=0.0, a=0.0, eta_bound=20.0)
     eta = ens.cumulative[:, -1, :]
     res = solve_1d(eta, no_drift, ens, default_basis(1), np.array([100.0]),
-                   envelope_guard(env, ens))
+                   envelope_guard(ens, a=0.0, phi=0.0, eta_bound=20.0))
     for k in range(1, 8):
         rms = np.sqrt(np.mean((res.Y[:, k, 0] - ens.cumulative[:, k, 0]) ** 2))
         assert rms < 0.05, f"node {k}: rms {rms}"
@@ -161,10 +155,9 @@ def test_martingale_terminal_recovers_brownian_path_and_unit_z():
 
 def test_truncation_clips_row_norms_and_counts():
     ens = setup_ens(N=2_000, seed=4)
-    env = make_env(eta_bound=20.0)
     eta = ens.cumulative[:, -1, :]
     res = solve_1d(eta, no_drift, ens, default_basis(1), np.array([0.5]),
-                   envelope_guard(env, ens))
+                   envelope_guard(ens, eta_bound=20.0))
     assert res.truncation_hits > 0
     norms = np.sqrt((res.Z**2).sum(axis=-1))
     assert norms.max() <= 0.5 * (1 + 1e-12)
@@ -184,9 +177,8 @@ def test_blowup_guard_raises_with_location():
 def test_window_solve_shapes_and_indices(monkeypatch):
     nodes = record_projection_nodes(monkeypatch)
     ens = setup_ens(M=10, N=300)
-    env = make_env()
     res = solve_1d(np.ones((ens.N, 1)), no_drift, ens, default_basis(1), np.array([5.0]),
-                   envelope_guard(env, ens, k_lo=3), k_lo=3, k_hi=7)
+                   envelope_guard(ens, k_lo=3, k_hi=7), k_lo=3, k_hi=7)
     assert res.Y.shape == (ens.N, 5, 1)
     assert res.Z.shape == (ens.N, 4, 1, 1)
     assert nodes == [6, 5, 4, 3]
@@ -195,7 +187,7 @@ def test_window_solve_shapes_and_indices(monkeypatch):
 def test_input_validation():
     ens = setup_ens(N=100)
     basis = default_basis(1)
-    R, guard = np.array([1.0]), envelope_guard(make_env(), ens)
+    R, guard = np.array([1.0]), envelope_guard(ens)
     with pytest.raises(ValueError):
         solve_1d(np.ones((ens.N + 1, 1)), no_drift, ens, basis, R, guard)
     with pytest.raises(ValueError):
@@ -208,10 +200,9 @@ def test_input_validation():
 
 def test_terminal_column_is_bitwise_eta():
     ens = setup_ens(N=150, seed=9)
-    env = make_env(eta_bound=20.0)
     eta = ens.cumulative[:, -1, :]
     res = solve_1d(eta, no_drift, ens, default_basis(1), np.array([50.0]),
-                   envelope_guard(env, ens))
+                   envelope_guard(ens, eta_bound=20.0))
     assert np.array_equal(res.Y[:, -1], eta)
 
 
@@ -231,7 +222,7 @@ def test_block_constant_row_next_to_live_row(monkeypatch):
     eta = np.column_stack([np.full(ens.N, 4.25), ens.cumulative[:, -1, 0]])
     res = solve_1d(eta, lambda k, z: 0.5 * (z * z).sum(axis=-1) * [0.0, 1.0], ens,
                    default_basis(1), np.full(2, 50.0),
-                   envelope_guard(make_env(eta_bound=20.0), ens, n=2))
+                   envelope_guard(ens, n=2, eta_bound=20.0))
     assert res.Y.shape == (ens.N, 9, 2) and res.Z.shape == (ens.N, 8, 2, 1)
     assert np.array_equal(res.Y[:, :, 0], np.full((ens.N, 9), 4.25))
     assert np.array_equal(res.Z[:, :, 0], np.zeros((ens.N, 8, 1)))
@@ -244,7 +235,6 @@ def test_block_constant_row_next_to_live_row(monkeypatch):
 
 def test_block_matches_scalar_rows():
     ens = setup_ens(N=400, seed=8)
-    env = make_env(eta_bound=20.0)
     w = ens.cumulative[:, -1, 0]
     eta = np.column_stack([w, np.sin(w), 0.5 * w])
 
@@ -252,12 +242,13 @@ def test_block_matches_scalar_rows():
         return 0.5 * (z * z).sum(axis=-1)
 
     radii = np.array([50.0, 0.3, 0.05])
-    res = solve_1d(eta, drift, ens, default_basis(1), radii, envelope_guard(env, ens, n=3))
+    guard = envelope_guard(ens, n=3, eta_bound=20.0)
+    res = solve_1d(eta, drift, ens, default_basis(1), radii, guard)
     assert sum(res.row_hits) == res.truncation_hits and res.row_hits[2] > 0
     for i in range(3):
         # row i alone, as a block of one
         one = solve_1d(eta[:, i : i + 1], drift, ens, default_basis(1), radii[i : i + 1],
-                       envelope_guard(env, ens))
+                       guard[i : i + 1])
         np.testing.assert_allclose(res.Y[:, :, i], one.Y[:, :, 0], rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(res.Z[:, :, i], one.Z[:, :, 0], rtol=0.0, atol=1e-12)
         assert res.row_hits[i] == one.truncation_hits
@@ -287,7 +278,7 @@ def test_block_blowup_names_first_node_then_lowest_row(guards, node, component):
 def test_block_input_validation():
     ens = setup_ens(N=100)
     basis = default_basis(1)
-    guard = envelope_guard(make_env(), ens, n=2)
+    guard = envelope_guard(ens, n=2)
     with pytest.raises(ValueError, match="trunc_R"):
         solve_1d(np.ones((ens.N, 2)), no_drift, ens, basis, [1.0, 2.0, 3.0], guard)
     with pytest.raises(ValueError, match="trunc_R"):       # one value per row, not a scalar
