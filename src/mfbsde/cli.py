@@ -3,8 +3,9 @@
 Subcommands: constants, check, solve, bench, sweep.  Every run is driven by a
 flat INI config (sections of key = value, no embedded code); models are chosen
 from the benchmark registry by name plus numeric parameters, which keeps runs
-reproducible and auditable.  Exit codes: 0 pass, 1 failed check, 2 bad
-usage/config, 3 numerical blow-up.
+reproducible and auditable.  Every key is cast and range-checked against
+SCHEMA when the config is loaded, whatever the subcommand.  Exit codes: 0
+pass, 1 failed check, 2 bad usage/config, 3 numerical blow-up.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ import argparse
 import configparser
 import inspect
 import json
+import math
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,24 +51,125 @@ def _sanitize(obj):
     return obj
 
 
-# The keys each section accepts; [case] takes name plus the parameters of the
-# chosen catalog factory, checked in _build_case.
-KEYS = {
-    "grid": ("m",),
-    "ensemble": ("n", "seed"),
-    "basis": ("kind", "degree", "bins"),
-    "solver": ("tol", "max_iter", "init"),
-    "checks": ("samples", "seed"),
-    "output": ("dir",),
-    "sweep": ("pairs",),
+class Key(NamedTuple):
+    """One config key: its caster, the value when unset, and the accepted
+    values as a predicate on the cast value and as the text an error shows."""
+
+    cast: Callable[[str], object]
+    default: object
+    ok: Callable[[object], bool]
+    expect: str
+
+
+def _pairs(raw: str) -> tuple[tuple[int, int], ...]:
+    """[sweep] pairs: comma-separated M:N entries; an error names the entry."""
+    pairs = []
+    for item in filter(None, (s.strip() for s in raw.split(","))):
+        try:
+            M, N = (int(s) for s in item.split(":"))
+        except ValueError:
+            raise ConfigError(
+                f"[sweep] pairs entry {item!r}: expected M:N with integers"
+            ) from None
+        if M < 1 or N < 2:
+            raise ConfigError(
+                f"[sweep] pairs entry {item!r}: expected M >= 1 and N >= 2 (regression "
+                "needs two particles)"
+            )
+        pairs.append((M, N))
+    return tuple(pairs)
+
+
+def _at_least(lo: int) -> tuple[Callable[[int], bool], str]:
+    return (lambda v: v >= lo), f"an integer >= {lo}"
+
+
+# Every key of every section but [case], whose keys are name plus the
+# parameters of the named catalog factory.  [basis] degree defaults to the
+# case's default_basis.
+SCHEMA: dict[str, dict[str, Key]] = {
+    "grid": {"m": Key(int, 50, *_at_least(1))},
+    "ensemble": {
+        "n": Key(int, 10_000, lambda v: v >= 2,
+                 "an integer >= 2 (regression needs two particles)"),
+        "seed": Key(int, 1, *_at_least(0)),
+    },
+    "basis": {"degree": Key(int, None, *_at_least(1))},
+    "solver": {
+        "tol": Key(float, 1e-3, lambda v: 0.0 < v < math.inf, "a finite positive number"),
+        "max_iter": Key(int, 25, *_at_least(1)),
+        "init": Key(str, "terminal-flat", lambda v: v in ("terminal-flat", "zero"),
+                    "terminal-flat or zero"),
+    },
+    "checks": {"samples": Key(int, 10_000, *_at_least(1)), "seed": Key(int, 0, *_at_least(0))},
+    "output": {"dir": Key(str, "runs", bool, "a non-empty path")},
+    "sweep": {"pairs": Key(_pairs, ((25, 1000), (50, 10_000), (100, 100_000)), bool,
+                           "at least one M:N entry")},
 }
-SECTIONS = ("case",) + tuple(KEYS)
+SECTIONS = ("case",) + tuple(SCHEMA)
+_NO_CASE = "config must declare [case] name = <catalog name>"
 
 
-def _load_config(path: str) -> configparser.ConfigParser:
+def _checked(label: str, key: Key, raw: str):
+    """The cast value of `raw`, or a ConfigError naming `label`."""
+    try:
+        value = key.cast(raw)
+    except ConfigError:
+        raise
+    except ValueError:
+        raise ConfigError(f"{label} = {raw!r}: expected {key.expect}") from None
+    if not key.ok(value):
+        raise ConfigError(f"{label} = {raw!r}: expected {key.expect}")
+    return value
+
+
+def _reject_unread(cfg: configparser.ConfigParser, command: str) -> None:
+    """A key the subcommand would silently ignore is a config error."""
+    if command == "sweep":
+        for section, key in (("grid", "m"), ("ensemble", "n")):
+            if cfg.has_option(section, key):
+                raise ConfigError(f"[{section}] {key}: sweep does not read it; each "
+                                  "[sweep] pairs entry sets M:N")
+    if command == "bench" and cfg.has_section("case"):
+        for key in cfg.options("case"):
+            if key != "name":
+                raise ConfigError(f"[case] {key}: bench does not read it; it solves "
+                                  "every catalog case at its defaults")
+
+
+def _case_section(cfg: configparser.ConfigParser) -> dict:
+    """[case] name and its parameters cast against the factory's signature,
+    without building the case; {} when the section is absent."""
+    if not cfg.has_section("case"):
+        return {}
+    raw = dict(cfg.items("case"))
+    name = raw.pop("name", None)
+    if name is None:
+        raise ConfigError(_NO_CASE)
+    if name not in CATALOG:
+        raise ConfigError(
+            f"[case] name = {name!r} is not in the catalog "
+            f"({', '.join(sorted(CATALOG))})"
+        )
+    # configparser lowercases keys; [case] T must still reach the parameter T
+    params = {p.name.lower(): p for p in inspect.signature(CATALOG[name]).parameters.values()}
+    case = {"name": name}
+    for key, value in raw.items():
+        if key not in params:
+            raise ConfigError(f"[case] {key}: unknown parameter for case {name!r}")
+        caster = int if isinstance(params[key].default, int) else float
+        try:
+            case[params[key].name] = caster(value)
+        except ValueError:
+            raise ConfigError(f"[case] {key} = {value!r}: expected {caster.__name__}") from None
+    return case
+
+
+def _load_config(path: str, command: str) -> dict:
+    """Every section's typed values with the defaults filled in; any key the
+    program does not read, or any value out of range, is a ConfigError."""
     cfg = configparser.ConfigParser()
-    found = cfg.read(path)
-    if not found:
+    if not cfg.read(path):
         raise ConfigError(f"config file not found: {path}")
     unknown = [s for s in cfg.sections() if s not in SECTIONS]
     if unknown:
@@ -73,100 +177,41 @@ def _load_config(path: str) -> configparser.ConfigParser:
             f"unknown config section(s) {', '.join(f'[{s}]' for s in unknown)}; "
             f"expected {', '.join(f'[{s}]' for s in SECTIONS)}"
         )
-    for section, keys in KEYS.items():
-        if not cfg.has_section(section):
-            continue
-        for key, raw in cfg.items(section):
+    _reject_unread(cfg, command)
+    conf = {}
+    for section, keys in SCHEMA.items():
+        raw = dict(cfg.items(section)) if cfg.has_section(section) else {}
+        for key, value in raw.items():
             if key not in keys:
                 raise ConfigError(
-                    f"[{section}] {key} = {raw!r}: unknown key; expected {', '.join(keys)}"
+                    f"[{section}] {key} = {value!r}: unknown key; expected {', '.join(keys)}"
                 )
-    return cfg
+        conf[section] = {key: _checked(f"[{section}] {key}", spec, raw[key]) if key in raw
+                         else spec.default for key, spec in keys.items()}
+    conf["case"] = _case_section(cfg)
+    return conf
 
 
-def _build_case(cfg: configparser.ConfigParser) -> BenchmarkCase:
-    if not cfg.has_section("case") or not cfg.has_option("case", "name"):
-        raise ConfigError("config must declare [case] name = <catalog name>")
-    name = cfg.get("case", "name")
-    if name not in CATALOG:
-        raise ConfigError(
-            f"[case] name = {name!r} is not in the catalog "
-            f"({', '.join(sorted(CATALOG))})"
-        )
-    sig = inspect.signature(CATALOG[name])
-    kwargs = {}
-    for key, raw in cfg.items("case"):
-        if key == "name":
-            continue
-        if key not in sig.parameters:
-            raise ConfigError(f"[case] {key}: unknown parameter for case {name!r}")
-        default = sig.parameters[key].default
-        caster = int if isinstance(default, int) else float
-        try:
-            kwargs[key] = caster(raw)
-        except ValueError:
-            raise ConfigError(
-                f"[case] {key} = {raw!r}: expected {caster.__name__}"
-            ) from None
-    return make_case(name, **kwargs)
-
-
-def _get(cfg, section, key, caster, default):
-    if not cfg.has_option(section, key):
-        return default
-    raw = cfg.get(section, key)
+def _build_case(conf: dict) -> BenchmarkCase:
+    if not conf["case"]:
+        raise ConfigError(_NO_CASE)
+    params = dict(conf["case"])
+    name = params.pop("name")
     try:
-        return caster(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: expected {caster.__name__}") from None
-
-
-# The [basis] key each kind does not read: setting it is a config error.
-_UNREAD_BASIS_KEY = {"polynomial": "bins", "piecewise-bins": "degree"}
-
-
-def _build_basis(cfg: configparser.ConfigParser, d: int) -> RegressionBasis:
-    if not cfg.has_section("basis"):
-        return default_basis(d)
-    kind = cfg.get("basis", "kind", fallback="polynomial")
-    unread = _UNREAD_BASIS_KEY.get(kind)
-    if unread is not None and cfg.has_option("basis", unread):
-        raise ConfigError(f"[basis] {unread} = {cfg.get('basis', unread)!r}: "
-                          f"kind {kind} does not read it")
-    try:
-        return RegressionBasis(
-            kind=kind,
-            degree=_get(cfg, "basis", "degree", int, default_basis(d).degree),
-            bins=_get(cfg, "basis", "bins", int, 8),
-        )
+        return make_case(name, **params)
     except ValueError as exc:
-        raise ConfigError(f"[basis] {exc}") from exc
+        args = ", ".join(f"{k}={v!r}" for k, v in params.items())
+        raise ConfigError(f"[case] {name}({args}): {exc}") from exc
 
 
-def _solver_settings(cfg) -> dict:
-    init = _get(cfg, "solver", "init", str, "terminal-flat")
-    if init not in ("terminal-flat", "zero"):
-        raise ConfigError(f"[solver] init = {init!r}: expected terminal-flat or zero")
-    tol = _get(cfg, "solver", "tol", float, 1e-3)
-    if not tol > 0.0:
-        raise ConfigError(f"[solver] tol = {tol!r}: expected a positive number")
-    max_iter = _get(cfg, "solver", "max_iter", int, 25)
-    if max_iter < 1:
-        raise ConfigError(f"[solver] max_iter = {max_iter}: expected an integer >= 1")
-    return {"tol": tol, "max_iter": max_iter, "init": init}
-
-
-def _out_dir(cfg, args) -> Path:
-    out = args.out if args.out else _get(cfg, "output", "dir", str, "runs")
-    path = Path(out)
+def _out_dir(conf: dict) -> Path:
+    path = Path(conf["output"]["dir"])
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _seed(cfg, args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return _get(cfg, "ensemble", "seed", int, 1)
+def _write_json(path: Path, doc: dict) -> None:
+    path.write_text(json.dumps(_sanitize(doc), sort_keys=True, indent=2) + "\n")
 
 
 def _write_solution_csv(
@@ -193,35 +238,24 @@ def _write_solution_csv(
     path.write_text("\n".join(lines) + "\n")
 
 
-def _grid_size(cfg) -> tuple[int, int]:
-    """(M, N) of [grid] m and [ensemble] n."""
-    M = _get(cfg, "grid", "m", int, 50)
-    if M < 1:
-        raise ConfigError(f"[grid] m = {M}: expected an integer >= 1")
-    N = _get(cfg, "ensemble", "n", int, 10_000)
-    if N < 2:
-        raise ConfigError(f"[ensemble] n = {N}: expected an integer >= 2 (regression "
-                          "needs two particles)")
-    return M, N
+def _structural(case: BenchmarkCase, conf: dict) -> dict:
+    checks = conf["checks"]
+    return run_checks(case.generator, case.params,
+                      samples=checks["samples"], rng_seed=checks["seed"])
 
 
-def _solve_case(case: BenchmarkCase, cfg, seed: int, M: int, N: int):
+def _solve_case(case: BenchmarkCase, conf: dict, M: int, N: int):
     """Shared core of solve/bench/sweep: checkers, verified global solve on M
     steps with N particles, and the oracle errors of the solution (None for
     a case without an oracle)."""
-    basis = _build_basis(cfg, case.params.d)
-    settings = _solver_settings(cfg)
+    degree = conf["basis"]["degree"]
+    basis = default_basis(case.params.d) if degree is None else RegressionBasis(degree)
     grid = TimeGrid.make(M, case.params.T)
-    ens = generate_ensemble(grid, N, case.params.d, seed)
+    ens = generate_ensemble(grid, N, case.params.d, conf["ensemble"]["seed"])
 
-    structural = run_checks(
-        case.generator,
-        case.params,
-        samples=_get(cfg, "checks", "samples", int, 10_000),
-        rng_seed=_get(cfg, "checks", "seed", int, 0),
-    )
+    structural = _structural(case, conf)
     ledger = compute_ledger(case.params)
-    report = solve_auto(case.generator, case.terminal, ens, basis, ledger, **settings)
+    report = solve_auto(case.generator, case.terminal, ens, basis, ledger, **conf["solver"])
     errors = None
     if case.oracle is not None:
         errors = oracle_errors(case, report.pair.Y, report.pair.Z, ens)
@@ -268,9 +302,8 @@ def _passed(structural, report) -> bool:
     )
 
 
-def cmd_constants(args) -> int:
-    cfg = _load_config(args.config)
-    case = _build_case(cfg)
+def cmd_constants(conf, args) -> int:
+    case = _build_case(conf)
     ledger = compute_ledger(case.params)
     doc = dict(ledger.to_dict())
     doc["formulas"] = FORMULAS
@@ -282,15 +315,9 @@ def cmd_constants(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    cfg = _load_config(args.config)
-    case = _build_case(cfg)
-    structural = run_checks(
-        case.generator,
-        case.params,
-        samples=_get(cfg, "checks", "samples", int, 10_000),
-        rng_seed=_get(cfg, "checks", "seed", int, 0),
-    )
+def cmd_check(conf, args) -> int:
+    case = _build_case(conf)
+    structural = _structural(case, conf)
     for name in sorted(structural):
         print(structural[name].summary())
     ok = all(r.passed for r in structural.values())
@@ -298,33 +325,26 @@ def cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_solve(args) -> int:
-    cfg = _load_config(args.config)
-    case = _build_case(cfg)
-    seed = _seed(cfg, args)
-    out = _out_dir(cfg, args)
-    M, N = _grid_size(cfg)
+def cmd_solve(conf, args) -> int:
+    case = _build_case(conf)
+    out = _out_dir(conf)
     try:
-        structural, report, ens, errors = _solve_case(case, cfg, seed, M, N)
+        structural, report, ens, errors = _solve_case(
+            case, conf, conf["grid"]["m"], conf["ensemble"]["n"])
     except BlowUpError as exc:
-        partial = {
+        _write_json(out / f"{case.name}_report.json", {
             "case": case.name,
             "error": str(exc),
             "node": exc.node,
             "component": exc.component,
             "guard": exc.guard,
             "caveats": [PROXY_CAVEAT],
-        }
-        (out / f"{case.name}_report.json").write_text(
-            json.dumps(_sanitize(partial), sort_keys=True, indent=2) + "\n"
-        )
+        })
         print(f"blow-up: {exc}", file=sys.stderr)
         return 3
 
-    payload = _solve_payload(case, structural, report, ens, errors)
-    (out / f"{case.name}_report.json").write_text(
-        json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n"
-    )
+    _write_json(out / f"{case.name}_report.json",
+                _solve_payload(case, structural, report, ens, errors))
     _write_solution_csv(out / f"{case.name}_solution.csv", case, report, ens, errors)
     if args.save_state:
         np.savez_compressed(
@@ -344,19 +364,15 @@ def cmd_solve(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_bench(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _seed(cfg, args)
-    out = _out_dir(cfg, args)
-    M, N = _grid_size(cfg)
+def cmd_bench(conf, args) -> int:
+    out = _out_dir(conf)
     all_ok = True
     for name in sorted(CATALOG):
         case = make_case(name)
-        structural, report, ens, errors = _solve_case(case, cfg, seed, M, N)
+        structural, report, ens, errors = _solve_case(
+            case, conf, conf["grid"]["m"], conf["ensemble"]["n"])
         payload = _solve_payload(case, structural, report, ens, errors)
-        (out / f"bench_{name}_report.json").write_text(
-            json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n"
-        )
+        _write_json(out / f"bench_{name}_report.json", payload)
         _write_solution_csv(out / f"bench_{name}_solution.csv", case, report, ens, errors)
         ok = _passed(structural, report)
         all_ok = all_ok and ok
@@ -368,46 +384,14 @@ def cmd_bench(args) -> int:
     return 0 if all_ok else 1
 
 
-def _sweep_pairs(cfg) -> list[tuple[int, int]]:
-    for section, key in (("grid", "m"), ("ensemble", "n")):
-        if cfg.has_option(section, key):
-            raise ConfigError(f"[{section}] {key}: sweep does not read it; each "
-                              "[sweep] pairs entry sets M:N")
-    raw = _get(cfg, "sweep", "pairs", str, "25:1000, 50:10000, 100:100000")
-    pairs = []
-    for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        try:
-            m_str, n_str = item.split(":")
-            M, N = int(m_str), int(n_str)
-        except ValueError:
-            raise ConfigError(
-                f"[sweep] pairs entry {item!r}: expected M:N with integers"
-            ) from None
-        if M < 1 or N < 2:
-            raise ConfigError(
-                f"[sweep] pairs entry {item!r}: expected M >= 1 and N >= 2 (regression "
-                "needs two particles)"
-            )
-        pairs.append((M, N))
-    if not pairs:
-        raise ConfigError("[sweep] pairs must list at least one M:N entry")
-    return pairs
-
-
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    case = _build_case(cfg)
-    pairs = _sweep_pairs(cfg)
-    out = _out_dir(cfg, args)
-    seed = _seed(cfg, args)
+def cmd_sweep(conf, args) -> int:
+    case = _build_case(conf)
+    out = _out_dir(conf)
     rows = ["M,N,y0_mean,y0_abs_err,mean_node_err_Y,mean_node_err_Z"]
     all_ok = True
-    for M, N in pairs:
+    for M, N in conf["sweep"]["pairs"]:
         start = time.perf_counter()
-        structural, report, ens, errors = _solve_case(case, cfg, seed, M, N)
+        structural, report, ens, errors = _solve_case(case, conf, M, N)
         elapsed = time.perf_counter() - start
         oracle = _oracle_summary(case, report, errors)
         if oracle is not None:
@@ -441,8 +425,8 @@ def _parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", required=True, help="INI config path")
-        p.add_argument("--seed", type=int, default=None, help="override the ensemble seed")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--seed", default=None, help="override [ensemble] seed")
+        p.add_argument("--out", default=None, help="override [output] dir")
         if name == "solve":
             p.add_argument("--save-state", action="store_true",
                            help="also write the particle fields as NPZ")
@@ -453,7 +437,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        conf = _load_config(args.config, args.command)
+        # a flag overrides its key and is checked against the same range
+        for flag, section, key in (("seed", "ensemble", "seed"), ("out", "output", "dir")):
+            raw = getattr(args, flag)
+            if raw is not None:
+                conf[section][key] = _checked(f"--{flag}", SCHEMA[section][key], raw)
+        return args.fn(conf, args)
     except (ConfigError, TerminalBoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

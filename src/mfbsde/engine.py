@@ -88,62 +88,42 @@ def generate_ensemble(grid: TimeGrid, N: int, d: int, seed: int) -> Ensemble:
 
 @dataclass(frozen=True)
 class RegressionBasis:
-    """Design-matrix recipe for state regression.
+    """Design-matrix recipe for state regression: all monomials of total
+    degree <= degree in the d state coordinates."""
 
-    kind "polynomial": all monomials of total degree <= degree in the d state
-    coordinates.  kind "piecewise-bins": indicator columns of equal-quantile
-    bins (d = 1 only).
-    """
-
-    kind: str = "polynomial"
     degree: int = 3
-    bins: int = 8
 
     def __post_init__(self):
-        if self.kind not in ("polynomial", "piecewise-bins"):
-            raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.kind == "polynomial" and self.degree < 1:
+        if self.degree < 1:
             raise ValueError("polynomial degree must be >= 1")
-        if self.kind == "piecewise-bins" and self.bins < 2:
-            raise ValueError("need at least 2 bins")
 
     def design(self, states: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=float)
         N, d = states.shape
-        if self.kind == "polynomial":
-            # Each monomial column is its parent column (the combination
-            # minus its last coordinate) times that coordinate, in place;
-            # as 1 * x == x, it is bitwise the product 1 * s_a * s_b * ...
-            # taken left to right.
-            combos = [
-                combo
-                for deg in range(1, self.degree + 1)
-                for combo in itertools.combinations_with_replacement(range(d), deg)
-            ]
-            column = {}
-            X = np.empty((N, len(combos) + 1), order="F")
-            X[:, 0] = 1.0
-            for idx, combo in enumerate(combos, start=1):
-                column[combo] = idx
-                if len(combo) == 1:
-                    X[:, idx] = states[:, combo[0]]
-                else:
-                    np.multiply(X[:, column[combo[:-1]]], X[:, column[combo[-1:]]],
-                                out=X[:, idx])
-            return X
-        if d != 1:
-            raise ValueError("piecewise-bins basis supports d = 1 only")
-        w = states[:, 0]
-        edges = np.quantile(w, np.linspace(0.0, 1.0, self.bins + 1))
-        idx = np.clip(np.searchsorted(edges[1:-1], w, side="right"), 0, self.bins - 1)
-        design = np.zeros((N, self.bins))
-        design[np.arange(N), idx] = 1.0
-        return design
+        # Each monomial column is its parent column (the combination minus
+        # its last coordinate) times that coordinate, in place; as 1 * x == x,
+        # it is bitwise the product 1 * s_a * s_b * ... taken left to right.
+        combos = [
+            combo
+            for deg in range(1, self.degree + 1)
+            for combo in itertools.combinations_with_replacement(range(d), deg)
+        ]
+        column = {}
+        X = np.empty((N, len(combos) + 1), order="F")
+        X[:, 0] = 1.0
+        for idx, combo in enumerate(combos, start=1):
+            column[combo] = idx
+            if len(combo) == 1:
+                X[:, idx] = states[:, combo[0]]
+            else:
+                np.multiply(X[:, column[combo[:-1]]], X[:, column[combo[-1:]]],
+                            out=X[:, idx])
+        return X
 
 
 def default_basis(d: int) -> RegressionBasis:
     """House default: cubic polynomials for a scalar state, quadratic tensor above."""
-    return RegressionBasis(kind="polynomial", degree=3 if d == 1 else 2)
+    return RegressionBasis(degree=3 if d == 1 else 2)
 
 
 @dataclass(frozen=True, eq=False)

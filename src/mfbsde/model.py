@@ -62,12 +62,12 @@ class ModelParams:
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
             raise ValueError("n and d must be positive integers")
-        if self.T <= 0.0:
-            raise ValueError(f"T must be positive, got {self.T}")
-        if self.gamma <= 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.K < 0.0:
-            raise ValueError(f"K must be nonnegative, got {self.K}")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"T must be finite and positive, got {self.T}")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
+        if not 0.0 <= self.K < math.inf:
+            raise ValueError(f"K must be finite and nonnegative, got {self.K}")
         if not 0.0 <= self.delta < 1.0:
             raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
         for name in ("C0", "C1", "C2"):

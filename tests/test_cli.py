@@ -11,10 +11,11 @@ from mfbsde import (
     ProcessPair,
     case_zero,
     compute_ledger,
+    make_case,
     sup_norm_estimate,
     verify_apriori,
 )
-from mfbsde.cli import _fmt, main
+from mfbsde.cli import _fmt, _load_config, main
 
 
 def write_cfg(tmp_path, body, name="run.ini"):
@@ -249,9 +250,9 @@ def test_solve_blowup_exits_3_with_partial_report(tmp_path, monkeypatch, capsys)
         "[case]\nname = zero\n[solver]\nsafety = 3\n",        # unknown keys
         "[case]\nname = zero\n[solver]\nsafety = -1\n",
         "[case]\nname = zero\n[grid]\nsteps = 9\n",
-        "[case]\nname = zero\n[basis]\nkind = piecewise-bins\ndegree = 2\n",  # keys the
-        "[case]\nname = zero\n[basis]\nkind = polynomial\nbins = 4\n",       # kind does
-        "[case]\nname = zero\n[basis]\nbins = 4\n",                          # not read
+        "[case]\nname = zero\n[basis]\nkind = piecewise-bins\ndegree = 2\n",  # [basis]
+        "[case]\nname = zero\n[basis]\nkind = polynomial\nbins = 4\n",       # reads
+        "[case]\nname = zero\n[basis]\nbins = 4\n",                          # degree only
     ],
 )
 def test_config_errors_exit_2(tmp_path, body, capsys):
@@ -264,12 +265,99 @@ def test_config_errors_exit_2(tmp_path, body, capsys):
     "section, key, value",
     [("grid", "m", "0"), ("ensemble", "n", "1"), ("solver", "tol", "-1"),
      ("solver", "max_iter", "0"), ("solver", "safety", "-1"), ("solver", "toll", "5"),
-     ("basis", "bins", "4")],                # not read by the default polynomial kind
+     ("basis", "bins", "4")],
 )
 def test_bad_numeric_config_names_its_key(tmp_path, section, key, value, capsys):
     cfg = write_cfg(tmp_path, f"[case]\nname = zero\n[{section}]\n{key} = {value}\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
     assert f"[{section}] {key} = " in capsys.readouterr().err
+
+
+# Bad values, each exiting 2 under every subcommand that loads the config,
+# with the text its message must carry.
+BAD_VALUES = [
+    ("[grid]\nm = 0\n", "[grid] m = '0': expected an integer >= 1"),
+    ("[ensemble]\nn = 1\n", "[ensemble] n = '1': expected an integer >= 2"),
+    ("[ensemble]\nseed = -1\n", "[ensemble] seed = '-1': expected an integer >= 0"),
+    ("[checks]\nsamples = 0\n", "[checks] samples = '0': expected an integer >= 1"),
+    ("[checks]\nseed = -2\n", "[checks] seed = '-2': expected an integer >= 0"),
+    ("[solver]\ntol = 0\n", "[solver] tol = '0': expected a finite positive number"),
+    ("[solver]\ntol = inf\n", "[solver] tol = 'inf': expected a finite positive number"),
+    ("[solver]\nmax_iter = 1.5\n", "[solver] max_iter = '1.5': expected an integer >= 1"),
+    ("[solver]\ninit = sideways\n", "[solver] init = 'sideways': expected terminal-flat"),
+    ("[basis]\ndegree = 0\n", "[basis] degree = '0': expected an integer >= 1"),
+    ("[output]\ndir =\n", "[output] dir = '': expected a non-empty path"),
+    ("[sweep]\npairs = 0:0\n", "[sweep] pairs entry '0:0': expected M >= 1"),
+    ("[sweep]\npairs = ,\n", "[sweep] pairs = ',': expected at least one M:N entry"),
+]
+# Values the named catalog factory rejects: a config error naming [case].
+FACTORY_REJECTS = [
+    ("colehopf", "gamma = 0", "[case] colehopf(gamma=0.0): gamma must be finite and positive"),
+    ("colehopf", "gamma = nan", "[case] colehopf(gamma=nan): gamma must be finite and positive"),
+    ("zero", "n = 0", "[case] zero(n=0): n and d must be positive"),
+    ("zero", "c = 0", "[case] zero(c=0.0): terminal bound must be positive"),
+    ("colehopf", "clamp_mult = 0", "[case] colehopf(clamp_mult=0.0): terminal bound"),
+    ("loggrowth", "kappa = -1", "[case] loggrowth(kappa=-1.0): kappa must be positive"),
+]
+COMMANDS = ["constants", "check", "solve", "bench", "sweep"]
+
+
+def assert_config_error(argv, tmp_path, capsys, text):
+    assert main(argv + ["--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and text in err
+    assert not (tmp_path / "r").exists()          # rejected before any run
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("body, text", BAD_VALUES)
+def test_bad_value_exits_2_under_every_subcommand(tmp_path, capsys, command, body, text):
+    if command == "sweep" and body.startswith(("[grid]", "[ensemble]\nn")):
+        text = "sweep does not read it"            # rejected as unread, not as a value
+    cfg = write_cfg(tmp_path, f"[case]\nname = zero\n{body}")
+    assert_config_error([command, "--config", cfg], tmp_path, capsys, text)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("name, param, text", FACTORY_REJECTS)
+def test_factory_reject_exits_2_under_every_subcommand(tmp_path, capsys, command, name,
+                                                       param, text):
+    if command == "bench":
+        text = f"[case] {param.split()[0]}: bench does not read it"
+    cfg = write_cfg(tmp_path, f"[case]\nname = {name}\n{param}\n")
+    assert_config_error([command, "--config", cfg], tmp_path, capsys, text)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("seed", ["-3", "x"])
+def test_bad_seed_flag_exits_2(tmp_path, capsys, command, seed):
+    cfg = write_cfg(tmp_path, "[case]\nname = zero\n")
+    assert_config_error([command, "--config", cfg, "--seed", seed], tmp_path, capsys,
+                        f"--seed = {seed!r}: expected an integer >= 0")
+
+
+def test_empty_config_loads_the_defaults(tmp_path):
+    conf = _load_config(write_cfg(tmp_path, ""), "solve")
+    assert conf == {
+        "grid": {"m": 50},
+        "ensemble": {"n": 10_000, "seed": 1},
+        "basis": {"degree": None},                # the case's default_basis
+        "solver": {"tol": 1e-3, "max_iter": 25, "init": "terminal-flat"},
+        "checks": {"samples": 10_000, "seed": 0},
+        "output": {"dir": "runs"},
+        "sweep": {"pairs": ((25, 1000), (50, 10_000), (100, 100_000))},
+        "case": {},
+    }
+
+
+def test_case_horizon_is_settable(tmp_path, capsys):
+    # configparser lowercases keys; [case] T still reaches the factory's T
+    cfg = write_cfg(tmp_path, "[case]\nname = colehopf\nT = 2.0\n")
+    assert _load_config(cfg, "constants")["case"] == {"name": "colehopf", "T": 2.0}
+    assert main(["constants", "--config", cfg]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["lambda"] == compute_ledger(make_case("colehopf", T=2.0).params).lam
+    assert doc["lambda"] != compute_ledger(make_case("colehopf").params).lam
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -310,6 +398,16 @@ def test_bench_covers_catalog(tmp_path, capsys):
     # the two-component case writes both mean columns
     header = (out / "bench_loggrowth_solution.csv").read_text().splitlines()[0]
     assert header.startswith("t,mean_Y1,mean_Y2,")
+
+
+def test_bench_rejects_case_parameters(tmp_path, capsys):
+    # bench solves every catalog case at its defaults; [case] name alone is
+    # accepted, as in a config shared with the other subcommands
+    cfg = write_cfg(tmp_path, "[case]\nname = colehopf\ngamma = 2\n")
+    assert_config_error(["bench", "--config", cfg], tmp_path, capsys,
+                        "[case] gamma: bench does not read it")
+    conf = _load_config(write_cfg(tmp_path, "[case]\nname = colehopf\n"), "bench")
+    assert conf["case"] == {"name": "colehopf"}
 
 
 # -------------------------------------------------------------------- sweep

@@ -77,12 +77,12 @@ def test_ensemble_rejects_tiny_population():
 
 
 def test_polynomial_design_columns():
-    basis = RegressionBasis(kind="polynomial", degree=3)
+    basis = RegressionBasis(degree=3)
     X = basis.design(np.linspace(-1, 1, 9)[:, None])
     assert X.shape == (9, 4)                      # 1, w, w^2, w^3
     np.testing.assert_allclose(X[:, 2], X[:, 1] ** 2)
 
-    basis2 = RegressionBasis(kind="polynomial", degree=2)
+    basis2 = RegressionBasis(degree=2)
     X2 = basis2.design(np.random.default_rng(0).normal(size=(20, 2)))
     assert X2.shape == (20, 6)                    # 1, w1, w2, w1^2, w1w2, w2^2
 
@@ -98,26 +98,13 @@ def test_polynomial_design_matches_the_product_recipe_bitwise(d, degree):
             for j in combo:
                 col = col * states[:, j]
             cols.append(col)
-    X = RegressionBasis(kind="polynomial", degree=degree).design(states)
+    X = RegressionBasis(degree=degree).design(states)
     assert np.array_equal(X, np.column_stack(cols))
-
-
-def test_piecewise_bins_design_partitions():
-    basis = RegressionBasis(kind="piecewise-bins", bins=4)
-    X = basis.design(np.random.default_rng(3).normal(size=(40, 1)))
-    assert X.shape == (40, 4)
-    np.testing.assert_allclose(X.sum(axis=1), 1.0)
-    with pytest.raises(ValueError):
-        basis.design(np.zeros((10, 2)))
 
 
 def test_basis_validation():
     with pytest.raises(ValueError):
-        RegressionBasis(kind="fourier")
-    with pytest.raises(ValueError):
-        RegressionBasis(kind="polynomial", degree=0)
-    with pytest.raises(ValueError):
-        RegressionBasis(kind="piecewise-bins", bins=1)
+        RegressionBasis(degree=0)
     assert default_basis(1).degree == 3
     assert default_basis(3).degree == 2
 
@@ -204,9 +191,8 @@ def lstsq_fit(values, k, ens, basis):
 @pytest.mark.parametrize(
     "basis, d",
     [
-        (RegressionBasis(kind="polynomial", degree=3), 1),
-        (RegressionBasis(kind="polynomial", degree=2), 2),
-        (RegressionBasis(kind="piecewise-bins", bins=6), 1),
+        (RegressionBasis(degree=3), 1),
+        (RegressionBasis(degree=2), 2),
     ],
 )
 def test_projection_matches_lstsq(basis, d):
@@ -233,15 +219,15 @@ def test_projection_matches_lstsq(basis, d):
 
 def test_factor_cache_is_per_basis():
     ens = make_ens(M=6, N=400, seed=3)
-    cubic, bins = default_basis(1), RegressionBasis(kind="piecewise-bins", bins=4)
+    cubic, quadratic = default_basis(1), RegressionBasis(degree=2)
     vals = np.tanh(ens.cumulative[:, 3, 0])
     project(vals, 3, ens, cubic)
-    project(vals, 3, ens, bins)
-    assert set(ens.factors) == {(cubic, 3), (bins, 3)}
+    project(vals, 3, ens, quadratic)
+    assert set(ens.factors) == {(cubic, 3), (quadratic, 3)}
     assert ens.factors[(cubic, 3)].R.shape == (4, 4)
-    assert ens.factors[(bins, 3)].R.shape == (4, 4)
+    assert ens.factors[(quadratic, 3)].R.shape == (3, 3)
     assert engine.regression_summary(ens, cubic)["nodes_factored"] == 1
-    assert engine.regression_summary(ens, bins)["nodes_factored"] == 1
+    assert engine.regression_summary(ens, quadratic)["nodes_factored"] == 1
 
 
 def test_solve_factors_each_node_once(monkeypatch):
