@@ -7,13 +7,14 @@ projection degenerates to the plain sample mean.  Constant targets bypass the
 solver entirely so that deterministic fields are reproduced bitwise.
 
 The projection at a node is one fixed linear operator per (ensemble, basis,
-node).  Its factor -- the p x p triangular R of a thin QR of the design
-matrix, with the design's rank and condition number -- is built on first use
-and cached on the ensemble, so every later projection at that node (both
-projections of a backward step, every component, sweep and window, every BMO
-pass) only rebuilds the design and applies two triangular solves.  Only the
-p x p factor is kept, never the N x p design, and the fitted values equal
-those of a fresh ``lstsq`` to round-off.
+node), ``NodeRegression``.  Its factor -- the p x p triangular R of a thin QR
+of the design matrix, with the design's rank and condition number -- is
+built on first use and cached on the ensemble, so every later operator at
+that node (every sweep and window) only rebuilds the design once.  A
+backward pass builds one operator per node, which holds the N x p design
+while the pass is at that node and serves all of its projections (the
+continuation, the Z targets and the BMO tail) with two triangular solves
+each; the fitted values equal those of a fresh ``lstsq`` to round-off.
 """
 
 from __future__ import annotations
@@ -173,56 +174,83 @@ def regression_summary(ens: Ensemble, basis: RegressionBasis) -> dict:
     }
 
 
-def project(values: np.ndarray, k: int, ens: Ensemble, basis: RegressionBasis):
-    """Least-squares projection of values onto basis functions of W_{t_k}.
+class NodeRegression:
+    """The regression operator of one (ensemble, basis, node): least-squares
+    projection onto basis functions of W_{t_k}.
 
-    values: (N,) or (N, m) for several targets sharing one design matrix.
-    Returns (fitted, RegressionInfo).  Constant columns are reproduced
-    bitwise and flagged in ``info.constant`` (one flag per target column, a
-    single one for (N,) values); k = 0 yields the sample mean; a
-    rank-deficient design falls back to the sample mean with a logged
-    warning.
+    A backward pass builds one per node and makes every projection at that
+    node with it.  The N x p design is built on the first target that needs
+    it (one with a non-constant column, at a non-root node) and is kept for
+    the operator's life, and its factor is looked up in, or added to,
+    ``ens.factors``; each projection is then two triangular solves.
     """
-    vals = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("regression targets must be finite")
-    if not 0 <= k <= ens.grid.M:
-        raise ValueError(f"node index {k} outside grid 0..{ens.grid.M}")
-    single = vals.ndim == 1
-    V = vals[:, None] if single else vals
-    if V.shape[0] != ens.N:
-        raise ValueError(f"{V.shape[0]} values for {ens.N} particles")
 
-    const_cols = np.ptp(V, axis=0) == 0.0
-    if const_cols.all():
-        out = V.copy()
-        return (out[:, 0] if single else out), RegressionInfo(1.0, False, const_cols)
+    def __init__(self, ens: Ensemble, basis: RegressionBasis, k: int):
+        if not 0 <= k <= ens.grid.M:
+            raise ValueError(f"node index {k} outside grid 0..{ens.grid.M}")
+        self.ens, self.basis, self.k = ens, basis, k
+        self._X: np.ndarray | None = None
+        self._factor: RegressionFactor | None = None
 
-    def _mean_fallback(cond, flag):
-        out = np.broadcast_to(V.mean(axis=0), V.shape).copy()
+    def _design(self) -> tuple[np.ndarray, RegressionFactor]:
+        if self._X is None:
+            ens, basis, k = self.ens, self.basis, self.k
+            self._X = basis.design(ens.cumulative[:, k, :])
+            factor = ens.factors.get((basis, k))
+            if factor is None:
+                factor = ens.factors[(basis, k)] = _factorize(self._X)
+            self._factor = factor
+        return self._X, self._factor
+
+    def project(self, values: np.ndarray):
+        """Fitted values of (N,) values, or of the m targets of (N, m) values.
+
+        Returns (fitted, RegressionInfo).  Constant columns are reproduced
+        bitwise and flagged in ``info.constant`` (one flag per target column,
+        a single one for (N,) values); k = 0 yields the sample mean; a
+        rank-deficient design falls back to the sample mean with a logged
+        warning.
+        """
+        vals = np.asarray(values, dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("regression targets must be finite")
+        single = vals.ndim == 1
+        V = vals[:, None] if single else vals
+        if V.shape[0] != self.ens.N:
+            raise ValueError(f"{V.shape[0]} values for {self.ens.N} particles")
+
+        const_cols = np.ptp(V, axis=0) == 0.0
+        if const_cols.all():
+            out = V.copy()
+            return (out[:, 0] if single else out), RegressionInfo(1.0, False, const_cols)
+
+        def _mean_fallback(cond, flag):
+            out = np.broadcast_to(V.mean(axis=0), V.shape).copy()
+            out[:, const_cols] = V[0:1, const_cols]
+            return (out[:, 0] if single else out), RegressionInfo(cond, flag, const_cols)
+
+        if self.k == 0:
+            return _mean_fallback(1.0, False)
+
+        X, factor = self._design()
+        if not factor.full_rank:
+            log.warning(
+                "rank-deficient regression design at node %d (rank %d < %d); "
+                "falling back to the sample mean",
+                self.k, factor.rank, X.shape[1],
+            )
+            return _mean_fallback(float("inf"), True)
+        # Normal equations R^T R coef = X^T V, by two triangular solves.
+        coef = solve_triangular(factor.R, X.T @ V, trans="T")
+        coef = solve_triangular(factor.R, coef, overwrite_b=True)
+        out = X @ coef
         out[:, const_cols] = V[0:1, const_cols]
-        return (out[:, 0] if single else out), RegressionInfo(cond, flag, const_cols)
+        return (out[:, 0] if single else out), RegressionInfo(factor.cond, False, const_cols)
 
-    if k == 0:
-        return _mean_fallback(1.0, False)
 
-    X = basis.design(ens.cumulative[:, k, :])
-    factor = ens.factors.get((basis, k))
-    if factor is None:
-        factor = ens.factors[(basis, k)] = _factorize(X)
-    if not factor.full_rank:
-        log.warning(
-            "rank-deficient regression design at node %d (rank %d < %d); "
-            "falling back to the sample mean",
-            k, factor.rank, X.shape[1],
-        )
-        return _mean_fallback(float("inf"), True)
-    # Normal equations R^T R coef = X^T V, by two triangular solves.
-    coef = solve_triangular(factor.R, X.T @ V, trans="T")
-    coef = solve_triangular(factor.R, coef, overwrite_b=True)
-    out = X @ coef
-    out[:, const_cols] = V[0:1, const_cols]
-    return (out[:, 0] if single else out), RegressionInfo(factor.cond, False, const_cols)
+def project(values: np.ndarray, k: int, ens: Ensemble, basis: RegressionBasis):
+    """One projection at node k: ``NodeRegression(ens, basis, k).project(values)``."""
+    return NodeRegression(ens, basis, k).project(values)
 
 
 @dataclass(eq=False)
@@ -261,9 +289,19 @@ def _sum_of_squares(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def sup_norm_estimate(pair: ProcessPair) -> float:
-    """Max over particles and the pair's nodes of the Euclidean norm of Y."""
-    return float(np.sqrt((pair.Y * pair.Y).sum(axis=2)).max())
+def sup_norm_estimate(Y: np.ndarray) -> float:
+    """Max over every particle and node of the Euclidean norm of Y's last
+    axis: Y is (..., n), one node's (N, n) block or a pair's (N, L+1, n)."""
+    return float(np.sqrt((Y * Y).sum(axis=-1)).max())
+
+
+def _tail_step(tail: np.ndarray, z: np.ndarray, dt: float, op: NodeRegression) -> float:
+    """One backward step of the BMO tail at the node of ``op``: add the
+    node's |Z|^2 dt, z being (N, n, d), to the running (N,) tail in place,
+    project it and return the square root of its worst-particle estimate."""
+    tail += _sum_of_squares(z.reshape(z.shape[0], -1)) * dt
+    est, _ = op.project(tail)
+    return math.sqrt(max(float(est.max()), 0.0))
 
 
 def bmo_profile(pair: ProcessPair, ens: Ensemble, basis: RegressionBasis, k_lo: int = 0) -> np.ndarray:
@@ -273,15 +311,13 @@ def bmo_profile(pair: ProcessPair, ens: Ensemble, basis: RegressionBasis, k_lo: 
     Entry j < L is the square root of the worst-particle regression estimate
     of E[ sum_{j <= i < L} |Z_i|^2 dt | W_{t_{k_lo+j}} ]; entry L is zero.
     The discrete BMO proxy of Z on those nodes is the profile's max.
+    ``qbsde1d.solve_1d`` takes the same steps inside its backward pass.
     """
-    N, L, n, d = pair.Z.shape
+    L = pair.Z.shape[1]
     if not 0 <= k_lo <= ens.grid.M - L:
         raise ValueError(f"{L} steps from node {k_lo} overrun the grid 0..{ens.grid.M}")
-    z_sq = _sum_of_squares(pair.Z.reshape(N, L, n * d))  # (N, L)
     tail = np.zeros(ens.N)
     out = np.zeros(L + 1)
     for j in range(L - 1, -1, -1):
-        tail += z_sq[:, j] * ens.grid.dt
-        est, _ = project(tail, k_lo + j, ens, basis)
-        out[j] = math.sqrt(max(float(est.max()), 0.0))
+        out[j] = _tail_step(tail, pair.Z[:, j], ens.grid.dt, NodeRegression(ens, basis, k_lo + j))
     return out

@@ -106,7 +106,7 @@ class CheckResult:
 def verify_apriori(sup: float, ledger: ConstantsLedger) -> CheckResult:
     """Check the sup proxy ``sup`` of Y against lambda, up to APRIORI_SLACK.
 
-    ``sup`` is ``sup_norm_estimate`` of the solution over the whole grid.
+    ``sup`` is ``sup_norm_estimate`` of the solution's Y over the whole grid.
     """
     sup = float(sup)
     lam = ledger.lam

@@ -20,14 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .constants import ConstantsLedger, contraction_coefficients
-from .engine import (
-    Ensemble,
-    ProcessPair,
-    RegressionBasis,
-    TimeGrid,
-    bmo_profile,
-    sup_norm_estimate,
-)
+from .engine import Ensemble, ProcessPair, RegressionBasis, TimeGrid, sup_norm_estimate
 from .model import Generator, TerminalCondition, terminal_values
 from .qbsde1d import bound_y, bound_z, solve_1d, truncation_radius
 
@@ -111,9 +104,14 @@ class ComponentInfo:
     truncation_hits: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ApplyInfo:
+    """Per-row bounds and clips of one sweep, and the sup and BMO profile
+    of its result as its ``solve_1d`` pass measured them."""
+
     components: tuple[ComponentInfo, ...]
+    sup: float
+    bmo_nodes: np.ndarray = field(repr=False)    # (L+1,)
 
     @property
     def truncation_hits(self) -> int:
@@ -159,7 +157,8 @@ def apply_gamma(
     evaluated once per node on a stacked (N, n, n, d) block whose slice i is
     V with row i substituted, and row i's drift is the diagonal entry (i, i).
     A BlowUpError names the first node reached backward at which any row
-    exceeds its guard, and the lowest such row there.
+    exceeds its guard, and the lowest such row there.  The ApplyInfo
+    carries the result's sup and BMO profile, measured by that same pass.
     """
     p = gen.params
     n, N = p.n, ens.N
@@ -217,7 +216,8 @@ def apply_gamma(
         )
         for i in range(n)
     )
-    return ProcessPair.from_fields(res.Y, res.Z), ApplyInfo(components=infos)
+    return ProcessPair.from_fields(res.Y, res.Z), ApplyInfo(
+        components=infos, sup=res.sup, bmo_nodes=res.bmo_nodes)
 
 
 @dataclass(frozen=True)
@@ -267,13 +267,6 @@ def _initial_pair(init: str, eta: np.ndarray, ens: Ensemble, ball: BallSpec) -> 
     return ProcessPair.from_fields(Y, Z)
 
 
-def _norms(pair: ProcessPair, ens: Ensemble, basis: RegressionBasis, ball: BallSpec):
-    """(sup, BMO, BMO profile) proxies of the window pair of ball."""
-    sup = sup_norm_estimate(pair)
-    profile = bmo_profile(pair, ens, basis, ball.k_lo)
-    return sup, float(profile.max()), profile
-
-
 def picard_solve(
     gen: Generator,
     terminal,
@@ -289,18 +282,21 @@ def picard_solve(
     Convergence is declared when both the sup distance of Y and of Z between
     consecutive sweeps fall below tol.  Every sweep records its
     ball membership against the slackened radii (2*k1, 2*k2) * BALL_SLACK.
-    The sup and BMO proxies of each iterate are measured once and serve both
-    that record and the envelope of the next sweep; the trace keeps the BMO
-    profile of its final pair.
+    The sup and BMO proxies of each iterate are measured by the backward
+    pass that makes it, and serve both that record and the bounds of the
+    next sweep; the trace keeps the BMO profile of its final pair.  The
+    initial pair is measured from its definition: every node is its last
+    node and Z = 0, so its sup is that of its last node and its BMO profile
+    is zero.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     p = gen.params
     eta = _resolve_eta(terminal, ens, p.n)
     cur = _initial_pair(init, eta, ens, ball)
-    sup_y, bmo, profile = _norms(cur, ens, basis, ball)
+    sup_y, bmo, profile = sup_norm_estimate(cur.Y[:, -1]), 0.0, np.zeros(ball.steps + 1)
 
     iterations: list[PicardIteration] = []
     hits = 0
@@ -313,7 +309,7 @@ def picard_solve(
         hits += info.truncation_hits
         diff_y = float(np.abs(nxt.Y - cur.Y).max())
         diff_z = float(np.abs(nxt.Z - cur.Z).max())
-        sup_y, bmo, profile = _norms(nxt, ens, basis, ball)
+        sup_y, bmo, profile = info.sup, float(info.bmo_nodes.max()), info.bmo_nodes
         iterations.append(
             PicardIteration(
                 index=r,

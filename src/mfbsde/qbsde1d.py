@@ -19,8 +19,10 @@ passes per row.
 The rows of one frozen environment are independent, so ``solve_1d`` takes a
 block of n rows (terminal data (N, n), fields (N, L+1, n) and (N, L, n, d);
 one row is the block n = 1) and steps them backward together: each node's
-two projections serve every row, and each row keeps its own truncation
-radius and guard.
+projections serve every row, and each row keeps its own truncation radius
+and guard.  The pass also measures what it produces while each node is at
+hand: the sup proxy of Y and the BMO profile of Z, the same numbers
+``engine.sup_norm_estimate`` and ``engine.bmo_profile`` give for the result.
 """
 
 from __future__ import annotations
@@ -31,7 +33,14 @@ from typing import Callable
 import numpy as np
 
 from .constants import LOG2, c_delta_k_n
-from .engine import Ensemble, RegressionBasis, _sum_of_squares, project
+from .engine import (
+    Ensemble,
+    NodeRegression,
+    RegressionBasis,
+    _sum_of_squares,
+    _tail_step,
+    sup_norm_estimate,
+)
 from .errors import BlowUpError
 from .model import ModelParams
 
@@ -93,6 +102,8 @@ class Solve1DResult:
     Z: np.ndarray                     # (N, L, n, d)
     truncation_hits: int              # total over the rows
     row_hits: tuple[int, ...]         # per row
+    sup: float                        # sup_norm_estimate of Y, every node
+    bmo_nodes: np.ndarray             # bmo_profile of (Y, Z), (L+1,)
 
 
 def _per_row(value, n: int, name: str) -> np.ndarray:
@@ -129,6 +140,13 @@ def solve_1d(
     a contiguous (n, N) block, so every per-row reduction reads contiguous
     memory.
 
+    The pass measures its result as it goes: ``sup`` is the largest row
+    norm of Y over all L+1 nodes (the terminal one included) and
+    ``bmo_nodes`` the (L+1,) BMO profile, whose tail sum_{i >= j} |Z_i|^2 dt
+    is added and projected at node j.  Each node has one ``NodeRegression``,
+    so its design is built once for the continuation, the Z targets and the
+    tail; every target keeps a projection of its own.
+
     The centered martingale-increment estimator makes Z exactly zero whenever
     Y_{k+1} is constant across particles (the continuation projection flags
     such rows), so deterministic rows stay deterministic.  A row exceeding
@@ -157,18 +175,22 @@ def solve_1d(
     Y[:, L, :] = eta
     cur = np.ascontiguousarray(eta.T)                 # (n, N): Y_{k+1} of every row
     hits = np.zeros(n, dtype=np.int64)
+    sup = sup_norm_estimate(Y[:, L])
+    tail = np.zeros(N)                                # sum_{i >= j} |Z_i|^2 dt
+    bmo_nodes = np.zeros(L + 1)
 
     for j in range(L - 1, -1, -1):
         k = k_lo + j
-        m, info = project(cur.T, k, ens, basis)       # (N, n)
+        op = NodeRegression(ens, basis, k)
+        m, info = op.project(cur.T)                   # (N, n)
         live = np.flatnonzero(~info.constant)
         if live.size == n:
-            zk, clipped = _live_z(cur, m, live, k, ens, basis, radius)
+            zk, clipped = _live_z(cur, m, live, op, radius)
         else:
             # Constant rows have a zero martingale increment: Z stays +0.0.
             zk, clipped = np.zeros((N, n, d)), 0
             if live.size:
-                zk[:, live], clipped = _live_z(cur, m, live, k, ens, basis, radius)
+                zk[:, live], clipped = _live_z(cur, m, live, op, radius)
         hits[live] += clipped
         g = np.asarray(drift(k, zk), dtype=float)
         if g.shape != (N, n):
@@ -183,21 +205,25 @@ def solve_1d(
             i = int(bad[0])
             raise BlowUpError(node=k, value=float(worst[i]), guard=float(guard[i]),
                               component=i)
+        sup = max(sup, sup_norm_estimate(m))
+        bmo_nodes[j] = _tail_step(tail, zk, dt, op)
 
     return Solve1DResult(Y=Y, Z=Z, truncation_hits=int(hits.sum()),
-                         row_hits=tuple(int(h) for h in hits))
+                         row_hits=tuple(int(h) for h in hits), sup=sup, bmo_nodes=bmo_nodes)
 
 
-def _live_z(cur, m, live, k, ens, basis, radius):
-    """Regression Z at node k of the rows ``live`` of the (n, N) block cur,
-    whose continuation is m (N, n): one projection of their (N, n_live * d)
-    martingale targets, each row clipped in norm at its radius.  Returns Z
-    (N, n_live, d) and the number of clipped particles of each row."""
+def _live_z(cur, m, live, op, radius):
+    """Regression Z at the node of ``op`` of the rows ``live`` of the (n, N)
+    block cur, whose continuation is m (N, n): one projection of their
+    (N, n_live * d) martingale targets with that node's operator, each row
+    clipped in norm at its radius.  Returns Z (N, n_live, d) and the number
+    of clipped particles of each row."""
+    ens, k = op.ens, op.k
     N, d = ens.N, ens.d
     targets = np.empty((live.size, d, N))
     resid = cur[live] - m.T[live]                     # (n_live, N)
     np.multiply(resid[:, None, :], ens.increments[:, k, :].T[None], out=targets)
-    fit, _ = project(targets.reshape(live.size * d, N).T, k, ens, basis)
+    fit, _ = op.project(targets.reshape(live.size * d, N).T)
     z = fit.reshape(N, live.size, d)
     z /= ens.grid.dt
     norms = np.sqrt(_sum_of_squares(z))               # (N, n_live)

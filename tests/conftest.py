@@ -2,6 +2,7 @@
 
 import sys
 
+import numpy as np
 import pytest
 
 from mfbsde import engine
@@ -37,3 +38,22 @@ def bmo_passes(monkeypatch):
 def sup_passes(monkeypatch):
     """One entry per sup pass (``sup_norm_estimate``)."""
     return _record_passes(monkeypatch, "sup_norm_estimate")
+
+
+@pytest.fixture
+def projections(monkeypatch):
+    """(node, target shape) of every projection, in call order.
+
+    Every projection of the package goes through
+    ``engine.NodeRegression.project`` (``engine.project`` wraps it), so this
+    one wrapper sees them all.
+    """
+    calls = []
+    original = engine.NodeRegression.project
+
+    def recording(self, values):
+        calls.append((self.k, np.shape(values)))
+        return original(self, values)
+
+    monkeypatch.setattr(engine.NodeRegression, "project", recording)
+    return calls

@@ -191,7 +191,7 @@ def test_ac07_apriori_bound_on_catalog(catalog_runs):
     for name, (case, ens, basis, ledger, report) in catalog_runs.items():
         # an independent re-measurement of the solution's sup, which must be
         # the number the solve verified
-        res = verify_apriori(sup_norm_estimate(report.pair), ledger)
+        res = verify_apriori(sup_norm_estimate(report.pair.Y), ledger)
         ok = ok and res.passed and report.converged
         ok = ok and res.observed == report.checks[0].observed
         details.append(f"{name}: sup={res.observed:.3g}<=lam={res.bound:.3g}")

@@ -152,7 +152,7 @@ def failing_apriori(monkeypatch):
         report = solve_auto(*args, **kwargs)
         lam = report.ledger.lam
         big = ProcessPair.from_fields(report.pair.Y * (1.01 * lam), report.pair.Z)
-        apriori = verify_apriori(sup_norm_estimate(big), report.ledger)
+        apriori = verify_apriori(sup_norm_estimate(big.Y), report.ledger)
         report.checks = (apriori,) + report.checks[1:]
         return report
 
@@ -171,9 +171,9 @@ def test_solve_failed_check_exits_1(tmp_path, failing_apriori, capsys):
 
 
 def test_solve_writes_the_verification_bmo_profile(tmp_path, bmo_passes):
-    # one BMO pass for the initial guess and one per sweep; verification
-    # reuses the last sweep's profile (one window over the whole grid) and
-    # the CSV reuses the verification profile instead of a pass of its own
+    # no BMO pass: each sweep's backward pass measures its profile,
+    # verification reuses the last sweep's (one window over the whole grid)
+    # and the CSV reuses the verification profile instead of a pass of its own
     cfg = write_cfg(
         tmp_path,
         "[case]\nname = loggrowth\n[grid]\nm = 10\n[ensemble]\nn = 300\nseed = 5\n"
@@ -184,7 +184,7 @@ def test_solve_writes_the_verification_bmo_profile(tmp_path, bmo_passes):
     report = json.loads((out / "loggrowth_report.json").read_text())
     sweeps = report["solve"]["windows"][0]["iterations"]
     assert report["solve"]["mode"] == "full-interval-fallback" and sweeps >= 2
-    assert len(bmo_passes) == sweeps + 1
+    assert len(bmo_passes) == 0
     lines = (out / "loggrowth_solution.csv").read_text().splitlines()
     col = lines[0].split(",").index("bmo_to_go")
     bmo = max(float(line.split(",")[col]) for line in lines[1:])

@@ -230,23 +230,17 @@ def test_factor_cache_is_per_basis():
     assert engine.regression_summary(ens, quadratic)["nodes_factored"] == 1
 
 
-def test_solve_factors_each_node_once(monkeypatch):
-    # every projection of a solve (both per backward step, every sweep, every
-    # BMO pass) shares one factor per non-root node
-    built, projections = [], []
-    factorize, proj = engine._factorize, engine.project
+def test_solve_factors_each_node_once(monkeypatch, projections):
+    # every projection of a solve (all three per backward step, every sweep)
+    # shares one factor per non-root node
+    built = []
+    factorize = engine._factorize
 
     def counting_factorize(X):
         built.append(X.shape)
         return factorize(X)
 
-    def counting_project(values, k, ens, basis):
-        projections.append(k)
-        return proj(values, k, ens, basis)
-
     monkeypatch.setattr(engine, "_factorize", counting_factorize)
-    monkeypatch.setattr(engine, "project", counting_project)
-    monkeypatch.setattr("mfbsde.qbsde1d.project", counting_project)
     case = make_case("colehopf")
     ens = generate_ensemble(TimeGrid.make(10, case.params.T), 300, case.params.d, 3)
     basis = default_basis(case.params.d)
@@ -254,7 +248,7 @@ def test_solve_factors_each_node_once(monkeypatch):
                         compute_ledger(case.params), tol=1e-3, max_iter=40)
     assert report.mode == "stitched"
     assert len(projections) > 3 * 9
-    assert sorted(set(projections) - {0}) == list(range(1, 10))
+    assert sorted({k for k, _ in projections} - {0}) == list(range(1, 10))
     assert len(built) == 9
     assert sorted(k for _, k in ens.factors) == list(range(1, 10))
     summary = report.to_dict()["regression"]
@@ -262,6 +256,29 @@ def test_solve_factors_each_node_once(monkeypatch):
     # a second solve on the same ensemble builds nothing
     solve_auto(case.generator, case.terminal, ens, basis, compute_ledger(case.params))
     assert len(built) == 9
+
+
+def test_solve_builds_one_design_per_non_root_node_per_sweep(monkeypatch, projections):
+    # the continuation, the Z targets and the BMO tail of a node share the
+    # node's one design
+    designs = []
+    design = RegressionBasis.design
+
+    def counting_design(self, states):
+        designs.append(states.shape)
+        return design(self, states)
+
+    monkeypatch.setattr(RegressionBasis, "design", counting_design)
+    case = make_case("colehopf")
+    ens = generate_ensemble(TimeGrid.make(10, case.params.T), 300, case.params.d, 3)
+    report = solve_auto(case.generator, case.terminal, ens, default_basis(1),
+                        compute_ledger(case.params))
+    (trace,) = report.traces
+    sweeps = len(trace.iterations)
+    assert report.mode == "stitched" and sweeps >= 2
+    assert len(designs) == sweeps * 9
+    # three projections at every node of every sweep, root included
+    assert len(projections) == sweeps * 10 * 3
 
 
 @given(k=st.integers(1, 9))
@@ -297,11 +314,12 @@ def test_process_pair_validation_and_means():
 def test_sup_norm_estimate_hand_value():
     Y = np.zeros((3, 4, 2))
     Y[1, 2] = [3.0, 4.0]
-    pair = pair_from(Y, np.zeros((3, 3, 2, 1)))
-    assert sup_norm_estimate(pair) == 5.0
-    # a pair on a window of the grid: the max runs over its own nodes only
-    assert sup_norm_estimate(pair_from(Y[:, 2:], np.zeros((3, 1, 2, 1)))) == 5.0
-    assert sup_norm_estimate(pair_from(Y[:, 3:], np.zeros((3, 0, 2, 1)))) == 0.0
+    assert sup_norm_estimate(Y) == 5.0
+    # the nodes of a window of the grid, and one node's (N, n) block: the max
+    # runs over the array's own entries only
+    assert sup_norm_estimate(Y[:, 2:]) == 5.0
+    assert sup_norm_estimate(Y[:, 3:]) == 0.0
+    assert sup_norm_estimate(Y[:, 2]) == 5.0 and sup_norm_estimate(Y[:, 1]) == 0.0
 
 
 def test_bmo_estimate_constant_z():

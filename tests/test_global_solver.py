@@ -114,7 +114,7 @@ def run_small_linear(M=20, N=300, seed=3):
 
 def test_verify_apriori_pass_and_fail():
     _, _, ledger, trace = run_small_linear()
-    ok = verify_apriori(sup_norm_estimate(trace.pair), ledger)
+    ok = verify_apriori(sup_norm_estimate(trace.pair.Y), ledger)
     assert ok.passed and ok.name == "apriori_sup"
     assert ok.observed <= ok.bound
     assert "lambda" in ok.detail
@@ -123,7 +123,7 @@ def test_verify_apriori_pass_and_fail():
     big = ProcessPair.from_fields(
         trace.pair.Y * (1.01 * ledger.lam / ok.observed), trace.pair.Z
     )
-    bad = verify_apriori(sup_norm_estimate(big), ledger)
+    bad = verify_apriori(sup_norm_estimate(big.Y), ledger)
     assert not bad.passed
     assert bad.to_dict()["passed"] is False
 
@@ -240,7 +240,7 @@ def test_stitched_apriori_check_reads_the_largest_window_sup():
     assert report.mode == "stitched" and len(report.traces) == 3
     sups = [t.iterations[-1].sup_y for t in report.traces]
     assert sups[0] < sups[1] < sups[2]
-    assert report.checks[0].observed == sups[2] == sup_norm_estimate(report.pair)
+    assert report.checks[0].observed == sups[2] == sup_norm_estimate(report.pair.Y)
     assert report.checks[0].observed == pytest.approx(0.5 + 0.5 * T)
 
 
@@ -261,38 +261,42 @@ def test_solve_auto_falls_back_when_step_unusable():
 
 
 def test_solve_auto_measures_each_iterate_once(bmo_passes, sup_passes):
-    # one BMO and one sup pass for the initial guess and one of each per
-    # sweep; the window spans the whole grid, so verification reuses the
-    # last sweep's profile, which the report keeps, and its sup
+    # each sweep's backward pass measures its iterate node by node, and the
+    # initial guess is measured from its last node: no BMO pass and no
+    # whole-pair sup pass; the window spans the whole grid, so verification
+    # reuses the last sweep's profile, which the report keeps, and its sup
     case = case_loggrowth()
     ens = generate_ensemble(TimeGrid.make(10, case.params.T), 300, 1, 5)
     report = solve_auto(case.generator, case.terminal, ens, BASIS)
     sweeps = len(report.traces[0].iterations)
     assert report.mode == "full-interval-fallback" and sweeps >= 2
-    assert len(bmo_passes) == sweeps + 1
-    assert len(sup_passes) == sweeps + 1
+    assert len(bmo_passes) == 0
+    assert len(sup_passes) == 1 + sweeps * 11
+    assert all(block.shape == (ens.N, 2) for block in sup_passes)
     assert report.bmo_nodes is report.traces[0].bmo_nodes
     assert np.array_equal(report.bmo_nodes, bmo_profile(report.pair, ens, BASIS))
     assert report.checks[1].observed == report.bmo_nodes.max() ** 2
-    assert report.checks[0].observed == sup_norm_estimate(report.pair)
+    assert report.checks[0].observed == sup_norm_estimate(report.pair.Y)
 
 
 def test_multi_window_solve_verifies_with_its_own_pass(bmo_passes, sup_passes):
     # no window covers the whole grid, so verification makes one full-grid
-    # BMO pass on the assembled pair after each window's initial and sweep
-    # passes; the solution's sup is the largest window sup, with no pass
+    # BMO pass on the assembled pair, the only BMO pass of the solve; the
+    # solution's sup is the largest window sup, and every sup is measured
+    # one node block at a time, never over a whole pair
     case = case_colehopf_diagonal(gamma=1.0, n=1)
     T2 = 2.5 * compute_ledger(case.params).t_lambda
     case2 = case_colehopf_diagonal(gamma=1.0, n=1, T=T2)
     ens = generate_ensemble(TimeGrid.make(30, T2), 500, 1, 11)
     report = solve_auto(case2.generator, case2.terminal, ens, BASIS, tol=2e-3, max_iter=40)
     assert report.mode == "stitched" and len(report.traces) >= 3
-    per_window = sum(len(t.iterations) + 1 for t in report.traces)
-    assert len(bmo_passes) == per_window + 1
+    assert len(bmo_passes) == 1
     assert bmo_passes[-1] is report.pair
-    assert len(sup_passes) == per_window
+    assert len(sup_passes) == sum(1 + len(t.iterations) * (t.ball.steps + 1)
+                                  for t in report.traces)
+    assert all(block.shape == (ens.N, 1) for block in sup_passes)
     assert np.array_equal(report.bmo_nodes, bmo_profile(report.pair, ens, BASIS))
-    assert report.checks[0].observed == sup_norm_estimate(report.pair)
+    assert report.checks[0].observed == sup_norm_estimate(report.pair.Y)
 
 
 def test_solve_auto_prefers_stitching_when_guaranteed():

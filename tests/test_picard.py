@@ -29,6 +29,7 @@ from mfbsde import (
     bound_y,
     picard_solve,
     solve_1d,
+    solve_auto,
     sup_norm_estimate,
     terminal_values,
     TerminalCondition,
@@ -103,7 +104,7 @@ def test_ballspec_full_interval_flags_guarantee():
 def norms(pair, ens, ball, basis=BASIS):
     """The (sup, BMO) norms picard_solve hands apply_gamma for the window
     pair of ball."""
-    return sup_norm_estimate(pair), bmo_profile(pair, ens, basis, ball.k_lo).max()
+    return sup_norm_estimate(pair.Y), bmo_profile(pair, ens, basis, ball.k_lo).max()
 
 
 def test_apply_gamma_single_sweep_hand_value_on_flat_environment():
@@ -228,19 +229,6 @@ def second_sweep(case, ens, basis, ball=None):
     return pair, eta, ball, out, info
 
 
-def record_projections(monkeypatch):
-    """(node, target shape) of every projection the backward pass makes."""
-    calls = []
-    project = qbsde1d.project
-
-    def recording(values, k, ens, basis):
-        calls.append((k, np.shape(values)))
-        return project(values, k, ens, basis)
-
-    monkeypatch.setattr(qbsde1d, "project", recording)
-    return calls
-
-
 def test_apply_gamma_rows_match_per_row_reference():
     case = case_loggrowth()
     ens = generate_ensemble(TimeGrid.make(10, case.params.T), 300, 1, 4)
@@ -261,9 +249,10 @@ def test_apply_gamma_single_row_is_the_scalar_solve_bitwise():
     assert info.truncation_hits == hits[0]
 
 
-def test_apply_gamma_projects_all_rows_together(monkeypatch):
+def test_apply_gamma_projects_all_rows_together(projections):
     # two projections per node for both rows: the (N, 2) continuation and
-    # the (N, 2) martingale targets, where solving row by row makes four
+    # the (N, 2) martingale targets, where solving row by row makes four;
+    # the (N,) BMO tail of the sweep's result is the node's third
     case = case_loggrowth()
     ens = generate_ensemble(TimeGrid.make(10, case.params.T), 300, 1, 4)
     ball = BallSpec.full_interval(ens.grid, compute_ledger(case.params))
@@ -272,16 +261,18 @@ def test_apply_gamma_projects_all_rows_together(monkeypatch):
         np.repeat(eta[:, None, :], 11, axis=1), np.zeros((ens.N, 10, 2, 1))
     )
     norms_ = norms(pair, ens, ball)
-    calls = record_projections(monkeypatch)
+    projections.clear()
     apply_gamma(pair, case.generator, eta, ens, BASIS, ball, *norms_)
-    assert Counter(k for k, _ in calls) == {k: 2 for k in range(10)}
-    assert {shape for _, shape in calls} == {(ens.N, 2)}
+    assert Counter(k for k, _ in projections) == {k: 3 for k in range(10)}
+    assert projections == [(k, shape) for k in range(9, -1, -1)
+                           for shape in ((ens.N, 2), (ens.N, 2), (ens.N,))]
 
 
-def test_apply_gamma_two_rows_two_dims(monkeypatch):
+def test_apply_gamma_two_rows_two_dims(monkeypatch, projections):
     # n = 2, d = 2: the martingale targets of both rows are one (N, 4)
-    # projection, each row's Z is clipped in Euclidean norm over d at its own
-    # radius, and each row counts its own clips
+    # projection (next to the (N, 2) continuation and the (N,) BMO tail),
+    # each row's Z is clipped in Euclidean norm over d at its own radius,
+    # and each row counts its own clips
     p = ModelParams(
         n=2, d=2, T=1.0, gamma=1.0, K=0.05, delta=0.0,
         phi=lambda r: 0.5, a=lambda t: 0.01, alpha=lambda t: 0.01,
@@ -305,9 +296,8 @@ def test_apply_gamma_two_rows_two_dims(monkeypatch):
     ens = generate_ensemble(TimeGrid.make(8, 1.0), 400, 2, 6)
     # radii small enough that both rows clip
     monkeypatch.setattr(qbsde1d, "_TRUNC_MULT", 1e-3)
-    calls = record_projections(monkeypatch)
     pair, eta, ball, out, info = second_sweep(case, ens, basis)
-    assert {shape for _, shape in calls} == {(ens.N, 2), (ens.N, 4)}
+    assert {shape for _, shape in projections} == {(ens.N, 2), (ens.N, 4), (ens.N,)}
     Y, Z, hits = per_row_reference(pair, case.generator, eta, ens, basis, ball, info)
     np.testing.assert_allclose(out.Y, Y, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(out.Z, Z, rtol=0.0, atol=1e-12)
@@ -435,10 +425,66 @@ def test_picard_argument_validation():
     ball = BallSpec.full_interval(ens.grid, ledger)
     with pytest.raises(ValueError, match="init"):
         picard_solve(case.generator, case.terminal, ens, BASIS, ball, init="bogus")
-    with pytest.raises(ValueError, match="tol"):
-        picard_solve(case.generator, case.terminal, ens, BASIS, ball, tol=0.0)
     with pytest.raises(ValueError, match="max_iter"):
         picard_solve(case.generator, case.terminal, ens, BASIS, ball, max_iter=0)
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0])
+def test_picard_rejects_a_tol_that_is_not_finite_and_positive(tol):
+    # tol = inf would declare convergence after one sweep, tol = nan never
+    case, ens, ledger = linear_setup(M=10, N=64)
+    ball = BallSpec.full_interval(ens.grid, ledger)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        picard_solve(case.generator, case.terminal, ens, BASIS, ball, tol=tol)
+
+
+def record_sweeps(monkeypatch):
+    """(environment, u_norm, v_norm, result) of every apply_gamma call."""
+    sweeps = []
+    apply = picard.apply_gamma
+
+    def recording(pair, gen, terminal, ens, basis, ball, u_norm, v_norm):
+        out = apply(pair, gen, terminal, ens, basis, ball, u_norm, v_norm)
+        sweeps.append((pair, u_norm, v_norm, out[0]))
+        return out
+
+    monkeypatch.setattr(picard, "apply_gamma", recording)
+    return sweeps
+
+
+def test_sweep_records_are_the_standalone_measurements_bitwise(monkeypatch):
+    # the sup and BMO each backward pass measures in flight are, bit for
+    # bit, what sup_norm_estimate and bmo_profile give on the same pair
+    sweeps = record_sweeps(monkeypatch)
+    case = case_loggrowth()
+    ens = generate_ensemble(TimeGrid.make(10, case.params.T), 300, 1, 5)
+    report = solve_auto(case.generator, case.terminal, ens, BASIS)
+    (trace,) = report.traces
+    assert len(sweeps) == len(trace.iterations) >= 2
+    for it, (_, _, _, out) in zip(trace.iterations, sweeps):
+        assert it.sup_y == sup_norm_estimate(out.Y)
+        assert it.bmo_sq == bmo_profile(out, ens, BASIS, trace.ball.k_lo).max() ** 2
+    # each sweep's bounds are read from the measurements of its environment
+    for (_, u_norm, v_norm, _), it in zip(sweeps[1:], trace.iterations):
+        assert (u_norm, v_norm * v_norm) == (it.sup_y, it.bmo_sq)
+    assert sweeps[-1][3] is report.pair
+    assert np.array_equal(report.bmo_nodes, bmo_profile(report.pair, ens, BASIS))
+
+
+@pytest.mark.parametrize("init", ["terminal-flat", "zero"])
+def test_initial_pair_is_measured_from_its_definition_bitwise(monkeypatch, init):
+    # the initial pair's last node and Z = 0 give the norms the standalone
+    # passes find over the whole pair
+    sweeps = record_sweeps(monkeypatch)
+    case = case_loggrowth()
+    ens = generate_ensemble(TimeGrid.make(10, case.params.T), 300, 1, 5)
+    ball = BallSpec.from_ledger(ens.grid, compute_ledger(case.params), eps=0.5)
+    assert ball.k_lo > 0
+    picard_solve(case.generator, case.terminal, ens, BASIS, ball, max_iter=1, init=init)
+    pair, u_norm, v_norm, _ = sweeps[0]
+    assert u_norm == sup_norm_estimate(pair.Y)
+    assert v_norm == bmo_profile(pair, ens, BASIS, ball.k_lo).max() == 0.0
+    assert (u_norm > 0.0) == (init == "terminal-flat")
 
 
 def test_picard_nonconvergence_reported_not_raised():

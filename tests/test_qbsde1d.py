@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 from mfbsde import (
     BlowUpError,
     ModelParams,
+    ProcessPair,
     TimeGrid,
+    bmo_profile,
     bound_y,
     bound_z,
     default_basis,
     generate_ensemble,
     solve_1d,
+    sup_norm_estimate,
     truncation_radius,
 )
 from mfbsde import qbsde1d
@@ -37,19 +40,6 @@ def envelope_guard(ens, n=1, k_lo=0, k_hi=None, a=0.1, phi=0.5, eta_bound=2.0):
     horizon = nodes[ens.grid.M if k_hi is None else k_hi] - nodes[k_lo]
     y_bound = bound_y(make_params(phi=phi), horizon, a * horizon, eta_bound, 1.0, 1.0)
     return np.full(n, 10.0 * y_bound)
-
-
-def record_projection_nodes(monkeypatch):
-    """Node index of every regression solve_1d runs, in call order."""
-    nodes = []
-    project = qbsde1d.project
-
-    def recording(values, k, ens, basis):
-        nodes.append(k)
-        return project(values, k, ens, basis)
-
-    monkeypatch.setattr(qbsde1d, "project", recording)
-    return nodes
 
 
 # ------------------------------------------------------------------- bounds
@@ -118,8 +108,7 @@ def no_drift(k, z):
     return np.zeros(z.shape[:-1])
 
 
-def test_constant_terminal_zero_generator_is_bitwise_constant(monkeypatch):
-    nodes = record_projection_nodes(monkeypatch)
+def test_constant_terminal_zero_generator_is_bitwise_constant(projections):
     ens = setup_ens(N=500)
     eta = np.full((ens.N, 1), 4.25)
     res = solve_1d(eta, no_drift, ens, default_basis(1), np.array([10.0]),
@@ -127,7 +116,9 @@ def test_constant_terminal_zero_generator_is_bitwise_constant(monkeypatch):
     assert np.array_equal(res.Y, np.full((ens.N, 9, 1), 4.25))
     assert np.array_equal(res.Z, np.zeros((ens.N, 8, 1, 1)))
     assert res.truncation_hits == 0
-    assert len(nodes) == 8          # one continuation regression per step, none for Z
+    # per step one continuation and one BMO-tail projection, none for Z
+    assert [shape for _, shape in projections] == [(ens.N, 1), (ens.N,)] * 8
+    assert np.array_equal(res.bmo_nodes, np.zeros(9)) and res.sup == 4.25
 
 
 def test_constant_drift_integrates_exactly():
@@ -174,14 +165,15 @@ def test_blowup_guard_raises_with_location():
     assert "blow-up" in str(exc.value)
 
 
-def test_window_solve_shapes_and_indices(monkeypatch):
-    nodes = record_projection_nodes(monkeypatch)
+def test_window_solve_shapes_and_indices(projections):
     ens = setup_ens(M=10, N=300)
     res = solve_1d(np.ones((ens.N, 1)), no_drift, ens, default_basis(1), np.array([5.0]),
                    envelope_guard(ens, k_lo=3, k_hi=7), k_lo=3, k_hi=7)
     assert res.Y.shape == (ens.N, 5, 1)
     assert res.Z.shape == (ens.N, 4, 1, 1)
-    assert nodes == [6, 5, 4, 3]
+    assert res.bmo_nodes.shape == (5,)
+    # the continuation and the BMO tail at each node, backward
+    assert [k for k, _ in projections] == [6, 6, 5, 5, 4, 4, 3, 3]
 
 
 def test_input_validation():
@@ -209,15 +201,7 @@ def test_terminal_column_is_bitwise_eta():
 # ------------------------------------------------------------ row blocks
 
 
-def test_block_constant_row_next_to_live_row(monkeypatch):
-    calls = []
-    project = qbsde1d.project
-
-    def recording(values, k, ens, basis):
-        calls.append(np.shape(values))
-        return project(values, k, ens, basis)
-
-    monkeypatch.setattr(qbsde1d, "project", recording)
+def test_block_constant_row_next_to_live_row(projections):
     ens = setup_ens(N=500, seed=5)
     eta = np.column_stack([np.full(ens.N, 4.25), ens.cumulative[:, -1, 0]])
     res = solve_1d(eta, lambda k, z: 0.5 * (z * z).sum(axis=-1) * [0.0, 1.0], ens,
@@ -229,8 +213,8 @@ def test_block_constant_row_next_to_live_row(monkeypatch):
     assert not np.signbit(res.Z[:, :, 0]).any()          # +0.0, not -0.0
     assert np.ptp(res.Y[:, 4, 1]) > 0.0 and np.abs(res.Z[:, 1:, 1]).min() > 0.0
     # the continuation of both rows is one projection, the martingale
-    # targets of the live row alone another
-    assert calls == [(ens.N, 2), (ens.N, 1)] * 8
+    # targets of the live row alone another, and the BMO tail a third
+    assert [shape for _, shape in projections] == [(ens.N, 2), (ens.N, 1), (ens.N,)] * 8
 
 
 def test_block_matches_scalar_rows():
@@ -292,3 +276,20 @@ def test_block_input_validation():
     with pytest.raises(ValueError, match="shape"):
         solve_1d(np.ones((ens.N, 2)), lambda k, z: np.zeros(z.shape[0]), ens, basis,
                  np.ones(2), guard)
+
+
+def test_block_measures_sup_and_bmo_profile_bitwise():
+    # n = 3 rows in d = 2, where the order of each row-norm sum matters: the
+    # in-pass sup and BMO profile are bitwise the standalone routines on the
+    # result pair, on a window away from the grid's start
+    ens = generate_ensemble(TimeGrid.make(10, 1.0), 400, 2, 12)
+    w = ens.cumulative[:, -1, :]
+    eta = np.column_stack([w[:, 0] + w[:, 1], np.sin(w[:, 0]), 0.3 * w[:, 1] ** 2])
+    basis = default_basis(2)
+    res = solve_1d(eta, lambda k, z: 0.5 * (z * z).sum(axis=-1), ens, basis,
+                   np.array([50.0, 0.4, 50.0]), np.full(3, 1e3), k_lo=3, k_hi=9)
+    assert res.row_hits[1] > 0 and np.ptp(res.Y[:, 0], axis=0).min() > 0.0
+    assert res.sup == sup_norm_estimate(res.Y)
+    profile = bmo_profile(ProcessPair.from_fields(res.Y, res.Z), ens, basis, k_lo=3)
+    assert np.array_equal(res.bmo_nodes, profile)
+    assert res.bmo_nodes.shape == (7,) and res.bmo_nodes[-1] == 0.0 < res.bmo_nodes[0]
