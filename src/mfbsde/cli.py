@@ -224,14 +224,13 @@ def _write_solution_csv(
         + [f"mean_Y{i + 1}" for i in range(n)]
         + ["sup_abs_Y", "bmo_to_go", "oracle_err_Y", "oracle_err_Z"]
     )
-    sup_nodes = np.sqrt((pair.Y * pair.Y).sum(axis=2)).max(axis=0)
     err_y, err_z = errors if errors is not None else (None, None)
     M = ens.grid.M
     lines = [",".join(header)]
     for k in range(M + 1):
         row = [_fmt(ens.grid.nodes[k])]
         row += [_fmt(pair.mean_Y[k, i]) for i in range(n)]
-        row += [_fmt(sup_nodes[k]), _fmt(report.bmo_nodes[k])]
+        row += [_fmt(report.sup_nodes[k]), _fmt(report.bmo_nodes[k])]
         row.append(_fmt(err_y[k]) if err_y is not None else "nan")
         row.append(_fmt(err_z[k]) if (err_z is not None and k < M) else "nan")
         lines.append(",".join(row))

@@ -106,7 +106,8 @@ class CheckResult:
 def verify_apriori(sup: float, ledger: ConstantsLedger) -> CheckResult:
     """Check the sup proxy ``sup`` of Y against lambda, up to APRIORI_SLACK.
 
-    ``sup`` is ``sup_norm_estimate`` of the solution's Y over the whole grid.
+    ``sup`` is ``sup_norm_estimate`` of the solution's Y over the whole grid,
+    the max of its per-node sup profile.
     """
     sup = float(sup)
     lam = ledger.lam
@@ -183,6 +184,7 @@ class GlobalReport:
     ledger: ConstantsLedger
     windows: tuple[WindowSummary, ...]
     checks: tuple[CheckResult, ...]
+    sup_nodes: np.ndarray = field(repr=False)   # per-node sup_norm_estimate of pair.Y, out of to_dict()
     bmo_nodes: np.ndarray = field(repr=False)   # bmo_profile of pair, out of to_dict()
     regression: dict               # engine.regression_summary after verification
     converged: bool
@@ -228,28 +230,30 @@ def _verified_report(traces: tuple[PicardTrace, ...], ens: Ensemble, basis: Regr
     ceilings and the conditioning of the regression factors cached on the
     ensemble.
 
-    One window spans the whole grid, so its pair and BMO profile are the
-    solution's as they are.  Several windows are joined at their shared
-    seam nodes into one full-grid pair, which gets one BMO pass of its own.
-    Either way the solution's sup is the largest of the windows' last-sweep
-    sups, since each seam node is a copy of a window's own node."""
+    One window spans the whole grid, so its pair and sup and BMO profiles
+    are the solution's as they are.  Several windows are joined at their
+    shared seam nodes into one full-grid pair and one sup profile (each seam
+    node is a copy of a window's own node, so either window's sup there is
+    the same), and the joined pair gets one BMO pass of its own."""
     if len(traces) == 1:
-        pair, bmo_nodes = traces[0].pair, traces[0].bmo_nodes
+        pair, sup_nodes, bmo_nodes = traces[0].pair, traces[0].sup_nodes, traces[0].bmo_nodes
     else:
         N, _, n, d = traces[0].pair.Z.shape
         Y = np.zeros((N, ens.grid.M + 1, n))
         Z = np.zeros((N, ens.grid.M, n, d))
+        sup_nodes = np.zeros(ens.grid.M + 1)
         for t in traces:
             Y[:, t.ball.k_lo : t.ball.k_hi + 1] = t.pair.Y
             Z[:, t.ball.k_lo : t.ball.k_hi] = t.pair.Z
+            sup_nodes[t.ball.k_lo : t.ball.k_hi + 1] = t.sup_nodes
         pair = ProcessPair.from_fields(Y, Z)
         bmo_nodes = bmo_profile(pair, ens, basis)
     checks = (
-        verify_apriori(max(t.iterations[-1].sup_y for t in traces), ledger),
+        verify_apriori(sup_nodes.max(), ledger),
         verify_bmo_membership(bmo_nodes.max(), ledger),
     )
     return GlobalReport(
-        pair=pair, ledger=ledger, checks=checks, bmo_nodes=bmo_nodes,
+        pair=pair, ledger=ledger, checks=checks, sup_nodes=sup_nodes, bmo_nodes=bmo_nodes,
         windows=tuple(_window_summary(i, t, ens.grid) for i, t in enumerate(traces)),
         converged=all(t.converged for t in traces),
         regression=regression_summary(ens, basis), traces=traces, **fields,

@@ -106,11 +106,14 @@ class ComponentInfo:
 
 @dataclass(frozen=True, eq=False)
 class ApplyInfo:
-    """Per-row bounds and clips of one sweep, and the sup and BMO profile
-    of its result as its ``solve_1d`` pass measured them."""
+    """Per-row bounds and clips of one sweep, how far it moved its pair, and
+    the sup and BMO profiles of its result as its ``solve_1d`` pass measured
+    them."""
 
     components: tuple[ComponentInfo, ...]
-    sup: float
+    diff_y: float
+    diff_z: float
+    sup_nodes: np.ndarray = field(repr=False)    # (L+1,)
     bmo_nodes: np.ndarray = field(repr=False)    # (L+1,)
 
     @property
@@ -136,12 +139,18 @@ def apply_gamma(
     ball: BallSpec,
     u_norm: float,
     v_norm: float,
-) -> tuple[ProcessPair, ApplyInfo]:
-    """One application of the decoupling map on the window of ``ball``.
+) -> ApplyInfo:
+    """One application of the decoupling map on the window of ``ball``,
+    advancing ``pair`` in place.
 
-    ``pair`` is the environment on the window's L+1 nodes and the result is
-    too.  u_norm and v_norm are its sup and BMO proxies; they set the
-    a priori bounds of every frozen equation.
+    ``pair`` is the environment on the window's L+1 nodes.  u_norm and
+    v_norm are its sup and BMO proxies; they set the a priori bounds of
+    every frozen equation.  The sweep consumes the environment: its result
+    overwrites pair.Y and pair.Z one node behind the backward pass (the
+    frozen generator at node j reads only nodes j and j+1, before they are
+    overwritten), and pair.mean_Y and pair.mean_Z are then replaced by the
+    result's means.  A pair that is not writable is rejected at entry; after
+    a BlowUpError the pair's contents are undefined.
 
     For each component i the system generator is frozen: y-slots and the time
     argument at the step midpoint (average of the two endpoint nodes, which
@@ -158,11 +167,15 @@ def apply_gamma(
     V with row i substituted, and row i's drift is the diagonal entry (i, i).
     A BlowUpError names the first node reached backward at which any row
     exceeds its guard, and the lowest such row there.  The ApplyInfo
-    carries the result's sup and BMO profile, measured by that same pass.
+    carries the sup distances between the environment and the result and
+    the result's sup and BMO profiles, all measured by that same pass.
     """
     p = gen.params
     n, N = p.n, ens.N
     U, V = pair.Y, pair.Z
+    if not (U.flags.writeable and V.flags.writeable):
+        raise ValueError("apply_gamma overwrites its pair in place; the environment's Y and Z "
+                         "must be writable arrays")
     mean_U, mean_V = pair.mean_Y, pair.mean_Z
     k_lo, k_hi = ball.k_lo, ball.k_hi
     nodes = ens.grid.nodes
@@ -204,8 +217,9 @@ def apply_gamma(
         y = np.broadcast_to(u_mid[:, None, :], (N, n, n))
         return gen.eval(t_mid, y, mu_mid, vsub, mean_V[j])[:, diag, diag]
 
-    res = solve_1d(eta, g_rows, ens, basis, np.array(radii), 10.0 * np.array(y_bounds),
+    res = solve_1d(eta, g_rows, ens, basis, np.array(radii), 10.0 * np.array(y_bounds), U, V,
                    k_lo=k_lo, k_hi=k_hi)
+    pair.mean_Y, pair.mean_Z = U.mean(axis=0), V.mean(axis=0)
     infos = tuple(
         ComponentInfo(
             index=i,
@@ -216,8 +230,8 @@ def apply_gamma(
         )
         for i in range(n)
     )
-    return ProcessPair.from_fields(res.Y, res.Z), ApplyInfo(
-        components=infos, sup=res.sup, bmo_nodes=res.bmo_nodes)
+    return ApplyInfo(components=infos, diff_y=res.diff_y, diff_z=res.diff_z,
+                     sup_nodes=res.sup_nodes, bmo_nodes=res.bmo_nodes)
 
 
 @dataclass(frozen=True)
@@ -242,6 +256,7 @@ class PicardTrace:
     pair: ProcessPair
     ball: BallSpec
     truncation_hits: int
+    sup_nodes: np.ndarray = field(repr=False)   # per-node sup_norm_estimate of pair.Y, (L+1,)
     bmo_nodes: np.ndarray = field(repr=False)   # bmo_profile of pair, (L+1,)
 
     def in_ball_throughout(self) -> bool:
@@ -282,12 +297,15 @@ def picard_solve(
     Convergence is declared when both the sup distance of Y and of Z between
     consecutive sweeps fall below tol.  Every sweep records its
     ball membership against the slackened radii (2*k1, 2*k2) * BALL_SLACK.
-    The sup and BMO proxies of each iterate are measured by the backward
-    pass that makes it, and serve both that record and the bounds of the
-    next sweep; the trace keeps the BMO profile of its final pair.  The
-    initial pair is measured from its definition: every node is its last
-    node and Z = 0, so its sup is that of its last node and its BMO profile
-    is zero.
+    The window holds one pair: each sweep consumes its environment and
+    overwrites it with the next iterate, and the backward pass that makes
+    the iterate measures its distance from the environment, its sup and its
+    BMO proxy.  Those serve both the sweep's record and the bounds of the
+    next sweep; the trace keeps the per-node sup and BMO profiles of its
+    final pair.  The initial pair is measured from its definition: every
+    node is its last node and Z = 0, so its sup is that of its last node
+    and its BMO profile is zero.  A BlowUpError propagates from the sweep
+    that raised it, leaving the window's pair undefined.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -295,8 +313,8 @@ def picard_solve(
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     p = gen.params
     eta = _resolve_eta(terminal, ens, p.n)
-    cur = _initial_pair(init, eta, ens, ball)
-    sup_y, bmo, profile = sup_norm_estimate(cur.Y[:, -1]), 0.0, np.zeros(ball.steps + 1)
+    pair = _initial_pair(init, eta, ens, ball)
+    sup_y, bmo = sup_norm_estimate(pair.Y[:, -1]), 0.0
 
     iterations: list[PicardIteration] = []
     hits = 0
@@ -305,11 +323,10 @@ def picard_solve(
     converged = False
 
     for r in range(1, max_iter + 1):
-        nxt, info = apply_gamma(cur, gen, eta, ens, basis, ball, sup_y, bmo)
+        info = apply_gamma(pair, gen, eta, ens, basis, ball, sup_y, bmo)
         hits += info.truncation_hits
-        diff_y = float(np.abs(nxt.Y - cur.Y).max())
-        diff_z = float(np.abs(nxt.Z - cur.Z).max())
-        sup_y, bmo, profile = info.sup, float(info.bmo_nodes.max()), info.bmo_nodes
+        diff_y, diff_z = info.diff_y, info.diff_z
+        sup_y, bmo = float(info.sup_nodes.max()), float(info.bmo_nodes.max())
         iterations.append(
             PicardIteration(
                 index=r,
@@ -324,7 +341,6 @@ def picard_solve(
             )
         )
         prev_dy, prev_dz = diff_y, diff_z
-        cur = nxt
         if diff_y < tol and diff_z < tol:
             converged = True
             break
@@ -332,10 +348,11 @@ def picard_solve(
     return PicardTrace(
         iterations=iterations,
         converged=converged,
-        pair=cur,
+        pair=pair,
         ball=ball,
         truncation_hits=hits,
-        bmo_nodes=profile,
+        sup_nodes=info.sup_nodes,
+        bmo_nodes=info.bmo_nodes,
     )
 
 

@@ -21,8 +21,10 @@ block of n rows (terminal data (N, n), fields (N, L+1, n) and (N, L, n, d);
 one row is the block n = 1) and steps them backward together: each node's
 projections serve every row, and each row keeps its own truncation radius
 and guard.  The pass also measures what it produces while each node is at
-hand: the sup proxy of Y and the BMO profile of Z, the same numbers
-``engine.sup_norm_estimate`` and ``engine.bmo_profile`` give for the result.
+hand: the sup proxy of Y at each node and the BMO profile of Z, the same
+numbers ``engine.sup_norm_estimate`` and ``engine.bmo_profile`` give for the
+result.  It writes that result over the caller's buffers, one node behind
+the backward pass, and measures how far each slice moved as it goes.
 """
 
 from __future__ import annotations
@@ -98,12 +100,17 @@ def truncation_radius(z_bound: float) -> float:
 
 @dataclass(eq=False)
 class Solve1DResult:
-    Y: np.ndarray                     # (N, L+1, n)
-    Z: np.ndarray                     # (N, L, n, d)
     truncation_hits: int              # total over the rows
     row_hits: tuple[int, ...]         # per row
-    sup: float                        # sup_norm_estimate of Y, every node
+    diff_y: float                     # max |new - old| over the Y buffer
+    diff_z: float                     # max |new - old| over the Z buffer
+    sup_nodes: np.ndarray             # sup_norm_estimate of each node of Y, (L+1,)
     bmo_nodes: np.ndarray             # bmo_profile of (Y, Z), (L+1,)
+
+    @property
+    def sup(self) -> float:
+        """sup_norm_estimate of Y over every node."""
+        return float(self.sup_nodes.max())
 
 
 def _per_row(value, n: int, name: str) -> np.ndarray:
@@ -121,6 +128,8 @@ def solve_1d(
     basis: RegressionBasis,
     trunc_R: np.ndarray,
     blowup_guard: np.ndarray,
+    Y: np.ndarray,
+    Z: np.ndarray,
     k_lo: int = 0,
     k_hi: int | None = None,
 ) -> Solve1DResult:
@@ -140,12 +149,23 @@ def solve_1d(
     a contiguous (n, N) block, so every per-row reduction reads contiguous
     memory.
 
-    The pass measures its result as it goes: ``sup`` is the largest row
-    norm of Y over all L+1 nodes (the terminal one included) and
-    ``bmo_nodes`` the (L+1,) BMO profile, whose tail sum_{i >= j} |Z_i|^2 dt
-    is added and projected at node j.  Each node has one ``NodeRegression``,
-    so its design is built once for the continuation, the Z targets and the
-    tail; every target keeps a projection of its own.
+    The result is written into the caller's buffers Y (N, L+1, n) and
+    Z (N, L, n, d), whose old contents are consumed: Z_j overwrites Z[:, j]
+    as soon as drift(k_lo + j, .) returns, and Y_{j+1} overwrites Y[:, j+1]
+    only after that same call (the terminal Y_L after node L-1, Y_0 after
+    the loop).  So a drift call at local node j may read the buffers at
+    nodes j and j+1 and sees their previous contents.  Each overwrite takes
+    the max |new - old| of the slice it replaces: ``diff_y`` and ``diff_z``
+    are bitwise the full-array sup distances between the old and the new
+    contents.  After a BlowUpError the buffers' contents are undefined.
+
+    The pass measures its result as it goes: ``sup_nodes`` is the (L+1,)
+    largest row norm of Y at each node (the terminal one included), ``sup``
+    its max, and ``bmo_nodes`` the (L+1,) BMO profile, whose tail
+    sum_{i >= j} |Z_i|^2 dt is added and projected at node j.  Each node has
+    one ``NodeRegression``, so its design is built once for the
+    continuation, the Z targets and the tail; every target keeps a
+    projection of its own.
 
     The centered martingale-increment estimator makes Z exactly zero whenever
     Y_{k+1} is constant across particles (the continuation projection flags
@@ -170,12 +190,15 @@ def solve_1d(
 
     L = k_hi - k_lo
     dt = ens.grid.dt
-    Y = np.empty((N, L + 1, n))
-    Z = np.empty((N, L, n, d))
-    Y[:, L, :] = eta
+    if Y.shape != (N, L + 1, n) or Z.shape != (N, L, n, d):
+        raise ValueError(f"buffers must have shapes Y {(N, L + 1, n)} and Z {(N, L, n, d)}, "
+                         f"got {Y.shape} and {Z.shape}")
+    y_next = eta                                      # Y_{j+1}, (N, n), not yet written
     cur = np.ascontiguousarray(eta.T)                 # (n, N): Y_{k+1} of every row
     hits = np.zeros(n, dtype=np.int64)
-    sup = sup_norm_estimate(Y[:, L])
+    diff_y = diff_z = 0.0
+    sup_nodes = np.zeros(L + 1)
+    sup_nodes[L] = sup_norm_estimate(eta)
     tail = np.zeros(N)                                # sum_{i >= j} |Z_i|^2 dt
     bmo_nodes = np.zeros(L + 1)
 
@@ -195,9 +218,10 @@ def solve_1d(
         g = np.asarray(drift(k, zk), dtype=float)
         if g.shape != (N, n):
             raise ValueError(f"frozen generator returned shape {g.shape} at node {k}")
+        diff_z = max(diff_z, _overwrite(Z, j, zk))
+        diff_y = max(diff_y, _overwrite(Y, j + 1, y_next))
         m += g * dt                                   # Y_k
-        Z[:, j] = zk
-        Y[:, j] = m
+        y_next = m
         cur = np.ascontiguousarray(m.T)
         worst = np.abs(cur).max(axis=1)
         bad = np.flatnonzero(~np.isfinite(worst) | (worst > guard))
@@ -205,11 +229,19 @@ def solve_1d(
             i = int(bad[0])
             raise BlowUpError(node=k, value=float(worst[i]), guard=float(guard[i]),
                               component=i)
-        sup = max(sup, sup_norm_estimate(m))
+        sup_nodes[j] = sup_norm_estimate(m)
         bmo_nodes[j] = _tail_step(tail, zk, dt, op)
 
-    return Solve1DResult(Y=Y, Z=Z, truncation_hits=int(hits.sum()),
-                         row_hits=tuple(int(h) for h in hits), sup=sup, bmo_nodes=bmo_nodes)
+    diff_y = max(diff_y, _overwrite(Y, 0, y_next))
+    return Solve1DResult(truncation_hits=int(hits.sum()), row_hits=tuple(int(h) for h in hits),
+                         diff_y=diff_y, diff_z=diff_z, sup_nodes=sup_nodes, bmo_nodes=bmo_nodes)
+
+
+def _overwrite(buf: np.ndarray, j: int, new: np.ndarray) -> float:
+    """Write new over node j of buf and return the largest |new - old| there."""
+    diff = float(np.abs(new - buf[:, j]).max())
+    buf[:, j] = new
+    return diff
 
 
 def _live_z(cur, m, live, op, radius):

@@ -15,6 +15,7 @@ from mfbsde import (
     sup_norm_estimate,
     verify_apriori,
 )
+from mfbsde import cli
 from mfbsde.cli import _fmt, _load_config, main
 
 
@@ -190,6 +191,43 @@ def test_solve_writes_the_verification_bmo_profile(tmp_path, bmo_passes):
     bmo = max(float(line.split(",")[col]) for line in lines[1:])
     checks = {c["name"]: c for c in report["solve"]["checks"]}
     assert checks["bmo_membership"]["observed"] == bmo * bmo
+
+
+@pytest.mark.parametrize(
+    "case, params, m, n, seed, windows",
+    [("loggrowth", "", 10, 300, 5, 1), ("colehopf", "", 10, 300, 3, 1),
+     ("meanfield_linear", "", 10, 300, 3, 1), ("colehopf", "n = 2\nT = 5\n", 30, 2000, 3, 3)],
+    ids=["loggrowth", "colehopf", "meanfield_linear", "colehopf-3-windows"],
+)
+def test_solve_writes_the_per_node_sup_of_the_solution_bitwise(tmp_path, monkeypatch, case,
+                                                               params, m, n, seed, windows):
+    # the sup_abs_Y column is the report's sup profile, measured by the
+    # sweeps (and joined at the seams of several windows), and is bitwise
+    # the largest row norm of the solution's Y at each node
+    reports = []
+    solve = cli.solve_auto
+
+    def recording(*args, **kwargs):
+        reports.append(solve(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "solve_auto", recording)
+    cfg = write_cfg(
+        tmp_path,
+        f"[case]\nname = {case}\n{params}[grid]\nm = {m}\n[ensemble]\nn = {n}\n"
+        f"seed = {seed}\n[checks]\nsamples = 500\n",
+    )
+    out = tmp_path / "r"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    (report,) = reports
+    assert len(report.traces) == windows
+    Y = report.pair.Y
+    expect = np.sqrt((Y * Y).sum(axis=2)).max(axis=0)
+    assert np.array_equal(report.sup_nodes, expect)
+    lines = (out / f"{case}_solution.csv").read_text().splitlines()
+    col = lines[0].split(",").index("sup_abs_Y")
+    assert [line.split(",")[col] for line in lines[1:]] == [_fmt(v) for v in expect]
+    assert report.checks[0].observed == expect.max()
 
 
 @pytest.mark.parametrize("case", ["colehopf", "zero"])

@@ -1,6 +1,7 @@
 """Decoupling-map sweeps and their fixed-point iteration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,12 @@ def test_ballspec_full_interval_flags_guarantee():
 # --------------------------------------------------------------- one sweep
 
 
+def snapshot(pair):
+    """A copy of pair, which a later sweep (overwriting pair in place)
+    leaves alone."""
+    return ProcessPair.from_fields(pair.Y.copy(), pair.Z.copy())
+
+
 def norms(pair, ens, ball, basis=BASIS):
     """The (sup, BMO) norms picard_solve hands apply_gamma for the window
     pair of ball."""
@@ -116,7 +123,8 @@ def test_apply_gamma_single_sweep_hand_value_on_flat_environment():
     Y0 = np.ones((ens.N, 11, 1))
     Z0 = np.zeros((ens.N, 10, 1, 1))
     pair = ProcessPair.from_fields(Y0, Z0)
-    out, info = apply_gamma(pair, case.generator, eta, ens, BASIS, ball, *norms(pair, ens, ball))
+    info = apply_gamma(pair, case.generator, eta, ens, BASIS, ball, *norms(pair, ens, ball))
+    out = pair
     dt = ens.grid.dt
     for k in range(11):
         np.testing.assert_allclose(out.Y[:, k, 0], 1.0 + dt * (10 - k), rtol=1e-12)
@@ -134,9 +142,10 @@ def test_apply_gamma_works_on_the_window_nodes():
     ball = BallSpec.from_ledger(ens.grid, ledger, eps=0.5, k_hi=10)
     assert ball.k_lo == 5
     eta = np.ones((ens.N, 1))
-    ramp = np.broadcast_to(np.arange(6.0)[None, :, None], (ens.N, 6, 1))
+    ramp = np.broadcast_to(np.arange(6.0)[None, :, None], (ens.N, 6, 1)).copy()
     pair = ProcessPair.from_fields(ramp, np.zeros((ens.N, 5, 1, 1)))
-    out, _ = apply_gamma(pair, case.generator, eta, ens, BASIS, ball, *norms(pair, ens, ball))
+    apply_gamma(pair, case.generator, eta, ens, BASIS, ball, *norms(pair, ens, ball))
+    out = pair
     assert out.Y.shape == (ens.N, 6, 1) and out.Z.shape == (ens.N, 5, 1, 1)
     dt = ens.grid.dt
     for j in range(6):
@@ -207,8 +216,8 @@ def per_row_reference(pair, gen, eta, ens, basis, ball, info):
             return gen.component(i, t_mid, u_mid, mu_mid, vsub, pair.mean_Z[j])[:, None]
 
         res = solve_1d(eta[:, i : i + 1], g_i, ens, basis, np.array([comp.trunc_R]),
-                       np.array([10.0 * comp.y_bound]), ball.k_lo, ball.k_hi)
-        Y[:, :, i], Z[:, :, i] = res.Y[:, :, 0], res.Z[:, :, 0]
+                       np.array([10.0 * comp.y_bound]), Y[:, :, i : i + 1], Z[:, :, i : i + 1],
+                       ball.k_lo, ball.k_hi)
         hits.append(res.truncation_hits)
     return Y, Z, hits
 
@@ -216,17 +225,17 @@ def per_row_reference(pair, gen, eta, ens, basis, ball, info):
 def second_sweep(case, ens, basis, ball=None):
     """An environment with nonzero Z (one sweep from the flat guess), the
     next sweep on it, and what that sweep was given; on the whole grid
-    unless a window ball is given."""
+    unless a window ball is given.  The sweep overwrites its pair, so the
+    environment returned is a snapshot taken before it."""
     if ball is None:
         ball = BallSpec.full_interval(ens.grid, compute_ledger(case.params))
     eta = terminal_values(case.terminal, ens.cumulative)
     flat = np.repeat(eta[:, None, :], ball.steps + 1, axis=1)
     pair = ProcessPair.from_fields(flat, np.zeros((ens.N, ball.steps, case.params.n, ens.d)))
-    pair, _ = apply_gamma(pair, case.generator, eta, ens, basis, ball,
-                          *norms(pair, ens, ball, basis))
-    out, info = apply_gamma(pair, case.generator, eta, ens, basis, ball,
-                            *norms(pair, ens, ball, basis))
-    return pair, eta, ball, out, info
+    apply_gamma(pair, case.generator, eta, ens, basis, ball, *norms(pair, ens, ball, basis))
+    env = snapshot(pair)
+    info = apply_gamma(pair, case.generator, eta, ens, basis, ball, *norms(env, ens, ball, basis))
+    return env, eta, ball, pair, info
 
 
 def test_apply_gamma_rows_match_per_row_reference():
@@ -318,9 +327,9 @@ def test_apply_gamma_passes_each_row_its_radius_and_guard(monkeypatch):
     solves, z_bounds = [], []
     solve, bound_z = picard.solve_1d, picard.bound_z
 
-    def recording_solve(eta, drift, ens, basis, trunc_R, blowup_guard, **window):
+    def recording_solve(eta, drift, ens, basis, trunc_R, blowup_guard, Y, Z, **window):
         solves.append((trunc_R, blowup_guard, window))
-        return solve(eta, drift, ens, basis, trunc_R, blowup_guard, **window)
+        return solve(eta, drift, ens, basis, trunc_R, blowup_guard, Y, Z, **window)
 
     def recording_bound_z(*args):
         z_bounds.append(bound_z(*args))
@@ -439,14 +448,22 @@ def test_picard_rejects_a_tol_that_is_not_finite_and_positive(tol):
 
 
 def record_sweeps(monkeypatch):
-    """(environment, u_norm, v_norm, result) of every apply_gamma call."""
+    """(environment, u_norm, v_norm, result) of every apply_gamma call.
+
+    A sweep overwrites its pair, so each environment is a snapshot, and a
+    result is the live pair until the next sweep, which first replaces it
+    with that sweep's environment snapshot: the last result is the pair
+    the solve returns."""
     sweeps = []
     apply = picard.apply_gamma
 
     def recording(pair, gen, terminal, ens, basis, ball, u_norm, v_norm):
-        out = apply(pair, gen, terminal, ens, basis, ball, u_norm, v_norm)
-        sweeps.append((pair, u_norm, v_norm, out[0]))
-        return out
+        env = snapshot(pair)
+        if sweeps:
+            sweeps[-1] = sweeps[-1][:3] + (env,)
+        info = apply(pair, gen, terminal, ens, basis, ball, u_norm, v_norm)
+        sweeps.append((env, u_norm, v_norm, pair))
+        return info
 
     monkeypatch.setattr(picard, "apply_gamma", recording)
     return sweeps
@@ -485,6 +502,84 @@ def test_initial_pair_is_measured_from_its_definition_bitwise(monkeypatch, init)
     assert u_norm == sup_norm_estimate(pair.Y)
     assert v_norm == bmo_profile(pair, ens, BASIS, ball.k_lo).max() == 0.0
     assert (u_norm > 0.0) == (init == "terminal-flat")
+
+
+def test_apply_gamma_rejects_a_read_only_environment():
+    # the sweep overwrites its pair, so a read-only one fails at entry, not
+    # deep inside the backward pass
+    case, ens, ledger = linear_setup(M=10, N=64)
+    ball = BallSpec.full_interval(ens.grid, ledger)
+    eta = np.ones((ens.N, 1))
+    Y, Z = np.ones((ens.N, 11, 1)), np.zeros((ens.N, 10, 1, 1))
+    for pair in (ProcessPair.from_fields(np.broadcast_to(1.0, Y.shape), Z),
+                 ProcessPair.from_fields(Y, np.broadcast_to(0.0, Z.shape))):
+        with pytest.raises(ValueError, match="overwrites its pair"):
+            apply_gamma(pair, case.generator, eta, ens, BASIS, ball, 1.0, 0.0)
+    assert np.array_equal(Y, np.ones_like(Y))
+
+
+def record_reference_diffs(monkeypatch):
+    """(diff_y, diff_z) of every sweep, and of a reference: the same sweep
+    run on a copy of its environment, diffed in full against the original."""
+    sweeps = []
+    apply = picard.apply_gamma
+
+    def recording(pair, *args):
+        ref = snapshot(pair)
+        apply(ref, *args)
+        full = (float(np.abs(ref.Y - pair.Y).max()), float(np.abs(ref.Z - pair.Z).max()))
+        info = apply(pair, *args)
+        assert np.array_equal(pair.Y, ref.Y) and np.array_equal(pair.Z, ref.Z)
+        sweeps.append(((info.diff_y, info.diff_z), full))
+        return info
+
+    monkeypatch.setattr(picard, "apply_gamma", recording)
+    return sweeps
+
+
+@pytest.mark.parametrize(
+    "make, M, N, seed, init, windows, sweeps, first_dy",
+    [
+        (case_loggrowth, 10, 300, 5, "terminal-flat", 1, None, None),
+        # Y starts at 0 below a terminal of 1: the first sweep moves Y by
+        # exactly 1 only if the terminal node is written after the drift of
+        # the node before it has read the old one (an early write gives 1.0125)
+        (case_meanfield_linear, 20, 3000, 7, "zero", 1, 8, 1.0),
+        (lambda: case_colehopf_diagonal(n=2, T=5.0), 30, 2000, 3, "terminal-flat", 3, None, None),
+        (lambda: case_colehopf_diagonal(n=2, T=5.0), 30, 2000, 3, "zero", 3, None, None),
+    ],
+    ids=["loggrowth", "meanfield_linear-zero", "colehopf-3-windows-flat", "colehopf-3-windows-zero"],
+)
+def test_sweep_diffs_are_the_full_array_diffs_bitwise(monkeypatch, make, M, N, seed, init,
+                                                      windows, sweeps, first_dy):
+    recorded = record_reference_diffs(monkeypatch)
+    case = make()
+    ens = generate_ensemble(TimeGrid.make(M, case.params.T), N, case.params.d, seed)
+    report = solve_auto(case.generator, case.terminal, ens, default_basis(case.params.d), init=init)
+    iterations = [it for t in report.traces for it in t.iterations]
+    assert len(report.traces) == windows and len(recorded) == len(iterations)
+    for it, (diffs, full) in zip(iterations, recorded):
+        assert (it.diff_y, it.diff_z) == diffs == full
+    if sweeps is not None:
+        assert len(iterations) == sweeps and iterations[0].diff_y == first_dy
+
+
+@pytest.mark.parametrize("make, n", [(case_colehopf_diagonal, 1), (case_loggrowth, 2)])
+def test_picard_solve_holds_one_pair(make, n):
+    # every sweep overwrites the one pair of the window, so the solve's
+    # allocation peak is that pair plus per-node temporaries
+    case = make()
+    assert case.params.n == n
+    ens = generate_ensemble(TimeGrid.make(40, case.params.T), 4000, 1, 3)
+    ball = BallSpec.full_interval(ens.grid, compute_ledger(case.params))
+    tracemalloc.start()
+    try:
+        trace = picard_solve(case.generator, case.terminal, ens, BASIS, ball, tol=1e-12, max_iter=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.iterations) >= 2
+    assert peak <= 1.5 * (trace.pair.Y.nbytes + trace.pair.Z.nbytes)
 
 
 def test_picard_nonconvergence_reported_not_raised():

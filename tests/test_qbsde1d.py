@@ -108,10 +108,20 @@ def no_drift(k, z):
     return np.zeros(z.shape[:-1])
 
 
+def run_1d(eta, drift, ens, basis, trunc_R, blowup_guard, k_lo=0, k_hi=None):
+    """solve_1d into fresh zero buffers; the result carries them as .Y and .Z."""
+    L = (ens.grid.M if k_hi is None else k_hi) - k_lo
+    n = np.shape(eta)[-1]
+    Y, Z = np.zeros((ens.N, L + 1, n)), np.zeros((ens.N, L, n, ens.d))
+    res = solve_1d(eta, drift, ens, basis, trunc_R, blowup_guard, Y, Z, k_lo, k_hi)
+    res.Y, res.Z = Y, Z
+    return res
+
+
 def test_constant_terminal_zero_generator_is_bitwise_constant(projections):
     ens = setup_ens(N=500)
     eta = np.full((ens.N, 1), 4.25)
-    res = solve_1d(eta, no_drift, ens, default_basis(1), np.array([10.0]),
+    res = run_1d(eta, no_drift, ens, default_basis(1), np.array([10.0]),
                    envelope_guard(ens))
     assert np.array_equal(res.Y, np.full((ens.N, 9, 1), 4.25))
     assert np.array_equal(res.Z, np.zeros((ens.N, 8, 1, 1)))
@@ -124,7 +134,7 @@ def test_constant_terminal_zero_generator_is_bitwise_constant(projections):
 def test_constant_drift_integrates_exactly():
     ens = setup_ens(N=300)
     c = 0.7
-    res = solve_1d(np.ones((ens.N, 1)), lambda k, z: np.full(z.shape[:-1], c), ens,
+    res = run_1d(np.ones((ens.N, 1)), lambda k, z: np.full(z.shape[:-1], c), ens,
                    default_basis(1), np.array([10.0]), envelope_guard(ens, a=1.0))
     dt = ens.grid.dt
     for j in range(9):
@@ -135,7 +145,7 @@ def test_martingale_terminal_recovers_brownian_path_and_unit_z():
     # eta = W_T, g = 0: the true solution is Y_t = W_t, Z = 1
     ens = setup_ens(M=8, N=8_000, seed=13)
     eta = ens.cumulative[:, -1, :]
-    res = solve_1d(eta, no_drift, ens, default_basis(1), np.array([100.0]),
+    res = run_1d(eta, no_drift, ens, default_basis(1), np.array([100.0]),
                    envelope_guard(ens, a=0.0, phi=0.0, eta_bound=20.0))
     for k in range(1, 8):
         rms = np.sqrt(np.mean((res.Y[:, k, 0] - ens.cumulative[:, k, 0]) ** 2))
@@ -147,7 +157,7 @@ def test_martingale_terminal_recovers_brownian_path_and_unit_z():
 def test_truncation_clips_row_norms_and_counts():
     ens = setup_ens(N=2_000, seed=4)
     eta = ens.cumulative[:, -1, :]
-    res = solve_1d(eta, no_drift, ens, default_basis(1), np.array([0.5]),
+    res = run_1d(eta, no_drift, ens, default_basis(1), np.array([0.5]),
                    envelope_guard(ens, eta_bound=20.0))
     assert res.truncation_hits > 0
     norms = np.sqrt((res.Z**2).sum(axis=-1))
@@ -157,7 +167,7 @@ def test_truncation_clips_row_norms_and_counts():
 def test_blowup_guard_raises_with_location():
     ens = setup_ens(N=200)
     with pytest.raises(BlowUpError) as exc:
-        solve_1d(np.zeros((ens.N, 1)), lambda k, z: np.full(z.shape[:-1], 1e6), ens,
+        run_1d(np.zeros((ens.N, 1)), lambda k, z: np.full(z.shape[:-1], 1e6), ens,
                  default_basis(1), np.array([10.0]), np.array([50.0]))
     assert exc.value.node == 7
     assert exc.value.guard == 50.0
@@ -167,7 +177,7 @@ def test_blowup_guard_raises_with_location():
 
 def test_window_solve_shapes_and_indices(projections):
     ens = setup_ens(M=10, N=300)
-    res = solve_1d(np.ones((ens.N, 1)), no_drift, ens, default_basis(1), np.array([5.0]),
+    res = run_1d(np.ones((ens.N, 1)), no_drift, ens, default_basis(1), np.array([5.0]),
                    envelope_guard(ens, k_lo=3, k_hi=7), k_lo=3, k_hi=7)
     assert res.Y.shape == (ens.N, 5, 1)
     assert res.Z.shape == (ens.N, 4, 1, 1)
@@ -181,19 +191,19 @@ def test_input_validation():
     basis = default_basis(1)
     R, guard = np.array([1.0]), envelope_guard(ens)
     with pytest.raises(ValueError):
-        solve_1d(np.ones((ens.N + 1, 1)), no_drift, ens, basis, R, guard)
+        run_1d(np.ones((ens.N + 1, 1)), no_drift, ens, basis, R, guard)
     with pytest.raises(ValueError):
-        solve_1d(np.full((ens.N, 1), np.inf), no_drift, ens, basis, R, guard)
+        run_1d(np.full((ens.N, 1), np.inf), no_drift, ens, basis, R, guard)
     with pytest.raises(ValueError):
-        solve_1d(np.ones((ens.N, 1)), no_drift, ens, basis, R, guard, k_lo=5, k_hi=5)
+        run_1d(np.ones((ens.N, 1)), no_drift, ens, basis, R, guard, k_lo=5, k_hi=5)
     with pytest.raises(ValueError):
-        solve_1d(np.ones((ens.N, 1)), no_drift, ens, basis, R, guard, k_hi=99)
+        run_1d(np.ones((ens.N, 1)), no_drift, ens, basis, R, guard, k_hi=99)
 
 
 def test_terminal_column_is_bitwise_eta():
     ens = setup_ens(N=150, seed=9)
     eta = ens.cumulative[:, -1, :]
-    res = solve_1d(eta, no_drift, ens, default_basis(1), np.array([50.0]),
+    res = run_1d(eta, no_drift, ens, default_basis(1), np.array([50.0]),
                    envelope_guard(ens, eta_bound=20.0))
     assert np.array_equal(res.Y[:, -1], eta)
 
@@ -204,7 +214,7 @@ def test_terminal_column_is_bitwise_eta():
 def test_block_constant_row_next_to_live_row(projections):
     ens = setup_ens(N=500, seed=5)
     eta = np.column_stack([np.full(ens.N, 4.25), ens.cumulative[:, -1, 0]])
-    res = solve_1d(eta, lambda k, z: 0.5 * (z * z).sum(axis=-1) * [0.0, 1.0], ens,
+    res = run_1d(eta, lambda k, z: 0.5 * (z * z).sum(axis=-1) * [0.0, 1.0], ens,
                    default_basis(1), np.full(2, 50.0),
                    envelope_guard(ens, n=2, eta_bound=20.0))
     assert res.Y.shape == (ens.N, 9, 2) and res.Z.shape == (ens.N, 8, 2, 1)
@@ -227,11 +237,11 @@ def test_block_matches_scalar_rows():
 
     radii = np.array([50.0, 0.3, 0.05])
     guard = envelope_guard(ens, n=3, eta_bound=20.0)
-    res = solve_1d(eta, drift, ens, default_basis(1), radii, guard)
+    res = run_1d(eta, drift, ens, default_basis(1), radii, guard)
     assert sum(res.row_hits) == res.truncation_hits and res.row_hits[2] > 0
     for i in range(3):
         # row i alone, as a block of one
-        one = solve_1d(eta[:, i : i + 1], drift, ens, default_basis(1), radii[i : i + 1],
+        one = run_1d(eta[:, i : i + 1], drift, ens, default_basis(1), radii[i : i + 1],
                        guard[i : i + 1])
         np.testing.assert_allclose(res.Y[:, :, i], one.Y[:, :, 0], rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(res.Z[:, :, i], one.Z[:, :, 0], rtol=0.0, atol=1e-12)
@@ -251,7 +261,7 @@ def test_block_blowup_names_first_node_then_lowest_row(guards, node, component):
     ens = setup_ens(N=200)
     # drift c_i makes Y at node k equal c_i * dt * (8 - k) on row i
     with pytest.raises(BlowUpError) as exc:
-        solve_1d(np.zeros((ens.N, 2)),
+        run_1d(np.zeros((ens.N, 2)),
                  lambda k, z: np.broadcast_to([8.0, 12.0], z.shape[:-1]).copy(), ens,
                  default_basis(1), np.full(2, 10.0), np.array(guards))
     assert (exc.value.node, exc.value.component) == (node, component)
@@ -264,17 +274,17 @@ def test_block_input_validation():
     basis = default_basis(1)
     guard = envelope_guard(ens, n=2)
     with pytest.raises(ValueError, match="trunc_R"):
-        solve_1d(np.ones((ens.N, 2)), no_drift, ens, basis, [1.0, 2.0, 3.0], guard)
+        run_1d(np.ones((ens.N, 2)), no_drift, ens, basis, [1.0, 2.0, 3.0], guard)
     with pytest.raises(ValueError, match="trunc_R"):       # one value per row, not a scalar
-        solve_1d(np.ones((ens.N, 2)), no_drift, ens, basis, 1.0, guard)
+        run_1d(np.ones((ens.N, 2)), no_drift, ens, basis, 1.0, guard)
     with pytest.raises(ValueError, match="blowup_guard"):
-        solve_1d(np.ones((ens.N, 2)), no_drift, ens, basis, np.ones(2), [1.0])
+        run_1d(np.ones((ens.N, 2)), no_drift, ens, basis, np.ones(2), [1.0])
     # an (N,) row is not a block: there is no one-row mode
     for bad in (np.ones((ens.N, 2, 1)), np.ones((ens.N, 0)), np.ones(ens.N)):
         with pytest.raises(ValueError, match="eta"):
-            solve_1d(bad, no_drift, ens, basis, np.ones(2), guard)
+            run_1d(bad, no_drift, ens, basis, np.ones(2), guard)
     with pytest.raises(ValueError, match="shape"):
-        solve_1d(np.ones((ens.N, 2)), lambda k, z: np.zeros(z.shape[0]), ens, basis,
+        run_1d(np.ones((ens.N, 2)), lambda k, z: np.zeros(z.shape[0]), ens, basis,
                  np.ones(2), guard)
 
 
@@ -286,10 +296,53 @@ def test_block_measures_sup_and_bmo_profile_bitwise():
     w = ens.cumulative[:, -1, :]
     eta = np.column_stack([w[:, 0] + w[:, 1], np.sin(w[:, 0]), 0.3 * w[:, 1] ** 2])
     basis = default_basis(2)
-    res = solve_1d(eta, lambda k, z: 0.5 * (z * z).sum(axis=-1), ens, basis,
+    res = run_1d(eta, lambda k, z: 0.5 * (z * z).sum(axis=-1), ens, basis,
                    np.array([50.0, 0.4, 50.0]), np.full(3, 1e3), k_lo=3, k_hi=9)
     assert res.row_hits[1] > 0 and np.ptp(res.Y[:, 0], axis=0).min() > 0.0
     assert res.sup == sup_norm_estimate(res.Y)
     profile = bmo_profile(ProcessPair.from_fields(res.Y, res.Z), ens, basis, k_lo=3)
     assert np.array_equal(res.bmo_nodes, profile)
     assert res.bmo_nodes.shape == (7,) and res.bmo_nodes[-1] == 0.0 < res.bmo_nodes[0]
+
+
+# ------------------------------------------------------- caller's buffers
+
+
+def test_buffers_are_overwritten_one_node_behind_the_pass():
+    # the drift at local node j sees the old contents of Y at nodes j and
+    # j+1 and of Z at node j; the result is the one written into fresh
+    # buffers, and diff_y/diff_z are the full-array distances from the old
+    # contents, bitwise
+    ens = generate_ensemble(TimeGrid.make(10, 1.0), 300, 1, 6)
+    k_lo, k_hi, n = 2, 8, 2
+    rng = np.random.default_rng(0)
+    Y0 = rng.normal(size=(ens.N, 7, n))
+    Z0 = rng.normal(size=(ens.N, 6, n, 1))
+    Y, Z = Y0.copy(), Z0.copy()
+    w = ens.cumulative[:, k_hi, 0]
+    eta = np.column_stack([w, np.sin(w)])
+    seen = []
+
+    def drift(k, z):
+        j = k - k_lo
+        seen.append(np.array_equal(Y[:, j : j + 2], Y0[:, j : j + 2])
+                    and np.array_equal(Z[:, j], Z0[:, j]))
+        return 0.5 * (z * z).sum(axis=-1)
+
+    args = (eta, drift, ens, default_basis(1), np.full(n, 50.0), np.full(n, 1e3))
+    res = solve_1d(*args, Y, Z, k_lo, k_hi)
+    assert seen == [True] * 6
+    fresh = run_1d(*args, k_lo, k_hi)
+    assert np.array_equal(Y, fresh.Y) and np.array_equal(Z, fresh.Z)
+    assert res.diff_y == np.abs(Y - Y0).max() and res.diff_z == np.abs(Z - Z0).max()
+    assert np.array_equal(res.sup_nodes, [sup_norm_estimate(Y[:, j]) for j in range(7)])
+    assert res.sup == sup_norm_estimate(Y)
+
+
+def test_buffers_must_match_the_window():
+    ens = setup_ens(N=100)
+    eta, R, guard = np.ones((ens.N, 1)), np.array([1.0]), envelope_guard(ens)
+    Y, Z = np.zeros((ens.N, 9, 1)), np.zeros((ens.N, 8, 1, 1))
+    for bad_y, bad_z in ((Y[:, 1:], Z), (Y, Z[:, 1:]), (Y, np.zeros((ens.N, 8, 1, 2)))):
+        with pytest.raises(ValueError, match="buffers"):
+            solve_1d(eta, no_drift, ens, default_basis(1), R, guard, bad_y, bad_z)
