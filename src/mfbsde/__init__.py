@@ -35,7 +35,6 @@ from .engine import (
     bmo_profile,
     default_basis,
     generate_ensemble,
-    project,
     sup_norm_estimate,
 )
 from .errors import BlowUpError, ConfigError, StitchError, TerminalBoundError

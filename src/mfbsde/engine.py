@@ -61,8 +61,8 @@ class TimeGrid:
 class Ensemble:
     """N Brownian paths on a grid: increments (N, M, d) and cumulative (N, M+1, d).
 
-    ``factors`` caches the regression factor of each (basis, node) that
-    ``project`` has used on these paths; it starts empty.
+    ``factors`` caches the regression factor of each (basis, node) that a
+    ``NodeRegression`` has used on these paths; it starts empty.
     """
 
     grid: TimeGrid
@@ -248,17 +248,12 @@ class NodeRegression:
         return (out[:, 0] if single else out), RegressionInfo(factor.cond, False, const_cols)
 
 
-def project(values: np.ndarray, k: int, ens: Ensemble, basis: RegressionBasis):
-    """One projection at node k: ``NodeRegression(ens, basis, k).project(values)``."""
-    return NodeRegression(ens, basis, k).project(values)
-
-
 @dataclass(eq=False)
 class ProcessPair:
     """Solution fields on L+1 consecutive grid nodes: Y (N, L+1, n) and
     Z (N, L, n, d), with their per-node particle means carried alongside.
-    A window solve holds its window's nodes; the global solution holds all
-    M+1 nodes of the grid."""
+    A solve fills one pair on all M+1 grid nodes in place, each window on
+    its ``window``; after a BlowUpError its contents are undefined."""
 
     Y: np.ndarray
     Z: np.ndarray
@@ -274,6 +269,22 @@ class ProcessPair:
         if Z.shape[0] != Y.shape[0] or Z.shape[1] != Y.shape[1] - 1 or Z.shape[2] != Y.shape[2]:
             raise ValueError(f"inconsistent field shapes {Y.shape}, {Z.shape}")
         return cls(Y=Y, Z=Z, mean_Y=Y.mean(axis=0), mean_Z=Z.mean(axis=0))
+
+    @classmethod
+    def empty(cls, N: int, L: int, n: int, d: int) -> "ProcessPair":
+        """Uninitialised storage on L+1 nodes, for a solve to fill in place."""
+        return cls(Y=np.empty((N, L + 1, n)), Z=np.empty((N, L, n, d)),
+                   mean_Y=np.empty((L + 1, n)), mean_Z=np.empty((L, n, d)))
+
+    def window(self, k_lo: int, k_hi: int) -> "ProcessPair":
+        """Views of nodes k_lo..k_hi: neighbouring windows share a seam node."""
+        return ProcessPair(Y=self.Y[:, k_lo : k_hi + 1], Z=self.Z[:, k_lo:k_hi],
+                           mean_Y=self.mean_Y[k_lo : k_hi + 1], mean_Z=self.mean_Z[k_lo:k_hi])
+
+    def refresh_means(self) -> None:
+        """Recompute mean_Y and mean_Z from Y and Z, into their storage."""
+        np.mean(self.Y, axis=0, out=self.mean_Y)
+        np.mean(self.Z, axis=0, out=self.mean_Z)
 
 
 def _sum_of_squares(a: np.ndarray) -> np.ndarray:

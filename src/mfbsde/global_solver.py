@@ -4,9 +4,10 @@ The a priori sup bound lambda dominates the solution on the whole interval,
 so every window of length at most t_lambda admits the fixed-point iteration
 inside the enlarged ball built from lambda.  Solving windows from the
 terminal backward, each window's left edge becomes the next window's
-terminal data, bitwise.  Each window is solved on its own nodes; only the
-verification step assembles the windows into fields on the whole grid, and
-checks those against the explicit sup-norm and BMO ceilings.
+terminal data, bitwise.  A solve allocates one solution pair on the whole
+grid, and each window is solved in place on a view of its own nodes, so
+neighbouring windows share their seam node; the verification step checks
+that pair against the explicit sup-norm and BMO ceilings.
 """
 
 from __future__ import annotations
@@ -223,31 +224,21 @@ def _window_summary(idx: int, trace: PicardTrace, grid: TimeGrid) -> WindowSumma
     )
 
 
-def _verified_report(traces: tuple[PicardTrace, ...], ens: Ensemble, basis: RegressionBasis,
-                     ledger: ConstantsLedger, **fields) -> GlobalReport:
-    """The report of a solve from the traces of its windows, which tile the
-    grid latest first: their summaries, the checks against the sup and BMO
-    ceilings and the conditioning of the regression factors cached on the
-    ensemble.
+def _verified_report(pair: ProcessPair, traces: tuple[PicardTrace, ...], ens: Ensemble,
+                     basis: RegressionBasis, ledger: ConstantsLedger, **fields) -> GlobalReport:
+    """The report of a solve whose windows, tiling the grid latest first,
+    were solved in place on ``pair``, the solution as it is: their
+    summaries, the checks against the sup and BMO ceilings and the
+    conditioning of the regression factors cached on the ensemble.
 
-    One window spans the whole grid, so its pair and sup and BMO profiles
-    are the solution's as they are.  Several windows are joined at their
-    shared seam nodes into one full-grid pair and one sup profile (each seam
-    node is a copy of a window's own node, so either window's sup there is
-    the same), and the joined pair gets one BMO pass of its own."""
-    if len(traces) == 1:
-        pair, sup_nodes, bmo_nodes = traces[0].pair, traces[0].sup_nodes, traces[0].bmo_nodes
-    else:
-        N, _, n, d = traces[0].pair.Z.shape
-        Y = np.zeros((N, ens.grid.M + 1, n))
-        Z = np.zeros((N, ens.grid.M, n, d))
-        sup_nodes = np.zeros(ens.grid.M + 1)
-        for t in traces:
-            Y[:, t.ball.k_lo : t.ball.k_hi + 1] = t.pair.Y
-            Z[:, t.ball.k_lo : t.ball.k_hi] = t.pair.Z
-            sup_nodes[t.ball.k_lo : t.ball.k_hi + 1] = t.sup_nodes
-        pair = ProcessPair.from_fields(Y, Z)
-        bmo_nodes = bmo_profile(pair, ens, basis)
+    The sup profile is each window's last-sweep profile at its nodes (a
+    seam node holds one value, so either window's sup there is the same).
+    One window spans the grid and its BMO profile is the solution's;
+    several windows get one full-grid BMO pass."""
+    sup_nodes = np.empty(ens.grid.M + 1)
+    for t in traces:
+        sup_nodes[t.ball.k_lo : t.ball.k_hi + 1] = t.sup_nodes
+    bmo_nodes = traces[0].bmo_nodes if len(traces) == 1 else bmo_profile(pair, ens, basis)
     checks = (
         verify_apriori(sup_nodes.max(), ledger),
         verify_bmo_membership(bmo_nodes.max(), ledger),
@@ -274,6 +265,9 @@ def solve_global(
 
     Raises StitchError when t_lambda does not cover a single grid step, when
     a window fails to converge, or when a stitched terminal escapes lambda.
+    The solution pair is allocated once these checks have passed, and each
+    window is solved on a view of its nodes; the seam check compares the
+    node a window wrote at its right edge with the terminal it started from.
     """
     p = gen.params
     if ledger is None:
@@ -289,6 +283,7 @@ def solve_global(
             f"lambda = {lam:.6g}"
         )
 
+    solution = ProcessPair.empty(ens.N, ens.grid.M, p.n, ens.d)
     cur_terminal = eta
     traces = []
     continuity_ok = True
@@ -296,7 +291,7 @@ def solve_global(
     for idx, (k_lo, k_hi) in enumerate(plan.windows):
         ball = lambda_ball(ens.grid, ledger, k_lo, k_hi)
         trace = picard_solve(
-            gen, cur_terminal, ens, basis, ball,
+            gen, cur_terminal, ens, basis, ball, solution.window(k_lo, k_hi),
             tol=tol, max_iter=max_iter, init=init,
         )
         if not trace.converged:
@@ -304,11 +299,10 @@ def solve_global(
                 f"window {idx} (nodes {k_lo}..{k_hi}) did not converge within "
                 f"{max_iter} sweeps (tol {tol:g})"
             )
-        if traces and not np.array_equal(trace.pair.Y[:, -1], traces[-1].pair.Y[:, 0]):
-            continuity_ok = False
+        continuity_ok = continuity_ok and np.array_equal(solution.Y[:, k_hi], cur_terminal)
         traces.append(trace)
 
-        cur_terminal = trace.pair.Y[:, 0].copy()
+        cur_terminal = solution.Y[:, k_lo].copy()
         edge_sup = float(np.sqrt((cur_terminal * cur_terminal).sum(axis=1)).max())
         if edge_sup > lam * (1.0 + 1e-9):
             raise StitchError(
@@ -317,7 +311,7 @@ def solve_global(
             )
 
     return _verified_report(
-        tuple(traces), ens, basis, ledger,
+        solution, tuple(traces), ens, basis, ledger,
         mode="stitched",
         continuity_ok=continuity_ok,
         plan=plan,
@@ -335,7 +329,11 @@ def solve_auto(
     init: str = "terminal-flat",
 ) -> GlobalReport:
     """Stitched solve when the guaranteed window covers a grid step, else a
-    single full-interval fixed-point solve outside the guarantee."""
+    single full-interval fixed-point solve outside the guarantee, on a fresh
+    solution pair once the StitchError is handled: the failed attempt's pair,
+    which its traceback holds until then, is freed first and none of its
+    writes reach the result.  After a BlowUpError the solution's contents
+    are undefined, and it is not returned."""
     if ledger is None:
         ledger = compute_ledger(gen.params)
     try:
@@ -344,14 +342,10 @@ def solve_auto(
             tol=tol, max_iter=max_iter, init=init,
         )
     except StitchError:
-        ball = BallSpec.full_interval(ens.grid, ledger)
-        trace = picard_solve(
-            gen, terminal, ens, basis, ball,
-            tol=tol, max_iter=max_iter, init=init,
-        )
-        return _verified_report(
-            (trace,), ens, basis, ledger,
-            mode="full-interval-fallback",
-            continuity_ok=None,
-            plan=None,
-        )
+        pass
+    solution = ProcessPair.empty(ens.N, ens.grid.M, gen.params.n, ens.d)
+    trace = picard_solve(
+        gen, terminal, ens, basis, BallSpec.full_interval(ens.grid, ledger), solution,
+        tol=tol, max_iter=max_iter, init=init,
+    )
+    return _verified_report(solution, (trace,), ens, basis, ledger, mode="full-interval-fallback")

@@ -8,7 +8,7 @@ guess converges, inside the guaranteed ball and step size, at a contraction
 rate with an explicit coefficient.
 
 Every pair here is window-local: on the L+1 nodes k_lo..k_hi of its
-``BallSpec``, local node j being grid node k_lo + j.
+``BallSpec``, local node j being grid node k_lo + j, and owned by the caller.
 """
 
 from __future__ import annotations
@@ -148,8 +148,8 @@ def apply_gamma(
     every frozen equation.  The sweep consumes the environment: its result
     overwrites pair.Y and pair.Z one node behind the backward pass (the
     frozen generator at node j reads only nodes j and j+1, before they are
-    overwritten), and pair.mean_Y and pair.mean_Z are then replaced by the
-    result's means.  A pair that is not writable is rejected at entry; after
+    overwritten), and the result's means are then written into pair.mean_Y
+    and pair.mean_Z.  A pair that is not writable is rejected at entry; after
     a BlowUpError the pair's contents are undefined.
 
     For each component i the system generator is frozen: y-slots and the time
@@ -219,7 +219,7 @@ def apply_gamma(
 
     res = solve_1d(eta, g_rows, ens, basis, np.array(radii), 10.0 * np.array(y_bounds), U, V,
                    k_lo=k_lo, k_hi=k_hi)
-    pair.mean_Y, pair.mean_Z = U.mean(axis=0), V.mean(axis=0)
+    pair.refresh_means()
     infos = tuple(
         ComponentInfo(
             index=i,
@@ -271,23 +271,13 @@ def _ratio(prev: float | None, cur: float) -> float | None:
     return cur / prev
 
 
-def _initial_pair(init: str, eta: np.ndarray, ens: Ensemble, ball: BallSpec) -> ProcessPair:
-    N, n = eta.shape
-    Y = np.zeros((N, ball.steps + 1, n))
-    Z = np.zeros((N, ball.steps, n, ens.d))
-    if init == "terminal-flat":
-        Y[:] = eta[:, None, :]
-    elif init != "zero":
-        raise ValueError(f"unknown init {init!r}; expected 'zero' or 'terminal-flat'")
-    return ProcessPair.from_fields(Y, Z)
-
-
 def picard_solve(
     gen: Generator,
     terminal,
     ens: Ensemble,
     basis: RegressionBasis,
     ball: BallSpec,
+    pair: ProcessPair,
     tol: float = 1e-3,
     max_iter: int = 25,
     init: str = "terminal-flat",
@@ -297,23 +287,29 @@ def picard_solve(
     Convergence is declared when both the sup distance of Y and of Z between
     consecutive sweeps fall below tol.  Every sweep records its
     ball membership against the slackened radii (2*k1, 2*k2) * BALL_SLACK.
-    The window holds one pair: each sweep consumes its environment and
-    overwrites it with the next iterate, and the backward pass that makes
-    the iterate measures its distance from the environment, its sup and its
+    The solve allocates no pair: the initial guess is written into the
+    caller's ``pair`` on the window's L+1 nodes, and each sweep consumes its
+    environment and overwrites it with the next iterate, measuring in the
+    same backward pass its distance from the environment, its sup and its
     BMO proxy.  Those serve both the sweep's record and the bounds of the
-    next sweep; the trace keeps the per-node sup and BMO profiles of its
-    final pair.  The initial pair is measured from its definition: every
-    node is its last node and Z = 0, so its sup is that of its last node
-    and its BMO profile is zero.  A BlowUpError propagates from the sweep
-    that raised it, leaving the window's pair undefined.
+    next sweep; the trace keeps ``pair`` and the per-node sup and BMO
+    profiles of its final iterate.  The initial guess (Y the terminal data
+    at every node, "terminal-flat", or zero, "zero"; Z = 0) is measured
+    from its definition: its sup is that of its last node and its BMO
+    profile is zero.  A BlowUpError propagates from the sweep that raised
+    it, leaving the pair's contents undefined.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if init not in ("terminal-flat", "zero"):
+        raise ValueError(f"unknown init {init!r}; expected 'zero' or 'terminal-flat'")
     p = gen.params
     eta = _resolve_eta(terminal, ens, p.n)
-    pair = _initial_pair(init, eta, ens, ball)
+    pair.Y[:] = eta[:, None, :] if init == "terminal-flat" else 0.0
+    pair.Z[:] = 0.0
+    pair.refresh_means()
     sup_y, bmo = sup_norm_estimate(pair.Y[:, -1]), 0.0
 
     iterations: list[PicardIteration] = []

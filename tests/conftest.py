@@ -45,8 +45,7 @@ def projections(monkeypatch):
     """(node, target shape) of every projection, in call order.
 
     Every projection of the package goes through
-    ``engine.NodeRegression.project`` (``engine.project`` wraps it), so this
-    one wrapper sees them all.
+    ``engine.NodeRegression.project``, so this one wrapper sees them all.
     """
     calls = []
     original = engine.NodeRegression.project

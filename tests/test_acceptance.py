@@ -15,6 +15,7 @@ from mfbsde import (
     CATALOG,
     BallSpec,
     ModelParams,
+    ProcessPair,
     TimeGrid,
     apriori_lambda,
     bmo_profile,
@@ -39,6 +40,11 @@ from mfbsde.cli import main
 from mfbsde.constants import local_ball
 
 BASIS = default_basis(1)
+
+
+def fresh(ens, ball, n=1):
+    """New storage for a picard_solve on the window of ball."""
+    return ProcessPair.empty(ens.N, ball.steps, n, ens.d)
 
 CATALOG_SEEDS = {"zero": 1, "meanfield_linear": 1, "colehopf": 7, "loggrowth": 5}
 
@@ -83,7 +89,7 @@ def ball_trace():
     ledger = compute_ledger(case.params)
     ball = BallSpec.from_ledger(ens.grid, ledger)      # eps = min(eps0, T)
     trace = picard_solve(
-        case.generator, case.terminal, ens, BASIS, ball, tol=1e-3, max_iter=10
+        case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball), tol=1e-3, max_iter=10
     )
     return trace, ledger
 
@@ -215,18 +221,23 @@ def test_ac09_stitching_consistency():
     ens = generate_ensemble(TimeGrid.make(20, 1.0), 2_000, 1, 7)
     report = solve_global(case.generator, case.terminal, ens, BASIS, ledger, tol=1e-3)
     ball = lambda_ball(ens.grid, ledger, 0, 20)
-    trace = picard_solve(case.generator, case.terminal, ens, BASIS, ball, tol=1e-3)
+    trace = picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball),
+                         tol=1e-3)
     single_ok = (
         report.plan.windows == ((0, 20),)
         and np.array_equal(report.pair.Y, trace.pair.Y)
         and np.array_equal(report.pair.Z, trace.pair.Z)
     )
 
-    # T = 2.5 * t_lambda: several windows, exact tiling, bitwise seams
+    # T = 2.5 * t_lambda: several windows, exact tiling, and each window
+    # solved alone on fresh storage from the stitched left edge of the
+    # window after it gives its slice of the solution bitwise
     T2 = 2.5 * ledger.t_lambda
     case2 = case_colehopf_diagonal(gamma=1.0, n=1, T=T2)
     ens2 = generate_ensemble(TimeGrid.make(50, T2), 2_000, 1, 7)
-    rep2 = solve_global(case2.generator, case2.terminal, ens2, BASIS, tol=2e-3, max_iter=40)
+    ledger2 = compute_ledger(case2.params)
+    kw = dict(tol=2e-3, max_iter=40)
+    rep2 = solve_global(case2.generator, case2.terminal, ens2, BASIS, ledger2, **kw)
     plan = rep2.plan
     edges = [50]
     tiled = len(plan.windows) >= 2
@@ -236,16 +247,18 @@ def test_ac09_stitching_consistency():
     tiled = tiled and edges[-1] == 0
     tiled = tiled and all(b - a == plan.steps for a, b in plan.windows[:-1])
     seams = rep2.continuity_ok is True
-    for idx in range(1, len(rep2.traces)):
-        k_hi = plan.windows[idx][1]
-        seams = seams and np.array_equal(
-            rep2.pair.Y[:, k_hi], rep2.traces[idx - 1].pair.Y[:, 0]
-        )
+    sol = rep2.pair
+    for k_lo, k_hi in plan.windows:
+        ball2 = lambda_ball(ens2.grid, ledger2, k_lo, k_hi)
+        edge = case2.terminal if k_hi == 50 else sol.Y[:, k_hi].copy()
+        alone = picard_solve(case2.generator, edge, ens2, BASIS, ball2, fresh(ens2, ball2), **kw)
+        seams = seams and np.array_equal(alone.pair.Y, sol.Y[:, k_lo : k_hi + 1])
+        seams = seams and np.array_equal(alone.pair.Z, sol.Z[:, k_lo:k_hi])
 
     ok = single_ok and tiled and seams
     emit(9, ok, f"single-window bitwise={single_ok}; "
                 f"windows={list(plan.windows)} steps={plan.steps} "
-                f"tiled={tiled} seams-bitwise={seams}")
+                f"tiled={tiled} windows-alone-bitwise={seams}")
 
 
 def test_ac10_initializer_independence():
@@ -255,8 +268,10 @@ def test_ac10_initializer_independence():
     ball = BallSpec.full_interval(ens.grid, ledger)
     tol = 1e-3
     kw = dict(tol=tol, max_iter=25)
-    a = picard_solve(case.generator, case.terminal, ens, BASIS, ball, init="terminal-flat", **kw)
-    b = picard_solve(case.generator, case.terminal, ens, BASIS, ball, init="zero", **kw)
+    a = picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball),
+                     init="terminal-flat", **kw)
+    b = picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball),
+                     init="zero", **kw)
     dy = float(np.abs(a.pair.Y - b.pair.Y).max())
     ok = a.converged and b.converged and dy < 3.0 * tol
     emit(10, ok, f"sup |Y_flat - Y_zero| = {dy:.2e} < {3 * tol:.0e}")

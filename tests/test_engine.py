@@ -16,11 +16,11 @@ from mfbsde import (
     default_basis,
     generate_ensemble,
     make_case,
-    project,
     solve_auto,
     sup_norm_estimate,
 )
 from mfbsde import engine
+from mfbsde.engine import NodeRegression
 
 
 def make_ens(M=10, T=1.0, N=500, d=1, seed=0):
@@ -117,7 +117,7 @@ def test_projection_reproduces_basis_functions_exactly():
     basis = default_basis(1)
     w = ens.cumulative[:, 3, 0]
     target = 2.0 + 3.0 * w - 0.5 * w**2
-    fitted, info = project(target, 3, ens, basis)
+    fitted, info = NodeRegression(ens, basis, 3).project(target)
     np.testing.assert_allclose(fitted, target, atol=1e-10)
     assert not info.fallback and np.isfinite(info.cond)
 
@@ -126,42 +126,42 @@ def test_projection_is_a_conditional_mean_not_interpolation():
     # pure-noise target must collapse toward the basis span, not memorize
     ens = make_ens(M=6, N=4_000, seed=4)
     noise = np.random.default_rng(9).normal(size=4_000)
-    fitted, _ = project(noise, 3, ens, default_basis(1))
+    fitted, _ = NodeRegression(ens, default_basis(1), 3).project(noise)
     assert fitted.std() < 0.2 * noise.std()
 
 
 def test_projection_constant_column_bitwise():
     ens = make_ens()
     vals = np.full(ens.N, 3.7)
-    fitted, info = project(vals, 5, ens, default_basis(1))
+    fitted, info = NodeRegression(ens, default_basis(1), 5).project(vals)
     assert np.array_equal(fitted, vals)
     assert info.cond == 1.0
     assert info.constant.tolist() == [True]
     # multi-column: constant columns bitwise even when others are fitted
     both = np.column_stack([vals, ens.cumulative[:, 5, 0]])
-    fitted2, info2 = project(both, 5, ens, default_basis(1))
+    fitted2, info2 = NodeRegression(ens, default_basis(1), 5).project(both)
     assert np.array_equal(fitted2[:, 0], vals)
     assert info2.constant.tolist() == [True, False]
     # the flags hold on the root-node mean too
-    _, info0 = project(both, 0, ens, default_basis(1))
+    _, info0 = NodeRegression(ens, default_basis(1), 0).project(both)
     assert info0.constant.tolist() == [True, False]
 
 
 def test_projection_root_node_is_sample_mean():
     ens = make_ens()
     vals = ens.cumulative[:, 4, 0] ** 2
-    fitted, _ = project(vals, 0, ens, default_basis(1))
+    fitted, _ = NodeRegression(ens, default_basis(1), 0).project(vals)
     np.testing.assert_allclose(fitted, vals.mean())
 
 
 def test_projection_rejects_bad_input():
     ens = make_ens()
     with pytest.raises(ValueError):
-        project(np.full(ens.N, np.nan), 2, ens, default_basis(1))
+        NodeRegression(ens, default_basis(1), 2).project(np.full(ens.N, np.nan))
     with pytest.raises(ValueError):
-        project(np.zeros(ens.N + 1), 2, ens, default_basis(1))
+        NodeRegression(ens, default_basis(1), 2).project(np.zeros(ens.N + 1))
     with pytest.raises(ValueError):
-        project(np.zeros(ens.N), 99, ens, default_basis(1))
+        NodeRegression(ens, default_basis(1), 99).project(np.zeros(ens.N))
 
 
 def test_projection_rank_deficient_falls_back_to_mean(caplog):
@@ -172,7 +172,7 @@ def test_projection_rank_deficient_falls_back_to_mean(caplog):
     for call in (1, 2):
         caplog.clear()
         with caplog.at_level("WARNING"):
-            fitted, info = project(vals, 2, ens, default_basis(1))
+            fitted, info = NodeRegression(ens, default_basis(1), 2).project(vals)
         assert info.fallback and info.cond == float("inf")
         np.testing.assert_allclose(fitted, 2.0)
         assert any("rank-deficient" in r.message for r in caplog.records), call
@@ -204,11 +204,11 @@ def test_projection_matches_lstsq(basis, d):
         block = np.column_stack([single, np.exp(w[:, 0]), np.full(ens.N, -1.25)])
         # twice per node: the second call reuses the cached factor
         for _ in range(2):
-            fitted, info = project(single, k, ens, basis)
+            fitted, info = NodeRegression(ens, basis, k).project(single)
             np.testing.assert_allclose(fitted, lstsq_fit(single, k, ens, basis),
                                        rtol=0.0, atol=1e-10)
             assert not info.fallback and np.isfinite(info.cond)
-            fitted_block, info_block = project(block, k, ens, basis)
+            fitted_block, info_block = NodeRegression(ens, basis, k).project(block)
             assert info_block.constant.tolist() == [False, False, True]
             np.testing.assert_allclose(fitted_block[:, :2],
                                        lstsq_fit(block[:, :2], k, ens, basis),
@@ -221,8 +221,8 @@ def test_factor_cache_is_per_basis():
     ens = make_ens(M=6, N=400, seed=3)
     cubic, quadratic = default_basis(1), RegressionBasis(degree=2)
     vals = np.tanh(ens.cumulative[:, 3, 0])
-    project(vals, 3, ens, cubic)
-    project(vals, 3, ens, quadratic)
+    NodeRegression(ens, cubic, 3).project(vals)
+    NodeRegression(ens, quadratic, 3).project(vals)
     assert set(ens.factors) == {(cubic, 3), (quadratic, 3)}
     assert ens.factors[(cubic, 3)].R.shape == (4, 4)
     assert ens.factors[(quadratic, 3)].R.shape == (3, 3)
@@ -288,7 +288,7 @@ def test_projection_tower_property_of_means(k):
     # (the design contains a constant column)
     ens = make_ens(M=10, N=300, seed=1)
     vals = np.cos(ens.cumulative[:, k, 0]) + 0.3 * ens.cumulative[:, k, 0]
-    fitted, _ = project(vals, k, ens, default_basis(1))
+    fitted, _ = NodeRegression(ens, default_basis(1), k).project(vals)
     assert fitted.mean() == pytest.approx(vals.mean(), rel=1e-9)
 
 
@@ -388,5 +388,6 @@ def test_bmo_profile_squared_norm_is_the_reduction_bitwise(n, d):
     expect = np.zeros(7)
     for k in range(5, -1, -1):
         tail += z_sq[:, k] * ens.grid.dt
-        expect[k] = np.sqrt(max(float(project(tail, k, ens, basis)[0].max()), 0.0))
+        est, _ = NodeRegression(ens, basis, k).project(tail)
+        expect[k] = np.sqrt(max(float(est.max()), 0.0))
     assert np.array_equal(bmo_profile(pair, ens, basis), expect)

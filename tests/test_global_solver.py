@@ -1,5 +1,7 @@
 """Window planning, bound verification and the stitched global solve."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,11 @@ from mfbsde import (
 from mfbsde.constants import local_ball
 
 BASIS = default_basis(1)
+
+
+def fresh(ens, ball, n=1):
+    """New storage for a picard_solve on the window of ball."""
+    return ProcessPair.empty(ens.N, ball.steps, n, ens.d)
 
 
 def colehopf_ledger():
@@ -108,7 +115,8 @@ def run_small_linear(M=20, N=300, seed=3):
     ens = generate_ensemble(TimeGrid.make(M, 1.0), N, 1, seed)
     ledger = compute_ledger(case.params)
     ball = BallSpec.full_interval(ens.grid, ledger)
-    trace = picard_solve(case.generator, case.terminal, ens, BASIS, ball, tol=1e-8, max_iter=60)
+    trace = picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball),
+                         tol=1e-8, max_iter=60)
     return case, ens, ledger, trace
 
 
@@ -155,46 +163,17 @@ def test_single_window_global_equals_plain_picard_bitwise():
     assert report.mode == "stitched" and report.plan.windows == ((0, 20),)
 
     ball = lambda_ball(ens.grid, ledger, 0, 20)
-    trace = picard_solve(case.generator, case.terminal, ens, BASIS, ball, tol=1e-3)
+    trace = picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball),
+                         tol=1e-3)
     assert np.array_equal(report.pair.Y, trace.pair.Y)
     assert np.array_equal(report.pair.Z, trace.pair.Z)
     assert report.converged and report.all_checks_passed()
     assert report.continuity_ok
-    # one window over the whole grid: its fields are the solution's, uncopied
-    assert report.pair is report.traces[0].pair
+    # one window over the whole grid: it was solved in the solution's
+    # storage, and its BMO profile is the solution's
+    assert np.shares_memory(report.pair.Y, report.traces[0].pair.Y)
+    assert np.shares_memory(report.pair.Z, report.traces[0].pair.Z)
     assert report.bmo_nodes is report.traces[0].bmo_nodes
-
-
-def test_multi_window_stitch_continuity_bitwise():
-    case = case_colehopf_diagonal(gamma=1.0, n=1)
-    ledger = compute_ledger(case.params)
-    T2 = 2.5 * ledger.t_lambda
-    case2 = case_colehopf_diagonal(gamma=1.0, n=1, T=T2)
-    ens = generate_ensemble(TimeGrid.make(30, T2), 2_000, 1, 11)
-    report = solve_global(case2.generator, case2.terminal, ens, BASIS, tol=2e-3, max_iter=40)
-    assert report.mode == "stitched"
-    assert len(report.plan.windows) >= 3
-    assert report.continuity_ok
-    # seams: the stored left edge of window j equals the terminal the next
-    # window was solved from
-    for idx in range(1, len(report.traces)):
-        k_hi = report.plan.windows[idx][1]
-        prev_edge = report.traces[idx - 1].pair.Y[:, 0]
-        assert np.array_equal(report.pair.Y[:, k_hi], prev_edge)
-    # each window is solved on its own nodes, and the solution is the
-    # windows' fields joined at their seams, bitwise
-    assert report.pair.Y.shape == (2_000, 31, 1) and report.pair.Z.shape == (2_000, 30, 1, 1)
-    for (k_lo, k_hi), trace in zip(report.plan.windows, report.traces):
-        assert (trace.ball.k_lo, trace.ball.k_hi) == (k_lo, k_hi)
-        L = k_hi - k_lo
-        assert trace.pair.Y.shape == (2_000, L + 1, 1)
-        assert trace.pair.Z.shape == (2_000, L, 1, 1)
-        assert trace.pair.mean_Y.shape == (L + 1, 1) and trace.bmo_nodes.shape == (L + 1,)
-        assert np.array_equal(report.pair.Y[:, k_lo : k_hi + 1], trace.pair.Y)
-        assert np.array_equal(report.pair.Z[:, k_lo:k_hi], trace.pair.Z)
-    assert report.all_checks_passed()
-    d = report.to_dict()
-    assert d["mode"] == "stitched" and len(d["windows"]) == len(report.plan.windows)
 
 
 def test_global_rejects_oversized_terminal():
@@ -229,6 +208,64 @@ def test_global_raises_on_window_nonconvergence():
         solve_global(gen, np.full((200, 1), 0.5), ens, BASIS, ledger, tol=1e-14, max_iter=2)
 
 
+def y_feedback(f=lambda t, y, ybar, z, zbar: 0.4 * y + 0.1 * ybar, M=30, N=4000):
+    """A scalar model with y-feedback on three stitched windows, T = 2.5 t_lambda,
+    with terminal clip(W_T, -1, 1): its sweep counts, and so its solution,
+    depend on init."""
+    T = 2.5 * compute_ledger(small_params()).t_lambda
+    gen = Generator(fn=f, params=small_params(T), name="y-feedback")
+    ens = generate_ensemble(TimeGrid.make(M, T), N, 1, 7)
+    return gen, np.clip(ens.cumulative[:, -1, :], -1.0, 1.0), ens, compute_ledger(gen.params)
+
+
+@pytest.mark.parametrize("init, sweeps", [("terminal-flat", [9, 10, 7]), ("zero", [10, 11, 8])])
+def test_multi_window_stitch_equals_each_window_solved_alone_bitwise(init, sweeps):
+    # every window shares its seam node with its neighbour, so comparing
+    # the seam slices of two windows proves nothing; instead each window is
+    # solved again on fresh storage, from the terminal data (the latest
+    # window) or from the stitched left edge of the window after it, and
+    # must give its slice of the stitched solution, bit for bit
+    gen, eta, ens, ledger = y_feedback()
+    kw = dict(tol=1e-6, max_iter=60, init=init)
+    report = solve_global(gen, eta, ens, BASIS, ledger, **kw)
+    assert report.mode == "stitched" and report.continuity_ok and report.all_checks_passed()
+    assert [len(t.iterations) for t in report.traces] == sweeps
+    sol = report.pair
+    assert sol.Y.shape == (4000, 31, 1) and sol.Z.shape == (4000, 30, 1, 1)
+    for (k_lo, k_hi), trace in zip(report.plan.windows, report.traces):
+        assert (trace.ball.k_lo, trace.ball.k_hi) == (k_lo, k_hi)
+        ball = lambda_ball(ens.grid, ledger, k_lo, k_hi)
+        terminal = eta if k_hi == ens.grid.M else sol.Y[:, k_hi].copy()
+        alone = picard_solve(gen, terminal, ens, BASIS, ball, fresh(ens, ball), **kw)
+        assert len(alone.iterations) == len(trace.iterations)
+        assert np.array_equal(alone.pair.Y, sol.Y[:, k_lo : k_hi + 1])
+        assert np.array_equal(alone.pair.Z, sol.Z[:, k_lo:k_hi])
+        assert np.array_equal(alone.pair.mean_Y, sol.mean_Y[k_lo : k_hi + 1])
+        assert np.array_equal(alone.pair.mean_Z, sol.mean_Z[k_lo:k_hi])
+        assert np.array_equal(alone.sup_nodes, report.sup_nodes[k_lo : k_hi + 1])
+    assert np.array_equal(report.bmo_nodes, bmo_profile(sol, ens, BASIS))
+    d = report.to_dict()
+    assert d["mode"] == "stitched" and len(d["windows"]) == len(report.plan.windows)
+
+
+def test_stitch_flags_a_window_that_did_not_end_on_its_terminal(monkeypatch):
+    # continuity compares the node a window wrote at its right edge with the
+    # terminal copy it was solved from, so a window that leaves anything
+    # else there is caught
+    import mfbsde.global_solver as gs
+
+    def off_by_one_ulp(gen, terminal, ens, basis, ball, pair, **kw):
+        trace = picard_solve(gen, terminal, ens, basis, ball, pair, **kw)
+        if ball.k_lo == 0:
+            pair.Y[:, -1] = np.nextafter(pair.Y[:, -1], np.inf)
+        return trace
+
+    monkeypatch.setattr(gs, "picard_solve", off_by_one_ulp)
+    gen, eta, ens, ledger = y_feedback(N=500)
+    report = solve_global(gen, eta, ens, BASIS, ledger, tol=1e-6, max_iter=60)
+    assert len(report.traces) == 3 and report.continuity_ok is False
+
+
 def test_stitched_apriori_check_reads_the_largest_window_sup():
     # a constant drift makes Y = 0.5 + 0.5 (T - t) grow backward, so the
     # earliest window holds the solution's sup, not the latest
@@ -258,6 +295,50 @@ def test_solve_auto_falls_back_when_step_unusable():
     assert len(report.windows) == 1 and report.windows[0].k_hi == 20
     assert report.pair is report.traces[0].pair
     assert report.bmo_nodes is report.traces[0].bmo_nodes
+
+
+def pair_bytes(pair):
+    return pair.Y.nbytes + pair.Z.nbytes + pair.mean_Y.nbytes + pair.mean_Z.nbytes
+
+
+def traced(solve):
+    """(result, bytes still allocated after the call, peak bytes) of solve()."""
+    tracemalloc.start()
+    try:
+        result = solve()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current, peak
+
+
+def test_multi_window_solve_holds_one_solution_pair():
+    # the windows are solved in place on the one solution pair, so what a
+    # three-window solve leaves allocated is that pair and little else
+    case = case_colehopf_diagonal(n=2, T=5.0)
+    ens = generate_ensemble(TimeGrid.make(30, case.params.T), 2000, 1, 3)
+    ledger = compute_ledger(case.params)
+    report, kept, _ = traced(lambda: solve_auto(case.generator, case.terminal, ens,
+                                                BASIS, ledger, max_iter=40))
+    assert report.mode == "stitched" and len(report.traces) == 3
+    assert kept <= 1.05 * pair_bytes(report.pair)
+
+
+def test_fallback_after_a_failed_window_runs_alone_on_fresh_storage():
+    # the first stitched window fails to converge; its pair is released
+    # before the fallback allocates its own, so the two never coexist, and
+    # none of its partial writes reach the fallback's result
+    gen, eta, ens, ledger = y_feedback(f=lambda t, y, ybar, z, zbar: 0.4 * y, N=2000)
+    kw = dict(tol=1e-14, max_iter=3)
+    report, _, peak = traced(lambda: solve_auto(gen, eta, ens, BASIS, ledger, **kw))
+    assert report.mode == "full-interval-fallback" and not report.converged
+    assert peak <= 1.4 * pair_bytes(report.pair)
+    ball = BallSpec.full_interval(ens.grid, ledger)
+    alone = picard_solve(gen, eta, ens, BASIS, ball, fresh(ens, ball), **kw)
+    for field in ("Y", "Z", "mean_Y", "mean_Z"):
+        assert np.array_equal(getattr(report.pair, field), getattr(alone.pair, field))
+    assert np.array_equal(report.sup_nodes, alone.sup_nodes)
+    assert np.array_equal(report.bmo_nodes, alone.bmo_nodes)
 
 
 def test_solve_auto_measures_each_iterate_once(bmo_passes, sup_passes):

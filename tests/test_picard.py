@@ -42,6 +42,11 @@ from mfbsde.benchmarks import BenchmarkCase
 BASIS = default_basis(1)
 
 
+def fresh(ens, ball, n=1):
+    """New storage for a picard_solve on the window of ball."""
+    return ProcessPair.empty(ens.N, ball.steps, n, ens.d)
+
+
 def linear_setup(M=20, N=256, seed=2, a=0.5, b=0.5, c=1.0):
     case = case_meanfield_linear(a=a, b=b, c=c, T=1.0)
     ens = generate_ensemble(TimeGrid.make(M, 1.0), N, 1, seed)
@@ -379,7 +384,7 @@ def test_picard_fixed_point_matches_implicit_trapezoid_product():
     case, ens, ledger = linear_setup(M=20, N=256)
     ball = BallSpec.full_interval(ens.grid, ledger)
     trace = picard_solve(
-        case.generator, case.terminal, ens, BASIS, ball, tol=1e-11, max_iter=100
+        case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball), tol=1e-11, max_iter=100
     )
     assert trace.converged
     dt = ens.grid.dt
@@ -395,7 +400,7 @@ def test_picard_zero_case_converges_first_sweep_bitwise():
     ens = generate_ensemble(TimeGrid.make(8, 1.0), 100, 1, 1)
     ledger = compute_ledger(case.params)
     ball = BallSpec.full_interval(ens.grid, ledger)
-    trace = picard_solve(case.generator, case.terminal, ens, BASIS, ball)
+    trace = picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball))
     assert trace.converged and len(trace.iterations) == 1
     it = trace.iterations[0]
     assert it.diff_y == 0.0 and it.diff_z == 0.0
@@ -409,7 +414,7 @@ def test_picard_iteration_diagnostics_monotone_tail():
     case, ens, ledger = linear_setup(M=16, N=200)
     ball = BallSpec.full_interval(ens.grid, ledger)
     trace = picard_solve(
-        case.generator, case.terminal, ens, BASIS, ball, tol=1e-10, max_iter=50
+        case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball), tol=1e-10, max_iter=50
     )
     assert trace.converged and len(trace.iterations) >= 3
     assert trace.iterations[0].ratio_y is None
@@ -423,8 +428,10 @@ def test_picard_inits_agree_at_fixed_point():
     case, ens, ledger = linear_setup(M=10, N=200)
     ball = BallSpec.full_interval(ens.grid, ledger)
     kw = dict(tol=1e-6, max_iter=60)
-    a = picard_solve(case.generator, case.terminal, ens, BASIS, ball, init="terminal-flat", **kw)
-    b = picard_solve(case.generator, case.terminal, ens, BASIS, ball, init="zero", **kw)
+    a = picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball),
+                     init="terminal-flat", **kw)
+    b = picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball),
+                     init="zero", **kw)
     assert a.converged and b.converged
     assert float(np.abs(a.pair.Y - b.pair.Y).max()) < 3e-6
 
@@ -433,9 +440,10 @@ def test_picard_argument_validation():
     case, ens, ledger = linear_setup(M=10, N=64)
     ball = BallSpec.full_interval(ens.grid, ledger)
     with pytest.raises(ValueError, match="init"):
-        picard_solve(case.generator, case.terminal, ens, BASIS, ball, init="bogus")
+        picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball),
+                     init="bogus")
     with pytest.raises(ValueError, match="max_iter"):
-        picard_solve(case.generator, case.terminal, ens, BASIS, ball, max_iter=0)
+        picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball), max_iter=0)
 
 
 @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0])
@@ -444,7 +452,7 @@ def test_picard_rejects_a_tol_that_is_not_finite_and_positive(tol):
     case, ens, ledger = linear_setup(M=10, N=64)
     ball = BallSpec.full_interval(ens.grid, ledger)
     with pytest.raises(ValueError, match="tol must be finite and positive"):
-        picard_solve(case.generator, case.terminal, ens, BASIS, ball, tol=tol)
+        picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball), tol=tol)
 
 
 def record_sweeps(monkeypatch):
@@ -497,7 +505,8 @@ def test_initial_pair_is_measured_from_its_definition_bitwise(monkeypatch, init)
     ens = generate_ensemble(TimeGrid.make(10, case.params.T), 300, 1, 5)
     ball = BallSpec.from_ledger(ens.grid, compute_ledger(case.params), eps=0.5)
     assert ball.k_lo > 0
-    picard_solve(case.generator, case.terminal, ens, BASIS, ball, max_iter=1, init=init)
+    picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball, 2), max_iter=1,
+                 init=init)
     pair, u_norm, v_norm, _ = sweeps[0]
     assert u_norm == sup_norm_estimate(pair.Y)
     assert v_norm == bmo_profile(pair, ens, BASIS, ball.k_lo).max() == 0.0
@@ -565,28 +574,31 @@ def test_sweep_diffs_are_the_full_array_diffs_bitwise(monkeypatch, make, M, N, s
 
 
 @pytest.mark.parametrize("make, n", [(case_colehopf_diagonal, 1), (case_loggrowth, 2)])
-def test_picard_solve_holds_one_pair(make, n):
-    # every sweep overwrites the one pair of the window, so the solve's
-    # allocation peak is that pair plus per-node temporaries
+def test_picard_solve_allocates_no_pair(make, n):
+    # the solve writes the initial guess and every sweep into the caller's
+    # pair, so its allocation peak is per-node temporaries, below the size
+    # of either field of the pair
     case = make()
     assert case.params.n == n
     ens = generate_ensemble(TimeGrid.make(40, case.params.T), 4000, 1, 3)
     ball = BallSpec.full_interval(ens.grid, compute_ledger(case.params))
+    pair = fresh(ens, ball, n)
     tracemalloc.start()
     try:
-        trace = picard_solve(case.generator, case.terminal, ens, BASIS, ball, tol=1e-12, max_iter=3)
+        trace = picard_solve(case.generator, case.terminal, ens, BASIS, ball, pair,
+                             tol=1e-12, max_iter=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(trace.iterations) >= 2
-    assert peak <= 1.5 * (trace.pair.Y.nbytes + trace.pair.Z.nbytes)
+    assert len(trace.iterations) >= 2 and trace.pair is pair
+    assert peak < min(pair.Y.nbytes, pair.Z.nbytes)
 
 
 def test_picard_nonconvergence_reported_not_raised():
     case, ens, ledger = linear_setup(M=10, N=64)
     ball = BallSpec.full_interval(ens.grid, ledger)
     trace = picard_solve(
-        case.generator, case.terminal, ens, BASIS, ball, tol=1e-15, max_iter=2
+        case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball), tol=1e-15, max_iter=2
     )
     assert not trace.converged and len(trace.iterations) == 2
 
@@ -597,7 +609,8 @@ def test_picard_nonconvergence_reported_not_raised():
 def test_contraction_report_requires_three_sweeps():
     case, ens, ledger = linear_setup(M=10, N=64)
     ball = BallSpec.full_interval(ens.grid, ledger)
-    short = picard_solve(case.generator, case.terminal, ens, BASIS, ball, tol=1e-15, max_iter=2)
+    short = picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball),
+                         tol=1e-15, max_iter=2)
     with pytest.raises(ValueError, match="3 sweeps"):
         contraction_report(short, ledger)
 
@@ -606,7 +619,7 @@ def test_contraction_report_observes_linear_decay():
     case, ens, ledger = linear_setup(M=16, N=200)
     ball = BallSpec.from_ledger(ens.grid, ledger)
     trace = picard_solve(
-        case.generator, case.terminal, ens, BASIS, ball, tol=1e-10, max_iter=50
+        case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball), tol=1e-10, max_iter=50
     )
     rep = contraction_report(trace, ledger)
     assert rep.observed_contracting

@@ -1,7 +1,13 @@
-"""The README's library example runs as written."""
+"""The README's library example, config table and call signatures match the code."""
 
+import ast
+import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
+
+import mfbsde
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -41,3 +47,58 @@ def test_readme_config_table_matches_the_schema():
     assert set(rows.pop("case")) == {"name", "parameters"}
     assert rows == {section: {key: spec.expect for key, spec in keys.items()}
                     for section, keys in SCHEMA.items()}
+
+
+# Backticked calls that name a convention, not a callable of the package.
+CONVENTIONS = {"drift"}
+
+
+def readme_calls() -> list[tuple[str, list[str], dict]]:
+    """(name, parameter names, defaults) of every backticked call
+    `name(a, b, c=1)` in the README prose, code blocks left out."""
+    text = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    calls = []
+    for span in re.findall(r"(?<!`)`([^`]+)`(?!`)", text):
+        try:
+            node = ast.parse(" ".join(span.split()), mode="eval").body
+        except SyntaxError:
+            continue
+        if not (isinstance(node, ast.Call) and all(isinstance(a, ast.Name) for a in node.args)
+                and re.fullmatch(r"[\w.]+", ast.unparse(node.func))):
+            continue
+        names = [a.id for a in node.args] + [k.arg for k in node.keywords]
+        defaults = {k.arg: ast.literal_eval(k.value) for k in node.keywords}
+        calls.append((ast.unparse(node.func), names, defaults))
+    return calls
+
+
+def resolve(name: str):
+    """The public object a dotted README name refers to: looked up in the
+    package namespace, then in each module of the package; None if none."""
+    owners = [mfbsde] + [importlib.import_module(f"mfbsde.{m.name}")
+                         for m in pkgutil.iter_modules(mfbsde.__path__)]
+    head, *rest = name.split(".")
+    for owner in owners:
+        obj = getattr(owner, head, None) if not head.startswith("_") else None
+        if obj is not None:
+            for attr in rest:
+                obj = getattr(obj, attr, None)
+            return obj
+    return None
+
+
+def test_readme_call_signatures_match_the_code():
+    # every backticked call in the README names a public callable with
+    # exactly these parameters, in this order, and these defaults
+    checked = set()
+    for name, params, defaults in readme_calls():
+        if name.split(".")[0] in CONVENTIONS:
+            continue
+        obj = resolve(name)
+        assert callable(obj), f"README names `{name}(...)`, which is no public mfbsde callable"
+        sig = {p.name: p for p in inspect.signature(obj).parameters.values() if p.name != "self"}
+        assert params == list(sig), f"README `{name}{tuple(params)}` vs {inspect.signature(obj)}"
+        for key, value in defaults.items():
+            assert sig[key].default == value, f"README `{name}` default {key}={value!r}"
+        checked.add(name)
+    assert {"picard_solve", "solve_1d", "ProcessPair.window", "NodeRegression"} <= checked
