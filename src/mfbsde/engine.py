@@ -57,12 +57,17 @@ class TimeGrid:
         return cls(M=M, T=float(T), dt=float(dt), nodes=nodes)
 
 
+_DRAW_CHUNK = 256      # particles per standard_normal draw of generate_ensemble
+
+
 @dataclass(frozen=True, eq=False)
 class Ensemble:
     """N Brownian paths on a grid: increments (N, M, d) and cumulative (N, M+1, d).
 
-    ``factors`` caches the regression factor of each (basis, node) that a
-    ``NodeRegression`` has used on these paths; it starts empty.
+    ``generate_ensemble`` stores both node-major and these are views, so each
+    node's (N, d) block is contiguous; ``.tobytes()`` gives the logical bytes,
+    and particle-major memory takes an explicit copy.  ``factors`` caches the
+    regression factor of each (basis, node) a ``NodeRegression`` used; it starts empty.
     """
 
     grid: TimeGrid
@@ -73,18 +78,34 @@ class Ensemble:
     cumulative: np.ndarray = field(repr=False)
     factors: dict = field(default_factory=dict, init=False, repr=False)
 
+    def __post_init__(self):
+        for name, nodes in (("increments", self.grid.M), ("cumulative", self.grid.M + 1)):
+            shape = np.shape(getattr(self, name))
+            if shape != (self.N, nodes, self.d):
+                raise ValueError(f"{name} must have shape {(self.N, nodes, self.d)}, got {shape}")
+
 
 def generate_ensemble(grid: TimeGrid, N: int, d: int, seed: int) -> Ensemble:
-    """Draw N paths of a d-dimensional Brownian motion on the grid, reproducibly."""
+    """Draw N paths of a d-dimensional Brownian motion on the grid, reproducibly:
+    bitwise those of one (N, M, d) draw, drawn in particle chunks and stored node-major."""
     if N < 2:
         raise ValueError(f"need at least 2 particles for regression, got N = {N}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     rng = np.random.default_rng(seed)
-    increments = rng.standard_normal((N, grid.M, d)) * np.sqrt(grid.dt)
-    cumulative = np.zeros((N, grid.M + 1, d))
-    np.cumsum(increments, axis=1, out=cumulative[:, 1:, :])
-    return Ensemble(grid=grid, N=N, d=d, seed=seed, increments=increments, cumulative=cumulative)
+    increments = np.empty((grid.M, N, d))
+    draw = np.empty((min(N, _DRAW_CHUNK), grid.M, d))
+    for lo in range(0, N, _DRAW_CHUNK):
+        part = draw[: min(_DRAW_CHUNK, N - lo)]
+        rng.standard_normal(out=part)
+        part *= np.sqrt(grid.dt)
+        increments[:, lo : lo + len(part)] = part.swapaxes(0, 1)
+    cumulative = np.zeros((grid.M + 1, N, d))
+    cumulative[1] = increments[0]
+    for k in range(1, grid.M):       # np.cumsum's running sums, one node block at a time
+        np.add(cumulative[k], increments[k], out=cumulative[k + 1])
+    return Ensemble(grid=grid, N=N, d=d, seed=seed, increments=increments.swapaxes(0, 1),
+                    cumulative=cumulative.swapaxes(0, 1))
 
 
 @dataclass(frozen=True)
@@ -253,7 +274,9 @@ class ProcessPair:
     """Solution fields on L+1 consecutive grid nodes: Y (N, L+1, n) and
     Z (N, L, n, d), with their per-node particle means carried alongside.
     A solve fills one pair on all M+1 grid nodes in place, each window on
-    its ``window``; after a BlowUpError its contents are undefined."""
+    its ``window``; after a BlowUpError its contents are undefined.
+    ``empty`` stores the fields node-major and Y and Z are views, as in
+    ``Ensemble``, so each node's block is contiguous."""
 
     Y: np.ndarray
     Z: np.ndarray
@@ -268,23 +291,29 @@ class ProcessPair:
             raise ValueError(f"expected Y (N, L+1, n) and Z (N, L, n, d), got {Y.shape}, {Z.shape}")
         if Z.shape[0] != Y.shape[0] or Z.shape[1] != Y.shape[1] - 1 or Z.shape[2] != Y.shape[2]:
             raise ValueError(f"inconsistent field shapes {Y.shape}, {Z.shape}")
-        return cls(Y=Y, Z=Z, mean_Y=Y.mean(axis=0), mean_Z=Z.mean(axis=0))
+        pair = cls(Y=Y, Z=Z, mean_Y=np.empty(Y.shape[1:]), mean_Z=np.empty(Z.shape[1:]))
+        pair.refresh_means()
+        return pair
 
     @classmethod
     def empty(cls, N: int, L: int, n: int, d: int) -> "ProcessPair":
-        """Uninitialised storage on L+1 nodes, for a solve to fill in place."""
-        return cls(Y=np.empty((N, L + 1, n)), Z=np.empty((N, L, n, d)),
-                   mean_Y=np.empty((L + 1, n)), mean_Z=np.empty((L, n, d)))
+        """Uninitialised node-major storage on L+1 nodes, for a solve to fill in place."""
+        return cls(Y=np.empty((L + 1, N, n)).swapaxes(0, 1), mean_Y=np.empty((L + 1, n)),
+                   Z=np.empty((L, N, n, d)).swapaxes(0, 1), mean_Z=np.empty((L, n, d)))
 
     def window(self, k_lo: int, k_hi: int) -> "ProcessPair":
-        """Views of nodes k_lo..k_hi: neighbouring windows share a seam node."""
+        """Views of nodes k_lo..k_hi, node blocks contiguous; windows share a seam node."""
         return ProcessPair(Y=self.Y[:, k_lo : k_hi + 1], Z=self.Z[:, k_lo:k_hi],
                            mean_Y=self.mean_Y[k_lo : k_hi + 1], mean_Z=self.mean_Z[k_lo:k_hi])
 
     def refresh_means(self) -> None:
-        """Recompute mean_Y and mean_Z from Y and Z, into their storage."""
-        np.mean(self.Y, axis=0, out=self.mean_Y)
-        np.mean(self.Z, axis=0, out=self.mean_Z)
+        """Recompute mean_Y and mean_Z from Y and Z, into their storage, adding
+        each node's particles in index order as ``np.mean(axis=0)`` of a
+        C-contiguous particle-major array does, whatever the fields' layout."""
+        N = self.Y.shape[0]
+        for fld, mean in ((self.Y, self.mean_Y), (self.Z, self.mean_Z)):
+            for j in range(fld.shape[1]):
+                np.divide(np.add.accumulate(fld[:, j], axis=0)[-1], N, out=mean[j])
 
 
 def _sum_of_squares(a: np.ndarray) -> np.ndarray:

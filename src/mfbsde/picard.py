@@ -206,13 +206,14 @@ def apply_gamma(
         radii.append(truncation_radius(z_bound_i))
 
     diag = np.arange(n)
+    vsub = np.empty((N, n, n, ens.d))               # slice i: V at the node, row i substituted
 
     def g_rows(k: int, z: np.ndarray) -> np.ndarray:
         j = k - k_lo
         t_mid = 0.5 * (nodes[k] + nodes[k + 1])
         u_mid = 0.5 * (U[:, j] + U[:, j + 1])
         mu_mid = 0.5 * (mean_U[j] + mean_U[j + 1])
-        vsub = np.repeat(V[:, j, None], n, axis=1)     # (N, n, n, d)
+        vsub[:] = V[:, j, None]
         vsub[:, diag, diag] = z
         y = np.broadcast_to(u_mid[:, None, :], (N, n, n))
         return gen.eval(t_mid, y, mu_mid, vsub, mean_V[j])[:, diag, diag]

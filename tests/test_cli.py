@@ -1,5 +1,6 @@
 """End-to-end runs of the config-driven command line."""
 
+import hashlib
 import json
 import textwrap
 
@@ -436,6 +437,32 @@ def test_bench_covers_catalog(tmp_path, capsys):
     # the two-component case writes both mean columns
     header = (out / "bench_loggrowth_solution.csv").read_text().splitlines()[0]
     assert header.startswith("t,mean_Y1,mean_Y2,")
+
+
+# sha256 of each case's solution CSV from `mfbsde bench` at m = 10,
+# n = 2000, seed 7, taken before fields and paths were stored node-major.
+GOLDEN_BENCH_CSV = {
+    "colehopf": "34623003e1b015794141df3c01f0bc11be7c6c8ff570a43a881c5033804a7aea",
+    "loggrowth": "e846c4bbb7dd7ee4cd125e0e955876d91b06ed9e3f8e355bcfba5bcbcacfa8ab",
+    "meanfield_linear": "397ff004455b1f6a49c45e576a4a17d425f57746c227b746acf5df8c3c6823f9",
+    "zero": "276a2f2711673720946ba429000b7ee9280e2df02b191a7b70035d0b9c77ddbd",
+}
+
+
+def test_bench_csvs_match_the_golden_digests(tmp_path, capsys):
+    """The bench CSVs are bitwise those of the recorded digests.
+
+    The digests were taken with numpy 2.4.6, scipy 1.17.1 and the
+    scipy-openblas OpenBLAS 0.3.31 (64-bit ints, dynamic arch) on x86-64;
+    another numpy, scipy or BLAS may legitimately move the last bits of
+    the regressions and so of these files.
+    """
+    cfg = write_cfg(tmp_path, "[grid]\nm = 10\n[ensemble]\nn = 2000\nseed = 7\n")
+    out = tmp_path / "b"
+    assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / f"bench_{name}_solution.csv").read_bytes()).hexdigest()
+               for name in GOLDEN_BENCH_CSV}
+    assert digests == GOLDEN_BENCH_CSV
 
 
 def test_bench_rejects_case_parameters(tmp_path, capsys):

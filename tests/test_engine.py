@@ -73,6 +73,40 @@ def test_ensemble_rejects_tiny_population():
         make_ens(N=1)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_ensemble_is_the_particle_major_draw_bitwise(d):
+    # The chunked node-major draw gives the paths of one (N, M, d) draw.
+    M, T, N, seed = 9, 1.5, 2500, 4
+    assert N % engine._DRAW_CHUNK != 0
+    ens = generate_ensemble(TimeGrid.make(M, T), N, d, seed)
+    incr = np.random.default_rng(seed).standard_normal((N, M, d)) * np.sqrt(T / M)
+    cum = np.zeros((N, M + 1, d))
+    np.cumsum(incr, axis=1, out=cum[:, 1:])
+    assert ens.increments.tobytes() == incr.tobytes()
+    assert ens.cumulative.tobytes() == cum.tobytes()
+
+
+def test_node_slices_are_contiguous():
+    ens = make_ens(M=6, N=40, d=2)
+    whole = ProcessPair.empty(40, 6, 2, 2)
+    for pair in (whole, whole.window(2, 5)):
+        assert pair.Y.shape[0] == pair.Z.shape[0] == 40
+        for j in range(pair.Z.shape[1]):
+            assert pair.Y[:, j].flags.c_contiguous and pair.Z[:, j].flags.c_contiguous
+        assert pair.Y[:, -1].flags.c_contiguous
+    for k in range(6):
+        assert ens.increments[:, k].flags.c_contiguous and ens.cumulative[:, k].flags.c_contiguous
+
+
+@pytest.mark.parametrize("field, shape", [("increments", (50, 4, 1)), ("increments", (50, 5, 2)),
+                                          ("cumulative", (50, 5, 1)), ("cumulative", (49, 6, 1))])
+def test_ensemble_rejects_arrays_of_the_wrong_shape(field, shape):
+    ens = make_ens(M=5, N=50)
+    arrays = {"increments": ens.increments, "cumulative": ens.cumulative, field: np.zeros(shape)}
+    with pytest.raises(ValueError, match=field):
+        engine.Ensemble(grid=ens.grid, N=50, d=1, seed=0, **arrays)
+
+
 # -------------------------------------------------------------------- bases
 
 
@@ -309,6 +343,26 @@ def test_process_pair_validation_and_means():
         pair_from(Y, np.zeros((8, 5, 2, 3)))      # Z must have M = 4 steps
     with pytest.raises(ValueError):
         pair_from(Y[0], Z)
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (2, 1), (2, 2)])
+def test_refresh_means_are_the_particle_major_means_bitwise(n, d):
+    rng = np.random.default_rng(n + d)
+    pair = ProcessPair.empty(10_000, 6, n, d)
+    pair.Y[:] = rng.normal(size=pair.Y.shape)
+    pair.Z[:] = rng.normal(size=pair.Z.shape)
+    pair.refresh_means()
+    assert pair.mean_Y.tobytes() == np.ascontiguousarray(pair.Y).mean(axis=0).tobytes()
+    assert pair.mean_Z.tobytes() == np.ascontiguousarray(pair.Z).mean(axis=0).tobytes()
+
+
+def test_from_fields_takes_its_means_from_refresh_means(monkeypatch):
+    calls = []
+    original = ProcessPair.refresh_means
+    monkeypatch.setattr(ProcessPair, "refresh_means",
+                        lambda self: (calls.append(self), original(self))[1])
+    pair = pair_from(np.ones((4, 3, 1)), np.zeros((4, 2, 1, 1)))
+    assert calls == [pair]
 
 
 def test_sup_norm_estimate_hand_value():

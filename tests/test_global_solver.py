@@ -8,6 +8,7 @@ import pytest
 from mfbsde import (
     BallSpec,
     ConfigError,
+    Ensemble,
     Generator,
     ModelParams,
     ProcessPair,
@@ -387,3 +388,21 @@ def test_solve_auto_prefers_stitching_when_guaranteed():
     assert report.mode == "stitched"
     assert np.array_equal(report.pair.Y, np.ones((200, 11, 1)))
     assert report.all_checks_passed()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_solution_does_not_depend_on_the_ensemble_layout(n):
+    # The same paths stored particle-major, as a caller builds an Ensemble
+    # by keyword, give bitwise the solution of the node-major ensemble.
+    case = case_colehopf_diagonal(gamma=1.0, n=n)
+    ens = generate_ensemble(TimeGrid.make(20, case.params.T), 2000, 1, 3)
+    flat = Ensemble(grid=ens.grid, N=ens.N, d=ens.d, seed=ens.seed,
+                    increments=np.ascontiguousarray(ens.increments),
+                    cumulative=np.ascontiguousarray(ens.cumulative))
+    assert flat.increments.flags.c_contiguous and not ens.increments.flags.c_contiguous
+    a, b = (solve_auto(case.generator, case.terminal, e, BASIS) for e in (ens, flat))
+    for name in ("Y", "Z", "mean_Y", "mean_Z"):
+        assert getattr(a.pair, name).tobytes() == getattr(b.pair, name).tobytes()
+    assert a.sup_nodes.tobytes() == b.sup_nodes.tobytes()
+    assert a.bmo_nodes.tobytes() == b.bmo_nodes.tobytes()
+    assert [t.iterations for t in a.traces] == [t.iterations for t in b.traces]
