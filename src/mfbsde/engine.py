@@ -307,13 +307,17 @@ class ProcessPair:
                            mean_Y=self.mean_Y[k_lo : k_hi + 1], mean_Z=self.mean_Z[k_lo:k_hi])
 
     def refresh_means(self) -> None:
-        """Recompute mean_Y and mean_Z from Y and Z, into their storage, adding
-        each node's particles in index order as ``np.mean(axis=0)`` of a
-        C-contiguous particle-major array does, whatever the fields' layout."""
-        N = self.Y.shape[0]
+        """Recompute mean_Y and mean_Z from Y and Z, one ``_node_mean`` per
+        node: the reference the means a solve writes node by node are held to."""
         for fld, mean in ((self.Y, self.mean_Y), (self.Z, self.mean_Z)):
             for j in range(fld.shape[1]):
-                np.divide(np.add.accumulate(fld[:, j], axis=0)[-1], N, out=mean[j])
+                mean[j] = _node_mean(fld[:, j])
+
+
+def _node_mean(block: np.ndarray) -> np.ndarray:
+    """Particle mean of a node's (N, ...) block, added in index order as ``np.mean(axis=0)``
+    of C-contiguous particle-major memory does, whatever the block's layout."""
+    return np.add.accumulate(block, axis=0)[-1] / block.shape[0]
 
 
 def _sum_of_squares(a: np.ndarray) -> np.ndarray:

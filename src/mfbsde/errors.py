@@ -10,14 +10,13 @@ class ConfigError(ValueError):
 class BlowUpError(RuntimeError):
     """Backward induction escaped its a priori sup-norm guard (CLI exit code 3)."""
 
-    def __init__(self, node: int, value: float, guard: float, component: int | None = None):
+    def __init__(self, node: int, value: float, guard: float, component: int):
         self.node = node
         self.value = value
         self.guard = guard
         self.component = component
-        where = f"component {component}, " if component is not None else ""
         super().__init__(
-            f"solution blow-up: {where}node {node}: max |Y| = {value:.6g} "
+            f"solution blow-up: component {component}, node {node}: max |Y| = {value:.6g} "
             f"exceeds guard {guard:.6g}"
         )
 

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .constants import ConstantsLedger, contraction_coefficients
-from .engine import Ensemble, ProcessPair, RegressionBasis, TimeGrid, sup_norm_estimate
+from .engine import Ensemble, ProcessPair, RegressionBasis, TimeGrid, _node_mean, sup_norm_estimate
 from .model import Generator, TerminalCondition, terminal_values
 from .qbsde1d import bound_y, bound_z, solve_1d, truncation_radius
 
@@ -145,12 +145,11 @@ def apply_gamma(
 
     ``pair`` is the environment on the window's L+1 nodes.  u_norm and
     v_norm are its sup and BMO proxies; they set the a priori bounds of
-    every frozen equation.  The sweep consumes the environment: its result
-    overwrites pair.Y and pair.Z one node behind the backward pass (the
-    frozen generator at node j reads only nodes j and j+1, before they are
-    overwritten), and the result's means are then written into pair.mean_Y
-    and pair.mean_Z.  A pair that is not writable is rejected at entry; after
-    a BlowUpError the pair's contents are undefined.
+    every frozen equation.  The sweep consumes the environment: its
+    ``solve_1d`` pass overwrites the pair, means included, one node behind
+    the backward pass (the frozen generator at node j reads only nodes j and
+    j+1, before they are overwritten), and rejects a read-only pair before
+    writing; after a BlowUpError the pair's contents are undefined.
 
     For each component i the system generator is frozen: y-slots and the time
     argument at the step midpoint (average of the two endpoint nodes, which
@@ -173,9 +172,6 @@ def apply_gamma(
     p = gen.params
     n, N = p.n, ens.N
     U, V = pair.Y, pair.Z
-    if not (U.flags.writeable and V.flags.writeable):
-        raise ValueError("apply_gamma overwrites its pair in place; the environment's Y and Z "
-                         "must be writable arrays")
     mean_U, mean_V = pair.mean_Y, pair.mean_Z
     k_lo, k_hi = ball.k_lo, ball.k_hi
     nodes = ens.grid.nodes
@@ -218,9 +214,8 @@ def apply_gamma(
         y = np.broadcast_to(u_mid[:, None, :], (N, n, n))
         return gen.eval(t_mid, y, mu_mid, vsub, mean_V[j])[:, diag, diag]
 
-    res = solve_1d(eta, g_rows, ens, basis, np.array(radii), 10.0 * np.array(y_bounds), U, V,
-                   k_lo=k_lo, k_hi=k_hi)
-    pair.refresh_means()
+    res = solve_1d(eta, g_rows, ens, basis, np.array(radii), 10.0 * np.array(y_bounds), pair,
+                   k_lo=k_lo)
     infos = tuple(
         ComponentInfo(
             index=i,
@@ -296,9 +291,9 @@ def picard_solve(
     next sweep; the trace keeps ``pair`` and the per-node sup and BMO
     profiles of its final iterate.  The initial guess (Y the terminal data
     at every node, "terminal-flat", or zero, "zero"; Z = 0) is measured
-    from its definition: its sup is that of its last node and its BMO
-    profile is zero.  A BlowUpError propagates from the sweep that raised
-    it, leaving the pair's contents undefined.
+    from its definition: its sup and means are those of its last node and
+    its BMO profile is zero.  A BlowUpError propagates from the sweep that
+    raised it, leaving the pair's contents undefined.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -308,9 +303,11 @@ def picard_solve(
         raise ValueError(f"unknown init {init!r}; expected 'zero' or 'terminal-flat'")
     p = gen.params
     eta = _resolve_eta(terminal, ens, p.n)
-    pair.Y[:] = eta[:, None, :] if init == "terminal-flat" else 0.0
+    y0 = eta if init == "terminal-flat" else np.zeros_like(eta)
+    pair.Y[:] = y0[:, None, :]
+    pair.mean_Y[:] = _node_mean(y0)
     pair.Z[:] = 0.0
-    pair.refresh_means()
+    pair.mean_Z[:] = 0.0
     sup_y, bmo = sup_norm_estimate(pair.Y[:, -1]), 0.0
 
     iterations: list[PicardIteration] = []

@@ -23,8 +23,8 @@ projections serve every row, and each row keeps its own truncation radius
 and guard.  The pass also measures what it produces while each node is at
 hand: the sup proxy of Y at each node and the BMO profile of Z, the same
 numbers ``engine.sup_norm_estimate`` and ``engine.bmo_profile`` give for the
-result.  It writes that result over the caller's buffers, one node behind
-the backward pass, and measures how far each slice moved as it goes.
+result.  It writes that result over the caller's pair, means included, one
+node behind the backward pass, and measures how far each slice moved.
 """
 
 from __future__ import annotations
@@ -38,7 +38,9 @@ from .constants import LOG2, c_delta_k_n
 from .engine import (
     Ensemble,
     NodeRegression,
+    ProcessPair,
     RegressionBasis,
+    _node_mean,
     _sum_of_squares,
     _tail_step,
     sup_norm_estimate,
@@ -102,15 +104,10 @@ def truncation_radius(z_bound: float) -> float:
 class Solve1DResult:
     truncation_hits: int              # total over the rows
     row_hits: tuple[int, ...]         # per row
-    diff_y: float                     # max |new - old| over the Y buffer
-    diff_z: float                     # max |new - old| over the Z buffer
+    diff_y: float                     # max |new - old| over pair.Y
+    diff_z: float                     # max |new - old| over pair.Z
     sup_nodes: np.ndarray             # sup_norm_estimate of each node of Y, (L+1,)
     bmo_nodes: np.ndarray             # bmo_profile of (Y, Z), (L+1,)
-
-    @property
-    def sup(self) -> float:
-        """sup_norm_estimate of Y over every node."""
-        return float(self.sup_nodes.max())
 
 
 def _per_row(value, n: int, name: str) -> np.ndarray:
@@ -128,12 +125,11 @@ def solve_1d(
     basis: RegressionBasis,
     trunc_R: np.ndarray,
     blowup_guard: np.ndarray,
-    Y: np.ndarray,
-    Z: np.ndarray,
+    pair: ProcessPair,
     k_lo: int = 0,
-    k_hi: int | None = None,
 ) -> Solve1DResult:
-    """Backward regression scheme for a block of scalar rows on nodes [k_lo, k_hi].
+    """Backward regression scheme for a block of scalar rows on the L+1 nodes
+    k_lo..k_hi of ``pair``, k_hi = k_lo + L.
 
     eta is (N, n): the terminal data of n independent rows that share every
     node's regressions.  drift(k, Z) maps the rows' Z at node k, (N, n, d),
@@ -149,19 +145,19 @@ def solve_1d(
     a contiguous (n, N) block, so every per-row reduction reads contiguous
     memory.
 
-    The result is written into the caller's buffers Y (N, L+1, n) and
-    Z (N, L, n, d), whose old contents are consumed: Z_j overwrites Z[:, j]
-    as soon as drift(k_lo + j, .) returns, and Y_{j+1} overwrites Y[:, j+1]
-    only after that same call (the terminal Y_L after node L-1, Y_0 after
-    the loop).  So a drift call at local node j may read the buffers at
-    nodes j and j+1 and sees their previous contents.  Each overwrite takes
-    the max |new - old| of the slice it replaces: ``diff_y`` and ``diff_z``
-    are bitwise the full-array sup distances between the old and the new
-    contents.  After a BlowUpError the buffers' contents are undefined.
+    The result overwrites the pair, Y (N, L+1, n) and Z (N, L, n, d), each
+    node block with its ``_node_mean`` (bitwise ``refresh_means``): Z_j and
+    mean_Z[j] as soon as drift(k_lo + j, .) returns, Y_{j+1} and mean_Y[j+1]
+    only after that same call (the terminal node after node L-1, node 0
+    after the loop).  So a drift call at local node j may read the pair at
+    nodes j and j+1, means included, and sees their old contents.  Each
+    overwrite takes the max |new - old| of its slice: ``diff_y`` and
+    ``diff_z`` are bitwise the full-array sup distances between the old and
+    new contents.  After a BlowUpError the pair's contents are undefined.
 
     The pass measures its result as it goes: ``sup_nodes`` is the (L+1,)
-    largest row norm of Y at each node (the terminal one included), ``sup``
-    its max, and ``bmo_nodes`` the (L+1,) BMO profile, whose tail
+    largest row norm of Y at each node (the terminal one included), and
+    ``bmo_nodes`` the (L+1,) BMO profile, whose tail
     sum_{i >= j} |Z_i|^2 dt is added and projected at node j.  Each node has
     one ``NodeRegression``, so its design is built once for the
     continuation, the Z targets and the tail; every target keeps a
@@ -175,9 +171,9 @@ def solve_1d(
     index is reported as ``component``.
     """
     M = ens.grid.M
-    k_hi = M if k_hi is None else k_hi
-    if not 0 <= k_lo < k_hi <= M:
-        raise ValueError(f"bad window [{k_lo}, {k_hi}] for M = {M}")
+    L = pair.Z.shape[1]
+    if not 0 <= k_lo < k_lo + L <= M:
+        raise ValueError(f"bad window [{k_lo}, {k_lo + L}] for M = {M}")
     eta = np.asarray(eta, dtype=float)
     if eta.ndim != 2 or eta.shape[0] != ens.N or eta.size == 0:
         raise ValueError(f"eta must have shape ({ens.N}, n >= 1), got {eta.shape}")
@@ -188,11 +184,14 @@ def solve_1d(
     radius = _per_row(trunc_R, n, "trunc_R")
     guard = _per_row(blowup_guard, n, "blowup_guard")
 
-    L = k_hi - k_lo
+    fields = {"Y": (N, L + 1, n), "Z": (N, L, n, d), "mean_Y": (L + 1, n), "mean_Z": (L, n, d)}
+    for name, shape in fields.items():
+        arr = getattr(pair, name)
+        if arr.shape != shape:
+            raise ValueError(f"pair.{name} must have shape {shape}, got {arr.shape}")
+        if not arr.flags.writeable:
+            raise ValueError(f"solve_1d overwrites its pair in place; pair.{name} must be writable")
     dt = ens.grid.dt
-    if Y.shape != (N, L + 1, n) or Z.shape != (N, L, n, d):
-        raise ValueError(f"buffers must have shapes Y {(N, L + 1, n)} and Z {(N, L, n, d)}, "
-                         f"got {Y.shape} and {Z.shape}")
     y_next = eta                                      # Y_{j+1}, (N, n), not yet written
     cur = np.ascontiguousarray(eta.T)                 # (n, N): Y_{k+1} of every row
     hits = np.zeros(n, dtype=np.int64)
@@ -218,8 +217,8 @@ def solve_1d(
         g = np.asarray(drift(k, zk), dtype=float)
         if g.shape != (N, n):
             raise ValueError(f"frozen generator returned shape {g.shape} at node {k}")
-        diff_z = max(diff_z, _overwrite(Z, j, zk))
-        diff_y = max(diff_y, _overwrite(Y, j + 1, y_next))
+        diff_z = max(diff_z, _overwrite(pair.Z, pair.mean_Z, j, zk))
+        diff_y = max(diff_y, _overwrite(pair.Y, pair.mean_Y, j + 1, y_next))
         m += g * dt                                   # Y_k
         y_next = m
         cur = np.ascontiguousarray(m.T)
@@ -232,15 +231,16 @@ def solve_1d(
         sup_nodes[j] = sup_norm_estimate(m)
         bmo_nodes[j] = _tail_step(tail, zk, dt, op)
 
-    diff_y = max(diff_y, _overwrite(Y, 0, y_next))
+    diff_y = max(diff_y, _overwrite(pair.Y, pair.mean_Y, 0, y_next))
     return Solve1DResult(truncation_hits=int(hits.sum()), row_hits=tuple(int(h) for h in hits),
                          diff_y=diff_y, diff_z=diff_z, sup_nodes=sup_nodes, bmo_nodes=bmo_nodes)
 
 
-def _overwrite(buf: np.ndarray, j: int, new: np.ndarray) -> float:
-    """Write new over node j of buf and return the largest |new - old| there."""
-    diff = float(np.abs(new - buf[:, j]).max())
-    buf[:, j] = new
+def _overwrite(fld: np.ndarray, mean: np.ndarray, j: int, new: np.ndarray) -> float:
+    """Write new and its mean over node j; return the largest |new - old| there."""
+    diff = float(np.abs(new - fld[:, j]).max())
+    fld[:, j] = new
+    mean[j] = _node_mean(new)
     return diff
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mfbsde import (
+    CATALOG,
     BallSpec,
     ConfigError,
     Ensemble,
@@ -23,6 +24,7 @@ from mfbsde import (
     default_basis,
     generate_ensemble,
     lambda_ball,
+    make_case,
     picard_solve,
     plan_stitch,
     solve_auto,
@@ -379,6 +381,35 @@ def test_multi_window_solve_verifies_with_its_own_pass(bmo_passes, sup_passes):
     assert all(block.shape == (ens.N, 1) for block in sup_passes)
     assert np.array_equal(report.bmo_nodes, bmo_profile(report.pair, ens, BASIS))
     assert report.checks[0].observed == sup_norm_estimate(report.pair.Y)
+
+
+def test_solves_write_their_means_with_their_nodes(monkeypatch):
+    # every catalog case and a three-window solve: the sweeps write each
+    # node's mean with its block and the initial guess's means are worked
+    # out once, so no solve calls refresh_means, and the solution's means
+    # are bitwise what refresh_means gives for its fields
+    calls = []
+    refresh = ProcessPair.refresh_means
+
+    def counting(pair):
+        calls.append(pair)
+        refresh(pair)
+
+    monkeypatch.setattr(ProcessPair, "refresh_means", counting)
+    solves = [(make_case(name), 10, 300) for name in sorted(CATALOG)]
+    solves.append((case_colehopf_diagonal(n=2, T=5.0), 30, 500))
+    reports = []
+    for case, M, N in solves:
+        ens = generate_ensemble(TimeGrid.make(M, case.params.T), N, case.params.d, 7)
+        reports.append(solve_auto(case.generator, case.terminal, ens,
+                                  default_basis(case.params.d), tol=2e-3, max_iter=40))
+    assert len(calls) == 0
+    assert len(reports[-1].traces) == 3
+    for report in reports:
+        ref = ProcessPair.from_fields(report.pair.Y.copy(), report.pair.Z.copy())
+        assert report.pair.mean_Y.tobytes() == ref.mean_Y.tobytes()
+        assert report.pair.mean_Z.tobytes() == ref.mean_Z.tobytes()
+    assert len(calls) == len(reports)
 
 
 def test_solve_auto_prefers_stitching_when_guaranteed():

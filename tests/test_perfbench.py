@@ -1,0 +1,52 @@
+"""The benchmark harness in perfbench/ runs against the package as it is.
+
+perfbench reaches into the package by name: its tracer wraps every public
+function of each layer module, plus ``RegressionBasis.design`` and
+``Generator.component``, and reads ``truncation_hits`` and ``windows`` off
+what they return; its worker calls ``run_checks`` with the params by
+position.  These tests make those calls the way the harness does, so a
+refactor of the package that breaks the harness fails here.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import mfbsde
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_solve_runs_through_the_tracer():
+    # one tiny solve as a traced operation: every layer call it makes is a
+    # span, the counters the tracer reads off return values are filled, and
+    # every wrapped name is restored afterwards
+    tracer = load_tracer()
+    case = mfbsde.make_case("loggrowth")
+    ens = mfbsde.generate_ensemble(mfbsde.TimeGrid.make(10, case.params.T), 300, case.params.d, 7)
+    basis = mfbsde.default_basis(case.params.d)
+    solve_auto, solve_1d = mfbsde.solve_auto, mfbsde.picard.solve_1d
+    t = tracer.Tracer()
+    report = t.run(0, "bench.op", lambda: mfbsde.solve_auto(
+        case.generator, case.terminal, ens, basis, tol=1e-3, max_iter=40))
+    assert mfbsde.solve_auto is solve_auto and mfbsde.picard.solve_1d is solve_1d
+    (trace,) = report.traces
+    calls = tracer.summarize(t.spans, {0})["calls"]
+    assert calls["bench.op"] == calls["global_solver.solve_auto"] == 1
+    assert calls["qbsde1d.solve_1d"] == calls["picard.apply_gamma"] == len(trace.iterations)
+    assert calls["engine.design"] > 0
+    counts = t.op_counts[0]
+    assert counts["global_solver.windows"] == counts["global_solver.fallbacks"] == 1
+    assert counts["qbsde1d.truncation_hits"] == trace.truncation_hits
+
+
+def test_structural_checks_run_as_the_worker_calls_them():
+    case = mfbsde.make_case("loggrowth")
+    checks = mfbsde.run_checks(case.generator, case.params, samples=200, rng_seed=0)
+    assert checks and all(result.passed for result in checks.values())

@@ -209,6 +209,7 @@ def per_row_reference(pair, gen, eta, ens, basis, ball, info):
     nodes = ens.grid.nodes
     Y = np.zeros((ens.N, ball.steps + 1, gen.params.n))
     Z = np.zeros((ens.N, ball.steps, gen.params.n, ens.d))
+    mean_Y, mean_Z = np.zeros((ball.steps + 1, 1)), np.zeros((ball.steps, 1, ens.d))
     hits = []
     for i, comp in enumerate(info.components):
         def g_i(k, zrow, i=i):
@@ -220,9 +221,9 @@ def per_row_reference(pair, gen, eta, ens, basis, ball, info):
             mu_mid = 0.5 * (pair.mean_Y[j] + pair.mean_Y[j + 1])
             return gen.component(i, t_mid, u_mid, mu_mid, vsub, pair.mean_Z[j])[:, None]
 
+        row = ProcessPair(Y=Y[:, :, i : i + 1], Z=Z[:, :, i : i + 1], mean_Y=mean_Y, mean_Z=mean_Z)
         res = solve_1d(eta[:, i : i + 1], g_i, ens, basis, np.array([comp.trunc_R]),
-                       np.array([10.0 * comp.y_bound]), Y[:, :, i : i + 1], Z[:, :, i : i + 1],
-                       ball.k_lo, ball.k_hi)
+                       np.array([10.0 * comp.y_bound]), row, ball.k_lo)
         hits.append(res.truncation_hits)
     return Y, Z, hits
 
@@ -332,9 +333,9 @@ def test_apply_gamma_passes_each_row_its_radius_and_guard(monkeypatch):
     solves, z_bounds = [], []
     solve, bound_z = picard.solve_1d, picard.bound_z
 
-    def recording_solve(eta, drift, ens, basis, trunc_R, blowup_guard, Y, Z, **window):
+    def recording_solve(eta, drift, ens, basis, trunc_R, blowup_guard, pair, **window):
         solves.append((trunc_R, blowup_guard, window))
-        return solve(eta, drift, ens, basis, trunc_R, blowup_guard, Y, Z, **window)
+        return solve(eta, drift, ens, basis, trunc_R, blowup_guard, pair, **window)
 
     def recording_bound_z(*args):
         z_bounds.append(bound_z(*args))
@@ -346,7 +347,7 @@ def test_apply_gamma_passes_each_row_its_radius_and_guard(monkeypatch):
     # two sweeps, each one solve_1d pass and one bound_z per row
     assert len(solves) == 2 and len(z_bounds) == 4
     trunc_R, guard, window = solves[-1]
-    assert window == {"k_lo": ball.k_lo, "k_hi": ball.k_hi}
+    assert window == {"k_lo": ball.k_lo}
     assert trunc_R.shape == guard.shape == (2,)
     for i, comp in enumerate(info.components):
         assert trunc_R[i] == comp.trunc_R == truncation_radius(z_bounds[2 + i])
@@ -496,21 +497,31 @@ def test_sweep_records_are_the_standalone_measurements_bitwise(monkeypatch):
     assert np.array_equal(report.bmo_nodes, bmo_profile(report.pair, ens, BASIS))
 
 
+@pytest.mark.parametrize("case", [case_loggrowth(), case_colehopf_diagonal(n=1)],
+                         ids=["loggrowth", "colehopf"])
 @pytest.mark.parametrize("init", ["terminal-flat", "zero"])
-def test_initial_pair_is_measured_from_its_definition_bitwise(monkeypatch, init):
+def test_initial_pair_is_measured_from_its_definition_bitwise(monkeypatch, init, case):
     # the initial pair's last node and Z = 0 give the norms the standalone
-    # passes find over the whole pair
+    # passes find over the whole pair, and its means are refresh_means'
     sweeps = record_sweeps(monkeypatch)
-    case = case_loggrowth()
-    ens = generate_ensemble(TimeGrid.make(10, case.params.T), 300, 1, 5)
+    means, recording = [], picard.apply_gamma
+
+    def with_means(pair, *args):
+        means.append((pair.mean_Y.tobytes(), pair.mean_Z.tobytes()))
+        return recording(pair, *args)
+
+    monkeypatch.setattr(picard, "apply_gamma", with_means)
+    # at N = 2000, np.mean of the colehopf terminal differs in the last bits
+    ens = generate_ensemble(TimeGrid.make(10, case.params.T), 2000, 1, 5)
     ball = BallSpec.from_ledger(ens.grid, compute_ledger(case.params), eps=0.5)
     assert ball.k_lo > 0
-    picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball, 2), max_iter=1,
-                 init=init)
+    picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball, case.params.n),
+                 max_iter=1, init=init)
     pair, u_norm, v_norm, _ = sweeps[0]
     assert u_norm == sup_norm_estimate(pair.Y)
     assert v_norm == bmo_profile(pair, ens, BASIS, ball.k_lo).max() == 0.0
     assert (u_norm > 0.0) == (init == "terminal-flat")
+    assert means[0] == (pair.mean_Y.tobytes(), pair.mean_Z.tobytes())
 
 
 def test_apply_gamma_rejects_a_read_only_environment():

@@ -108,13 +108,18 @@ def no_drift(k, z):
     return np.zeros(z.shape[:-1])
 
 
+def zero_pair(ens, L, n):
+    """A pair of zeros on L+1 nodes, means included."""
+    return ProcessPair.from_fields(np.zeros((ens.N, L + 1, n)), np.zeros((ens.N, L, n, ens.d)))
+
+
 def run_1d(eta, drift, ens, basis, trunc_R, blowup_guard, k_lo=0, k_hi=None):
-    """solve_1d into fresh zero buffers; the result carries them as .Y and .Z."""
+    """solve_1d on the window [k_lo, k_hi] (k_hi defaults to M) of a fresh
+    zero pair; the result carries it as .pair, .Y and .Z."""
     L = (ens.grid.M if k_hi is None else k_hi) - k_lo
-    n = np.shape(eta)[-1]
-    Y, Z = np.zeros((ens.N, L + 1, n)), np.zeros((ens.N, L, n, ens.d))
-    res = solve_1d(eta, drift, ens, basis, trunc_R, blowup_guard, Y, Z, k_lo, k_hi)
-    res.Y, res.Z = Y, Z
+    pair = zero_pair(ens, L, np.shape(eta)[-1])
+    res = solve_1d(eta, drift, ens, basis, trunc_R, blowup_guard, pair, k_lo)
+    res.pair, res.Y, res.Z = pair, pair.Y, pair.Z
     return res
 
 
@@ -128,7 +133,7 @@ def test_constant_terminal_zero_generator_is_bitwise_constant(projections):
     assert res.truncation_hits == 0
     # per step one continuation and one BMO-tail projection, none for Z
     assert [shape for _, shape in projections] == [(ens.N, 1), (ens.N,)] * 8
-    assert np.array_equal(res.bmo_nodes, np.zeros(9)) and res.sup == 4.25
+    assert np.array_equal(res.bmo_nodes, np.zeros(9)) and res.sup_nodes.max() == 4.25
 
 
 def test_constant_drift_integrates_exactly():
@@ -299,50 +304,68 @@ def test_block_measures_sup_and_bmo_profile_bitwise():
     res = run_1d(eta, lambda k, z: 0.5 * (z * z).sum(axis=-1), ens, basis,
                    np.array([50.0, 0.4, 50.0]), np.full(3, 1e3), k_lo=3, k_hi=9)
     assert res.row_hits[1] > 0 and np.ptp(res.Y[:, 0], axis=0).min() > 0.0
-    assert res.sup == sup_norm_estimate(res.Y)
-    profile = bmo_profile(ProcessPair.from_fields(res.Y, res.Z), ens, basis, k_lo=3)
+    assert res.sup_nodes.max() == sup_norm_estimate(res.Y)
+    ref = ProcessPair.from_fields(res.Y.copy(), res.Z.copy())
+    profile = bmo_profile(ref, ens, basis, k_lo=3)
     assert np.array_equal(res.bmo_nodes, profile)
     assert res.bmo_nodes.shape == (7,) and res.bmo_nodes[-1] == 0.0 < res.bmo_nodes[0]
+    # the means the pass writes with each node are refresh_means', bitwise
+    assert res.pair.mean_Y.tobytes() == ref.mean_Y.tobytes()
+    assert res.pair.mean_Z.tobytes() == ref.mean_Z.tobytes()
+    assert np.abs(ref.mean_Z).min() > 0.0
 
 
-# ------------------------------------------------------- caller's buffers
+# ---------------------------------------------------------- caller's pair
 
 
 def test_buffers_are_overwritten_one_node_behind_the_pass():
-    # the drift at local node j sees the old contents of Y at nodes j and
-    # j+1 and of Z at node j; the result is the one written into fresh
-    # buffers, and diff_y/diff_z are the full-array distances from the old
-    # contents, bitwise
+    # the drift at local node j sees the old contents of Y and mean_Y at
+    # nodes j and j+1 and of Z and mean_Z at node j; the result is the one
+    # written into a fresh pair, and diff_y/diff_z are the full-array
+    # distances from the old contents, bitwise
     ens = generate_ensemble(TimeGrid.make(10, 1.0), 300, 1, 6)
     k_lo, k_hi, n = 2, 8, 2
     rng = np.random.default_rng(0)
-    Y0 = rng.normal(size=(ens.N, 7, n))
-    Z0 = rng.normal(size=(ens.N, 6, n, 1))
-    Y, Z = Y0.copy(), Z0.copy()
+    old = ProcessPair.from_fields(rng.normal(size=(ens.N, 7, n)), rng.normal(size=(ens.N, 6, n, 1)))
+    pair = ProcessPair.from_fields(old.Y.copy(), old.Z.copy())
     w = ens.cumulative[:, k_hi, 0]
     eta = np.column_stack([w, np.sin(w)])
     seen = []
 
+    def read(p, j):
+        return p.Y[:, j : j + 2], p.mean_Y[j : j + 2], p.Z[:, j], p.mean_Z[j]
+
     def drift(k, z):
         j = k - k_lo
-        seen.append(np.array_equal(Y[:, j : j + 2], Y0[:, j : j + 2])
-                    and np.array_equal(Z[:, j], Z0[:, j]))
+        seen.append(all(map(np.array_equal, read(pair, j), read(old, j))))
         return 0.5 * (z * z).sum(axis=-1)
 
     args = (eta, drift, ens, default_basis(1), np.full(n, 50.0), np.full(n, 1e3))
-    res = solve_1d(*args, Y, Z, k_lo, k_hi)
+    res = solve_1d(*args, pair, k_lo)
     assert seen == [True] * 6
     fresh = run_1d(*args, k_lo, k_hi)
-    assert np.array_equal(Y, fresh.Y) and np.array_equal(Z, fresh.Z)
-    assert res.diff_y == np.abs(Y - Y0).max() and res.diff_z == np.abs(Z - Z0).max()
+    for f in ("Y", "Z", "mean_Y", "mean_Z"):
+        assert getattr(pair, f).tobytes() == getattr(fresh.pair, f).tobytes()
+    Y, Z = pair.Y, pair.Z
+    assert res.diff_y == np.abs(Y - old.Y).max() and res.diff_z == np.abs(Z - old.Z).max()
     assert np.array_equal(res.sup_nodes, [sup_norm_estimate(Y[:, j]) for j in range(7)])
-    assert res.sup == sup_norm_estimate(Y)
+    assert res.sup_nodes.max() == sup_norm_estimate(Y)
 
 
 def test_buffers_must_match_the_window():
+    # every array of the pair is checked against the window, and must be
+    # writable, before anything is written
     ens = setup_ens(N=100)
     eta, R, guard = np.ones((ens.N, 1)), np.array([1.0]), envelope_guard(ens)
-    Y, Z = np.zeros((ens.N, 9, 1)), np.zeros((ens.N, 8, 1, 1))
-    for bad_y, bad_z in ((Y[:, 1:], Z), (Y, Z[:, 1:]), (Y, np.zeros((ens.N, 8, 1, 2)))):
-        with pytest.raises(ValueError, match="buffers"):
-            solve_1d(eta, no_drift, ens, default_basis(1), R, guard, bad_y, bad_z)
+    good = zero_pair(ens, 8, 1)
+    bad = {"Y": good.Y[:, 1:], "Z": np.zeros((ens.N, 8, 1, 2)), "mean_Y": good.mean_Y[1:],
+           "mean_Z": np.zeros((8, 2, 1))}
+    for name, arr in bad.items():
+        pair = ProcessPair(**{**vars(good), name: arr})
+        with pytest.raises(ValueError, match=f"pair.{name} must have shape"):
+            solve_1d(eta, no_drift, ens, default_basis(1), R, guard, pair)
+        arr = getattr(good, name)
+        frozen = ProcessPair(**{**vars(good), name: np.broadcast_to(arr, arr.shape)})
+        with pytest.raises(ValueError, match=f"pair.{name} must be writable"):
+            solve_1d(eta, no_drift, ens, default_basis(1), R, guard, frozen)
+    assert all(not getattr(good, f).any() for f in ("Y", "Z", "mean_Y", "mean_Z"))
