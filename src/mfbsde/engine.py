@@ -13,8 +13,10 @@ built on first use and cached on the ensemble, so every later operator at
 that node (every sweep and window) only rebuilds the design once.  A
 backward pass builds one operator per node, which holds the N x p design
 while the pass is at that node and serves all of its projections (the
-continuation, the Z targets and the BMO tail) with two triangular solves
-each; the fitted values equal those of a fresh ``lstsq`` to round-off.
+continuation, the Z targets and the BMO tail) with two LAPACK ``dtrtrs``
+solves each on the cached factor, after one max/min pass over the targets
+that checks them finite and flags their constant columns; the fitted values
+equal those of a fresh ``lstsq`` to round-off.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 log = logging.getLogger(__name__)
 
@@ -169,11 +171,29 @@ class RegressionFactor:
     def full_rank(self) -> bool:
         return self.rank == self.R.shape[1]
 
+    def solve(self, B: np.ndarray, trans: int) -> np.ndarray:
+        """R^T x = B (trans=0) or R x = B (trans=1) for a finite p x m B, by
+        ``dtrtrs`` on the lower triangle R.T (F-ordered, so read without a
+        copy), overwriting B where its layout allows: the very call
+        ``scipy.linalg.solve_triangular(R, B, trans=1 - trans)`` makes for a
+        C-ordered R, without its per-call checks and wrappers."""
+        x, info = dtrtrs(self.R.T, B, lower=1, trans=trans, overwrite_b=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"singular matrix: resolution failed at diagonal {info - 1}")
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+        return x
+
 
 def _factorize(X: np.ndarray) -> RegressionFactor:
     """Factor a design matrix; singular values at or below
-    eps * max(N, p) * sigma_max count as zero, as in ``np.linalg.lstsq``."""
-    R = np.linalg.qr(X, mode="r")
+    eps * max(N, p) * sigma_max count as zero, as in ``np.linalg.lstsq``.
+    A design whose R is not finite is refused here, so the solves on the
+    cached factor need not check it again."""
+    R = np.linalg.qr(X, mode="r")                  # C-ordered, so R.T is F-ordered
+    if not np.isfinite(R).all():
+        raise ValueError("regression design must be finite")
     sv = np.linalg.svd(R, compute_uv=False)
     cut = np.finfo(float).eps * max(X.shape) * sv[0]
     rank = int((sv > cut).sum())
@@ -233,14 +253,16 @@ class NodeRegression:
         warning.
         """
         vals = np.asarray(values, dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("regression targets must be finite")
         single = vals.ndim == 1
         V = vals[:, None] if single else vals
         if V.shape[0] != self.ens.N:
             raise ValueError(f"{V.shape[0]} values for {self.ens.N} particles")
-
-        const_cols = np.ptp(V, axis=0) == 0.0
+        # One max/min pass: NaN propagates into both and +-inf lands in one,
+        # so the targets are finite exactly when both are; hi - lo is np.ptp.
+        hi, lo = V.max(axis=0), V.min(axis=0)
+        if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
+            raise ValueError("regression targets must be finite")
+        const_cols = hi - lo == 0.0
         if const_cols.all():
             out = V.copy()
             return (out[:, 0] if single else out), RegressionInfo(1.0, False, const_cols)
@@ -262,8 +284,10 @@ class NodeRegression:
             )
             return _mean_fallback(float("inf"), True)
         # Normal equations R^T R coef = X^T V, by two triangular solves.
-        coef = solve_triangular(factor.R, X.T @ V, trans="T")
-        coef = solve_triangular(factor.R, coef, overwrite_b=True)
+        rhs = X.T @ V
+        if not np.isfinite(rhs).all():
+            raise ValueError("regression normal equations overflow: X^T V is not finite")
+        coef = factor.solve(factor.solve(rhs, trans=0), trans=1)
         out = X @ coef
         out[:, const_cols] = V[0:1, const_cols]
         return (out[:, 0] if single else out), RegressionInfo(factor.cond, False, const_cols)
@@ -335,8 +359,13 @@ def _sum_of_squares(a: np.ndarray) -> np.ndarray:
 
 def sup_norm_estimate(Y: np.ndarray) -> float:
     """Max over every particle and node of the Euclidean norm of Y's last
-    axis: Y is (..., n), one node's (N, n) block or a pair's (N, L+1, n)."""
-    return float(np.sqrt((Y * Y).sum(axis=-1)).max())
+    axis: Y is (..., n), one node's (N, n) block or a pair's (N, L+1, n).
+
+    The squares are added left to right (``_sum_of_squares``), so for n < 8
+    this is bitwise ``np.sqrt((Y * Y).sum(-1)).max()``; for n >= 8 numpy's
+    pairwise sum can differ in the last bits.
+    """
+    return float(np.sqrt(_sum_of_squares(Y)).max())
 
 
 def _tail_step(tail: np.ndarray, z: np.ndarray, dt: float, op: NodeRegression) -> float:

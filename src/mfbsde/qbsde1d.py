@@ -24,7 +24,8 @@ and guard.  The pass also measures what it produces while each node is at
 hand: the sup proxy of Y at each node and the BMO profile of Z, the same
 numbers ``engine.sup_norm_estimate`` and ``engine.bmo_profile`` give for the
 result.  It writes that result over the caller's pair, means included, one
-node behind the backward pass, and measures how far each slice moved.
+node behind the backward pass, and measures how far each slice moved in
+the slice itself, before the new values go in.
 """
 
 from __future__ import annotations
@@ -151,9 +152,11 @@ def solve_1d(
     only after that same call (the terminal node after node L-1, node 0
     after the loop).  So a drift call at local node j may read the pair at
     nodes j and j+1, means included, and sees their old contents.  Each
-    overwrite takes the max |new - old| of its slice: ``diff_y`` and
-    ``diff_z`` are bitwise the full-array sup distances between the old and
-    new contents.  After a BlowUpError the pair's contents are undefined.
+    overwrite first turns its slice into |old - new|, takes the max and then
+    writes the new block over it, with no node-sized temporary: ``diff_y``
+    and ``diff_z`` are bitwise the full-array sup distances between the old
+    and new contents.  eta may be a view of the pair (it is copied first).
+    After a BlowUpError the pair's contents are undefined.
 
     The pass measures its result as it goes: ``sup_nodes`` is the (L+1,)
     largest row norm of Y at each node (the terminal one included), and
@@ -191,6 +194,8 @@ def solve_1d(
             raise ValueError(f"pair.{name} must have shape {shape}, got {arr.shape}")
         if not arr.flags.writeable:
             raise ValueError(f"solve_1d overwrites its pair in place; pair.{name} must be writable")
+    if np.may_share_memory(eta, pair.Y):              # the terminal write reads eta after
+        eta = eta.copy()                              # turning its slot into a diff
     dt = ens.grid.dt
     y_next = eta                                      # Y_{j+1}, (N, n), not yet written
     cur = np.ascontiguousarray(eta.T)                 # (n, N): Y_{k+1} of every row
@@ -237,9 +242,13 @@ def solve_1d(
 
 
 def _overwrite(fld: np.ndarray, mean: np.ndarray, j: int, new: np.ndarray) -> float:
-    """Write new and its mean over node j; return the largest |new - old| there."""
-    diff = float(np.abs(new - fld[:, j]).max())
-    fld[:, j] = new
+    """Write new and its mean over node j; return the largest |new - old| there,
+    measured in the slot itself (|old - new| is bitwise |new - old|)."""
+    slot = fld[:, j]
+    np.subtract(slot, new, out=slot)
+    np.abs(slot, out=slot)
+    diff = float(slot.max())
+    slot[...] = new
     mean[j] = _node_mean(new)
     return diff
 
@@ -253,7 +262,7 @@ def _live_z(cur, m, live, op, radius):
     ens, k = op.ens, op.k
     N, d = ens.N, ens.d
     targets = np.empty((live.size, d, N))
-    resid = cur[live] - m.T[live]                     # (n_live, N)
+    resid = cur - m.T if live.size == len(cur) else cur[live] - m.T[live]  # (n_live, N)
     np.multiply(resid[:, None, :], ens.increments[:, k, :].T[None], out=targets)
     fit, _ = op.project(targets.reshape(live.size * d, N).T)
     z = fit.reshape(N, live.size, d)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from mfbsde import (
     ProcessPair,
@@ -251,6 +252,81 @@ def test_projection_matches_lstsq(basis, d):
     assert sorted(ens.factors) == [(basis, k) for k in (1, 4, 8)]
 
 
+@pytest.mark.parametrize("k", [0, 4])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_projection_rejects_one_non_finite_target(bad, k):
+    # the one max/min pass sees a single NaN or +-inf at one particle of one
+    # column, in a fitted column and in a column otherwise constant
+    ens = make_ens(M=6, N=300, seed=5)
+    op = NodeRegression(ens, default_basis(1), k)
+    block = np.column_stack([np.sin(ens.cumulative[:, 4, 0]), np.full(ens.N, 2.5),
+                             ens.cumulative[:, 4, 0]])
+    for col, row in ((0, 17), (1, 0), (1, 299), (2, 150)):
+        V = block.copy()
+        V[row, col] = bad
+        with pytest.raises(ValueError, match="^regression targets must be finite$"):
+            op.project(V)
+    V = np.full(ens.N, 2.5)
+    V[42] = bad
+    with pytest.raises(ValueError, match="^regression targets must be finite$"):
+        op.project(V)
+
+
+def test_projection_refuses_an_overflowing_right_side():
+    # finite targets near 1e308 pass the target check, but their X^T V
+    # overflows; the projection raises instead of returning non-finite fits
+    ens = make_ens(M=6, N=300, seed=5)
+    w = ens.cumulative[:, 3, 0]
+    V = np.column_stack([1e308 * (0.5 + 0.25 * np.tanh(w)), np.cos(w)])
+    assert np.isfinite(V).all()
+    for vals in (V, V[:, 0]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="overflow"):
+                NodeRegression(ens, default_basis(1), 3).project(vals)
+
+
+def triangular_reference(values, op):
+    """The projection as two scipy.linalg.solve_triangular calls on the
+    cached factor, each with the wrapper's own checks."""
+    V = values[:, None] if values.ndim == 1 else values
+    const = np.ptp(V, axis=0) == 0.0
+    X = op.basis.design(op.ens.cumulative[:, op.k, :])
+    R = op.ens.factors[(op.basis, op.k)].R
+    coef = solve_triangular(R, X.T @ V, trans="T")
+    coef = solve_triangular(R, coef, overwrite_b=True)
+    out = X @ coef
+    out[:, const] = V[0:1, const]
+    return out[:, 0] if values.ndim == 1 else out
+
+
+@pytest.mark.parametrize("basis, d", [(RegressionBasis(degree=3), 1),
+                                      (RegressionBasis(degree=2), 2)])
+def test_projection_is_the_solve_triangular_reference_bitwise(basis, d):
+    ens = make_ens(M=8, N=1_500, d=d, seed=21)
+    rng = np.random.default_rng(5)
+    for k in (1, 5, 8):
+        w = ens.cumulative[:, k, :]
+        single = np.cos(w.sum(axis=1)) + 0.2 * rng.normal(size=ens.N)
+        block = np.column_stack([single, np.exp(w[:, 0]), np.full(ens.N, 0.75),
+                                 rng.normal(size=ens.N)])
+        # a second operator at the node runs on the cached factor
+        for op in (NodeRegression(ens, basis, k), NodeRegression(ens, basis, k)):
+            for vals in (single, block, np.asfortranarray(block[:, [0, 3]])):
+                fitted, _ = op.project(vals)
+                assert fitted.tobytes() == triangular_reference(vals, op).tobytes()
+
+
+def test_factor_refuses_a_non_finite_design_and_a_singular_solve():
+    X = np.ones((10, 2))
+    X[3, 1] = np.inf
+    with pytest.raises(ValueError, match="design must be finite"):
+        engine._factorize(X)
+    singular = engine.RegressionFactor(R=np.array([[1.0, 2.0], [0.0, 0.0]]), rank=1,
+                                       cond=float("inf"))
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        singular.solve(np.ones((2, 1)), trans=0)
+
+
 def test_factor_cache_is_per_basis():
     ens = make_ens(M=6, N=400, seed=3)
     cubic, quadratic = default_basis(1), RegressionBasis(degree=2)
@@ -374,6 +450,17 @@ def test_sup_norm_estimate_hand_value():
     assert sup_norm_estimate(Y[:, 2:]) == 5.0
     assert sup_norm_estimate(Y[:, 3:]) == 0.0
     assert sup_norm_estimate(Y[:, 2]) == 5.0 and sup_norm_estimate(Y[:, 1]) == 0.0
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_sup_norm_estimate_is_the_numpy_reduction_bitwise(n):
+    # fewer than 8 squares added left to right are numpy's sum, on one node
+    # block and on a whole node-major pair
+    rng = np.random.default_rng(n)
+    pair = ProcessPair.empty(700, 5, n, 1)
+    pair.Y[:] = rng.standard_normal(pair.Y.shape) * np.exp(rng.uniform(-20, 20, pair.Y.shape))
+    for Y in (pair.Y, pair.Y[:, 2], np.ascontiguousarray(pair.Y)):
+        assert sup_norm_estimate(Y) == float(np.sqrt((Y * Y).sum(-1)).max())
 
 
 def test_bmo_estimate_constant_z():

@@ -352,6 +352,22 @@ def test_buffers_are_overwritten_one_node_behind_the_pass():
     assert res.sup_nodes.max() == sup_norm_estimate(Y)
 
 
+def test_eta_may_be_the_pairs_own_terminal_node():
+    # each write measures its diff in the slot it overwrites, so a terminal
+    # that is a view of that slot is read before the slot changes
+    ens = setup_ens(N=300, seed=4)
+    w = ens.cumulative[:, -1, :]
+    args = (no_drift, ens, default_basis(1), np.array([50.0]), envelope_guard(ens, eta_bound=20.0))
+    fresh = run_1d(w, *args)
+    pair = zero_pair(ens, 8, 1)
+    pair.Y[:, -1] = w
+    old_Y = pair.Y.copy()
+    res = solve_1d(pair.Y[:, -1], *args, pair)
+    for f in ("Y", "Z", "mean_Y", "mean_Z"):
+        assert getattr(pair, f).tobytes() == getattr(fresh.pair, f).tobytes()
+    assert res.diff_y == np.abs(pair.Y - old_Y).max() and res.diff_z == fresh.diff_z
+
+
 def test_buffers_must_match_the_window():
     # every array of the pair is checked against the window, and must be
     # writable, before anything is written
