@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import Ensemble, TimeGrid, generate_ensemble
+from .engine import Ensemble, TimeGrid, _node_mean, generate_ensemble
 from .errors import ConfigError
 from .model import Generator, ModelParams, TerminalCondition
 
@@ -47,18 +47,26 @@ class BenchmarkCase:
 
 def oracle_fields(case: BenchmarkCase, ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     """Exact (Y, Z) evaluated on the ensemble's nodes: (N, M+1, n), (N, M, n, d)."""
-    if case.oracle is None:
-        raise ValueError(f"case {case.name!r} has no oracle")
     p = case.params
     M = ens.grid.M
     Y = np.zeros((ens.N, M + 1, p.n))
     Z = np.zeros((ens.N, M, p.n, p.d))
     for k in range(M + 1):
-        y, z = case.oracle(float(ens.grid.nodes[k]), ens.cumulative[:, k, :])
+        y, z = _oracle_node(case, ens, k)
         Y[:, k] = y
         if k < M:
             Z[:, k] = z
     return Y, Z
+
+
+def _oracle_node(case: BenchmarkCase, ens: Ensemble, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (Y, Z) at node k, cast to float and broadcast to (N, n), (N, n, d)."""
+    if case.oracle is None:
+        raise ValueError(f"case {case.name!r} has no oracle")
+    p = case.params
+    y, z = case.oracle(float(ens.grid.nodes[k]), ens.cumulative[:, k, :])
+    return (np.broadcast_to(np.asarray(y, dtype=float), (ens.N, p.n)),
+            np.broadcast_to(np.asarray(z, dtype=float), (ens.N, p.n, p.d)))
 
 
 def oracle_errors(
@@ -91,14 +99,18 @@ def residual_self_check(
     p = case.params
     grid = TimeGrid.make(M, p.T)
     ens = generate_ensemble(grid, N, p.d, seed)
-    Yx, Zx = oracle_fields(case, ens)
-    mY, mZ = Yx.mean(axis=0), Zx.mean(axis=0)
+    # One node of oracle values at a time, node k+1's carried into step k+1;
+    # _node_mean adds in the index order of a particle-major field's mean.
+    y, z = _oracle_node(case, ens, 0)
+    mean_y = _node_mean(y)
     worst = 0.0
     for k in range(M):
-        f = case.generator.eval(float(grid.nodes[k]), Yx[:, k], mY[k], Zx[:, k], mZ[k])
-        incr = (Zx[:, k] * ens.increments[:, k, None, :]).sum(axis=-1)
-        resid = Yx[:, k] - Yx[:, k + 1] - f * grid.dt + incr
+        y_next, z_next = _oracle_node(case, ens, k + 1)
+        f = case.generator.eval(float(grid.nodes[k]), y, mean_y, z, _node_mean(z))
+        incr = (z * ens.increments[:, k, None, :]).sum(axis=-1)
+        resid = y - y_next - f * grid.dt + incr
         worst = max(worst, float(np.abs(resid.mean(axis=0)).max()))
+        y, z, mean_y = y_next, z_next, _node_mean(y_next)
     threshold = 10.0 * grid.dt**2 + 5.0 * grid.dt / math.sqrt(N)
     return worst, threshold
 

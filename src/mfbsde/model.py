@@ -29,8 +29,23 @@ _BOX_Y = 5.0
 _BOX_Z = 5.0
 
 
-def _sample_fn(fn: Callable[[float], float], ts: np.ndarray) -> np.ndarray:
-    return np.array([float(fn(float(t))) for t in ts])
+def _sample_fn(fn: Callable, ts: np.ndarray) -> np.ndarray:
+    """fn called once on the float array ts, a scalar result broadcast to ts.shape."""
+    return np.broadcast_to(np.asarray(fn(ts), dtype=float), ts.shape)
+
+
+def _sample_budget(name: str, fn: Callable, ts: np.ndarray) -> np.ndarray:
+    """``_sample_fn`` for the declared budget ``name``; ValueError unless fn
+    broadcasts over ts and every sample is finite."""
+    try:
+        vals = _sample_fn(fn, ts)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{name} must accept a float array and return its shape or a scalar: {exc}"
+        ) from exc
+    if not np.isfinite(vals).all():
+        raise ValueError(f"{name} must be finite on its sampled grid")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -38,10 +53,14 @@ class ModelParams:
     """Declared structure of one mean-field model.
 
     phi must be nondecreasing and nonnegative; a, alpha, beta, eta are
-    deterministic nonnegative functions of time; C0 bounds the integral of a,
-    C1 bounds the terminal data, C2 bounds the integral of
-    alpha + beta + eta*log(1+eta).  The budgets C0, C1, C2 may be zero (the
-    degenerate edge is exercised by the constants ledger).
+    deterministic nonnegative functions of time.  Each of phi, a, alpha, beta
+    and eta must accept a float array and return an array of its shape or a
+    scalar, which is broadcast; the integrals also call them on one float.
+    Construction samples each on a (201,) grid and rejects one that does not
+    broadcast or is not finite there.  C0 bounds the integral of a, C1 bounds
+    the terminal data, C2 bounds the integral of alpha + beta + eta*log(1+eta).
+    The budgets C0, C1, C2 may be zero (the degenerate edge is exercised by
+    the constants ledger).
     """
 
     n: int
@@ -77,7 +96,7 @@ class ModelParams:
 
         ts = np.linspace(0.0, self.T, 201)
         for name in ("a", "alpha", "beta", "eta"):
-            vals = _sample_fn(getattr(self, name), ts)
+            vals = _sample_budget(name, getattr(self, name), ts)
             if np.any(vals < -1e-12):
                 raise ValueError(f"{name}(t) must be nonnegative on [0, T]")
 
@@ -85,7 +104,7 @@ class ModelParams:
         # the ball radius 2*k1 for any plausible window.
         r_max = max(10.0, 4.0 * self.n * (self.C0 + self.C1 + 1.0))
         rs = np.linspace(0.0, r_max, 201)
-        pv = _sample_fn(self.phi, rs)
+        pv = _sample_budget("phi", self.phi, rs)
         if np.any(pv < -1e-12):
             raise ValueError("phi must map [0, inf) into [0, inf)")
         if np.any(np.diff(pv) < -1e-9 * (1.0 + np.abs(pv[:-1]))):
@@ -218,7 +237,7 @@ def _report(name, margins, samples, seed, payload) -> AssumptionReport:
     """Assemble a report from elementwise margins rhs - lhs with scaled slack."""
     lhs, rhs = payload["lhs"], payload["rhs"]
     tol = _INEQ_RTOL * (1.0 + np.abs(rhs))
-    viol = margins < -tol
+    viol = ~(margins >= -tol)           # a NaN margin is a violation
     n_viol = int(viol.sum())
     first = None
     if n_viol:

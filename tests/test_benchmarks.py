@@ -137,6 +137,52 @@ def test_residual_self_check_rejects_wrong_oracle():
     assert worst > threshold
 
 
+def _particle_major_self_check(case, M, N, seed):
+    """The self-check on full particle-major oracle fields, as ``oracle_fields`` builds them."""
+    grid = TimeGrid.make(M, case.params.T)
+    ens = generate_ensemble(grid, N, case.params.d, seed)
+    Yx, Zx = oracle_fields(case, ens)
+    mY, mZ = Yx.mean(axis=0), Zx.mean(axis=0)
+    worst = 0.0
+    for k in range(M):
+        f = case.generator.eval(float(grid.nodes[k]), Yx[:, k], mY[k], Zx[:, k], mZ[k])
+        incr = (Zx[:, k] * ens.increments[:, k, None, :]).sum(axis=-1)
+        resid = Yx[:, k] - Yx[:, k + 1] - f * grid.dt + incr
+        worst = max(worst, float(np.abs(resid.mean(axis=0)).max()))
+    return worst, 10.0 * grid.dt**2 + 5.0 * grid.dt / math.sqrt(N)
+
+
+SELF_CHECK_CASES = {
+    "colehopf n=1": lambda: case_colehopf_diagonal(),
+    "colehopf n=2": lambda: case_colehopf_diagonal(n=2),
+    "meanfield_linear": lambda: case_meanfield_linear(),
+    "zero n=2 d=2": lambda: case_zero(n=2, d=2),
+}
+
+
+@pytest.mark.parametrize("size", [(200, 10_000, 93), (60, 4_999, 5)])
+@pytest.mark.parametrize("label", sorted(SELF_CHECK_CASES))
+def test_streamed_self_check_equals_the_particle_major_one(label, size):
+    case = SELF_CHECK_CASES[label]()
+    assert residual_self_check(case, *size) == _particle_major_self_check(case, *size)
+
+
+@pytest.mark.parametrize("label", ["colehopf n=1", "zero n=2 d=2"])
+def test_self_check_holds_only_its_ensemble(label):
+    import tracemalloc
+
+    case = SELF_CHECK_CASES[label]()
+    M, N = 200, 10_000
+    ensemble_bytes = 8 * N * (2 * M + 1) * case.params.d   # increments and paths
+    tracemalloc.start()
+    try:
+        residual_self_check(case, M, N, 93)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * ensemble_bytes, peak / ensemble_bytes
+
+
 def test_case_construction_runs_self_check(monkeypatch):
     # corrupting the closed form at build time must abort construction
     import mfbsde.benchmarks as bm

@@ -449,8 +449,19 @@ GOLDEN_BENCH_CSV = {
 }
 
 
+# sha256 of each case's report JSON from the same run, taken while the
+# declared budgets were still sampled with one call per sample; the JSON
+# carries the H1/H2/H4 reports that budget sampling feeds.
+GOLDEN_BENCH_REPORT = {
+    "colehopf": "8ab1b6a97675f44814fab4f98ca0f62498c143a00d79b8965796619c31ac1cd0",
+    "loggrowth": "3f848568235c6219e60a47e2e352234f9691ab888b3e51d37bf2eb2fa19a1ff0",
+    "meanfield_linear": "eb271e2cb4c497a3294c93c9b6f31f08f7fd75c6830378f0541891af6f05fbb2",
+    "zero": "833da0fb280fbc2063a883cfb75916acacbacced814cdb0165c2deb20e9d8590",
+}
+
+
 def test_bench_csvs_match_the_golden_digests(tmp_path, capsys):
-    """The bench CSVs are bitwise those of the recorded digests.
+    """The bench CSVs and report JSONs are bitwise those of the recorded digests.
 
     The digests were taken with numpy 2.4.6, scipy 1.17.1 and the
     scipy-openblas OpenBLAS 0.3.31 (64-bit ints, dynamic arch) on x86-64;
@@ -460,9 +471,13 @@ def test_bench_csvs_match_the_golden_digests(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[grid]\nm = 10\n[ensemble]\nn = 2000\nseed = 7\n")
     out = tmp_path / "b"
     assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
-    digests = {name: hashlib.sha256((out / f"bench_{name}_solution.csv").read_bytes()).hexdigest()
-               for name in GOLDEN_BENCH_CSV}
-    assert digests == GOLDEN_BENCH_CSV
+
+    def digests(kind):
+        return {name: hashlib.sha256((out / f"bench_{name}_{kind}").read_bytes()).hexdigest()
+                for name in GOLDEN_BENCH_CSV}
+
+    assert digests("solution.csv") == GOLDEN_BENCH_CSV
+    assert digests("report.json") == GOLDEN_BENCH_REPORT
 
 
 def test_bench_rejects_case_parameters(tmp_path, capsys):

@@ -5,6 +5,8 @@ whose declared envelopes are violated -- a checker that can't refute anything
 is worthless -- and (c) be deterministic given the seed.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from mfbsde import (
     run_checks,
     terminal_values,
 )
+from mfbsde import model
 
 
 def simple_params(**over):
@@ -63,6 +66,23 @@ def test_params_validation_rejects_bad_functions():
         simple_params(beta=lambda t: 5.0, C2=0.05)
 
 
+@pytest.mark.parametrize("name", ["phi", "a", "alpha", "beta", "eta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_params_reject_a_non_finite_budget(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        simple_params(**{name: lambda t: value})
+
+
+def test_params_reject_a_budget_that_does_not_take_an_array():
+    # math.exp takes one float only; it is refused, not looped over
+    with pytest.raises(ValueError, match="^a must accept a float array"):
+        simple_params(a=math.exp)
+    with pytest.raises(ValueError, match="^phi must accept a float array"):
+        simple_params(phi=lambda r: np.full((len(r), 2), 0.5))
+    with pytest.raises(ValueError, match="^eta must accept a float array"):
+        simple_params(eta=lambda t: np.full(3, 0.01))
+
+
 def test_params_budgets_met_with_equality_are_accepted():
     p = simple_params(a=lambda t: 0.01, C0=0.01)
     assert p.C0 == 0.01
@@ -97,6 +117,34 @@ def test_catalog_cases_pass_all_checkers(name):
     reports = run_checks(case.generator, case.params, samples=10_000, rng_seed=0)
     for rep in reports.values():
         assert rep.passed, rep.summary()
+
+
+def _loop_sample_fn(fn, ts):
+    return np.array([float(fn(float(t))) for t in ts])
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_catalog_reports_equal_the_per_sample_budget_loop(name, monkeypatch):
+    # one call on the sample array gives the reports of one call per sample
+    case = make_case(name)
+    reports = run_checks(case.generator, case.params, samples=10_000, rng_seed=0)
+    monkeypatch.setattr(model, "_sample_fn", _loop_sample_fn)
+    assert run_checks(case.generator, case.params, samples=10_000, rng_seed=0) == reports
+
+
+def test_checks_fail_on_a_nan_generator():
+    p = make_case("colehopf", n=2).params
+    gen = Generator(
+        fn=lambda t, y, ybar, z, zbar: np.full(np.broadcast_shapes(y.shape, z.shape[:-1]), np.nan),
+        params=p,
+        name="nan",
+    )
+    samples = 300
+    for check in (check_h1, check_h2, check_h4):
+        rep = check(gen, p, samples=samples, rng_seed=0)
+        assert rep.passed is False, rep.summary()
+        assert rep.violations == samples * p.n
+        assert rep.first_violation["sample"] == 0 and rep.first_violation["component"] == 0
 
 
 def test_checks_deterministic_given_seed():
