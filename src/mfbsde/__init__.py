@@ -14,7 +14,6 @@ from .benchmarks import (
     case_zero,
     make_case,
     oracle_errors,
-    oracle_fields,
     residual_self_check,
 )
 from .constants import (

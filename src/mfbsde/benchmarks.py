@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import Ensemble, TimeGrid, _node_mean, generate_ensemble
+from .engine import Ensemble, TimeGrid, _node_mean, _sum_of_squares, generate_ensemble
 from .errors import ConfigError
 from .model import Generator, ModelParams, TerminalCondition
 
@@ -45,20 +45,6 @@ class BenchmarkCase:
     description: str = ""
 
 
-def oracle_fields(case: BenchmarkCase, ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (Y, Z) evaluated on the ensemble's nodes: (N, M+1, n), (N, M, n, d)."""
-    p = case.params
-    M = ens.grid.M
-    Y = np.zeros((ens.N, M + 1, p.n))
-    Z = np.zeros((ens.N, M, p.n, p.d))
-    for k in range(M + 1):
-        y, z = _oracle_node(case, ens, k)
-        Y[:, k] = y
-        if k < M:
-            Z[:, k] = z
-    return Y, Z
-
-
 def _oracle_node(case: BenchmarkCase, ens: Ensemble, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact (Y, Z) at node k, cast to float and broadcast to (N, n), (N, n, d)."""
     if case.oracle is None:
@@ -74,12 +60,23 @@ def oracle_errors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-node RMS (over particles) error of solved fields against the oracle.
 
-    Returns (err_y (M+1,), err_z (M,)); err_y uses the Euclidean norm over
-    components, err_z the Frobenius norm over the (n, d) block.
+    Y is (N, M+1, n) and Z (N, M, n, d), in either memory layout.  Returns
+    (err_y (M+1,), err_z (M,)); err_y uses the Euclidean norm over
+    components, err_z the Frobenius norm over the (n, d) block.  The oracle
+    is evaluated one node at a time, and each node's squared errors are
+    averaged with ``_node_mean``, in the particle-major mean's order.
     """
-    Yx, Zx = oracle_fields(case, ens)
-    dy = ((Y - Yx) ** 2).sum(axis=2).mean(axis=0)
-    dz = ((Z - Zx) ** 2).sum(axis=(2, 3)).mean(axis=0)
+    p = case.params
+    M = ens.grid.M
+    for name, arr, shape in (("Y", Y, (ens.N, M + 1, p.n)), ("Z", Z, (ens.N, M, p.n, p.d))):
+        if np.shape(arr) != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {np.shape(arr)}")
+    dy, dz = np.empty(M + 1), np.empty(M)
+    for k in range(M + 1):
+        y, z = _oracle_node(case, ens, k)
+        dy[k] = _node_mean(_sum_of_squares(Y[:, k] - y))
+        if k < M:
+            dz[k] = _node_mean(_sum_of_squares((Z[:, k] - z).reshape(ens.N, -1)))
     return np.sqrt(dy), np.sqrt(dz)
 
 

@@ -25,6 +25,7 @@ from .engine import (
     TimeGrid,
     bmo_profile,
     regression_summary,
+    sup_norm_estimate,
 )
 from .errors import ConfigError, StitchError
 from .model import Generator
@@ -276,7 +277,7 @@ def solve_global(
     lam = ledger.lam
 
     eta = _resolve_eta(terminal, ens, p.n)
-    eta_sup = float(np.sqrt((eta * eta).sum(axis=1)).max())
+    eta_sup = sup_norm_estimate(eta)
     if eta_sup > lam * (1.0 + 1e-9):
         raise ConfigError(
             f"terminal data norm {eta_sup:.6g} exceeds the a priori radius "
@@ -303,7 +304,7 @@ def solve_global(
         traces.append(trace)
 
         cur_terminal = solution.Y[:, k_lo].copy()
-        edge_sup = float(np.sqrt((cur_terminal * cur_terminal).sum(axis=1)).max())
+        edge_sup = sup_norm_estimate(cur_terminal)
         if edge_sup > lam * (1.0 + 1e-9):
             raise StitchError(
                 f"window {idx} left edge norm {edge_sup:.6g} exceeds "

@@ -1,6 +1,7 @@
 """Benchmark catalog: oracles, residual self-checks, solver agreement."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from mfbsde import (
     CATALOG,
     ConfigError,
+    ProcessPair,
     TimeGrid,
     case_colehopf_diagonal,
     case_loggrowth,
@@ -18,7 +20,6 @@ from mfbsde import (
     generate_ensemble,
     make_case,
     oracle_errors,
-    oracle_fields,
     residual_self_check,
     run_checks,
     solve_auto,
@@ -29,6 +30,28 @@ BASIS = default_basis(1)
 
 def small_ens(case, M=20, N=500, seed=4):
     return generate_ensemble(TimeGrid.make(M, case.params.T), N, case.params.d, seed)
+
+
+def reference_fields(case, ens):
+    """Exact (Y, Z) on every node, particle-major: (N, M+1, n), (N, M, n, d),
+    straight from ``case.oracle``."""
+    p, M = case.params, ens.grid.M
+    Y = np.zeros((ens.N, M + 1, p.n))
+    Z = np.zeros((ens.N, M, p.n, p.d))
+    for k in range(M + 1):
+        y, z = case.oracle(float(ens.grid.nodes[k]), ens.cumulative[:, k, :])
+        Y[:, k] = y
+        if k < M:
+            Z[:, k] = z
+    return Y, Z
+
+
+def reference_errors(case, Y, Z, ens):
+    """Per-node RMS errors against the oracle, from the full particle-major fields."""
+    Yx, Zx = reference_fields(case, ens)
+    dy = ((Y - Yx) ** 2).sum(axis=2).mean(axis=0)
+    dz = ((Z - Zx) ** 2).sum(axis=(2, 3)).mean(axis=0)
+    return np.sqrt(dy), np.sqrt(dz)
 
 
 # ------------------------------------------------------------------ catalog
@@ -65,7 +88,7 @@ def test_every_case_has_usable_ledger(name):
 def test_zero_oracle_fields_and_errors():
     case = case_zero(c=3.0)
     ens = small_ens(case)
-    Y, Z = oracle_fields(case, ens)
+    Y, Z = reference_fields(case, ens)
     assert np.array_equal(Y, np.full((500, 21, 1), 3.0))
     assert np.array_equal(Z, np.zeros((500, 20, 1, 1)))
     ey, ez = oracle_errors(case, Y, Z, ens)
@@ -75,7 +98,7 @@ def test_zero_oracle_fields_and_errors():
 def test_linear_oracle_is_the_ode_path():
     case = case_meanfield_linear(a=0.3, b=0.2, c=2.0, T=2.0)
     ens = small_ens(case, M=10)
-    Y, _ = oracle_fields(case, ens)
+    Y, _ = reference_fields(case, ens)
     t = ens.grid.nodes
     np.testing.assert_allclose(Y[0, :, 0], 2.0 * np.exp(0.5 * (2.0 - t)), rtol=1e-12)
     assert case.y0_exact == pytest.approx(2.0 * math.exp(1.0))
@@ -84,7 +107,7 @@ def test_linear_oracle_is_the_ode_path():
 def test_colehopf_oracle_shifted_brownian():
     case = case_colehopf_diagonal(gamma=2.0, n=3)
     ens = small_ens(case, M=8)
-    Y, Z = oracle_fields(case, ens)
+    Y, Z = reference_fields(case, ens)
     # every component identical: W_t + (gamma/2)(T - t); Z = 1
     expect = ens.cumulative[:, :, 0] + (2.0 / 2.0) * (1.0 - ens.grid.nodes)
     for i in range(3):
@@ -97,7 +120,7 @@ def test_loggrowth_has_no_oracle():
     case = case_loggrowth()
     assert case.oracle is None and case.y0_exact is None
     with pytest.raises(ValueError, match="no oracle"):
-        oracle_fields(case, small_ens(case))
+        oracle_errors(case, np.zeros((500, 21, 2)), np.zeros((500, 20, 2, 1)), small_ens(case))
     with pytest.raises(ConfigError, match="kappa"):
         case_loggrowth(kappa=0.0)
 
@@ -138,10 +161,10 @@ def test_residual_self_check_rejects_wrong_oracle():
 
 
 def _particle_major_self_check(case, M, N, seed):
-    """The self-check on full particle-major oracle fields, as ``oracle_fields`` builds them."""
+    """The self-check on full particle-major oracle fields."""
     grid = TimeGrid.make(M, case.params.T)
     ens = generate_ensemble(grid, N, case.params.d, seed)
-    Yx, Zx = oracle_fields(case, ens)
+    Yx, Zx = reference_fields(case, ens)
     mY, mZ = Yx.mean(axis=0), Zx.mean(axis=0)
     worst = 0.0
     for k in range(M):
@@ -202,7 +225,7 @@ def test_zero_case_solved_bitwise():
     case = case_zero(c=1.5)
     ens = small_ens(case, M=10, N=300)
     report = solve_auto(case.generator, case.terminal, ens, BASIS)
-    Yx, Zx = oracle_fields(case, ens)
+    Yx, Zx = reference_fields(case, ens)
     assert np.array_equal(report.pair.Y, Yx)
     assert np.array_equal(report.pair.Z, Zx)
 
@@ -214,3 +237,52 @@ def test_linear_case_matches_ode_to_discretization_error():
     ey, ez = oracle_errors(case, report.pair.Y, report.pair.Z, ens)
     assert ey.max() < 5e-4                # trapezoid-level, far under O(dt)
     assert ez.max() == 0.0
+
+
+@pytest.mark.parametrize("layout", ["node-major pair", "particle-major"])
+@pytest.mark.parametrize("label", sorted(SELF_CHECK_CASES))
+def test_streamed_oracle_errors_equal_the_reference(label, layout):
+    case = SELF_CHECK_CASES[label]()
+    ens = small_ens(case, M=30, N=4_999, seed=5)
+    pair = solve_auto(case.generator, case.terminal, ens, default_basis(case.params.d)).pair
+    Y, Z = pair.Y, pair.Z
+    if layout == "particle-major":
+        # noise makes every error nonzero, the zero case's included
+        rng = np.random.default_rng(3)
+        Y = np.ascontiguousarray(Y) + 0.1 * rng.standard_normal(Y.shape)
+        Z = np.ascontiguousarray(Z) + 0.1 * rng.standard_normal(Z.shape)
+    got, want = oracle_errors(case, Y, Z, ens), reference_errors(case, Y, Z, ens)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("label", ["colehopf n=1", "zero n=2 d=2"])
+def test_oracle_errors_hold_a_few_node_blocks(label):
+    import tracemalloc
+
+    case = SELF_CHECK_CASES[label]()
+    M, N = 100, 20_000
+    p = case.params
+    ens = small_ens(case, M=M, N=N, seed=5)
+    pair = ProcessPair.empty(N, M, p.n, p.d)
+    pair.Y[...], pair.Z[...] = 1.0, 1.0
+    tracemalloc.start()
+    try:
+        oracle_errors(case, pair.Y, pair.Z, ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * pair.Y.nbytes, peak / pair.Y.nbytes
+
+
+@pytest.mark.parametrize("y_shape, z_shape, message", [
+    ((11, 1), (10, 1, 1), "Y must have shape (300, 11, 1), got (11, 1)"),
+    ((1, 11, 1), (1, 10, 1, 1), "Y must have shape (300, 11, 1), got (1, 11, 1)"),
+    ((300, 11, 1), (1, 10, 1, 1), "Z must have shape (300, 10, 1, 1), got (1, 10, 1, 1)"),
+], ids=["node-mean fields", "one-particle pair", "one-particle Z"])
+def test_oracle_errors_refuse_misshapen_fields(y_shape, z_shape, message):
+    # a node-mean field or a one-particle pair would broadcast against the
+    # oracle's (N, ...) node blocks and give errors of the right length
+    case = case_colehopf_diagonal()
+    ens = small_ens(case, M=10, N=300)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        oracle_errors(case, np.zeros(y_shape), np.zeros(z_shape), ens)

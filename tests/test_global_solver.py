@@ -367,7 +367,8 @@ def test_multi_window_solve_verifies_with_its_own_pass(bmo_passes, sup_passes):
     # no window covers the whole grid, so verification makes one full-grid
     # BMO pass on the assembled pair, the only BMO pass of the solve; the
     # solution's sup is the largest window sup, and every sup is measured
-    # one node block at a time, never over a whole pair
+    # one node block at a time, never over a whole pair: the terminal check,
+    # each window's left-edge check and each node of each sweep
     case = case_colehopf_diagonal(gamma=1.0, n=1)
     T2 = 2.5 * compute_ledger(case.params).t_lambda
     case2 = case_colehopf_diagonal(gamma=1.0, n=1, T=T2)
@@ -376,8 +377,8 @@ def test_multi_window_solve_verifies_with_its_own_pass(bmo_passes, sup_passes):
     assert report.mode == "stitched" and len(report.traces) >= 3
     assert len(bmo_passes) == 1
     assert bmo_passes[-1] is report.pair
-    assert len(sup_passes) == sum(1 + len(t.iterations) * (t.ball.steps + 1)
-                                  for t in report.traces)
+    assert len(sup_passes) == 1 + sum(2 + len(t.iterations) * (t.ball.steps + 1)
+                                      for t in report.traces)
     assert all(block.shape == (ens.N, 1) for block in sup_passes)
     assert np.array_equal(report.bmo_nodes, bmo_profile(report.pair, ens, BASIS))
     assert report.checks[0].observed == sup_norm_estimate(report.pair.Y)

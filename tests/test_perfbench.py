@@ -4,14 +4,18 @@ perfbench reaches into the package by name: its tracer wraps every public
 function of each layer module, plus ``RegressionBasis.design`` and
 ``Generator.component``, and reads ``truncation_hits`` and ``windows`` off
 what they return; its worker calls ``run_checks`` with the params by
-position.  These tests make those calls the way the harness does, so a
-refactor of the package that breaks the harness fails here.
+position, and ``oracle_errors`` on particle chunks of the solved pair.
+These tests make those calls the way the harness does, so a refactor of
+the package that breaks the harness fails here.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import mfbsde
+from test_benchmarks import reference_errors
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -50,3 +54,19 @@ def test_structural_checks_run_as_the_worker_calls_them():
     case = mfbsde.make_case("loggrowth")
     checks = mfbsde.run_checks(case.generator, case.params, samples=200, rng_seed=0)
     assert checks and all(result.passed for result in checks.values())
+
+
+def test_chunked_oracle_errors_as_the_worker_calls_them():
+    # the worker's check of the Z error: a keyword-built Ensemble over each
+    # particle chunk of a solved node-major pair, the last chunk short
+    case = mfbsde.make_case("colehopf", n=1)
+    ens = mfbsde.generate_ensemble(mfbsde.TimeGrid.make(10, case.params.T), 2_500, 1, 7)
+    pair = mfbsde.solve_auto(case.generator, case.terminal, ens, mfbsde.default_basis(1)).pair
+    chunk = 1_000
+    for lo in range(0, ens.N, chunk):
+        part = slice(lo, lo + chunk)
+        sub = mfbsde.Ensemble(grid=ens.grid, N=min(chunk, ens.N - lo), d=ens.d, seed=ens.seed,
+                              increments=ens.increments[part], cumulative=ens.cumulative[part])
+        got = mfbsde.oracle_errors(case, pair.Y[part], pair.Z[part], sub)
+        want = reference_errors(case, pair.Y[part], pair.Z[part], sub)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
