@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import TerminalBoundError
 
@@ -27,6 +26,38 @@ _INEQ_RTOL = 1e-9
 # z and zbar uniform in [-_BOX_Z, _BOX_Z]^(n x d).
 _BOX_Y = 5.0
 _BOX_Z = 5.0
+
+# QUADPACK's 21-point Gauss-Kronrod rule (dqk21) on [-1, 1]: the positive
+# Kronrod abscissae, outermost first, and their weights, the centre's last;
+# the embedded 10-point Gauss rule uses abscissae 1, 3, ..., 9 (0-based).
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208024907260, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936740796367,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+_EPMACH = float(np.finfo(float).eps)
+_UFLOW = float(np.finfo(float).tiny)
+
+# scipy.integrate.quad's defaults: absolute and relative tolerance, and the
+# most panels one integral may be split into.
+_QUAD_EPSABS = 1.49e-8
+_QUAD_EPSREL = 1.49e-8
+_QUAD_LIMIT = 200
 
 
 def _sample_fn(fn: Callable, ts: np.ndarray) -> np.ndarray:
@@ -48,17 +79,100 @@ def _sample_budget(name: str, fn: Callable, ts: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _kronrod21(fn: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """QUADPACK's dqk21 on each panel [lo_i, hi_i]: the 21-point Kronrod
+    result and its error estimate, with fn called once on all 21 nodes of
+    every panel.  The sums run in dqk21's order (centre, then abscissae 1, 3,
+    ..., 9, then 0, 2, ..., 8), so each result is bitwise the routine's."""
+    centr = 0.5 * (lo + hi)
+    hlgth = 0.5 * (hi - lo)
+    absc = hlgth[:, None] * _XGK
+    x = np.concatenate([centr[:, None] - absc, centr[:, None] + absc, centr[:, None]], axis=1)
+    f = _sample_fn(fn, x.ravel()).reshape(x.shape)
+    f1, f2, fc = f[:, :10], f[:, 10:20], f[:, 20]
+    with np.errstate(all="ignore"):     # non-finite values flow into the result
+        resg = np.zeros_like(centr)
+        resk = _WGK[10] * fc
+        resabs = np.abs(resk)
+        for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
+            fsum = f1[:, j] + f2[:, j]
+            if j % 2:
+                resg = resg + _WG[j // 2] * fsum
+            resk = resk + _WGK[j] * fsum
+            resabs = resabs + _WGK[j] * (np.abs(f1[:, j]) + np.abs(f2[:, j]))
+        reskh = resk * 0.5
+        resasc = _WGK[10] * np.abs(fc - reskh)
+        for j in range(10):
+            resasc = resasc + _WGK[j] * (np.abs(f1[:, j] - reskh) + np.abs(f2[:, j] - reskh))
+        dhlgth = np.abs(hlgth)
+        resabs = resabs * dhlgth
+        resasc = resasc * dhlgth
+        err = np.abs((resk - resg) * hlgth)
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+        err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+        floor = (_EPMACH * 50.0) * resabs
+        err = np.where(resabs > _UFLOW / (50.0 * _EPMACH), np.maximum(floor, err), err)
+    return resk * hlgth, err
+
+
+def _converged(result, err) -> bool | np.ndarray:
+    """quad's acceptance test, failed by a non-finite result or estimate."""
+    return np.isfinite(result) & (err <= np.maximum(_QUAD_EPSABS, _QUAD_EPSREL * np.abs(result)))
+
+
+def _integrate(fn: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Integral of fn over each [lo_i, hi_i], for 1-D float arrays lo, hi.
+
+    Each interval is first one dqk21 panel, all in one call of fn; where that
+    passes quad's acceptance test the result is bitwise
+    ``scipy.integrate.quad(fn, lo_i, hi_i, limit=200)[0]``.  An interval that
+    fails it is bisected globally: the panel with the largest error estimate
+    is halved until the summed estimate passes the test.  ValueError when an
+    integral is not finite or needs more than _QUAD_LIMIT panels.
+    """
+    result, err = _kronrod21(fn, lo, hi)
+    for i in np.flatnonzero(~_converged(result, err)):
+        result[i] = _bisect(fn, lo[i], hi[i])
+    return result
+
+
+def _bisect(fn: Callable, lo: float, hi: float) -> float:
+    """Global adaptive dqk21 quadrature of fn over [lo, hi] (see _integrate)."""
+    edges = np.array([lo, hi])
+    res, err = _kronrod21(fn, edges[:-1], edges[1:])
+    while not _converged(res.sum(), err.sum()):
+        if not np.isfinite(res).all():
+            raise ValueError("is not finite")
+        if res.size == _QUAD_LIMIT:
+            raise ValueError(f"did not converge within {_QUAD_LIMIT} panels")
+        k = int(np.argmax(err))
+        edges = np.insert(edges, k + 1, 0.5 * (edges[k] + edges[k + 1]))
+        res, err = np.insert(res, k, 0.0), np.insert(err, k, 0.0)
+        res[k:k + 2], err[k:k + 2] = _kronrod21(fn, edges[k:k + 2], edges[k + 1:k + 3])
+    return float(res.sum())
+
+
+def _budget_integral(name: str, fn: Callable, T: float) -> float:
+    """_integrate of fn over [0, T]; its ValueError names the integral."""
+    try:
+        return float(_integrate(fn, np.zeros(1), np.array([T]))[0])
+    except ValueError as exc:
+        raise ValueError(f"{name} {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Declared structure of one mean-field model.
 
     phi must be nondecreasing and nonnegative; a, alpha, beta, eta are
     deterministic nonnegative functions of time.  Each of phi, a, alpha, beta
-    and eta must accept a float array and return an array of its shape or a
-    scalar, which is broadcast; the integrals also call them on one float.
+    and eta must accept a 1-D float array and return an array of its shape or
+    a scalar, which is broadcast; the integrals call them on such arrays too.
     Construction samples each on a (201,) grid and rejects one that does not
     broadcast or is not finite there.  C0 bounds the integral of a, C1 bounds
-    the terminal data, C2 bounds the integral of alpha + beta + eta*log(1+eta).
+    the terminal data, C2 bounds the integral of alpha + beta + eta*log(1+eta);
+    construction also rejects either integral over [0, T] when it is not
+    finite or does not converge within _QUAD_LIMIT panels.
     The budgets C0, C1, C2 may be zero (the degenerate edge is exercised by
     the constants ledger).
     """
@@ -111,13 +225,17 @@ class ModelParams:
             raise ValueError("phi must be nondecreasing")
 
         slack = 1e-8
-        a_int = quad(self.a, 0.0, self.T, limit=200)[0]
+        a_int = _budget_integral("integral of a over [0, T]", self.a, self.T)
         if a_int > self.C0 + slack * max(1.0, self.C0):
             raise ValueError(
                 f"integral of a over [0, T] is {a_int:.6g}, exceeding C0 = {self.C0:.6g}"
             )
-        mix = lambda t: self.alpha(t) + self.beta(t) + self.eta(t) * math.log1p(self.eta(t))
-        mix_int = quad(mix, 0.0, self.T, limit=200)[0]
+
+        def mix(t):
+            eta = self.eta(t)
+            return self.alpha(t) + self.beta(t) + eta * np.log1p(eta)
+
+        mix_int = _budget_integral("integral of alpha + beta + eta*log(1+eta)", mix, self.T)
         if mix_int > self.C2 + slack * max(1.0, self.C2):
             raise ValueError(
                 f"integral of alpha + beta + eta*log(1+eta) is {mix_int:.6g}, "

@@ -17,11 +17,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .constants import ConstantsLedger, contraction_coefficients
 from .engine import Ensemble, ProcessPair, RegressionBasis, TimeGrid, _node_mean, sup_norm_estimate
-from .model import Generator, TerminalCondition, terminal_values
+from .model import Generator, TerminalCondition, _integrate, terminal_values
 from .qbsde1d import bound_y, bound_z, solve_1d, truncation_radius
 
 # Slack applied to the theoretical ball radii before flagging an iterate as
@@ -185,11 +184,11 @@ def apply_gamma(
     # Deterministic drift budget of the window, summed from its last step
     # backward: the integrable density plus the mean-field coupling of the
     # frozen environment.  The bounds read it at the window start.
+    a_steps = _integrate(p.a, nodes[k_lo:k_hi], nodes[k_lo + 1:k_hi + 1]).tolist()
     budget = 0.0
     for j in range(L - 1, -1, -1):
-        a_step = quad(p.a, nodes[k_lo + j], nodes[k_lo + j + 1], limit=200)[0]
         mz = float(np.sqrt((mean_V[j] * mean_V[j]).sum()))
-        budget += a_step + p.K * mz ** (1.0 + p.delta) * dt
+        budget += a_steps[j] + p.K * mz ** (1.0 + p.delta) * dt
     horizon = float(nodes[k_hi]) - float(nodes[k_lo])
 
     eta_bounds = np.abs(eta).max(axis=0)

@@ -5,17 +5,26 @@ whose declared envelopes are violated -- a checker that can't refute anything
 is worthless -- and (c) be deterministic given the seed.
 """
 
+import dataclasses
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+import mfbsde
 from mfbsde import (
     CATALOG,
     Generator,
     ModelParams,
     TerminalBoundError,
     TerminalCondition,
+    TimeGrid,
     check_h1,
     check_h2,
     check_h4,
@@ -86,6 +95,113 @@ def test_params_reject_a_budget_that_does_not_take_an_array():
 def test_params_budgets_met_with_equality_are_accepted():
     p = simple_params(a=lambda t: 0.01, C0=0.01)
     assert p.C0 == 0.01
+
+
+# The Kronrod node 0.5 - 0.5*x_10 of [0, 1], 5.6e-4 away from the nearest
+# point of the (201,) sampling grid.
+_K21_NODE = 0.5 - 0.5 * 0.148874338981631210884826001129720
+
+
+@pytest.mark.parametrize("name, integral", [
+    ("a", "integral of a over [0, T]"),
+    ("alpha", "integral of alpha + beta + eta*log(1+eta)"),
+])
+def test_params_reject_a_nan_integral(name, integral):
+    # finite on the sampled grid, NaN at a quadrature node: quad returned
+    # nan with a warning only, and nan > C0 let the model through
+    p = make_case("colehopf").params
+    assert p.T == 1.0
+    value = getattr(p, name)(0.0)
+    spiked = lambda t: np.where(np.abs(t - _K21_NODE) < 1e-4, np.nan, value)
+    with pytest.raises(ValueError, match=rf"^{re.escape(integral)} is not finite"):
+        dataclasses.replace(p, **{name: spiked})
+
+
+def test_params_reject_an_integral_that_does_not_converge():
+    # about 1600 periods on [0, 1]: 200 panels of 21 nodes cannot resolve them
+    with pytest.raises(ValueError, match=r"^integral of a over \[0, T\] did not converge "
+                                         r"within 200 panels"):
+        simple_params(a=lambda t: 0.005 * (1.0 + np.sin(1e4 * t)))
+
+
+# --------------------------------------------------------------- quadrature
+
+
+def quad_each(fn, lo, hi):
+    """scipy.integrate.quad on each interval, the independent reference."""
+    return np.array([quad(fn, a, b, limit=200)[0] for a, b in zip(lo, hi)])
+
+
+def old_mix(p):
+    """The C2 integrand as ModelParams built it for quad, on one float."""
+    return lambda t: p.alpha(t) + p.beta(t) + p.eta(t) * math.log1p(p.eta(t))
+
+
+def new_mix(p):
+    """The C2 integrand on float arrays, eta called once."""
+    def mix(t):
+        eta = p.eta(t)
+        return p.alpha(t) + p.beta(t) + eta * np.log1p(eta)
+    return mix
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_integrate_is_quad_bitwise_on_the_catalog_budgets(name):
+    p = make_case(name).params
+    lo, hi = np.array([0.0]), np.array([p.T])
+    assert model._integrate(p.a, lo, hi)[0] == quad(p.a, 0.0, p.T, limit=200)[0]
+    assert model._integrate(new_mix(p), lo, hi)[0] == quad(old_mix(p), 0.0, p.T, limit=200)[0]
+    for M in (25, 50, 100):
+        nodes = TimeGrid.make(M, p.T).nodes
+        got = model._integrate(p.a, nodes[:-1], nodes[1:])
+        assert np.array_equal(got, quad_each(p.a, nodes[:-1], nodes[1:]))
+
+
+@pytest.mark.parametrize("fn", [lambda t: 0.1 * t**2 + 0.3, lambda t: 0.02 * np.exp(t), np.exp],
+                         ids=["poly", "scaled-exp", "exp"])
+def test_integrate_is_quad_bitwise_on_smooth_integrands(fn):
+    lo = np.array([0.0, 0.0, 0.02, 0.5, -1.0])
+    hi = np.array([1.0, 0.37, 0.04, 1.0, 3.0])
+    assert np.array_equal(model._integrate(fn, lo, hi), quad_each(fn, lo, hi))
+    nodes = TimeGrid.make(100, 1.0).nodes
+    assert np.array_equal(model._integrate(fn, nodes[:-1], nodes[1:]),
+                          quad_each(fn, nodes[:-1], nodes[1:]))
+
+
+@pytest.mark.parametrize("fn, exact", [
+    (np.sqrt, 2.0 / 3.0),
+    (lambda t: np.abs(t - 1.0 / 3.0), 5.0 / 18.0),
+], ids=["sqrt", "kink"])
+def test_integrate_bisects_to_quads_tolerance(fn, exact):
+    lo, hi = np.array([0.0, 0.5]), np.array([1.0, 1.0])
+    first = model._kronrod21(fn, lo, hi)
+    assert list(model._converged(*first)) == [False, True]    # [0, 1] needs bisection
+    got = model._integrate(fn, lo, hi)
+    ref = quad_each(fn, lo, hi)
+    assert got[1] == ref[1]
+    assert abs(got[0] - ref[0]) <= 1.49e-8 * abs(ref[0])
+    assert abs(got[0] - exact) <= 1.49e-8 * exact
+
+
+def test_integrate_refuses_an_integrand_that_exhausts_the_panels():
+    with pytest.raises(ValueError, match="^did not converge within 200 panels"):
+        model._integrate(lambda t: 1.0 / t, np.array([0.0]), np.array([1.0]))
+    # inf at a Kronrod-only node: the Gauss sum stays finite, the estimate inf
+    node = 0.5 - 0.5 * 0.995657163025808080735527280689003
+    with pytest.raises(ValueError, match="^is not finite"):
+        model._integrate(lambda t: np.where(np.abs(t - node) < 1e-12, np.inf, 0.0),
+                         np.array([0.0]), np.array([1.0]))
+
+
+def test_import_does_not_load_scipy_integrate():
+    # the package needs scipy only for LAPACK; scipy.integrate and
+    # scipy.optimize alone cost about a fifth of a second at every start
+    code = ("import sys, mfbsde, mfbsde.cli; "
+            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(mfbsde.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------- terminal condition

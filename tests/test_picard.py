@@ -376,6 +376,40 @@ def test_apply_gamma_bounds_read_the_window_budget():
         assert comp.y_bound == pytest.approx(expect, rel=0.0, abs=1e-12)
 
 
+def quad_bounds(p, env, eta, ens, ball, u, v):
+    """Each row's (y_bound, trunc_R) from a drift budget of one quad per
+    step, summed from the window's last step backward."""
+    nodes, dt = ens.grid.nodes, ens.grid.dt
+    budget = 0.0
+    for j in range(ball.steps - 1, -1, -1):
+        a_step = quad(p.a, nodes[ball.k_lo + j], nodes[ball.k_lo + j + 1], limit=200)[0]
+        mz = float(np.sqrt((env.mean_Z[j] * env.mean_Z[j]).sum()))
+        budget += a_step + p.K * mz ** (1.0 + p.delta) * dt
+    horizon = float(nodes[ball.k_hi]) - float(nodes[ball.k_lo])
+    out = []
+    for eta_i in np.abs(eta).max(axis=0):
+        y = bound_y(p, horizon, budget, float(eta_i), u, v)
+        out.append((y, truncation_radius(qbsde1d.bound_z(p, horizon, budget, float(eta_i),
+                                                         y, u, v))))
+    return out
+
+
+@pytest.mark.parametrize("make", [case_loggrowth, case_colehopf_diagonal])
+@pytest.mark.parametrize("k_lo", [0, 3])
+def test_apply_gamma_bounds_are_the_per_step_quad_budget_bitwise(make, k_lo):
+    case = make()
+    p = case.params
+    ens = generate_ensemble(TimeGrid.make(10, p.T), 300, 1, 4)
+    ledger = compute_ledger(p)
+    ball = BallSpec(k_lo=k_lo, k_hi=10, eps=(10 - k_lo) / 10 * p.T, k1=ledger.k1,
+                    k2=ledger.k2, within_guarantee=False)
+    env, eta, ball, _, info = second_sweep(case, ens, BASIS, ball)
+    if p.K > 0.0:
+        assert np.abs(env.mean_Z).max() > 0.0        # the coupling term is live
+    expect = quad_bounds(p, env, eta, ens, ball, *norms(env, ens, ball))
+    assert [(c.y_bound, c.trunc_R) for c in info.components] == expect
+
+
 # ------------------------------------------------------------- fixed point
 
 
