@@ -167,10 +167,18 @@ def _case_section(cfg: configparser.ConfigParser) -> dict:
 
 def _load_config(path: str, command: str) -> dict:
     """Every section's typed values with the defaults filled in; any key the
-    program does not read, or any value out of range, is a ConfigError."""
+    program does not read, any value out of range, or a file configparser
+    cannot parse or interpolate is a ConfigError."""
     cfg = configparser.ConfigParser()
-    if not cfg.read(path):
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        if not cfg.read(path):
+            raise ConfigError(f"config file not found: {path}")
+        return _typed_config(cfg, command)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _typed_config(cfg: configparser.ConfigParser, command: str) -> dict:
     unknown = [s for s in cfg.sections() if s not in SECTIONS]
     if unknown:
         raise ConfigError(

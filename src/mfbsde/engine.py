@@ -17,6 +17,14 @@ continuation, the Z targets and the BMO tail) with two LAPACK ``dtrtrs``
 solves each on the cached factor, after one max/min pass over the targets
 that checks them finite and flags their constant columns; the fitted values
 equal those of a fresh ``lstsq`` to round-off.
+
+``dtrtrs`` comes from scipy's compiled LAPACK wrapper ``scipy.linalg._flapack``,
+loaded by itself: importing it through ``scipy.linalg`` would run that
+package's init, which loads the whole of ``scipy.linalg`` and, through
+scipy's array-API layer, ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``,
+at more than the cost of all the rest of ``import mfbsde``.  It is the same
+module object (so the same ``dtrtrs``) that ``scipy.linalg.lapack`` uses,
+whichever of the two loads first.
 """
 
 from __future__ import annotations
@@ -24,12 +32,37 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+import numpy.random  # noqa: F401  -- lazy in numpy; load it here, not in the first solve
+import scipy  # its init runs the distributor hook that may locate scipy's bundled LAPACK
 
 log = logging.getLogger(__name__)
+
+
+def _load_flapack():
+    """scipy's LAPACK extension module, without running ``scipy.linalg``'s
+    package init.  It is registered under its own name, so ``scipy.linalg``,
+    if imported later, finds and uses this very module object."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    where = os.path.join(scipy.__path__[0], "linalg")
+    spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no compiled _flapack extension in {where}", name=name)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+dtrtrs = _load_flapack().dtrtrs
 
 # Attached to every report that quotes sup/BMO figures.
 PROXY_CAVEAT = (
@@ -176,7 +209,8 @@ class RegressionFactor:
         ``dtrtrs`` on the lower triangle R.T (F-ordered, so read without a
         copy), overwriting B where its layout allows: the very call
         ``scipy.linalg.solve_triangular(R, B, trans=1 - trans)`` makes for a
-        C-ordered R, without its per-call checks and wrappers."""
+        C-ordered R, without its per-call checks and wrappers, and the same
+        ``_flapack.dtrtrs`` object, loaded without ``scipy.linalg``."""
         x, info = dtrtrs(self.R.T, B, lower=1, trans=trans, overwrite_b=1)
         if info > 0:
             raise np.linalg.LinAlgError(

@@ -404,6 +404,25 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"[case]\nname = zero\nname = colehopf\n",       # repeated key
+        b"m = 10\n[case]\nname = zero\n",                 # no section header
+        b"[case]\nname = zero\n[grid]\nm = %(x)s\n",      # raised by items(), not read()
+        b"\xff[case]\nname = zero\n",                     # not decodable as UTF-8
+    ],
+    ids=["duplicate-option", "missing-section-header", "interpolation", "undecodable"],
+)
+def test_unparsable_config_exits_2_naming_the_file(tmp_path, capsys, body):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(body)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(cfg) in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate", "--config", "x.ini"])

@@ -1,6 +1,11 @@
 """Ensemble generation and regression conditional expectations."""
 
 import itertools
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,6 +319,40 @@ def test_projection_is_the_solve_triangular_reference_bitwise(basis, d):
             for vals in (single, block, np.asfortranarray(block[:, [0, 3]])):
                 fitted, _ = op.project(vals)
                 assert fitted.tobytes() == triangular_reference(vals, op).tobytes()
+
+
+def run_fresh(code):
+    """The stdout of `code` run in a fresh interpreter on this mfbsde."""
+    env = dict(os.environ, PYTHONPATH=str(Path(engine.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout.strip()
+
+
+def test_import_loads_only_the_lapack_extension_of_scipy():
+    # scipy.linalg's package init, and what it pulls in through scipy's
+    # array-API layer, took most of every start for the one LAPACK routine
+    heavy = ("scipy.linalg", "scipy.integrate", "scipy.optimize", "scipy.sparse",
+             "scipy.special", "numpy.f2py", "numpy.testing", "numpy.ma")
+    code = ("import sys, mfbsde, mfbsde.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules], "
+            "'scipy.linalg._flapack' in sys.modules)")
+    assert run_fresh(code) == "[] True"
+
+
+@pytest.mark.parametrize("lapack_first", [True, False])
+def test_dtrtrs_is_scipy_lapacks_in_either_import_order(lapack_first):
+    imports = ["import scipy.linalg.lapack", "import mfbsde"]
+    code = "; ".join((imports if lapack_first else imports[::-1])
+                     + ["print(mfbsde.engine.dtrtrs is scipy.linalg.lapack.dtrtrs)"])
+    assert run_fresh(code) == "True"
+
+
+def test_missing_lapack_extension_is_an_import_error_naming_its_directory(tmp_path,
+                                                                          monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(engine.scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+        engine._load_flapack()
 
 
 def test_factor_refuses_a_non_finite_design_and_a_singular_solve():

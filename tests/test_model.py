@@ -7,17 +7,12 @@ is worthless -- and (c) be deterministic given the seed.
 
 import dataclasses
 import math
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-import mfbsde
 from mfbsde import (
     CATALOG,
     Generator,
@@ -191,17 +186,6 @@ def test_integrate_refuses_an_integrand_that_exhausts_the_panels():
     with pytest.raises(ValueError, match="^is not finite"):
         model._integrate(lambda t: np.where(np.abs(t - node) < 1e-12, np.inf, 0.0),
                          np.array([0.0]), np.array([1.0]))
-
-
-def test_import_does_not_load_scipy_integrate():
-    # the package needs scipy only for LAPACK; scipy.integrate and
-    # scipy.optimize alone cost about a fifth of a second at every start
-    code = ("import sys, mfbsde, mfbsde.cli; "
-            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
-    env = dict(os.environ, PYTHONPATH=str(Path(mfbsde.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------- terminal condition
