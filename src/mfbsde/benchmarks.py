@@ -227,8 +227,9 @@ def case_colehopf_diagonal(
     )
 
     def fn(t, y, ybar, z, zbar):
-        z = np.asarray(z, dtype=float)
-        return 0.5 * gamma * (z * z).sum(axis=-1)
+        out = _sum_of_squares(np.asarray(z, dtype=float))
+        out *= 0.5 * gamma
+        return out
 
     def xi(paths):
         w = np.clip(paths[:, -1, 0], -B, B)
@@ -276,9 +277,15 @@ def case_loggrowth(
     )
 
     def fn(t, y, ybar, z, zbar):
-        z = np.asarray(z, dtype=float)
-        rows = np.sqrt((z * z).sum(axis=-1))
-        return 0.5 * gamma * rows**2 + kappa * np.log1p(rows[..., ::-1])
+        out = _sum_of_squares(np.asarray(z, dtype=float))
+        np.sqrt(out, out=out)                         # |z^i|
+        cross = np.log1p(out)                         # row i's term, added to row 1 - i
+        cross *= kappa
+        np.square(out, out=out)
+        out *= 0.5 * gamma
+        out[..., 0] += cross[..., 1]
+        out[..., 1] += cross[..., 0]
+        return out
 
     def xi(paths):
         w = np.clip(paths[:, -1, 0], -B, B)

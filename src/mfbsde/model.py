@@ -249,7 +249,10 @@ class Generator:
 
     ``fn`` must broadcast: t scalar or (B,), y and ybar (..., n), z and zbar
     (..., n, d), returning (..., n).  Mean arguments may be passed unbatched
-    ((n,) and (n, d)) and are broadcast against the sample axis.
+    ((n,) and (n, d)) and are broadcast against the sample axis.  fn must be
+    pointwise over the leading axes, which may come in any order: the sweep
+    of ``picard.apply_gamma`` passes (n, N, ...) blocks, stacked substitution
+    first and particles second, and a structural check passes (samples, ...).
     """
 
     fn: Callable[..., np.ndarray]

@@ -257,8 +257,11 @@ def _live_z(cur, m, live, op, radius):
     """Regression Z at the node of ``op`` of the rows ``live`` of the (n, N)
     block cur, whose continuation is m (N, n): one projection of their
     (N, n_live * d) martingale targets with that node's operator, each row
-    clipped in norm at its radius.  Returns Z (N, n_live, d) and the number
-    of clipped particles of each row."""
+    clipped in norm at its radius.  The clip goes one row at a time: the
+    row's norms are compared with its radius, the hits counted, and only
+    the hit particles scaled back onto the radius.  Returns Z
+    (N, n_live, d) and the number of clipped particles of each row,
+    (n_live,) int64."""
     ens, k = op.ens, op.k
     N, d = ens.N, ens.d
     targets = np.empty((live.size, d, N))
@@ -268,7 +271,10 @@ def _live_z(cur, m, live, op, radius):
     z = fit.reshape(N, live.size, d)
     z /= ens.grid.dt
     norms = np.sqrt(_sum_of_squares(z))               # (N, n_live)
-    R = np.broadcast_to(radius[live], norms.shape)
-    over = norms > R
-    z[over] *= (R[over] / norms[over])[:, None]
-    return z, over.sum(axis=0)
+    hits = np.zeros(live.size, dtype=np.int64)
+    for r, i in enumerate(live):
+        over = norms[:, r] > radius[i]
+        hits[r] = np.count_nonzero(over)
+        if hits[r]:
+            z[over, r] *= (radius[i] / norms[over, r])[:, None]
+    return z, hits

@@ -134,6 +134,63 @@ def test_loggrowth_generator_couples_rows_symmetrically():
     np.testing.assert_allclose(out[:, 1], 0.1 * np.log1p(2.0))  # cross log
 
 
+def edge_block(rng, shape):
+    """Standard normals with a tenth each of +0.0, -0.0, subnormals and
+    values near +-1e150 planted at random places."""
+    z = rng.standard_normal(shape)
+    flat = z.reshape(-1)
+    parts = np.array_split(rng.permutation(flat.size)[: 4 * (flat.size // 10)], 4)
+    sign = lambda k: rng.choice([-1.0, 1.0], size=k)
+    flat[parts[0]] = 0.0
+    flat[parts[1]] = -0.0
+    flat[parts[2]] = sign(parts[2].size) * 5e-324 * rng.integers(1, 2**40, size=parts[2].size)
+    flat[parts[3]] = sign(parts[3].size) * 1e150 * rng.uniform(0.5, 2.0, size=parts[3].size)
+    return z
+
+
+def colehopf_fn_before(gamma):
+    return lambda z: 0.5 * gamma * (z * z).sum(axis=-1)
+
+
+def loggrowth_fn_before(gamma, kappa):
+    def fn(z):
+        rows = np.sqrt((z * z).sum(axis=-1))
+        return 0.5 * gamma * rows**2 + kappa * np.log1p(rows[..., ::-1])
+    return fn
+
+
+@pytest.mark.parametrize(
+    "make, n, before",
+    [
+        (lambda: case_colehopf_diagonal(gamma=1.3, n=1), 1, colehopf_fn_before(1.3)),
+        (lambda: case_colehopf_diagonal(gamma=1.3, n=3), 3, colehopf_fn_before(1.3)),
+        (lambda: case_loggrowth(gamma=1.3, kappa=0.07), 2, loggrowth_fn_before(1.3, 0.07)),
+    ],
+    ids=["colehopf-n1", "colehopf-n3", "loggrowth"],
+)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_catalog_generators_are_their_reduction_expressions_bitwise(make, n, before, d):
+    # fn sums each z-row's squares left to right (engine._sum_of_squares),
+    # and loggrowth adds each row's log term to the other row in place;
+    # on particle-first (N, n, d) and stack-first (n, N, n, d) blocks alike
+    # this is bitwise the sum over the last axis and the reversed-row view,
+    # signed zeros, subnormals and squares near 1e300 included
+    fn = make().generator.fn
+    rng = np.random.default_rng(21)
+    N = 1000
+    for shape in ((N, n, d), (n, N, n, d)):
+        args = (rng.standard_normal(shape[:-1]), rng.standard_normal(n), edge_block(rng, shape),
+                rng.standard_normal((n, d)))
+        frozen = [a.copy() for a in args]
+        for a in frozen:
+            a.setflags(write=False)          # writing into an input raises
+        out = fn(0.4, *frozen)
+        expect = before(args[2])
+        assert out.shape == expect.shape == shape[:-1]
+        assert out.tobytes() == expect.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(frozen, args))
+
+
 # ------------------------------------------------------- residual self-check
 
 

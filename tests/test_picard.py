@@ -219,13 +219,89 @@ def per_row_reference(pair, gen, eta, ens, basis, ball, info):
             t_mid = 0.5 * (nodes[k] + nodes[k + 1])
             u_mid = 0.5 * (U[:, j] + U[:, j + 1])
             mu_mid = 0.5 * (pair.mean_Y[j] + pair.mean_Y[j + 1])
-            return gen.component(i, t_mid, u_mid, mu_mid, vsub, pair.mean_Z[j])[:, None]
+            return gen.eval(t_mid, u_mid, mu_mid, vsub, pair.mean_Z[j])[:, i, None]
 
         row = ProcessPair(Y=Y[:, :, i : i + 1], Z=Z[:, :, i : i + 1], mean_Y=mean_Y, mean_Z=mean_Z)
         res = solve_1d(eta[:, i : i + 1], g_i, ens, basis, np.array([comp.trunc_R]),
                        np.array([10.0 * comp.y_bound]), row, ball.k_lo)
         hits.append(res.truncation_hits)
     return Y, Z, hits
+
+
+def mixing_case(n, d):
+    """n rows on d dims whose generator reads every argument: t, its own y,
+    ybar, its own z-row, each other z-row with its own weight, and zbar, so
+    that a frozen slot taken from the wrong row or node changes the drift."""
+    p = ModelParams(
+        n=n, d=d, T=1.0, gamma=1.0, K=0.05, delta=0.0,
+        phi=lambda r: 0.5, a=lambda t: 0.01, alpha=lambda t: 0.01,
+        beta=lambda t: 0.01, eta=lambda t: 0.05, C0=0.01, C1=20.0, C2=0.1,
+    )
+    weights = 1.0 + np.arange(n * d).reshape(n, d) / (n * d)        # (n, d)
+    mixing = (np.arange(n)[:, None] + 2.0 * np.arange(n)[None, :] + 1.0) / 10.0
+    np.fill_diagonal(mixing, 0.0)                                   # (n, n), zero diagonal
+
+    def fn(t, y, ybar, z, zbar):
+        lin = (z * weights).sum(axis=-1)                            # (..., n)
+        cross = sum(mixing[:, j] * np.tanh(lin[..., j : j + 1]) for j in range(n))
+        return (0.5 * (z * z).sum(axis=-1) + 0.3 * t * np.tanh(y) + 0.2 * np.sin(ybar)
+                + 0.1 * cross + 0.05 * (zbar * weights).sum(axis=-1))
+
+    def xi(paths):
+        w = np.clip(paths[:, -1, :], -3.0, 3.0)
+        return np.column_stack([(1.0 + 0.5 * i) * w[:, i % d] + 0.3 * i for i in range(n)])
+
+    return BenchmarkCase(
+        name=f"mixing{n}x{d}", params=p, generator=Generator(fn=fn, params=p, name="mixing"),
+        terminal=TerminalCondition(g=xi, bound=20.0, params=p), oracle=None, y0_exact=None,
+    )
+
+
+def particle_first_drift(gen, env, ens, ball):
+    """apply_gamma's frozen drift, built the particle-first way from a
+    fixed copy env of the environment: an (N, n, n, d) block whose slice
+    [:, i] is V with row i substituted, y broadcast over its second axis,
+    and the diagonal [:, diag, diag] of the generator's (N, n, n) values."""
+    n, N, nodes = gen.params.n, ens.N, ens.grid.nodes
+    diag = np.arange(n)
+
+    def drift(k, z):
+        j = k - ball.k_lo
+        t_mid = 0.5 * (nodes[k] + nodes[k + 1])
+        u_mid = 0.5 * (env.Y[:, j] + env.Y[:, j + 1])
+        mu_mid = 0.5 * (env.mean_Y[j] + env.mean_Y[j + 1])
+        vsub = np.repeat(env.Z[:, j, None], n, axis=1)
+        vsub[:, diag, diag] = z
+        y = np.broadcast_to(u_mid[:, None, :], (N, n, n))
+        return gen.eval(t_mid, y, mu_mid, vsub, env.mean_Z[j])[:, diag, diag]
+
+    return drift
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2])
+def test_apply_gamma_drift_layout_is_the_particle_first_block_bitwise(n, d):
+    # the sweep's stack-first (n, N, n, d) block and its (N, n) diagonal
+    # give bitwise the sweep of the particle-first (N, n, n, d) block, on a
+    # window that starts past node 0 and ends before the last node
+    case = mixing_case(n, d)
+    ens = generate_ensemble(TimeGrid.make(10, 1.0), 300, d, 4)
+    basis = default_basis(d)
+    ball = BallSpec(k_lo=3, k_hi=9, eps=0.6, k1=1.0, k2=1.0, within_guarantee=False)
+    env, eta, ball, _, _ = second_sweep(case, ens, basis, ball)
+    assert np.abs(env.Z).min() > 0.0 and np.ptp(env.mean_Z) > 0.0     # every z-slot is live
+    pair = snapshot(env)
+    info = apply_gamma(pair, case.generator, eta, ens, basis, ball, *norms(env, ens, ball, basis))
+    ref = snapshot(env)
+    res = solve_1d(eta, particle_first_drift(case.generator, env, ens, ball), ens, basis,
+                   np.array([c.trunc_R for c in info.components]),
+                   np.array([10.0 * c.y_bound for c in info.components]), ref, ball.k_lo)
+    for name in ("Y", "Z", "mean_Y", "mean_Z"):
+        assert np.array_equal(getattr(pair, name), getattr(ref, name)), name
+    assert np.array_equal(info.sup_nodes, res.sup_nodes)
+    assert np.array_equal(info.bmo_nodes, res.bmo_nodes)
+    assert (info.diff_y, info.diff_z) == (res.diff_y, res.diff_z)
+    assert tuple(c.truncation_hits for c in info.components) == res.row_hits
 
 
 def second_sweep(case, ens, basis, ball=None):

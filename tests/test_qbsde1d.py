@@ -253,6 +253,58 @@ def test_block_matches_scalar_rows():
         assert res.row_hits[i] == one.truncation_hits
 
 
+def broadcast_mask_live_z(cur, m, live, op, radius):
+    """qbsde1d._live_z with the clip it replaced: one (N, n_live) mask of the
+    row norms against the radii broadcast over the particles, its hits
+    counted by a sum over the particle axis."""
+    ens, k = op.ens, op.k
+    N, d = ens.N, ens.d
+    targets = np.empty((live.size, d, N))
+    resid = cur - m.T if live.size == len(cur) else cur[live] - m.T[live]
+    np.multiply(resid[:, None, :], ens.increments[:, k, :].T[None], out=targets)
+    fit, _ = op.project(targets.reshape(live.size * d, N).T)
+    z = fit.reshape(N, live.size, d)
+    z /= ens.grid.dt
+    norms = np.sqrt((z * z).sum(axis=-1))
+    R = np.broadcast_to(radius[live], norms.shape)
+    over = norms > R
+    z[over] *= (R[over] / norms[over])[:, None]
+    return z, over.sum(axis=0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize(
+    "radii, constant_row, clipping",
+    [
+        ([1e-3, 0.5], False, [True, True]),       # both rows live, both clip
+        ([1e-3, 1e6], False, [True, False]),      # both live, row 1 never clips
+        ([1e6, 0.5], True, [False, True]),        # row 0 constant: live is row 1 alone
+    ],
+)
+def test_forced_clipping_is_the_broadcast_mask_bitwise(monkeypatch, d, radii, constant_row,
+                                                       clipping):
+    ens = generate_ensemble(TimeGrid.make(8, 1.0), 500, d, 14)
+    w = ens.cumulative[:, -1, :]
+    eta = np.column_stack([np.full(ens.N, 0.75) if constant_row else w[:, 0],
+                           w[:, -1] + np.sin(w[:, 0])])
+
+    def drift(k, z):
+        return 0.5 * (z * z).sum(axis=-1) * [0.0, 1.0]
+
+    def solve():
+        return run_1d(eta, drift, ens, default_basis(d), np.array(radii),
+                      envelope_guard(ens, n=2, eta_bound=20.0))
+
+    res = solve()
+    monkeypatch.setattr(qbsde1d, "_live_z", broadcast_mask_live_z)
+    ref = solve()
+    assert np.array_equal(res.Y, ref.Y) and np.array_equal(res.Z, ref.Z)
+    assert res.row_hits == ref.row_hits
+    assert [h > 0 for h in res.row_hits] == clipping
+    assert res.row_hits[1] < ens.N * ens.grid.M             # row 1 clips only its outliers
+    assert res.truncation_hits == sum(res.row_hits)
+
+
 @pytest.mark.parametrize(
     "guards, node, component",
     [
