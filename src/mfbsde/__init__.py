@@ -12,6 +12,7 @@ from .benchmarks import (
     case_loggrowth,
     case_meanfield_linear,
     case_zero,
+    check_oracle,
     make_case,
     oracle_errors,
     residual_self_check,

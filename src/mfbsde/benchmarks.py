@@ -2,9 +2,12 @@
 
 Each case packages a generator, bounded terminal data, the declared structural
 budgets, and (where one exists) an exact solution used to score the solver.
-Construction runs a one-step residual self-check of the oracle against the
-discrete backward relation, so a typo in either the generator or the oracle
-fails fast rather than polluting downstream error measurements.
+A factory only builds the case.  ``check_oracle(case, ens)`` runs the
+one-step residual self-check of the oracle against the discrete backward
+relation on the paths of ``ens``.  The commands that read an oracle (solve,
+bench, sweep) run it before their first solve, on the ensemble
+``cli._check_oracles`` draws, so a typo in either the generator or the
+oracle fails fast rather than polluting downstream error measurements.
 
 The declared budgets are deliberately not the minimal ones: strictly positive
 phi and integral budgets keep the constants ledger non-degenerate (a zero
@@ -19,13 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import Ensemble, TimeGrid, _node_mean, _sum_of_squares, generate_ensemble
+from .engine import Ensemble, _node_mean, _sum_of_squares
 from .errors import ConfigError
 from .model import Generator, ModelParams, TerminalCondition
-
-_SELF_CHECK_M = 200
-_SELF_CHECK_N = 10_000
-_SELF_CHECK_SEED = 93
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,47 +79,41 @@ def oracle_errors(
     return np.sqrt(dy), np.sqrt(dz)
 
 
-def residual_self_check(
-    case: BenchmarkCase,
-    M: int = _SELF_CHECK_M,
-    N: int = _SELF_CHECK_N,
-    seed: int = _SELF_CHECK_SEED,
-) -> tuple[float, float]:
+def residual_self_check(case: BenchmarkCase, ens: Ensemble) -> tuple[float, float]:
     """One-step residual of the oracle against the discrete backward relation.
 
     For every step k the particle mean of
         Y_k - Y_{k+1} - f(t_k, Y_k, E[Y_k], Z_k, E[Z_k]) dt + Z_k dW_k
-    must vanish up to the time-discretization error of the oracle itself plus
-    Monte Carlo noise.  Returns (worst observed mean residual, threshold).
+    over the paths of `ens` must vanish up to the time-discretization error
+    of the oracle itself plus Monte Carlo noise.  Returns (worst observed
+    mean residual, threshold).
     """
-    p = case.params
-    grid = TimeGrid.make(M, p.T)
-    ens = generate_ensemble(grid, N, p.d, seed)
+    grid = ens.grid
     # One node of oracle values at a time, node k+1's carried into step k+1;
     # _node_mean adds in the index order of a particle-major field's mean.
     y, z = _oracle_node(case, ens, 0)
     mean_y = _node_mean(y)
     worst = 0.0
-    for k in range(M):
+    for k in range(grid.M):
         y_next, z_next = _oracle_node(case, ens, k + 1)
         f = case.generator.eval(float(grid.nodes[k]), y, mean_y, z, _node_mean(z))
         incr = (z * ens.increments[:, k, None, :]).sum(axis=-1)
         resid = y - y_next - f * grid.dt + incr
         worst = max(worst, float(np.abs(resid.mean(axis=0)).max()))
         y, z, mean_y = y_next, z_next, _node_mean(y_next)
-    threshold = 10.0 * grid.dt**2 + 5.0 * grid.dt / math.sqrt(N)
+    threshold = 10.0 * grid.dt**2 + 5.0 * grid.dt / math.sqrt(ens.N)
     return worst, threshold
 
 
-def _check_oracle(case: BenchmarkCase) -> BenchmarkCase:
-    if case.oracle is not None:
-        worst, threshold = residual_self_check(case)
-        if worst > threshold:
-            raise ConfigError(
-                f"oracle self-check failed for case {case.name!r}: one-step "
-                f"residual {worst:.3e} exceeds {threshold:.3e}"
-            )
-    return case
+def check_oracle(case: BenchmarkCase, ens: Ensemble) -> None:
+    """Raise a ConfigError when the case's oracle fails its residual
+    self-check on `ens` (the commands pass the draw of cli._check_oracles)."""
+    worst, threshold = residual_self_check(case, ens)
+    if worst > threshold:
+        raise ConfigError(
+            f"oracle self-check failed for case {case.name!r}: one-step "
+            f"residual {worst:.3e} exceeds {threshold:.3e}"
+        )
 
 
 def case_zero(c: float = 1.0, n: int = 1, d: int = 1, T: float = 1.0, gamma: float = 1.0) -> BenchmarkCase:
@@ -150,7 +143,7 @@ def case_zero(c: float = 1.0, n: int = 1, d: int = 1, T: float = 1.0, gamma: flo
         z = np.zeros(w.shape[:-1] + (n, d))
         return y, z
 
-    return _check_oracle(BenchmarkCase(
+    return BenchmarkCase(
         name="zero",
         params=params,
         generator=Generator(fn=fn, params=params, name="zero"),
@@ -158,7 +151,7 @@ def case_zero(c: float = 1.0, n: int = 1, d: int = 1, T: float = 1.0, gamma: flo
         oracle=oracle,
         y0_exact=c,
         description="f = 0 with constant terminal; solver output is exact",
-    ))
+    )
 
 
 def case_meanfield_linear(
@@ -193,7 +186,7 @@ def case_meanfield_linear(
         z = np.zeros(w.shape[:-1] + (n, d))
         return y, z
 
-    return _check_oracle(BenchmarkCase(
+    return BenchmarkCase(
         name="meanfield_linear",
         params=params,
         generator=Generator(fn=fn, params=params, name="meanfield_linear"),
@@ -201,7 +194,7 @@ def case_meanfield_linear(
         oracle=oracle,
         y0_exact=c * math.exp((a + b) * T),
         description="deterministic linear mean-field drift, ODE oracle",
-    ))
+    )
 
 
 def case_colehopf_diagonal(
@@ -241,7 +234,7 @@ def case_colehopf_diagonal(
         z = np.ones(w.shape[:-1] + (n, 1))
         return y, z
 
-    return _check_oracle(BenchmarkCase(
+    return BenchmarkCase(
         name="colehopf",
         params=params,
         generator=Generator(fn=fn, params=params, name="colehopf"),
@@ -249,7 +242,7 @@ def case_colehopf_diagonal(
         oracle=oracle,
         y0_exact=0.5 * gamma * T,
         description="diagonal quadratic driver with exponential-transform oracle",
-    ))
+    )
 
 
 def case_loggrowth(

@@ -12,19 +12,27 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import inspect
 import json
 import math
 import sys
 import time
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .benchmarks import CATALOG, BenchmarkCase, make_case, oracle_errors
+from .benchmarks import CATALOG, BenchmarkCase, check_oracle, make_case, oracle_errors
 from .constants import FORMULAS, compute_ledger
-from .engine import PROXY_CAVEAT, RegressionBasis, TimeGrid, default_basis, generate_ensemble
+from .engine import (
+    PROXY_CAVEAT,
+    Ensemble,
+    RegressionBasis,
+    TimeGrid,
+    default_basis,
+    generate_ensemble,
+)
 from .errors import BlowUpError, ConfigError, TerminalBoundError
 from .global_solver import GlobalReport, solve_auto
 from .model import run_checks
@@ -251,14 +259,40 @@ def _structural(case: BenchmarkCase, conf: dict) -> dict:
                       samples=checks["samples"], rng_seed=checks["seed"])
 
 
-def _solve_case(case: BenchmarkCase, conf: dict, M: int, N: int):
-    """Shared core of solve/bench/sweep: checkers, verified global solve on M
-    steps with N particles, and the oracle errors of the solution (None for
-    a case without an oracle)."""
+# The oracle self-check's ensemble: steps, paths and seed.
+_SELF_CHECK_M = 200
+_SELF_CHECK_N = 10_000
+_SELF_CHECK_SEED = 93
+
+
+def _check_oracles(cases: Iterable[BenchmarkCase]) -> None:
+    """The oracle self-check of every case with an oracle, before any solve.
+
+    Cases of one (T, d) share one draw; the draws are released on return.
+    """
+    drawn: dict[tuple[float, int], Ensemble] = {}
+    for case in cases:
+        if case.oracle is not None:
+            p = case.params
+            if (p.T, p.d) not in drawn:
+                drawn[p.T, p.d] = generate_ensemble(TimeGrid.make(_SELF_CHECK_M, p.T),
+                                                    _SELF_CHECK_N, p.d, _SELF_CHECK_SEED)
+            check_oracle(case, drawn[p.T, p.d])
+
+
+def _draw(case: BenchmarkCase, conf: dict, M: int, N: int) -> Ensemble:
+    """N paths of the case's dimension on M steps over its horizon, drawn
+    with the config's seed."""
+    p = case.params
+    return generate_ensemble(TimeGrid.make(M, p.T), N, p.d, conf["ensemble"]["seed"])
+
+
+def _solve_case(case: BenchmarkCase, conf: dict, ens: Ensemble):
+    """Shared core of solve/bench/sweep: checkers, verified global solve on
+    `ens`, and the oracle errors of the solution (None for a case without an
+    oracle)."""
     degree = conf["basis"]["degree"]
     basis = default_basis(case.params.d) if degree is None else RegressionBasis(degree)
-    grid = TimeGrid.make(M, case.params.T)
-    ens = generate_ensemble(grid, N, case.params.d, conf["ensemble"]["seed"])
 
     structural = _structural(case, conf)
     ledger = compute_ledger(case.params)
@@ -266,7 +300,7 @@ def _solve_case(case: BenchmarkCase, conf: dict, M: int, N: int):
     errors = None
     if case.oracle is not None:
         errors = oracle_errors(case, report.pair.Y, report.pair.Z, ens)
-    return structural, report, ens, errors
+    return structural, report, errors
 
 
 def _y0_mean(report: GlobalReport) -> float:
@@ -334,10 +368,11 @@ def cmd_check(conf, args) -> int:
 
 def cmd_solve(conf, args) -> int:
     case = _build_case(conf)
+    _check_oracles([case])
     out = _out_dir(conf)
+    ens = _draw(case, conf, conf["grid"]["m"], conf["ensemble"]["n"])
     try:
-        structural, report, ens, errors = _solve_case(
-            case, conf, conf["grid"]["m"], conf["ensemble"]["n"])
+        structural, report, errors = _solve_case(case, conf, ens)
     except BlowUpError as exc:
         _write_json(out / f"{case.name}_report.json", {
             "case": case.name,
@@ -372,12 +407,20 @@ def cmd_solve(conf, args) -> int:
 
 
 def cmd_bench(conf, args) -> int:
+    cases = [make_case(name) for name in sorted(CATALOG)]
+    _check_oracles(cases)
     out = _out_dir(conf)
+    # The catalog cases share T and d, so their solves share one read-only
+    # draw.  Each solves on its own Ensemble, whose empty factor cache the
+    # report's regression block reads.
+    shared = _draw(cases[0], conf, conf["grid"]["m"], conf["ensemble"]["n"])
+    shared.increments.flags.writeable = False
+    shared.cumulative.flags.writeable = False
     all_ok = True
-    for name in sorted(CATALOG):
-        case = make_case(name)
-        structural, report, ens, errors = _solve_case(
-            case, conf, conf["grid"]["m"], conf["ensemble"]["n"])
+    for case in cases:
+        name = case.name
+        ens = dataclasses.replace(shared)
+        structural, report, errors = _solve_case(case, conf, ens)
         payload = _solve_payload(case, structural, report, ens, errors)
         _write_json(out / f"bench_{name}_report.json", payload)
         _write_solution_csv(out / f"bench_{name}_solution.csv", case, report, ens, errors)
@@ -393,12 +436,14 @@ def cmd_bench(conf, args) -> int:
 
 def cmd_sweep(conf, args) -> int:
     case = _build_case(conf)
+    _check_oracles([case])
     out = _out_dir(conf)
     rows = ["M,N,y0_mean,y0_abs_err,mean_node_err_Y,mean_node_err_Z"]
     all_ok = True
     for M, N in conf["sweep"]["pairs"]:
         start = time.perf_counter()
-        structural, report, ens, errors = _solve_case(case, conf, M, N)
+        ens = _draw(case, conf, M, N)
+        structural, report, errors = _solve_case(case, conf, ens)
         elapsed = time.perf_counter() - start
         oracle = _oracle_summary(case, report, errors)
         if oracle is not None:

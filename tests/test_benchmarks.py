@@ -15,6 +15,7 @@ from mfbsde import (
     case_loggrowth,
     case_meanfield_linear,
     case_zero,
+    check_oracle,
     compute_ledger,
     default_basis,
     generate_ensemble,
@@ -197,7 +198,7 @@ def test_catalog_generators_are_their_reduction_expressions_bitwise(make, n, bef
 def test_residual_self_check_accepts_correct_oracles():
     for name in ("zero", "meanfield_linear", "colehopf"):
         case = make_case(name)
-        worst, threshold = residual_self_check(case, M=100, N=2_000, seed=10)
+        worst, threshold = residual_self_check(case, small_ens(case, M=100, N=2_000, seed=10))
         assert worst <= threshold, f"{name}: {worst} > {threshold}"
 
 
@@ -213,7 +214,7 @@ def test_residual_self_check_rejects_wrong_oracle():
         return y + 0.5 * t, z             # residual ~ 0.5*dt per step
 
     bad = dataclasses.replace(case, oracle=broken_drift)
-    worst, threshold = residual_self_check(bad, M=100, N=2_000, seed=10)
+    worst, threshold = residual_self_check(bad, small_ens(bad, M=100, N=2_000, seed=10))
     assert worst > threshold
 
 
@@ -244,7 +245,9 @@ SELF_CHECK_CASES = {
 @pytest.mark.parametrize("label", sorted(SELF_CHECK_CASES))
 def test_streamed_self_check_equals_the_particle_major_one(label, size):
     case = SELF_CHECK_CASES[label]()
-    assert residual_self_check(case, *size) == _particle_major_self_check(case, *size)
+    M, N, seed = size
+    assert (residual_self_check(case, small_ens(case, M, N, seed))
+            == _particle_major_self_check(case, *size))
 
 
 @pytest.mark.parametrize("label", ["colehopf n=1", "zero n=2 d=2"])
@@ -256,23 +259,38 @@ def test_self_check_holds_only_its_ensemble(label):
     ensemble_bytes = 8 * N * (2 * M + 1) * case.params.d   # increments and paths
     tracemalloc.start()
     try:
-        residual_self_check(case, M, N, 93)
+        residual_self_check(case, small_ens(case, M, N, 93))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * ensemble_bytes, peak / ensemble_bytes
 
 
-def test_case_construction_runs_self_check(monkeypatch):
-    # corrupting the closed form at build time must abort construction
+def test_case_construction_does_not_self_check(monkeypatch):
+    # the commands that read an oracle check it; building a case does not
     import mfbsde.benchmarks as bm
 
-    def tiny_threshold(case, M=bm._SELF_CHECK_M, N=bm._SELF_CHECK_N, seed=bm._SELF_CHECK_SEED):
-        return 1.0, -1.0                  # force worst > threshold
+    def refuse(case, ens):
+        raise AssertionError(f"case {case.name!r} self-checked at construction")
 
-    monkeypatch.setattr(bm, "residual_self_check", tiny_threshold)
-    with pytest.raises(ConfigError, match="self-check"):
-        bm.case_zero()
+    monkeypatch.setattr(bm, "residual_self_check", refuse)
+    for name in CATALOG:
+        assert make_case(name).name == name
+
+
+def test_check_oracle_raises_on_a_wrong_oracle():
+    import dataclasses
+
+    case = case_colehopf_diagonal()
+    ens = small_ens(case, M=100, N=2_000, seed=10)
+    assert check_oracle(case, ens) is None
+
+    def broken_drift(t, w):
+        y, z = case.oracle(t, w)
+        return y + 0.5 * t, z
+
+    with pytest.raises(ConfigError, match="oracle self-check failed for case 'colehopf'"):
+        check_oracle(dataclasses.replace(case, oracle=broken_drift), ens)
 
 
 # ----------------------------------------------------------- solver vs oracle

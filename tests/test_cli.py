@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mfbsde import (
+    CATALOG,
     BlowUpError,
     ProcessPair,
     case_zero,
@@ -603,6 +604,171 @@ def test_sweep_builds_its_case_once(tmp_path, monkeypatch):
     assert checks == ["zero"]
     rows = (out / "sweep_zero.csv").read_text().splitlines()
     assert [r.split(",")[:2] for r in rows[1:]] == [["5", "100"], ["6", "100"], ["7", "120"]]
+
+
+# ------------------------------------------------- oracle self-check, draws
+
+
+@pytest.fixture
+def failing_self_check(monkeypatch):
+    import mfbsde.benchmarks as benchmarks
+
+    monkeypatch.setattr(benchmarks, "residual_self_check", lambda case, ens: (1.0, -1.0))
+
+
+SELF_CHECKED = {
+    "solve": "[case]\nname = colehopf\n[grid]\nm = 10\n[ensemble]\nn = 300\n",
+    "bench": "[grid]\nm = 10\n[ensemble]\nn = 300\n",
+    "sweep": "[case]\nname = colehopf\n[sweep]\npairs = 10:300\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SELF_CHECKED))
+def test_failed_self_check_exits_2_before_any_output(tmp_path, capsys, failing_self_check,
+                                                     command):
+    cfg = write_cfg(tmp_path, SELF_CHECKED[command] + "[checks]\nsamples = 500\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "oracle self-check failed for case 'colehopf'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["constants", "check"])
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_constants_and_check_read_no_oracle(tmp_path, capsys, failing_self_check, command,
+                                            name):
+    cfg = write_cfg(tmp_path, f"[case]\nname = {name}\n[checks]\nsamples = 500\n")
+    assert main([command, "--config", cfg]) == 0
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """(M, N, d, seed) of every generate_ensemble call made through the package."""
+    import sys
+
+    from mfbsde import engine
+
+    calls, original = [], engine.generate_ensemble
+
+    def counting(grid, N, d, seed):
+        calls.append((grid.M, N, d, seed))
+        return original(grid, N, d, seed)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "mfbsde" and vars(module).get("generate_ensemble") is original:
+            monkeypatch.setattr(module, "generate_ensemble", counting)
+    return calls
+
+
+SELF_CHECK_DRAW = (200, 10_000, 1, 93)
+
+
+@pytest.mark.parametrize("command, body, expect", [
+    ("constants", "[case]\nname = colehopf\n", []),
+    ("check", "[case]\nname = colehopf\n[checks]\nsamples = 500\n", []),
+    ("bench", "", [SELF_CHECK_DRAW, (50, 10_000, 1, 1)]),
+    ("solve", "[case]\nname = colehopf\n[grid]\nm = 10\n[ensemble]\nn = 300\n",
+     [SELF_CHECK_DRAW, (10, 300, 1, 1)]),
+    ("solve", "[case]\nname = loggrowth\n[grid]\nm = 10\n[ensemble]\nn = 300\n",
+     [(10, 300, 1, 1)]),
+    ("sweep", "[case]\nname = zero\n[sweep]\npairs = 5:100, 6:100, 5:120\n",
+     [SELF_CHECK_DRAW, (5, 100, 1, 1), (6, 100, 1, 1), (5, 120, 1, 1)]),
+])
+def test_draws_per_command(tmp_path, capsys, draws, command, body, expect):
+    cfg = write_cfg(tmp_path, body)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert draws == expect
+
+
+def test_bench_writes_what_solve_writes_for_each_case(tmp_path, capsys):
+    # each case solves on its own Ensemble around the shared paths, with its
+    # own factor cache, so the regression block is that case's alone
+    body = "[grid]\nm = 10\n[ensemble]\nn = 2000\nseed = 7\n"
+    assert main(["bench", "--config", write_cfg(tmp_path, body),
+                 "--out", str(tmp_path / "bench")]) == 0
+    for name in sorted(CATALOG):
+        cfg = write_cfg(tmp_path, f"[case]\nname = {name}\n" + body, name=f"{name}.ini")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        for kind in ("report.json", "solution.csv"):
+            alone = (tmp_path / name / f"{name}_{kind}").read_bytes()
+            assert (tmp_path / "bench" / f"bench_{name}_{kind}").read_bytes() == alone, name
+    for name in ("meanfield_linear", "zero"):
+        report = json.loads((tmp_path / "bench" / f"bench_{name}_report.json").read_text())
+        assert report["solve"]["regression"]["nodes_factored"] == 0
+
+
+@pytest.mark.parametrize("command", sorted(SELF_CHECKED))
+def test_the_self_check_draw_is_released_before_the_first_solve(tmp_path, capsys, monkeypatch,
+                                                                 command):
+    import weakref
+
+    drawn, alive_at_solve = [], []
+    original_draw, original_solve = cli.generate_ensemble, cli.solve_auto
+
+    def tracked(grid, N, d, seed):
+        ens = original_draw(grid, N, d, seed)
+        drawn.append([weakref.ref(a) for a in (ens.increments, ens.cumulative,
+                                                ens.increments.base, ens.cumulative.base)])
+        return ens
+
+    def first_solve(*args, **kwargs):
+        if not alive_at_solve:
+            alive_at_solve.append([r() is not None for r in drawn[0]])
+        return original_solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "generate_ensemble", tracked)
+    monkeypatch.setattr(cli, "solve_auto", first_solve)
+    cfg = write_cfg(tmp_path, SELF_CHECKED[command] + "[checks]\nsamples = 500\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(drawn) == 2
+    assert alive_at_solve == [[False] * 4]
+
+
+def test_bench_solves_share_read_only_paths_with_their_own_factor_cache(tmp_path, capsys,
+                                                                       monkeypatch):
+    seen, original = [], cli.solve_auto
+
+    def recording(generator, terminal, ens, *args, **kwargs):
+        seen.append((ens, dict(ens.factors)))
+        return original(generator, terminal, ens, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_auto", recording)
+    cfg = write_cfg(tmp_path, "[grid]\nm = 10\n[ensemble]\nn = 300\n[checks]\nsamples = 500\n")
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(seen) == len(CATALOG)
+    first = seen[0][0]
+    assert len({id(ens) for ens, _ in seen}) == len({id(ens.factors) for ens, _ in seen}) == 4
+    for ens, factors_at_solve in seen:
+        assert factors_at_solve == {}
+        for name in ("increments", "cumulative"):
+            assert getattr(ens, name) is getattr(first, name)
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(ens, name)[0, 0, 0] = 1.0
+
+
+def test_sweep_releases_each_pair_before_the_next_solve(tmp_path, capsys, monkeypatch):
+    import weakref
+
+    drawn, alive_at_solve = [], []
+    original_draw, original_solve = cli.generate_ensemble, cli.solve_auto
+
+    def tracked(grid, N, d, seed):
+        ens = original_draw(grid, N, d, seed)
+        drawn.append([weakref.ref(a) for a in (ens.increments, ens.cumulative,
+                                                ens.increments.base, ens.cumulative.base)])
+        return ens
+
+    def solving(*args, **kwargs):
+        alive_at_solve.append([any(r() is not None for r in refs) for refs in drawn])
+        return original_solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "generate_ensemble", tracked)
+    monkeypatch.setattr(cli, "solve_auto", solving)
+    cfg = write_cfg(tmp_path, "[case]\nname = colehopf\n[checks]\nsamples = 500\n"
+                              "[sweep]\npairs = 5:100, 6:100, 7:120\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    # draws: the self-check's, then one per pair; only the current pair's is alive
+    assert alive_at_solve == [[False, True], [False, False, True], [False, False, False, True]]
 
 
 # ------------------------------------------------------------------ helpers
