@@ -132,8 +132,8 @@ def case_zero(c: float = 1.0, n: int = 1, d: int = 1, T: float = 1.0, gamma: flo
         C0=0.01, C1=abs(c) * math.sqrt(n), C2=0.03,
     )
 
-    def fn(t, y, ybar, z, zbar):
-        return np.zeros(np.asarray(y, dtype=float).shape)
+    def fn(i, t, y, ybar, z_i, z, zbar):
+        return np.zeros(y.shape[:-1])
 
     def xi(paths):
         return np.full((paths.shape[0], n), c)
@@ -174,9 +174,8 @@ def case_meanfield_linear(
         C0=0.01, C1=abs(c) * math.sqrt(n), C2=s * T + 0.02,
     )
 
-    def fn(t, y, ybar, z, zbar):
-        y = np.asarray(y, dtype=float)
-        return a * y + b * np.broadcast_to(np.asarray(ybar, dtype=float), y.shape)
+    def fn(i, t, y, ybar, z_i, z, zbar):
+        return a * y[..., i] + b * ybar[..., i]
 
     def xi(paths):
         return np.full((paths.shape[0], n), c)
@@ -219,8 +218,8 @@ def case_colehopf_diagonal(
         C0=0.01, C1=B * math.sqrt(n), C2=0.03,
     )
 
-    def fn(t, y, ybar, z, zbar):
-        out = _sum_of_squares(np.asarray(z, dtype=float))
+    def fn(i, t, y, ybar, z_i, z, zbar):
+        out = _sum_of_squares(z_i)
         out *= 0.5 * gamma
         return out
 
@@ -269,15 +268,16 @@ def case_loggrowth(
         C2=0.02 + kappa * math.log1p(kappa) * T + 0.01,
     )
 
-    def fn(t, y, ybar, z, zbar):
-        out = _sum_of_squares(np.asarray(z, dtype=float))
+    def fn(i, t, y, ybar, z_i, z, zbar):
+        out = _sum_of_squares(z_i)
         np.sqrt(out, out=out)                         # |z^i|
-        cross = np.log1p(out)                         # row i's term, added to row 1 - i
-        cross *= kappa
         np.square(out, out=out)
         out *= 0.5 * gamma
-        out[..., 0] += cross[..., 1]
-        out[..., 1] += cross[..., 0]
+        cross = _sum_of_squares(z[..., 1 - i, :])
+        np.sqrt(cross, out=cross)                     # |z^(1-i)|
+        np.log1p(cross, out=cross)
+        cross *= kappa
+        out += cross
         return out
 
     def xi(paths):

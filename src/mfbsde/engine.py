@@ -23,8 +23,8 @@ loaded by itself: importing it through ``scipy.linalg`` would run that
 package's init, which loads the whole of ``scipy.linalg`` and, through
 scipy's array-API layer, ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``,
 at more than the cost of all the rest of ``import mfbsde``.  It is the same
-module object (so the same ``dtrtrs``) that ``scipy.linalg.lapack`` uses,
-whichever of the two loads first.
+``dtrtrs`` that ``scipy.linalg.lapack`` uses, whichever of the two loads
+first.
 """
 
 from __future__ import annotations
@@ -46,23 +46,24 @@ log = logging.getLogger(__name__)
 
 
 def _load_flapack():
-    """scipy's LAPACK extension module, without running ``scipy.linalg``'s
-    package init.  It is registered under its own name, so ``scipy.linalg``,
-    if imported later, finds and uses this very module object."""
+    """``dtrtrs`` of scipy's LAPACK extension, loaded without ``scipy.linalg``'s
+    package init.  The ``sys.modules`` entry the load makes is dropped, so a
+    later ``scipy.linalg`` import loads the extension itself and sets its
+    ``_flapack`` attribute; its ``dtrtrs`` is this same object."""
     name = "scipy.linalg._flapack"
     if name in sys.modules:
-        return sys.modules[name]
+        return sys.modules[name].dtrtrs
     where = os.path.join(scipy.__path__[0], "linalg")
     spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
     if spec is None:
         raise ImportError(f"no compiled _flapack extension in {where}", name=name)
     module = module_from_spec(spec)
     spec.loader.exec_module(module)
-    sys.modules[name] = module
-    return module
+    sys.modules.pop(name, None)
+    return module.dtrtrs
 
 
-dtrtrs = _load_flapack().dtrtrs
+dtrtrs = _load_flapack()
 
 # Attached to every report that quotes sup/BMO figures.
 PROXY_CAVEAT = (

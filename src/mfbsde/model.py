@@ -245,37 +245,42 @@ class ModelParams:
 
 @dataclass(frozen=True, eq=False)
 class Generator:
-    """Vectorized driver f(t, y, ybar, z, zbar) -> R^n.
+    """Vectorized driver f(t, y, ybar, z, zbar) -> R^n, given row by row.
 
-    ``fn`` must broadcast: t scalar or (B,), y and ybar (..., n), z and zbar
-    (..., n, d), returning (..., n).  Mean arguments may be passed unbatched
-    ((n,) and (n, d)) and are broadcast against the sample axis.  fn must be
-    pointwise over the leading axes, which may come in any order: the sweep
-    of ``picard.apply_gamma`` passes (n, N, ...) blocks, stacked substitution
-    first and particles second, and a structural check passes (samples, ...).
+    ``fn(i, t, y, ybar, z_i, z, zbar)`` returns f^i over the leading axes:
+    t scalar or (B,), y and ybar (..., n), z_i (..., d) the own row, z and
+    zbar (..., n, d).  z is the frozen environment: f^i is evaluated with
+    row i of z replaced by z_i, so fn must not read z's row i.  Mean
+    arguments may be passed unbatched ((n,) and (n, d)) and are broadcast
+    against the sample axis.
     """
 
     fn: Callable[..., np.ndarray]
     params: ModelParams
     name: str = ""
 
-    def eval(self, t, y, ybar, z, zbar) -> np.ndarray:
-        """fn at the given arguments; raises ValueError unless the result has
-        the broadcast shape of y, ybar and the rows of z and zbar."""
-        y, ybar, z, zbar = (np.asarray(a, dtype=float) for a in (y, ybar, z, zbar))
-        out = np.asarray(self.fn(t, y, ybar, z, zbar), dtype=float)
-        expected = np.broadcast_shapes(y.shape, ybar.shape, z.shape[:-1], zbar.shape[:-1])
+    def component(self, i: int, t, y, ybar, z_i, z, zbar) -> np.ndarray:
+        """f^i (0-based) with own row z_i in the environment z; raises
+        ValueError unless the result has the broadcast shape of the leading
+        axes of y, ybar, z_i, z and zbar."""
+        if not 0 <= i < self.params.n:
+            raise IndexError(f"component index {i} out of range for n = {self.params.n}")
+        y, ybar, z_i, z, zbar = (np.asarray(a, dtype=float) for a in (y, ybar, z_i, z, zbar))
+        out = np.asarray(self.fn(i, t, y, ybar, z_i, z, zbar), dtype=float)
+        expected = np.broadcast_shapes(y.shape[:-1], ybar.shape[:-1], z_i.shape[:-1],
+                                       z.shape[:-2], zbar.shape[:-2])
         if out.shape != expected:
             raise ValueError(
                 f"generator {self.name!r} returned shape {out.shape}, expected {expected}"
             )
         return out
 
-    def component(self, i: int, t, y, ybar, z, zbar) -> np.ndarray:
-        """The i-th coordinate of eval (0-based)."""
-        if not 0 <= i < self.params.n:
-            raise IndexError(f"component index {i} out of range for n = {self.params.n}")
-        return self.eval(t, y, ybar, z, zbar)[..., i]
+    def eval(self, t, y, ybar, z, zbar) -> np.ndarray:
+        """All n components at z, stacked on a last axis: component i with
+        z_i = z[..., i, :]."""
+        z = np.asarray(z, dtype=float)
+        return np.stack([self.component(i, t, y, ybar, z[..., i, :], z, zbar)
+                         for i in range(self.params.n)], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)

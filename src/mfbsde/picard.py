@@ -160,12 +160,9 @@ def apply_gamma(
     row keeps its own truncation radius (``truncation_radius`` of its
     ``bound_z``) and guard (ten times its ``bound_y``), both read at the
     window start from the model's growth parameters, the window's horizon
-    and drift budget, and the row's terminal sup.  The generator is
-    evaluated once per node on a stack-first (n, N, n, d) block: slice i is
-    a contiguous copy of V's (N, n, d) node block with row i substituted,
-    and y is the midpoint block broadcast over the stack axis, so every
-    elementwise op of the generator runs over N-long loops.  Row i's drift
-    is the diagonal entry (i, :, i), gathered into a C-contiguous (N, n).
+    and drift budget, and the row's terminal sup.  Row i's drift is
+    ``gen.component`` i with the regression estimate as its own row and V's
+    (N, n, d) node block itself, uncopied, as the environment.
     A BlowUpError names the first node reached backward at which any row
     exceeds its guard, and the lowest such row there.  The ApplyInfo
     carries the sup distances between the environment and the result and
@@ -203,21 +200,14 @@ def apply_gamma(
         y_bounds.append(y_bound_i)
         radii.append(truncation_radius(z_bound_i))
 
-    vsub = np.empty((n, N, n, ens.d))               # slice i: V at the node, row i substituted
-
-    def g_rows(k: int, z: np.ndarray) -> np.ndarray:
+    def g_rows(k: int, zk: np.ndarray) -> np.ndarray:
         j = k - k_lo
         t_mid = 0.5 * (nodes[k] + nodes[k + 1])
         u_mid = 0.5 * (U[:, j] + U[:, j + 1])
         mu_mid = 0.5 * (mean_U[j] + mean_U[j + 1])
-        vsub[:] = V[:, j]
-        for i in range(n):
-            vsub[i, :, i] = z[:, i]
-        y = np.broadcast_to(u_mid, (n, N, n))
-        out = gen.eval(t_mid, y, mu_mid, vsub, mean_V[j])
         g = np.empty((N, n))
         for i in range(n):
-            g[:, i] = out[i, :, i]
+            g[:, i] = gen.component(i, t_mid, u_mid, mu_mid, zk[:, i], V[:, j], mean_V[j])
         return g
 
     res = solve_1d(eta, g_rows, ens, basis, np.array(radii), 10.0 * np.array(y_bounds), pair,

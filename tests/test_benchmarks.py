@@ -171,25 +171,47 @@ def loggrowth_fn_before(gamma, kappa):
 )
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_catalog_generators_are_their_reduction_expressions_bitwise(make, n, before, d):
-    # fn sums each z-row's squares left to right (engine._sum_of_squares),
-    # and loggrowth adds each row's log term to the other row in place;
-    # on particle-first (N, n, d) and stack-first (n, N, n, d) blocks alike
-    # this is bitwise the sum over the last axis and the reversed-row view,
-    # signed zeros, subnormals and squares near 1e300 included
+    # fn sums the squares of z_i, and loggrowth those of the other row,
+    # left to right (engine._sum_of_squares), then works in place; with the
+    # own row a strided view of the (N, n, d) environment, as the sweep
+    # passes it, or a contiguous copy, each row is bitwise its column of the
+    # sum over the last axis and the reversed-row view, signed zeros,
+    # subnormals and squares near 1e300 included
     fn = make().generator.fn
     rng = np.random.default_rng(21)
     N = 1000
-    for shape in ((N, n, d), (n, N, n, d)):
-        args = (rng.standard_normal(shape[:-1]), rng.standard_normal(n), edge_block(rng, shape),
-                rng.standard_normal((n, d)))
-        frozen = [a.copy() for a in args]
-        for a in frozen:
-            a.setflags(write=False)          # writing into an input raises
-        out = fn(0.4, *frozen)
-        expect = before(args[2])
-        assert out.shape == expect.shape == shape[:-1]
-        assert out.tobytes() == expect.tobytes()
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(frozen, args))
+    args = (rng.standard_normal((N, n)), rng.standard_normal(n), edge_block(rng, (N, n, d)),
+            rng.standard_normal((n, d)))
+    frozen = [a.copy() for a in args]
+    for a in frozen:
+        a.setflags(write=False)              # writing into an input raises
+    y, ybar, z, zbar = frozen
+    expect = before(args[2])
+    for i in range(n):
+        own = z[:, i].copy()
+        own.setflags(write=False)
+        for z_i in (z[:, i], own):
+            out = fn(i, 0.4, y, ybar, z_i, z, zbar)
+            assert out.shape == (N,)
+            assert out.tobytes() == expect[:, i].tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(frozen, args))
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_catalog_generators_never_read_their_own_row_of_the_environment(name):
+    # row i of z is replaced by z_i, so a NaN there must not reach f^i
+    gen = make_case(name).generator
+    n, d = gen.params.n, gen.params.d
+    rng = np.random.default_rng(3)
+    y, ybar = rng.standard_normal((50, n)), rng.standard_normal(n)
+    z, zbar = rng.standard_normal((50, n, d)), rng.standard_normal((n, d))
+    for i in range(n):
+        z_i = rng.standard_normal((50, d))
+        holed = z.copy()
+        holed[:, i] = np.nan
+        want = gen.component(i, 0.4, y, ybar, z_i, z, zbar)
+        assert np.isfinite(want).all()
+        assert gen.component(i, 0.4, y, ybar, z_i, holed, zbar).tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------- residual self-check

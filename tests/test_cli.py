@@ -500,6 +500,32 @@ def test_bench_csvs_match_the_golden_digests(tmp_path, capsys):
     assert digests("report.json") == GOLDEN_BENCH_REPORT
 
 
+# sha256 of each case's report JSON and solution CSV from `mfbsde bench` at
+# m = 50, n = 10000, seed 7: the digests every change to the solver is held to.
+NORTH_STAR_BENCH = {
+    "colehopf": ("84e18bb0b0d336ad1e2ee715f8628d7bd9597bbd1543bb02b1254a697bf63221",
+                 "694be80fb969fb926ff288723e06ccb095864b3bb8f5b39527e8c0ac0d445dde"),
+    "loggrowth": ("6542b107ba1920626d7636ca0813d28fcbee733c1b23b588dec568d98b90633d",
+                  "7128d8b492b076fed4cb257c14fc9976748c9fbfe9a27f00528d9f41725f1666"),
+    "meanfield_linear": ("4f20c234ce353243b32c9d28275eaf47f1f55fc0be730bc48c2f11283b13d058",
+                         "2346e2b834b2fd4f8d9c651a41805ccae6ec27b01bb611dea40f05eb55f8f9e3"),
+    "zero": ("559483b838aaa6d3d4fa73c303d18bbf15bb9d6f54701fbc846d2bbbacd65001",
+             "f60dabf0542df92f18e0e7fb6475dca4d8acc8d7464bf4fd895f5664e9d6f06d"),
+}
+
+
+def test_bench_at_50_steps_matches_the_north_star_digests(tmp_path, capsys):
+    """As test_bench_csvs_match_the_golden_digests, on the larger run; the
+    same numpy, scipy and BLAS caveat applies."""
+    cfg = write_cfg(tmp_path, "[grid]\nm = 50\n[ensemble]\nn = 10000\nseed = 7\n")
+    out = tmp_path / "b"
+    assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
+    got = {name: tuple(hashlib.sha256((out / f"bench_{name}_{kind}").read_bytes()).hexdigest()
+                       for kind in ("report.json", "solution.csv"))
+           for name in NORTH_STAR_BENCH}
+    assert got == NORTH_STAR_BENCH
+
+
 def test_bench_rejects_case_parameters(tmp_path, capsys):
     # bench solves every catalog case at its defaults; [case] name alone is
     # accepted, as in a config shared with the other subcommands

@@ -336,7 +336,13 @@ def test_import_loads_only_the_lapack_extension_of_scipy():
     code = ("import sys, mfbsde, mfbsde.cli; "
             f"print([m for m in {heavy!r} if m in sys.modules], "
             "'scipy.linalg._flapack' in sys.modules)")
-    assert run_fresh(code) == "[] True"
+    assert run_fresh(code) == "[] False"
+
+
+def test_scipy_linalg_imported_after_mfbsde_has_its_flapack_attribute():
+    code = ("import mfbsde, scipy.linalg; "
+            "print(scipy.linalg._flapack.dtrtrs is mfbsde.engine.dtrtrs)")
+    assert run_fresh(code) == "True"
 
 
 @pytest.mark.parametrize("lapack_first", [True, False])

@@ -203,7 +203,8 @@ def test_global_raises_on_window_nonconvergence():
     # in one sweep because their frozen scalar equations never change) and a
     # model whose guaranteed step is still usable
     p = small_params()
-    gen = Generator(fn=lambda t, y, ybar, z, zbar: 0.4 * y, params=p, name="relax")
+    gen = Generator(fn=lambda i, t, y, ybar, z_i, z, zbar: 0.4 * y[..., i], params=p,
+                    name="relax")
     ens = generate_ensemble(TimeGrid.make(20, 1.0), 200, 1, 7)
     ledger = compute_ledger(p)
     assert ledger.t_lambda > ens.grid.dt
@@ -211,7 +212,8 @@ def test_global_raises_on_window_nonconvergence():
         solve_global(gen, np.full((200, 1), 0.5), ens, BASIS, ledger, tol=1e-14, max_iter=2)
 
 
-def y_feedback(f=lambda t, y, ybar, z, zbar: 0.4 * y + 0.1 * ybar, M=30, N=4000):
+def y_feedback(f=lambda i, t, y, ybar, z_i, z, zbar: 0.4 * y[..., i] + 0.1 * ybar[..., i],
+               M=30, N=4000):
     """A scalar model with y-feedback on three stitched windows, T = 2.5 t_lambda,
     with terminal clip(W_T, -1, 1): its sweep counts, and so its solution,
     depend on init."""
@@ -274,7 +276,8 @@ def test_stitched_apriori_check_reads_the_largest_window_sup():
     # earliest window holds the solution's sup, not the latest
     T = 2.5 * compute_ledger(small_params()).t_lambda
     p = small_params(T)
-    gen = Generator(fn=lambda t, y, ybar, z, zbar: 0.0 * y + 0.5, params=p, name="drift")
+    gen = Generator(fn=lambda i, t, y, ybar, z_i, z, zbar: 0.0 * y[..., i] + 0.5, params=p,
+                    name="drift")
     ens = generate_ensemble(TimeGrid.make(30, T), 200, 1, 7)
     report = solve_global(gen, np.full((200, 1), 0.5), ens, BASIS, tol=1e-3, max_iter=40)
     assert report.mode == "stitched" and len(report.traces) == 3
@@ -331,7 +334,8 @@ def test_fallback_after_a_failed_window_runs_alone_on_fresh_storage():
     # the first stitched window fails to converge; its pair is released
     # before the fallback allocates its own, so the two never coexist, and
     # none of its partial writes reach the fallback's result
-    gen, eta, ens, ledger = y_feedback(f=lambda t, y, ybar, z, zbar: 0.4 * y, N=2000)
+    gen, eta, ens, ledger = y_feedback(f=lambda i, t, y, ybar, z_i, z, zbar: 0.4 * y[..., i],
+                                       N=2000)
     kw = dict(tol=1e-14, max_iter=3)
     report, _, peak = traced(lambda: solve_auto(gen, eta, ens, BASIS, ledger, **kw))
     assert report.mode == "full-interval-fallback" and not report.converged

@@ -235,7 +235,7 @@ def test_catalog_reports_equal_the_per_sample_budget_loop(name, monkeypatch):
 def test_checks_fail_on_a_nan_generator():
     p = make_case("colehopf", n=2).params
     gen = Generator(
-        fn=lambda t, y, ybar, z, zbar: np.full(np.broadcast_shapes(y.shape, z.shape[:-1]), np.nan),
+        fn=lambda i, t, y, ybar, z_i, z, zbar: np.full(z_i.shape[:-1], np.nan),
         params=p,
         name="nan",
     )
@@ -263,7 +263,7 @@ def test_h1_refutes_undeclared_quadratic_growth():
     # Driver is quadratic with weight gamma, declared envelope only gamma/2.
     p = simple_params(gamma=1.0)
     gen = Generator(
-        fn=lambda t, y, ybar, z, zbar: 1.0 * (np.asarray(z) ** 2).sum(axis=-1),
+        fn=lambda i, t, y, ybar, z_i, z, zbar: 1.0 * (z_i**2).sum(axis=-1),
         params=p,
     )
     rep = check_h1(gen, p, samples=5_000, rng_seed=0)
@@ -276,7 +276,7 @@ def test_h1_refutes_undeclared_quadratic_growth():
 def test_h2_refutes_discontinuous_driver():
     p = simple_params(phi=lambda r: 0.5 + 0.0 * r)
     gen = Generator(
-        fn=lambda t, y, ybar, z, zbar: 10.0 * np.sign(np.asarray(y, dtype=float)),
+        fn=lambda i, t, y, ybar, z_i, z, zbar: 10.0 * np.sign(y[..., i]),
         params=p,
     )
     rep = check_h2(gen, p, samples=5_000, rng_seed=1)
@@ -287,7 +287,7 @@ def test_h4_refutes_strong_signed_growth():
     # sign(y) f = 5|y| needs beta >= 5; declared beta is 0.01.
     p = simple_params()
     gen = Generator(
-        fn=lambda t, y, ybar, z, zbar: 5.0 * np.asarray(y, dtype=float),
+        fn=lambda i, t, y, ybar, z_i, z, zbar: 5.0 * y[..., i],
         params=p,
     )
     rep = check_h4(gen, p, samples=5_000, rng_seed=0)
@@ -299,7 +299,7 @@ def test_h4_accepts_one_sided_driver():
     # even though the two-sided growth is way past the declared beta.
     p = simple_params()
     gen = Generator(
-        fn=lambda t, y, ybar, z, zbar: -5.0 * np.asarray(y, dtype=float),
+        fn=lambda i, t, y, ybar, z_i, z, zbar: -5.0 * y[..., i],
         params=p,
     )
     rep = check_h4(gen, p, samples=5_000, rng_seed=0)
@@ -309,7 +309,7 @@ def test_h4_accepts_one_sided_driver():
 def test_report_payload_roundtrip():
     p = simple_params()
     gen = Generator(
-        fn=lambda t, y, ybar, z, zbar: 1.0 * (np.asarray(z) ** 2).sum(axis=-1),
+        fn=lambda i, t, y, ybar, z_i, z, zbar: 1.0 * (z_i**2).sum(axis=-1),
         params=p,
     )
     rep = check_h1(gen, p, samples=2_000, rng_seed=7)
@@ -332,20 +332,24 @@ def test_checker_rejects_empty_sample_budget():
 def test_generator_component_bounds():
     case = make_case("loggrowth")
     with pytest.raises(IndexError):
-        case.generator.component(2, 0.0, np.zeros(2), np.zeros(2), np.zeros((2, 1)), np.zeros((2, 1)))
+        case.generator.component(2, 0.0, np.zeros(2), np.zeros(2), np.zeros(1), np.zeros((2, 1)),
+                                 np.zeros((2, 1)))
 
 
 def test_generator_eval_checks_the_result_shape():
     p = simple_params(n=2)
     y, ybar, z, zbar = np.zeros((5, 2)), np.zeros(2), np.zeros((5, 2, 1)), np.zeros((2, 1))
-    good = Generator(fn=lambda t, y, ybar, z, zbar: np.zeros(y.shape), params=p, name="flat")
+    good = Generator(fn=lambda i, t, y, ybar, z_i, z, zbar: np.zeros(y.shape[:-1]), params=p,
+                     name="flat")
     assert good.eval(0.0, y, ybar, z, zbar).shape == (5, 2)
-    # stacked rows: y broadcast over the copies of z gives (5, 2, 2)
+    assert good.component(1, 0.0, y, ybar, z[:, 1], z, zbar).shape == (5,)
+    # an extra leading axis, as in a particle-first block of environments
     zs = np.zeros((5, 2, 2, 1))
     assert good.eval(0.0, np.broadcast_to(y[:, None], (5, 2, 2)), ybar, zs, zbar).shape == (5, 2, 2)
     # a result that ignores the z block is refused with the generator's name
-    with pytest.raises(ValueError, match="'flat' returned shape \\(5, 1, 2\\)"):
+    with pytest.raises(ValueError, match="'flat' returned shape \\(5, 1\\), expected \\(5, 2\\)"):
         good.eval(0.0, y[:, None], ybar, zs, zbar)
-    summed = Generator(fn=lambda t, y, ybar, z, zbar: z.sum(axis=(-2, -1)), params=p, name="summed")
+    summed = Generator(fn=lambda i, t, y, ybar, z_i, z, zbar: z.sum(axis=-1), params=p,
+                       name="summed")
     with pytest.raises(ValueError, match="summed"):
         summed.eval(0.0, y, ybar, z, zbar)

@@ -45,6 +45,9 @@ def test_traced_solve_runs_through_the_tracer():
     assert calls["bench.op"] == calls["global_solver.solve_auto"] == 1
     assert calls["qbsde1d.solve_1d"] == calls["picard.apply_gamma"] == len(trace.iterations)
     assert calls["engine.design"] > 0
+    # the sweep calls Generator.component once per row and step
+    n, steps = case.params.n, ens.grid.M
+    assert calls["model.component"] == n * steps * len(trace.iterations)
     counts = t.op_counts[0]
     assert counts["global_solver.windows"] == counts["global_solver.fallbacks"] == 1
     assert counts["qbsde1d.truncation_hits"] == trace.truncation_hits

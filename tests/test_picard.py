@@ -180,10 +180,8 @@ def test_apply_gamma_blowup_carries_component_index():
         beta=lambda t: 0.01, eta=lambda t: 0.0, C0=0.01, C1=1.0, C2=0.05,
     )
 
-    def runaway(t, y, ybar, z, zbar):
-        out = np.zeros(np.asarray(y).shape)
-        out[..., 1] = 1e8
-        return out
+    def runaway(i, t, y, ybar, z_i, z, zbar):
+        return np.full(y.shape[:-1], 1e8 if i == 1 else 0.0)
 
     gen = Generator(fn=runaway, params=p, name="runaway")
     ens = generate_ensemble(TimeGrid.make(10, 1.0), 64, 1, 0)
@@ -241,11 +239,12 @@ def mixing_case(n, d):
     mixing = (np.arange(n)[:, None] + 2.0 * np.arange(n)[None, :] + 1.0) / 10.0
     np.fill_diagonal(mixing, 0.0)                                   # (n, n), zero diagonal
 
-    def fn(t, y, ybar, z, zbar):
-        lin = (z * weights).sum(axis=-1)                            # (..., n)
-        cross = sum(mixing[:, j] * np.tanh(lin[..., j : j + 1]) for j in range(n))
-        return (0.5 * (z * z).sum(axis=-1) + 0.3 * t * np.tanh(y) + 0.2 * np.sin(ybar)
-                + 0.1 * cross + 0.05 * (zbar * weights).sum(axis=-1))
+    def fn(i, t, y, ybar, z_i, z, zbar):
+        cross = sum(mixing[i, j] * np.tanh((z[..., j, :] * weights[j]).sum(axis=-1))
+                    for j in range(n) if j != i)
+        return (0.5 * (z_i * z_i).sum(axis=-1) + 0.3 * t * np.tanh(y[..., i])
+                + 0.2 * np.sin(ybar[..., i]) + 0.1 * cross
+                + 0.05 * (zbar[..., i, :] * weights[i]).sum(axis=-1))
 
     def xi(paths):
         w = np.clip(paths[:, -1, :], -3.0, 3.0)
@@ -281,9 +280,10 @@ def particle_first_drift(gen, env, ens, ball):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("d", [1, 2])
 def test_apply_gamma_drift_layout_is_the_particle_first_block_bitwise(n, d):
-    # the sweep's stack-first (n, N, n, d) block and its (N, n) diagonal
-    # give bitwise the sweep of the particle-first (N, n, n, d) block, on a
-    # window that starts past node 0 and ends before the last node
+    # the sweep's row-form calls, each on V's (N, n, d) node block as the
+    # environment, give bitwise the sweep of the particle-first
+    # (N, n, n, d) block, on a window that starts past node 0 and ends
+    # before the last node
     case = mixing_case(n, d)
     ens = generate_ensemble(TimeGrid.make(10, 1.0), 300, d, 4)
     basis = default_basis(d)
@@ -370,9 +370,10 @@ def test_apply_gamma_two_rows_two_dims(monkeypatch, projections):
         beta=lambda t: 0.01, eta=lambda t: 0.05, C0=0.01, C1=10.0, C2=0.1,
     )
 
-    def fn(t, y, ybar, z, zbar):
-        rows = np.sqrt((z * z).sum(axis=-1))
-        return 0.5 * rows**2 + 0.05 * np.log1p(rows[..., ::-1])
+    def fn(i, t, y, ybar, z_i, z, zbar):
+        other = z[..., 1 - i, :]
+        return (0.5 * np.sqrt((z_i * z_i).sum(axis=-1)) ** 2
+                + 0.05 * np.log1p(np.sqrt((other * other).sum(axis=-1))))
 
     def xi(paths):
         w = np.clip(paths[:, -1, :], -3.0, 3.0)
@@ -713,6 +714,30 @@ def test_picard_solve_allocates_no_pair(make, n):
         tracemalloc.stop()
     assert len(trace.iterations) >= 2 and trace.pair is pair
     assert peak < min(pair.Y.nbytes, pair.Z.nbytes)
+
+
+def warm_sweep_peak(n, M=20, N=20_000):
+    """tracemalloc peak of one apply_gamma sweep of colehopf with n rows, on
+    the iterate of a first sweep, whose regression factors it reuses."""
+    case = case_colehopf_diagonal(n=n)
+    ens = generate_ensemble(TimeGrid.make(M, case.params.T), N, 1, 7)
+    ball = BallSpec.full_interval(ens.grid, compute_ledger(case.params))
+    pair = fresh(ens, ball, n)
+    picard_solve(case.generator, case.terminal, ens, BASIS, ball, pair, max_iter=1)
+    eta = terminal_values(case.terminal, ens.cumulative)
+    u_norm, v_norm = norms(pair, ens, ball)
+    tracemalloc.start()
+    try:
+        apply_gamma(pair, case.generator, eta, ens, BASIS, ball, u_norm, v_norm)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_grows_linearly_in_the_rows():
+    # each row's drift reads V's node block in place, so the sweep's
+    # temporaries are (N, n) blocks, not n copies of the (N, n, d) block
+    assert warm_sweep_peak(8) <= 8 * warm_sweep_peak(1)
 
 
 def test_picard_nonconvergence_reported_not_raised():
