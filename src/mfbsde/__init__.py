@@ -25,7 +25,6 @@ from .constants import (
     contraction_coefficients,
     local_ball,
     local_step,
-    log_inequality_gap,
 )
 from .engine import (
     Ensemble,

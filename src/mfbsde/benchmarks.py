@@ -251,8 +251,8 @@ def case_loggrowth(
 
     f^1 = (gamma/2)|z^1|^2 + kappa*log(1 + |z^2|) and symmetrically for f^2,
     terminal (clamped W_T, clamped W_T).  No closed-form oracle exists; the
-    case is scored by the assumption checkers, the residual of the solved
-    pair, and the explicit sup-norm/BMO ceilings.
+    case is scored by the structural checks (H1/H2/H4), the convergence of
+    the solve, and the explicit sup-norm/BMO ceilings.
     """
     if kappa <= 0.0:
         raise ConfigError(f"kappa must be positive, got {kappa}")

@@ -343,6 +343,29 @@ def _passed(structural, report) -> bool:
     )
 
 
+def _solve_and_write(case: BenchmarkCase, conf: dict, ens: Ensemble, out: Path, stem: str):
+    """Solve `case` on `ens` and write `<stem>_report.json` and
+    `<stem>_solution.csv` into `out`.  On a blow-up, write the partial
+    report (node, component row, guard) instead and re-raise.  Returns the
+    structural checks, the report and the report's payload."""
+    try:
+        structural, report, errors = _solve_case(case, conf, ens)
+    except BlowUpError as exc:
+        _write_json(out / f"{stem}_report.json", {
+            "case": case.name,
+            "error": str(exc),
+            "node": exc.node,
+            "component": exc.component,
+            "guard": exc.guard,
+            "caveats": [PROXY_CAVEAT],
+        })
+        raise
+    payload = _solve_payload(case, structural, report, ens, errors)
+    _write_json(out / f"{stem}_report.json", payload)
+    _write_solution_csv(out / f"{stem}_solution.csv", case, report, ens, errors)
+    return structural, report, payload
+
+
 def cmd_constants(conf, args) -> int:
     case = _build_case(conf)
     ledger = compute_ledger(case.params)
@@ -371,23 +394,7 @@ def cmd_solve(conf, args) -> int:
     _check_oracles([case])
     out = _out_dir(conf)
     ens = _draw(case, conf, conf["grid"]["m"], conf["ensemble"]["n"])
-    try:
-        structural, report, errors = _solve_case(case, conf, ens)
-    except BlowUpError as exc:
-        _write_json(out / f"{case.name}_report.json", {
-            "case": case.name,
-            "error": str(exc),
-            "node": exc.node,
-            "component": exc.component,
-            "guard": exc.guard,
-            "caveats": [PROXY_CAVEAT],
-        })
-        print(f"blow-up: {exc}", file=sys.stderr)
-        return 3
-
-    _write_json(out / f"{case.name}_report.json",
-                _solve_payload(case, structural, report, ens, errors))
-    _write_solution_csv(out / f"{case.name}_solution.csv", case, report, ens, errors)
+    structural, report, _ = _solve_and_write(case, conf, ens, out, case.name)
     if args.save_state:
         np.savez_compressed(
             out / f"{case.name}_state.npz",
@@ -420,10 +427,7 @@ def cmd_bench(conf, args) -> int:
     for case in cases:
         name = case.name
         ens = dataclasses.replace(shared)
-        structural, report, errors = _solve_case(case, conf, ens)
-        payload = _solve_payload(case, structural, report, ens, errors)
-        _write_json(out / f"bench_{name}_report.json", payload)
-        _write_solution_csv(out / f"bench_{name}_solution.csv", case, report, ens, errors)
+        structural, report, payload = _solve_and_write(case, conf, ens, out, f"bench_{name}")
         ok = _passed(structural, report)
         all_ok = all_ok and ok
         extra = ""

@@ -140,20 +140,6 @@ def apriori_lambda(p: "ModelParams") -> tuple[float, float]:
     return c3, lam
 
 
-def log_inequality_gap(x, y, C):
-    """Slack of C*log(1+x) <= x**2/y + C*log(1+C*y); nonnegative for positive inputs.
-
-    Accepts scalars or arrays (broadcast); vectorized for bulk verification.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    C = np.asarray(C, dtype=float)
-    if np.any(x <= 0.0) or np.any(y <= 0.0) or np.any(C <= 0.0):
-        raise ValueError("log_inequality_gap requires strictly positive x, y, C")
-    gap = x * x / y + C * np.log1p(C * y) - C * np.log1p(x)
-    return float(gap) if gap.ndim == 0 else gap
-
-
 def contraction_coefficients(
     eps: float, k1: float, k2: float, p: "ModelParams"
 ) -> tuple[float, float]:

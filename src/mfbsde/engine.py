@@ -343,18 +343,6 @@ class ProcessPair:
     mean_Z: np.ndarray
 
     @classmethod
-    def from_fields(cls, Y: np.ndarray, Z: np.ndarray) -> "ProcessPair":
-        Y = np.asarray(Y, dtype=float)
-        Z = np.asarray(Z, dtype=float)
-        if Y.ndim != 3 or Z.ndim != 4:
-            raise ValueError(f"expected Y (N, L+1, n) and Z (N, L, n, d), got {Y.shape}, {Z.shape}")
-        if Z.shape[0] != Y.shape[0] or Z.shape[1] != Y.shape[1] - 1 or Z.shape[2] != Y.shape[2]:
-            raise ValueError(f"inconsistent field shapes {Y.shape}, {Z.shape}")
-        pair = cls(Y=Y, Z=Z, mean_Y=np.empty(Y.shape[1:]), mean_Z=np.empty(Z.shape[1:]))
-        pair.refresh_means()
-        return pair
-
-    @classmethod
     def empty(cls, N: int, L: int, n: int, d: int) -> "ProcessPair":
         """Uninitialised node-major storage on L+1 nodes, for a solve to fill in place."""
         return cls(Y=np.empty((L + 1, N, n)).swapaxes(0, 1), mean_Y=np.empty((L + 1, n)),
@@ -364,13 +352,6 @@ class ProcessPair:
         """Views of nodes k_lo..k_hi, node blocks contiguous; windows share a seam node."""
         return ProcessPair(Y=self.Y[:, k_lo : k_hi + 1], Z=self.Z[:, k_lo:k_hi],
                            mean_Y=self.mean_Y[k_lo : k_hi + 1], mean_Z=self.mean_Z[k_lo:k_hi])
-
-    def refresh_means(self) -> None:
-        """Recompute mean_Y and mean_Z from Y and Z, one ``_node_mean`` per
-        node: the reference the means a solve writes node by node are held to."""
-        for fld, mean in ((self.Y, self.mean_Y), (self.Z, self.mean_Z)):
-            for j in range(fld.shape[1]):
-                mean[j] = _node_mean(fld[:, j])
 
 
 def _node_mean(block: np.ndarray) -> np.ndarray:

@@ -57,31 +57,6 @@ class BallSpec:
         return self.k_hi - self.k_lo
 
     @classmethod
-    def from_ledger(
-        cls, grid: TimeGrid, ledger: ConstantsLedger, eps: float | None = None, k_hi: int | None = None
-    ) -> "BallSpec":
-        """Largest window ending at k_hi that fits inside eps (default min(eps0, T))."""
-        k_hi = grid.M if k_hi is None else k_hi
-        if eps is None:
-            eps = min(ledger.eps0, grid.nodes[k_hi])
-        steps = int(math.floor(eps / grid.dt + 1e-12))
-        if steps < 1:
-            raise ValueError(
-                f"window budget {eps:.6g} shorter than one grid step {grid.dt:.6g}; "
-                "refine the grid or use a full-interval solve"
-            )
-        steps = min(steps, k_hi)
-        length = steps * grid.dt
-        return cls(
-            k_lo=k_hi - steps,
-            k_hi=k_hi,
-            eps=float(length),
-            k1=ledger.k1,
-            k2=ledger.k2,
-            within_guarantee=bool(length <= ledger.eps0 * (1 + 1e-12)),
-        )
-
-    @classmethod
     def full_interval(cls, grid: TimeGrid, ledger: ConstantsLedger) -> "BallSpec":
         """The whole grid as one window, guaranteed only when T fits in eps0."""
         return cls(

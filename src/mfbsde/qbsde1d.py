@@ -147,10 +147,10 @@ def solve_1d(
     memory.
 
     The result overwrites the pair, Y (N, L+1, n) and Z (N, L, n, d), each
-    node block with its ``_node_mean`` (bitwise ``refresh_means``): Z_j and
-    mean_Z[j] as soon as drift(k_lo + j, .) returns, Y_{j+1} and mean_Y[j+1]
-    only after that same call (the terminal node after node L-1, node 0
-    after the loop).  So a drift call at local node j may read the pair at
+    node block with its mean, bitwise the index-order ``_node_mean`` of the
+    block: Z_j and mean_Z[j] as soon as drift(k_lo + j, .) returns, Y_{j+1}
+    and mean_Y[j+1] only after that same call (the terminal node after node
+    L-1, node 0 after the loop).  So a drift call at local node j may read the pair at
     nodes j and j+1, means included, and sees their old contents.  Each
     overwrite first turns its slice into |old - new|, takes the max and then
     writes the new block over it, with no node-sized temporary: ``diff_y``

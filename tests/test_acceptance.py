@@ -26,7 +26,6 @@ from mfbsde import (
     default_basis,
     generate_ensemble,
     lambda_ball,
-    log_inequality_gap,
     make_case,
     oracle_errors,
     picard_solve,
@@ -38,6 +37,8 @@ from mfbsde import (
 )
 from mfbsde.cli import main
 from mfbsde.constants import local_ball
+
+from conftest import ball_from_ledger, log_inequality_gap
 
 BASIS = default_basis(1)
 
@@ -87,7 +88,7 @@ def ball_trace():
     case = case_meanfield_linear(a=0.5, b=0.5, c=1.0, T=1.0)
     ens = generate_ensemble(TimeGrid.make(50, 1.0), 10_000, 1, 1)
     ledger = compute_ledger(case.params)
-    ball = BallSpec.from_ledger(ens.grid, ledger)      # eps = min(eps0, T)
+    ball = ball_from_ledger(ens.grid, ledger)      # eps = min(eps0, T)
     trace = picard_solve(
         case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball), tol=1e-3, max_iter=10
     )

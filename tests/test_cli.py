@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,6 @@ import pytest
 from mfbsde import (
     CATALOG,
     BlowUpError,
-    ProcessPair,
     case_zero,
     compute_ledger,
     make_case,
@@ -19,6 +22,8 @@ from mfbsde import (
 )
 from mfbsde import cli
 from mfbsde.cli import _fmt, _load_config, main
+
+from conftest import pair_from_fields
 
 
 def write_cfg(tmp_path, body, name="run.ini"):
@@ -154,7 +159,7 @@ def failing_apriori(monkeypatch):
         # the solved field inflated past lambda must fail the a priori check
         report = solve_auto(*args, **kwargs)
         lam = report.ledger.lam
-        big = ProcessPair.from_fields(report.pair.Y * (1.01 * lam), report.pair.Z)
+        big = pair_from_fields(report.pair.Y * (1.01 * lam), report.pair.Z)
         apriori = verify_apriori(sup_norm_estimate(big.Y), report.ledger)
         report.checks = (apriori,) + report.checks[1:]
         return report
@@ -253,20 +258,34 @@ def test_solve_reports_regression_conditioning(tmp_path, case):
     assert header.endswith("sup_abs_Y,bmo_to_go,oracle_err_Y,oracle_err_Z")
 
 
-def test_solve_blowup_exits_3_with_partial_report(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("command, victim", [("solve", "zero"), ("bench", "loggrowth")])
+def test_solve_blowup_exits_3_with_partial_report(tmp_path, monkeypatch, capsys, command, victim):
+    # the victim case blows up: its report is the partial JSON and it has no
+    # CSV; bench has written the cases before it in full, and stops there
     import mfbsde.cli as cli
 
-    def explode(*args, **kwargs):
+    solve = cli.solve_auto
+
+    def explode(gen, *args, **kwargs):
+        if gen.name != victim:
+            return solve(gen, *args, **kwargs)
         raise BlowUpError(node=3, value=1e9, guard=10.0, component=1)
 
     monkeypatch.setattr(cli, "solve_auto", explode)
     cfg = write_cfg(tmp_path, ZERO_FAST)
-    rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "r")])
+    out = tmp_path / "r"
+    rc = main([command, "--config", cfg, "--out", str(out)])
     assert rc == 3
     assert "blow-up" in capsys.readouterr().err
-    partial = json.loads((tmp_path / "r" / "zero_report.json").read_text())
+    stem = victim if command == "solve" else f"bench_{victim}"
+    partial = json.loads((out / f"{stem}_report.json").read_text())
     assert partial["node"] == 3 and partial["guard"] == 10.0
     assert partial["component"] == 1
+    assert not (out / f"{stem}_solution.csv").exists()
+    if command == "bench":
+        assert sorted(p.name for p in out.iterdir()) == [
+            "bench_colehopf_report.json", "bench_colehopf_solution.csv",
+            "bench_loggrowth_report.json"]
 
 
 # -------------------------------------------------------------- bad configs
@@ -514,12 +533,23 @@ NORTH_STAR_BENCH = {
 }
 
 
-def test_bench_at_50_steps_matches_the_north_star_digests(tmp_path, capsys):
+@pytest.mark.parametrize("blas_threads", [None, 2], ids=["in-process", "2-threads"])
+def test_bench_at_50_steps_matches_the_north_star_digests(tmp_path, capsys, blas_threads):
     """As test_bench_csvs_match_the_golden_digests, on the larger run; the
-    same numpy, scipy and BLAS caveat applies."""
+    same numpy, scipy and BLAS caveat applies.  In-process at the thread
+    count the environment sets, and in a fresh `mfbsde bench` process with
+    two OpenBLAS/OpenMP threads: the digests do not depend on it."""
     cfg = write_cfg(tmp_path, "[grid]\nm = 50\n[ensemble]\nn = 10000\nseed = 7\n")
     out = tmp_path / "b"
-    assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
+    argv = ["bench", "--config", cfg, "--out", str(out)]
+    if blas_threads is None:
+        assert main(argv) == 0
+    else:
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+                   OPENBLAS_NUM_THREADS=str(blas_threads), OMP_NUM_THREADS=str(blas_threads))
+        proc = subprocess.run([sys.executable, "-m", "mfbsde.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
     got = {name: tuple(hashlib.sha256((out / f"bench_{name}_{kind}").read_bytes()).hexdigest()
                        for kind in ("report.json", "solution.csv"))
            for name in NORTH_STAR_BENCH}

@@ -22,9 +22,10 @@ from mfbsde import (
     contraction_coefficients,
     local_ball,
     local_step,
-    log_inequality_gap,
 )
 from mfbsde.constants import FORMULAS
+
+from conftest import log_inequality_gap
 
 
 def params(n=1, gamma=1.0, K=0.0, delta=0.0, C0=0.0, C1=1.0, C2=0.0, T=1.0, phi=None):

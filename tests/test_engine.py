@@ -28,6 +28,8 @@ from mfbsde import (
 from mfbsde import engine
 from mfbsde.engine import NodeRegression
 
+from conftest import pair_from_fields
+
 
 def make_ens(M=10, T=1.0, N=500, d=1, seed=0):
     return generate_ensemble(TimeGrid.make(M, T), N, d, seed)
@@ -450,40 +452,27 @@ def test_projection_tower_property_of_means(k):
 # -------------------------------------------------------------- norm proxies
 
 
-def pair_from(Y, Z):
-    return ProcessPair.from_fields(Y, Z)
-
-
 def test_process_pair_validation_and_means():
     Y = np.random.default_rng(0).normal(size=(8, 5, 2))
     Z = np.random.default_rng(1).normal(size=(8, 4, 2, 3))
-    pair = pair_from(Y, Z)
+    pair = pair_from_fields(Y, Z)
     assert np.array_equal(pair.mean_Y, Y.mean(axis=0))
     assert np.array_equal(pair.mean_Z, Z.mean(axis=0))
     with pytest.raises(ValueError):
-        pair_from(Y, np.zeros((8, 5, 2, 3)))      # Z must have M = 4 steps
+        pair_from_fields(Y, np.zeros((8, 5, 2, 3)))      # Z must have M = 4 steps
     with pytest.raises(ValueError):
-        pair_from(Y[0], Z)
+        pair_from_fields(Y[0], Z)
 
 
 @pytest.mark.parametrize("n, d", [(1, 1), (2, 1), (2, 2)])
-def test_refresh_means_are_the_particle_major_means_bitwise(n, d):
+def test_node_means_of_node_major_fields_are_the_particle_major_means_bitwise(n, d):
     rng = np.random.default_rng(n + d)
     pair = ProcessPair.empty(10_000, 6, n, d)
     pair.Y[:] = rng.normal(size=pair.Y.shape)
     pair.Z[:] = rng.normal(size=pair.Z.shape)
-    pair.refresh_means()
+    pair = pair_from_fields(pair.Y, pair.Z)
     assert pair.mean_Y.tobytes() == np.ascontiguousarray(pair.Y).mean(axis=0).tobytes()
     assert pair.mean_Z.tobytes() == np.ascontiguousarray(pair.Z).mean(axis=0).tobytes()
-
-
-def test_from_fields_takes_its_means_from_refresh_means(monkeypatch):
-    calls = []
-    original = ProcessPair.refresh_means
-    monkeypatch.setattr(ProcessPair, "refresh_means",
-                        lambda self: (calls.append(self), original(self))[1])
-    pair = pair_from(np.ones((4, 3, 1)), np.zeros((4, 2, 1, 1)))
-    assert calls == [pair]
 
 
 def test_sup_norm_estimate_hand_value():
@@ -515,7 +504,7 @@ def test_bmo_estimate_constant_z():
     c = 0.8
     Y = np.zeros((ens.N, 21, 1))
     Z = np.full((ens.N, 20, 1, 1), c)
-    pair = pair_from(Y, Z)
+    pair = pair_from_fields(Y, Z)
     prof = bmo_profile(pair, ens, default_basis(1))
     assert prof.max() == pytest.approx(c * np.sqrt(2.0), rel=1e-9)
     assert prof.shape == (21,)
@@ -527,13 +516,13 @@ def test_bmo_estimate_window_restriction():
     ens = make_ens(M=10, T=1.0, N=2_00, seed=6)
     Z = np.zeros((ens.N, 10, 1, 1))
     Z[:, :5] = 2.0                                 # activity only before t=0.5
-    pair = pair_from(np.zeros((ens.N, 11, 1)), Z)
+    pair = pair_from_fields(np.zeros((ens.N, 11, 1)), Z)
     full = bmo_profile(pair, ens, default_basis(1)).max()
     # window pairs on nodes 5..10 and 0..5, each placed by its node offset
-    late = bmo_profile(pair_from(np.zeros((ens.N, 6, 1)), Z[:, 5:]), ens,
+    late = bmo_profile(pair_from_fields(np.zeros((ens.N, 6, 1)), Z[:, 5:]), ens,
                        default_basis(1), k_lo=5)
     assert full > 0.0 and late.shape == (6,) and late.max() == 0.0
-    early_pair = pair_from(np.zeros((ens.N, 6, 1)), Z[:, :5])
+    early_pair = pair_from_fields(np.zeros((ens.N, 6, 1)), Z[:, :5])
     early = bmo_profile(early_pair, ens, default_basis(1))
     assert early.shape == (6,) and early.max() == full and early[5] == 0.0
     # an offset that puts the window's 5 steps past node M = 10 is refused
@@ -549,10 +538,10 @@ def test_bmo_profile_of_window_pair_is_the_embedded_profile_bitwise():
     ens = make_ens(M=12, T=1.0, N=400, seed=4)
     rng = np.random.default_rng(8)
     Zw = rng.standard_normal((ens.N, 5, 2, 1))
-    window = pair_from(np.zeros((ens.N, 6, 2)), Zw)
+    window = pair_from_fields(np.zeros((ens.N, 6, 2)), Zw)
     Z = np.zeros((ens.N, 12, 2, 1))
     Z[:, 3:8] = Zw
-    embedded = bmo_profile(pair_from(np.zeros((ens.N, 13, 2)), Z), ens, default_basis(1))
+    embedded = bmo_profile(pair_from_fields(np.zeros((ens.N, 13, 2)), Z), ens, default_basis(1))
     local = bmo_profile(window, ens, default_basis(1), k_lo=3)
     assert local.shape == (6,) and local.max() > 0.0
     assert np.array_equal(local, embedded[3:9])
@@ -565,7 +554,7 @@ def test_bmo_profile_squared_norm_is_the_reduction_bitwise(n, d):
     ens = make_ens(M=6, T=1.0, N=500, seed=2)
     rng = np.random.default_rng(n * 10 + d)
     Z = rng.standard_normal((ens.N, 6, n, d)) * np.exp(rng.uniform(-8.0, 8.0, (ens.N, 6, n, d)))
-    pair = pair_from(np.zeros((ens.N, 7, n)), Z)
+    pair = pair_from_fields(np.zeros((ens.N, 7, n)), Z)
     z_sq = (Z * Z).sum(axis=(2, 3))
     assert np.array_equal(engine._sum_of_squares(Z.reshape(ens.N, 6, n * d)), z_sq)
 

@@ -35,6 +35,8 @@ from mfbsde import (
 )
 from mfbsde.constants import local_ball
 
+from conftest import pair_from_fields
+
 BASIS = default_basis(1)
 
 
@@ -131,7 +133,7 @@ def test_verify_apriori_pass_and_fail():
     assert "lambda" in ok.detail
 
     # scale the solution above lambda: the check must flip
-    big = ProcessPair.from_fields(
+    big = pair_from_fields(
         trace.pair.Y * (1.01 * ledger.lam / ok.observed), trace.pair.Z
     )
     bad = verify_apriori(sup_norm_estimate(big.Y), ledger)
@@ -148,7 +150,7 @@ def test_verify_bmo_membership_zero_and_overflow_ceiling():
     # ceiling carries e^{gamma*lambda}; for this model it overflows to inf,
     # and the log-domain comparison must still pass for a finite proxy
     assert res.bound == np.inf
-    noisy = ProcessPair.from_fields(
+    noisy = pair_from_fields(
         trace.pair.Y, trace.pair.Z + 0.5
     )
     res2 = verify_bmo_membership(bmo_profile(noisy, ens, BASIS).max(), ledger)
@@ -388,19 +390,10 @@ def test_multi_window_solve_verifies_with_its_own_pass(bmo_passes, sup_passes):
     assert report.checks[0].observed == sup_norm_estimate(report.pair.Y)
 
 
-def test_solves_write_their_means_with_their_nodes(monkeypatch):
+def test_solves_write_their_means_with_their_nodes():
     # every catalog case and a three-window solve: the sweeps write each
-    # node's mean with its block and the initial guess's means are worked
-    # out once, so no solve calls refresh_means, and the solution's means
-    # are bitwise what refresh_means gives for its fields
-    calls = []
-    refresh = ProcessPair.refresh_means
-
-    def counting(pair):
-        calls.append(pair)
-        refresh(pair)
-
-    monkeypatch.setattr(ProcessPair, "refresh_means", counting)
+    # node's mean with its block, and the solution's means are bitwise the
+    # index-order ``_node_mean`` of each node block of its fields
     solves = [(make_case(name), 10, 300) for name in sorted(CATALOG)]
     solves.append((case_colehopf_diagonal(n=2, T=5.0), 30, 500))
     reports = []
@@ -408,13 +401,11 @@ def test_solves_write_their_means_with_their_nodes(monkeypatch):
         ens = generate_ensemble(TimeGrid.make(M, case.params.T), N, case.params.d, 7)
         reports.append(solve_auto(case.generator, case.terminal, ens,
                                   default_basis(case.params.d), tol=2e-3, max_iter=40))
-    assert len(calls) == 0
     assert len(reports[-1].traces) == 3
     for report in reports:
-        ref = ProcessPair.from_fields(report.pair.Y.copy(), report.pair.Z.copy())
+        ref = pair_from_fields(report.pair.Y.copy(), report.pair.Z.copy())
         assert report.pair.mean_Y.tobytes() == ref.mean_Y.tobytes()
         assert report.pair.mean_Z.tobytes() == ref.mean_Z.tobytes()
-    assert len(calls) == len(reports)
 
 
 def test_solve_auto_prefers_stitching_when_guaranteed():

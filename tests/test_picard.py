@@ -39,6 +39,8 @@ from mfbsde import (
 from mfbsde import picard, qbsde1d
 from mfbsde.benchmarks import BenchmarkCase
 
+from conftest import ball_from_ledger, pair_from_fields
+
 BASIS = default_basis(1)
 
 
@@ -68,10 +70,10 @@ def test_ballspec_validation_and_steps():
         BallSpec(k_lo=0, k_hi=5, eps=0.5, k1=-1.0, k2=1.0, within_guarantee=True)
 
 
-def test_ballspec_from_ledger_fits_inside_step_budget():
+def test_ball_from_ledger_fits_inside_step_budget():
     case, _, ledger = linear_setup()
     grid = TimeGrid.make(50, 1.0)
-    ball = BallSpec.from_ledger(grid, ledger)
+    ball = ball_from_ledger(grid, ledger)
     steps = int(math.floor(ledger.eps0 / grid.dt + 1e-12))
     assert ball.steps == steps
     assert ball.k_hi == 50 and ball.k_lo == 50 - steps
@@ -81,19 +83,19 @@ def test_ballspec_from_ledger_fits_inside_step_budget():
     assert (ball.k1, ball.k2) == (ledger.k1, ledger.k2)
 
 
-def test_ballspec_from_ledger_truncates_at_requested_endpoint():
+def test_ball_from_ledger_truncates_at_requested_endpoint():
     _, _, ledger = linear_setup()
     grid = TimeGrid.make(50, 1.0)
-    ball = BallSpec.from_ledger(grid, ledger, eps=0.5, k_hi=3)
+    ball = ball_from_ledger(grid, ledger, eps=0.5, k_hi=3)
     assert (ball.k_lo, ball.k_hi) == (0, 3)
     assert ball.eps == pytest.approx(0.06)
 
 
-def test_ballspec_from_ledger_rejects_subgrid_budget():
+def test_ball_from_ledger_rejects_subgrid_budget():
     _, _, ledger = linear_setup()
     grid = TimeGrid.make(50, 1.0)
     with pytest.raises(ValueError, match="window budget"):
-        BallSpec.from_ledger(grid, ledger, eps=0.001)
+        ball_from_ledger(grid, ledger, eps=0.001)
 
 
 def test_ballspec_full_interval_flags_guarantee():
@@ -110,7 +112,7 @@ def test_ballspec_full_interval_flags_guarantee():
 def snapshot(pair):
     """A copy of pair, which a later sweep (overwriting pair in place)
     leaves alone."""
-    return ProcessPair.from_fields(pair.Y.copy(), pair.Z.copy())
+    return pair_from_fields(pair.Y.copy(), pair.Z.copy())
 
 
 def norms(pair, ens, ball, basis=BASIS):
@@ -127,7 +129,7 @@ def test_apply_gamma_single_sweep_hand_value_on_flat_environment():
     eta = np.ones((ens.N, 1))
     Y0 = np.ones((ens.N, 11, 1))
     Z0 = np.zeros((ens.N, 10, 1, 1))
-    pair = ProcessPair.from_fields(Y0, Z0)
+    pair = pair_from_fields(Y0, Z0)
     info = apply_gamma(pair, case.generator, eta, ens, BASIS, ball, *norms(pair, ens, ball))
     out = pair
     dt = ens.grid.dt
@@ -144,11 +146,11 @@ def test_apply_gamma_works_on_the_window_nodes():
     # at local node j makes the drift (a + b) * (j + 1/2) = j + 1/2 on the
     # step from local node j, so Y_j = 1 + dt * sum_{i >= j} (i + 1/2).
     case, ens, ledger = linear_setup(M=10, N=128)
-    ball = BallSpec.from_ledger(ens.grid, ledger, eps=0.5, k_hi=10)
+    ball = ball_from_ledger(ens.grid, ledger, eps=0.5, k_hi=10)
     assert ball.k_lo == 5
     eta = np.ones((ens.N, 1))
     ramp = np.broadcast_to(np.arange(6.0)[None, :, None], (ens.N, 6, 1)).copy()
-    pair = ProcessPair.from_fields(ramp, np.zeros((ens.N, 5, 1, 1)))
+    pair = pair_from_fields(ramp, np.zeros((ens.N, 5, 1, 1)))
     apply_gamma(pair, case.generator, eta, ens, BASIS, ball, *norms(pair, ens, ball))
     out = pair
     assert out.Y.shape == (ens.N, 6, 1) and out.Z.shape == (ens.N, 5, 1, 1)
@@ -158,7 +160,7 @@ def test_apply_gamma_works_on_the_window_nodes():
         np.testing.assert_allclose(out.Y[:, j, 0], expect, rtol=1e-12)
     assert out.Y.min() > 1.0 - 1e-12
     # a full-grid environment is not the window's
-    full = ProcessPair.from_fields(np.ones((ens.N, 11, 1)), np.zeros((ens.N, 10, 1, 1)))
+    full = pair_from_fields(np.ones((ens.N, 11, 1)), np.zeros((ens.N, 10, 1, 1)))
     with pytest.raises(ValueError, match="11 nodes"):
         apply_gamma(full, case.generator, eta, ens, BASIS, ball, 1.0, 0.0)
 
@@ -166,7 +168,7 @@ def test_apply_gamma_works_on_the_window_nodes():
 def test_apply_gamma_rejects_bad_terminal_shape():
     case, ens, ledger = linear_setup(M=10, N=64)
     ball = BallSpec.full_interval(ens.grid, ledger)
-    pair = ProcessPair.from_fields(
+    pair = pair_from_fields(
         np.zeros((ens.N, 11, 1)), np.zeros((ens.N, 10, 1, 1))
     )
     with pytest.raises(ValueError, match="terminal array"):
@@ -187,7 +189,7 @@ def test_apply_gamma_blowup_carries_component_index():
     ens = generate_ensemble(TimeGrid.make(10, 1.0), 64, 1, 0)
     ledger = compute_ledger(p)
     ball = BallSpec.full_interval(ens.grid, ledger)
-    pair = ProcessPair.from_fields(
+    pair = pair_from_fields(
         np.zeros((64, 11, 2)), np.zeros((64, 10, 2, 1))
     )
     with pytest.raises(BlowUpError) as exc:
@@ -313,7 +315,7 @@ def second_sweep(case, ens, basis, ball=None):
         ball = BallSpec.full_interval(ens.grid, compute_ledger(case.params))
     eta = terminal_values(case.terminal, ens.cumulative)
     flat = np.repeat(eta[:, None, :], ball.steps + 1, axis=1)
-    pair = ProcessPair.from_fields(flat, np.zeros((ens.N, ball.steps, case.params.n, ens.d)))
+    pair = pair_from_fields(flat, np.zeros((ens.N, ball.steps, case.params.n, ens.d)))
     apply_gamma(pair, case.generator, eta, ens, basis, ball, *norms(pair, ens, ball, basis))
     env = snapshot(pair)
     info = apply_gamma(pair, case.generator, eta, ens, basis, ball, *norms(env, ens, ball, basis))
@@ -348,7 +350,7 @@ def test_apply_gamma_projects_all_rows_together(projections):
     ens = generate_ensemble(TimeGrid.make(10, case.params.T), 300, 1, 4)
     ball = BallSpec.full_interval(ens.grid, compute_ledger(case.params))
     eta = terminal_values(case.terminal, ens.cumulative)
-    pair = ProcessPair.from_fields(
+    pair = pair_from_fields(
         np.repeat(eta[:, None, :], 11, axis=1), np.zeros((ens.N, 10, 2, 1))
     )
     norms_ = norms(pair, ens, ball)
@@ -613,7 +615,8 @@ def test_sweep_records_are_the_standalone_measurements_bitwise(monkeypatch):
 @pytest.mark.parametrize("init", ["terminal-flat", "zero"])
 def test_initial_pair_is_measured_from_its_definition_bitwise(monkeypatch, init, case):
     # the initial pair's last node and Z = 0 give the norms the standalone
-    # passes find over the whole pair, and its means are refresh_means'
+    # passes find over the whole pair, and its means are its node blocks'
+    # index-order ``_node_mean``
     sweeps = record_sweeps(monkeypatch)
     means, recording = [], picard.apply_gamma
 
@@ -624,7 +627,7 @@ def test_initial_pair_is_measured_from_its_definition_bitwise(monkeypatch, init,
     monkeypatch.setattr(picard, "apply_gamma", with_means)
     # at N = 2000, np.mean of the colehopf terminal differs in the last bits
     ens = generate_ensemble(TimeGrid.make(10, case.params.T), 2000, 1, 5)
-    ball = BallSpec.from_ledger(ens.grid, compute_ledger(case.params), eps=0.5)
+    ball = ball_from_ledger(ens.grid, compute_ledger(case.params), eps=0.5)
     assert ball.k_lo > 0
     picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball, case.params.n),
                  max_iter=1, init=init)
@@ -642,8 +645,8 @@ def test_apply_gamma_rejects_a_read_only_environment():
     ball = BallSpec.full_interval(ens.grid, ledger)
     eta = np.ones((ens.N, 1))
     Y, Z = np.ones((ens.N, 11, 1)), np.zeros((ens.N, 10, 1, 1))
-    for pair in (ProcessPair.from_fields(np.broadcast_to(1.0, Y.shape), Z),
-                 ProcessPair.from_fields(Y, np.broadcast_to(0.0, Z.shape))):
+    for pair in (pair_from_fields(np.broadcast_to(1.0, Y.shape), Z),
+                 pair_from_fields(Y, np.broadcast_to(0.0, Z.shape))):
         with pytest.raises(ValueError, match="overwrites its pair"):
             apply_gamma(pair, case.generator, eta, ens, BASIS, ball, 1.0, 0.0)
     assert np.array_equal(Y, np.ones_like(Y))
@@ -763,7 +766,7 @@ def test_contraction_report_requires_three_sweeps():
 
 def test_contraction_report_observes_linear_decay():
     case, ens, ledger = linear_setup(M=16, N=200)
-    ball = BallSpec.from_ledger(ens.grid, ledger)
+    ball = ball_from_ledger(ens.grid, ledger)
     trace = picard_solve(
         case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball), tol=1e-10, max_iter=50
     )

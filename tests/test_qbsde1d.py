@@ -22,6 +22,8 @@ from mfbsde import (
 from mfbsde import qbsde1d
 from mfbsde.constants import LOG2
 
+from conftest import pair_from_fields
+
 
 def make_params(K=0.0, phi=0.5):
     """Model parameters for the bounds: gamma = 1, delta = 0, n = 1, the
@@ -110,7 +112,7 @@ def no_drift(k, z):
 
 def zero_pair(ens, L, n):
     """A pair of zeros on L+1 nodes, means included."""
-    return ProcessPair.from_fields(np.zeros((ens.N, L + 1, n)), np.zeros((ens.N, L, n, ens.d)))
+    return pair_from_fields(np.zeros((ens.N, L + 1, n)), np.zeros((ens.N, L, n, ens.d)))
 
 
 def run_1d(eta, drift, ens, basis, trunc_R, blowup_guard, k_lo=0, k_hi=None):
@@ -357,11 +359,12 @@ def test_block_measures_sup_and_bmo_profile_bitwise():
                    np.array([50.0, 0.4, 50.0]), np.full(3, 1e3), k_lo=3, k_hi=9)
     assert res.row_hits[1] > 0 and np.ptp(res.Y[:, 0], axis=0).min() > 0.0
     assert res.sup_nodes.max() == sup_norm_estimate(res.Y)
-    ref = ProcessPair.from_fields(res.Y.copy(), res.Z.copy())
+    ref = pair_from_fields(res.Y.copy(), res.Z.copy())
     profile = bmo_profile(ref, ens, basis, k_lo=3)
     assert np.array_equal(res.bmo_nodes, profile)
     assert res.bmo_nodes.shape == (7,) and res.bmo_nodes[-1] == 0.0 < res.bmo_nodes[0]
-    # the means the pass writes with each node are refresh_means', bitwise
+    # the means the pass writes with each node are the index-order
+    # ``_node_mean`` of its blocks, bitwise
     assert res.pair.mean_Y.tobytes() == ref.mean_Y.tobytes()
     assert res.pair.mean_Z.tobytes() == ref.mean_Z.tobytes()
     assert np.abs(ref.mean_Z).min() > 0.0
@@ -378,8 +381,8 @@ def test_buffers_are_overwritten_one_node_behind_the_pass():
     ens = generate_ensemble(TimeGrid.make(10, 1.0), 300, 1, 6)
     k_lo, k_hi, n = 2, 8, 2
     rng = np.random.default_rng(0)
-    old = ProcessPair.from_fields(rng.normal(size=(ens.N, 7, n)), rng.normal(size=(ens.N, 6, n, 1)))
-    pair = ProcessPair.from_fields(old.Y.copy(), old.Z.copy())
+    old = pair_from_fields(rng.normal(size=(ens.N, 7, n)), rng.normal(size=(ens.N, 6, n, 1)))
+    pair = pair_from_fields(old.Y.copy(), old.Z.copy())
     w = ens.cumulative[:, k_hi, 0]
     eta = np.column_stack([w, np.sin(w)])
     seen = []
