@@ -1,9 +1,9 @@
 """Monte Carlo solver and verification harness for multi-dimensional
 mean-field BSDEs with diagonally quadratic drivers.
 
-The package namespace carries the names the library example and the tests
-use; everything else is reached through its module (``mfbsde.engine``,
-``mfbsde.global_solver``, ...).
+The package namespace carries the names the README's library example, the
+tests and ``perfbench/worker.py`` use; everything else is reached through
+its module (``mfbsde.engine``, ``mfbsde.global_solver``, ...).
 """
 
 from .benchmarks import (
@@ -49,9 +49,6 @@ from .model import (
     Generator,
     ModelParams,
     TerminalCondition,
-    check_h1,
-    check_h2,
-    check_h4,
     run_checks,
     terminal_values,
 )

@@ -303,21 +303,26 @@ def _solve_case(case: BenchmarkCase, conf: dict, ens: Ensemble):
     return structural, report, errors
 
 
-def _y0_mean(report: GlobalReport) -> float:
-    """Euclidean norm of the particle mean of Y at t = 0."""
-    return float(np.sqrt((report.pair.mean_Y[0] ** 2).sum()))
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a float vector."""
+    return float(np.sqrt((v ** 2).sum()))
 
 
 def _oracle_summary(case, report, errors) -> dict | None:
-    """Y0 and mean node errors against the case's oracle, None without one."""
+    """Y0 and mean node errors against the case's oracle, None without one.
+
+    y0_mean and y0_exact are the Euclidean norms of the particle mean of Y
+    at t = 0 and of the oracle's Y at t = 0, W = 0; y0_abs_err is the norm
+    of their difference as vectors."""
     if errors is None:
         return None
     err_y, err_z = errors
-    y0 = _y0_mean(report)
+    mean_y0 = report.pair.mean_Y[0]
+    exact = np.asarray(case.oracle(0.0, np.zeros(case.params.d))[0], dtype=float)
     return {
-        "y0_mean": y0,
-        "y0_exact": case.y0_exact,
-        "y0_abs_err": abs(y0 - case.y0_exact) if case.y0_exact is not None else None,
+        "y0_mean": _norm(mean_y0),
+        "y0_exact": _norm(exact),
+        "y0_abs_err": _norm(mean_y0 - exact),
         "mean_node_err_Y": float(err_y.mean()),
         "mean_node_err_Z": float(err_z.mean()),
     }
@@ -343,15 +348,13 @@ def _passed(structural, report) -> bool:
     )
 
 
-def _solve_and_write(case: BenchmarkCase, conf: dict, ens: Ensemble, out: Path, stem: str):
-    """Solve `case` on `ens` and write `<stem>_report.json` and
-    `<stem>_solution.csv` into `out`.  On a blow-up, write the partial
-    report (node, component row, guard) instead and re-raise.  Returns the
-    structural checks, the report and the report's payload."""
+def _solve_or_report(case: BenchmarkCase, conf: dict, ens: Ensemble, path: Path):
+    """``_solve_case``; on a blow-up, write the partial report (node,
+    component row, guard) to `path` and re-raise."""
     try:
-        structural, report, errors = _solve_case(case, conf, ens)
+        return _solve_case(case, conf, ens)
     except BlowUpError as exc:
-        _write_json(out / f"{stem}_report.json", {
+        _write_json(path, {
             "case": case.name,
             "error": str(exc),
             "node": exc.node,
@@ -360,6 +363,15 @@ def _solve_and_write(case: BenchmarkCase, conf: dict, ens: Ensemble, out: Path, 
             "caveats": [PROXY_CAVEAT],
         })
         raise
+
+
+def _solve_and_write(case: BenchmarkCase, conf: dict, ens: Ensemble, out: Path, stem: str):
+    """Solve `case` on `ens` and write `<stem>_report.json` and
+    `<stem>_solution.csv` into `out`, or only the partial report of a
+    blow-up, which is re-raised.  Returns the structural checks, the report
+    and the report's payload."""
+    structural, report, errors = _solve_or_report(case, conf, ens,
+                                                  out / f"{stem}_report.json")
     payload = _solve_payload(case, structural, report, ens, errors)
     _write_json(out / f"{stem}_report.json", payload)
     _write_solution_csv(out / f"{stem}_solution.csv", case, report, ens, errors)
@@ -443,25 +455,29 @@ def cmd_sweep(conf, args) -> int:
     _check_oracles([case])
     out = _out_dir(conf)
     rows = ["M,N,y0_mean,y0_abs_err,mean_node_err_Y,mean_node_err_Z"]
+    table = out / f"sweep_{case.name}.csv"
     all_ok = True
     for M, N in conf["sweep"]["pairs"]:
         start = time.perf_counter()
         ens = _draw(case, conf, M, N)
-        structural, report, errors = _solve_case(case, conf, ens)
+        try:
+            structural, report, errors = _solve_or_report(
+                case, conf, ens, out / f"sweep_{case.name}_report.json")
+        except BlowUpError:
+            table.write_text("\n".join(rows) + "\n")      # the pairs solved so far
+            raise
         elapsed = time.perf_counter() - start
         oracle = _oracle_summary(case, report, errors)
         if oracle is not None:
-            y0_err = oracle["y0_abs_err"]
-            row = [str(M), str(N), _fmt(oracle["y0_mean"]),
-                   _fmt(float("nan") if y0_err is None else y0_err),
-                   _fmt(oracle["mean_node_err_Y"]), _fmt(oracle["mean_node_err_Z"])]
+            row = [str(M), str(N)] + [_fmt(oracle[k]) for k in (
+                "y0_mean", "y0_abs_err", "mean_node_err_Y", "mean_node_err_Z")]
         else:
-            row = [str(M), str(N), _fmt(_y0_mean(report)), "nan", "nan", "nan"]
+            row = [str(M), str(N), _fmt(_norm(report.pair.mean_Y[0])), "nan", "nan", "nan"]
         rows.append(",".join(row))
         ok = _passed(structural, report)
         all_ok = all_ok and ok
         print(f"sweep {case.name} M={M} N={N}: {elapsed:.2f}s {'pass' if ok else 'FAIL'}")
-    (out / f"sweep_{case.name}.csv").write_text("\n".join(rows) + "\n")
+    table.write_text("\n".join(rows) + "\n")
     return 0 if all_ok else 1
 
 

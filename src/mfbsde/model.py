@@ -3,8 +3,8 @@
 A model is (n, d, T), a generator f(t, y, ybar, z, zbar) -> R^n with a
 diagonally quadratic structure, bounded terminal data, and the scalar budgets
 (gamma, K, delta, phi, a, alpha, beta, eta, C0, C1, C2) that the structural
-inequalities are declared against.  The check_* functions sample random
-tuples and hunt for violations of those inequalities; they can refute a
+inequalities are declared against.  ``run_checks`` samples random tuples and
+hunts for violations of those inequalities (H1, H2, H4); it can refute a
 declaration, never prove it.
 """
 
@@ -342,15 +342,6 @@ class AssumptionReport:
         return asdict(self)
 
 
-def _draw(rng, p: ModelParams, samples: int):
-    t = rng.uniform(0.0, p.T, samples)
-    y = rng.uniform(-_BOX_Y, _BOX_Y, (samples, p.n))
-    ybar = rng.uniform(-_BOX_Y, _BOX_Y, (samples, p.n))
-    z = rng.uniform(-_BOX_Z, _BOX_Z, (samples, p.n, p.d))
-    zbar = rng.uniform(-_BOX_Z, _BOX_Z, (samples, p.n, p.d))
-    return t, y, ybar, z, zbar
-
-
 def _vec_norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt((x * x).sum(axis=-1))
 
@@ -359,16 +350,16 @@ def _frob(x: np.ndarray) -> np.ndarray:
     return np.sqrt((x * x).sum(axis=(-2, -1)))
 
 
-def _report(name, margins, samples, seed, payload) -> AssumptionReport:
-    """Assemble a report from elementwise margins rhs - lhs with scaled slack."""
-    lhs, rhs = payload["lhs"], payload["rhs"]
+def _report(name, lhs, rhs, samples, seed, tuples: dict) -> AssumptionReport:
+    """Report on the elementwise margins rhs - lhs, each with scaled slack; the
+    first violation records its sample of every array in ``tuples``."""
+    margins = rhs - lhs
     tol = _INEQ_RTOL * (1.0 + np.abs(rhs))
     viol = ~(margins >= -tol)           # a NaN margin is a violation
     n_viol = int(viol.sum())
     first = None
     if n_viol:
-        flat = np.argwhere(viol)
-        b, i = (int(v) for v in flat[0])
+        b, i = (int(v) for v in np.argwhere(viol)[0])
         first = {
             "sample": b,
             "component": i,
@@ -376,7 +367,7 @@ def _report(name, margins, samples, seed, payload) -> AssumptionReport:
             "rhs": float(rhs[b, i]),
             "margin": float(margins[b, i]),
         }
-        for key, arr in payload.get("tuple", {}).items():
+        for key, arr in tuples.items():
             first[key] = np.asarray(arr[b]).tolist()
     return AssumptionReport(
         name=name,
@@ -389,149 +380,84 @@ def _report(name, margins, samples, seed, payload) -> AssumptionReport:
     )
 
 
-def check_h1(
-    gen: Generator,
-    p: ModelParams,
-    samples: int = 10_000,
-    rng_seed: int = 0,
-) -> AssumptionReport:
-    """Sampled check of the componentwise growth envelope.
-
-    |f_i| <= a(t) + phi(|y| v |ybar|) + (gamma/2)|z_i|^2
-             + K*(sum_{j != i} |z_j|^(1+delta) + |zbar|^(1+delta)).
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    t, y, ybar, z, zbar = _draw(rng, p, samples)
-    f = gen.eval(t, y, ybar, z, zbar)
-    a_t = _sample_fn(p.a, t)
-    phi_t = _sample_fn(p.phi, np.maximum(_vec_norm(y), _vec_norm(ybar)))
-    row_sq = (z * z).sum(axis=-1)                       # (B, n)
-    row_pow = row_sq ** (0.5 * (1.0 + p.delta))
-    off_diag = row_pow.sum(axis=1, keepdims=True) - row_pow
-    rhs = (
-        a_t[:, None]
-        + phi_t[:, None]
-        + 0.5 * p.gamma * row_sq
-        + p.K * (off_diag + _frob(zbar)[:, None] ** (1.0 + p.delta))
-    )
-    lhs = np.abs(f)
-    return _report(
-        "H1",
-        rhs - lhs,
-        samples,
-        rng_seed,
-        {"lhs": lhs, "rhs": rhs, "tuple": {"t": t, "y": y, "ybar": ybar, "z": z, "zbar": zbar}},
-    )
-
-
-def check_h2(
-    gen: Generator,
-    p: ModelParams,
-    samples: int = 10_000,
-    rng_seed: int = 0,
-) -> AssumptionReport:
-    """Sampled check of the local Lipschitz envelope between pairs of tuples.
-
-    Pairs share t; the second tuple perturbs the first at a log-uniform scale
-    in [1e-4, max(_BOX_Y, _BOX_Z)], so discontinuities are probed at all
-    distances, including nearly coincident points.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    t, y1, ybar1, z1, zbar1 = _draw(rng, p, samples)
-    scale = np.exp(rng.uniform(math.log(1e-4), math.log(max(_BOX_Y, _BOX_Z)), samples))
-    y2 = y1 + scale[:, None] * rng.uniform(-1.0, 1.0, y1.shape)
-    ybar2 = ybar1 + scale[:, None] * rng.uniform(-1.0, 1.0, ybar1.shape)
-    z2 = z1 + scale[:, None, None] * rng.uniform(-1.0, 1.0, z1.shape)
-    zbar2 = zbar1 + scale[:, None, None] * rng.uniform(-1.0, 1.0, zbar1.shape)
-
-    f1 = gen.eval(t, y1, ybar1, z1, zbar1)
-    f2 = gen.eval(t, y2, ybar2, z2, zbar2)
-    lhs = np.abs(f1 - f2)
-
-    big_y = np.maximum(
-        np.maximum(_vec_norm(y1), _vec_norm(ybar1)),
-        np.maximum(_vec_norm(y2), _vec_norm(ybar2)),
-    )
-    phi_t = _sample_fn(p.phi, big_y)
-    zn1, zbn1, zn2, zbn2 = _frob(z1), _frob(zbar1), _frob(z2), _frob(zbar2)
-    dy = _vec_norm(y1 - y2)
-    dybar = _vec_norm(ybar1 - ybar2)
-    drow = _vec_norm(z1 - z2)                            # (B, n) per-row differences
-    dzbar = _frob(zbar1 - zbar2)
-    off_sum = drow.sum(axis=1, keepdims=True) - drow
-
-    lin_weight = 1.0 + zn1 + zbn1 + zn2 + zbn2
-    pow_weight = 1.0 + zn1**p.delta + zbn1**p.delta + zn2**p.delta + zbn2**p.delta
-    rhs = phi_t[:, None] * (
-        lin_weight[:, None] * (dy[:, None] + dybar[:, None] + drow)
-        + pow_weight[:, None] * (dzbar[:, None] + off_sum)
-    )
-    return _report(
-        "H2",
-        rhs - lhs,
-        samples,
-        rng_seed,
-        {
-            "lhs": lhs,
-            "rhs": rhs,
-            "tuple": {
-                "t": t,
-                "y1": y1, "ybar1": ybar1, "z1": z1, "zbar1": zbar1,
-                "y2": y2, "ybar2": ybar2, "z2": z2, "zbar2": zbar2,
-            },
-        },
-    )
-
-
-def check_h4(
-    gen: Generator,
-    p: ModelParams,
-    samples: int = 10_000,
-    rng_seed: int = 0,
-) -> AssumptionReport:
-    """Sampled check of the signed (one-sided) growth envelope.
-
-    sign(y_i) * f_i <= alpha(t) + beta(t)*(|y| v |ybar|)
-                       + eta(t)*log(|z| + 1) + (gamma/2)|z_i|^2.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    t, y, ybar, z, zbar = _draw(rng, p, samples)
-    f = gen.eval(t, y, ybar, z, zbar)
-    lhs = np.sign(y) * f
-    alpha_t = _sample_fn(p.alpha, t)
-    beta_t = _sample_fn(p.beta, t)
-    eta_t = _sample_fn(p.eta, t)
-    row_sq = (z * z).sum(axis=-1)
-    rhs = (
-        alpha_t[:, None]
-        + beta_t[:, None] * np.maximum(_vec_norm(y), _vec_norm(ybar))[:, None]
-        + eta_t[:, None] * np.log1p(_frob(z))[:, None]
-        + 0.5 * p.gamma * row_sq
-    )
-    return _report(
-        "H4",
-        rhs - lhs,
-        samples,
-        rng_seed,
-        {"lhs": lhs, "rhs": rhs, "tuple": {"t": t, "y": y, "ybar": ybar, "z": z, "zbar": zbar}},
-    )
-
-
 def run_checks(
     gen: Generator,
     p: ModelParams,
     samples: int = 10_000,
     rng_seed: int = 0,
 ) -> dict[str, AssumptionReport]:
-    """Run all sampled structural checks and key the reports by name."""
+    """Sampled checks of the structural inequalities, keyed by name.
+
+    All three share one draw of ``samples`` tuples (t, y, ybar, z, zbar), with
+    t uniform on [0, T] and the rest uniform on the boxes above:
+
+    H1  |f_i| <= a(t) + phi(|y| v |ybar|) + (gamma/2)|z_i|^2
+                 + K*(sum_{j != i} |z_j|^(1+delta) + |zbar|^(1+delta));
+    H2  the local Lipschitz envelope between each tuple and a second one that
+        shares t and perturbs the rest at a log-uniform scale in
+        [1e-4, max(_BOX_Y, _BOX_Z)], so discontinuities are probed at all
+        distances, including nearly coincident points;
+    H4  sign(y_i) * f_i <= alpha(t) + beta(t)*(|y| v |ybar|)
+                           + eta(t)*log(|z| + 1) + (gamma/2)|z_i|^2.
+
+    The generator is evaluated on the draw and on its perturbation, nothing
+    else; the perturbation continues the draw's rng stream.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    rng = np.random.default_rng(rng_seed)
+    t = rng.uniform(0.0, p.T, samples)
+    y = rng.uniform(-_BOX_Y, _BOX_Y, (samples, p.n))
+    ybar = rng.uniform(-_BOX_Y, _BOX_Y, (samples, p.n))
+    z = rng.uniform(-_BOX_Z, _BOX_Z, (samples, p.n, p.d))
+    zbar = rng.uniform(-_BOX_Z, _BOX_Z, (samples, p.n, p.d))
+    scale = np.exp(rng.uniform(math.log(1e-4), math.log(max(_BOX_Y, _BOX_Z)), samples))
+    y2 = y + scale[:, None] * rng.uniform(-1.0, 1.0, y.shape)
+    ybar2 = ybar + scale[:, None] * rng.uniform(-1.0, 1.0, ybar.shape)
+    z2 = z + scale[:, None, None] * rng.uniform(-1.0, 1.0, z.shape)
+    zbar2 = zbar + scale[:, None, None] * rng.uniform(-1.0, 1.0, zbar.shape)
+    f = gen.eval(t, y, ybar, z, zbar)
+    f2 = gen.eval(t, y2, ybar2, z2, zbar2)
+
+    big_y = np.maximum(_vec_norm(y), _vec_norm(ybar))
+    zn, zbn = _frob(z), _frob(zbar)
+    row_sq = (z * z).sum(axis=-1)                       # (B, n)
+    quad = 0.5 * p.gamma * row_sq
+    tuples = {"t": t, "y": y, "ybar": ybar, "z": z, "zbar": zbar}
+
+    row_pow = row_sq ** (0.5 * (1.0 + p.delta))
+    off_diag = row_pow.sum(axis=1, keepdims=True) - row_pow
+    rhs1 = (
+        _sample_fn(p.a, t)[:, None]
+        + _sample_fn(p.phi, big_y)[:, None]
+        + quad
+        + p.K * (off_diag + zbn[:, None] ** (1.0 + p.delta))
+    )
+
+    big_y2 = np.maximum(big_y, np.maximum(_vec_norm(y2), _vec_norm(ybar2)))
+    zn2, zbn2 = _frob(z2), _frob(zbar2)
+    dy, dybar, dzbar = _vec_norm(y - y2), _vec_norm(ybar - ybar2), _frob(zbar - zbar2)
+    drow = _vec_norm(z - z2)                            # (B, n) per-row differences
+    off_sum = drow.sum(axis=1, keepdims=True) - drow
+    lin_weight = 1.0 + zn + zbn + zn2 + zbn2
+    pow_weight = 1.0 + zn**p.delta + zbn**p.delta + zn2**p.delta + zbn2**p.delta
+    rhs2 = _sample_fn(p.phi, big_y2)[:, None] * (
+        lin_weight[:, None] * (dy[:, None] + dybar[:, None] + drow)
+        + pow_weight[:, None] * (dzbar[:, None] + off_sum)
+    )
+
+    rhs4 = (
+        _sample_fn(p.alpha, t)[:, None]
+        + _sample_fn(p.beta, t)[:, None] * big_y[:, None]
+        + _sample_fn(p.eta, t)[:, None] * np.log1p(zn)[:, None]
+        + quad
+    )
     return {
-        "H1": check_h1(gen, p, samples, rng_seed),
-        "H2": check_h2(gen, p, samples, rng_seed),
-        "H4": check_h4(gen, p, samples, rng_seed),
+        "H1": _report("H1", np.abs(f), rhs1, samples, rng_seed, tuples),
+        "H2": _report("H2", np.abs(f - f2), rhs2, samples, rng_seed, {
+            "t": t,
+            "y1": y, "ybar1": ybar, "z1": z, "zbar1": zbar,
+            "y2": y2, "ybar2": ybar2, "z2": z2, "zbar2": zbar2,
+        }),
+        "H4": _report("H4", np.sign(y) * f, rhs4, samples, rng_seed, tuples),
     }

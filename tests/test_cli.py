@@ -118,6 +118,34 @@ def test_solve_writes_report_csv_and_state(tmp_path, capsys):
         assert np.array_equal(state["Y"], np.ones((200, 11, 1)))
 
 
+def test_solve_oracle_y0_error_compares_vectors(tmp_path, capsys):
+    # n = 2: both rows' mean Y0 sit near the exact 0.5; the norm of the mean
+    # vector is not to be set against the value of one row
+    cfg = write_cfg(tmp_path, """
+        [case]
+        name = colehopf
+        n = 2
+
+        [grid]
+        m = 20
+
+        [ensemble]
+        n = 4000
+        seed = 7
+
+        [checks]
+        samples = 500
+        """)
+    out = tmp_path / "runs"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    oracle = json.loads((out / "colehopf_report.json").read_text())["oracle"]
+    assert oracle["y0_exact"] == pytest.approx(0.5 * np.sqrt(2.0), rel=1e-15)
+    assert oracle["y0_abs_err"] < 0.01
+    lines = (out / "colehopf_solution.csv").read_text().splitlines()
+    first = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert oracle["y0_abs_err"] == pytest.approx(float(first["oracle_err_Y"]), rel=1e-12)
+
+
 def test_solve_is_byte_deterministic(tmp_path):
     cfg = write_cfg(
         tmp_path,
@@ -258,26 +286,43 @@ def test_solve_reports_regression_conditioning(tmp_path, case):
     assert header.endswith("sup_abs_Y,bmo_to_go,oracle_err_Y,oracle_err_Z")
 
 
-@pytest.mark.parametrize("command, victim", [("solve", "zero"), ("bench", "loggrowth")])
+SWEEP_FAST = """
+    [case]
+    name = zero
+
+    [ensemble]
+    seed = 1
+
+    [checks]
+    samples = 500
+
+    [sweep]
+    pairs = 5:100, 10:200
+"""
+
+
+@pytest.mark.parametrize("command, victim",
+                         [("solve", "zero"), ("bench", "loggrowth"), ("sweep", "zero")])
 def test_solve_blowup_exits_3_with_partial_report(tmp_path, monkeypatch, capsys, command, victim):
-    # the victim case blows up: its report is the partial JSON and it has no
-    # CSV; bench has written the cases before it in full, and stops there
+    # the victim case blows up (sweep's at its second pair): its report is the
+    # partial JSON and it has no CSV; bench has written the cases before it in
+    # full and stops there, sweep writes the table of the pairs before it
     import mfbsde.cli as cli
 
     solve = cli.solve_auto
 
-    def explode(gen, *args, **kwargs):
-        if gen.name != victim:
-            return solve(gen, *args, **kwargs)
+    def explode(gen, terminal, ens, *args, **kwargs):
+        if gen.name != victim or ens.grid.M == 5:
+            return solve(gen, terminal, ens, *args, **kwargs)
         raise BlowUpError(node=3, value=1e9, guard=10.0, component=1)
 
     monkeypatch.setattr(cli, "solve_auto", explode)
-    cfg = write_cfg(tmp_path, ZERO_FAST)
+    cfg = write_cfg(tmp_path, SWEEP_FAST if command == "sweep" else ZERO_FAST)
     out = tmp_path / "r"
     rc = main([command, "--config", cfg, "--out", str(out)])
     assert rc == 3
     assert "blow-up" in capsys.readouterr().err
-    stem = victim if command == "solve" else f"bench_{victim}"
+    stem = victim if command == "solve" else f"{command}_{victim}"
     partial = json.loads((out / f"{stem}_report.json").read_text())
     assert partial["node"] == 3 and partial["guard"] == 10.0
     assert partial["component"] == 1
@@ -286,6 +331,12 @@ def test_solve_blowup_exits_3_with_partial_report(tmp_path, monkeypatch, capsys,
         assert sorted(p.name for p in out.iterdir()) == [
             "bench_colehopf_report.json", "bench_colehopf_solution.csv",
             "bench_loggrowth_report.json"]
+    if command == "sweep":
+        assert sorted(p.name for p in out.iterdir()) == ["sweep_zero.csv",
+                                                         "sweep_zero_report.json"]
+        rows = (out / "sweep_zero.csv").read_text().splitlines()
+        assert rows[0] == "M,N,y0_mean,y0_abs_err,mean_node_err_Y,mean_node_err_Z"
+        assert [r.split(",")[:2] for r in rows[1:]] == [["5", "100"]]
 
 
 # -------------------------------------------------------------- bad configs

@@ -20,9 +20,6 @@ from mfbsde import (
     TerminalBoundError,
     TerminalCondition,
     TimeGrid,
-    check_h1,
-    check_h2,
-    check_h4,
     make_case,
     run_checks,
     terminal_values,
@@ -232,27 +229,41 @@ def test_catalog_reports_equal_the_per_sample_budget_loop(name, monkeypatch):
     assert run_checks(case.generator, case.params, samples=10_000, rng_seed=0) == reports
 
 
-def test_checks_fail_on_a_nan_generator():
+_RECORD = ["sample", "component", "lhs", "rhs", "margin"]
+_TUPLE = ["t", "y", "ybar", "z", "zbar"]
+
+
+def test_checks_fail_on_a_nan_generator(monkeypatch):
     p = make_case("colehopf", n=2).params
     gen = Generator(
         fn=lambda i, t, y, ybar, z_i, z, zbar: np.full(z_i.shape[:-1], np.nan),
         params=p,
         name="nan",
     )
+    calls = []
+    component = Generator.component
+    monkeypatch.setattr(Generator, "component",
+                        lambda self, i, *args: calls.append(i) or component(self, i, *args))
     samples = 300
-    for check in (check_h1, check_h2, check_h4):
-        rep = check(gen, p, samples=samples, rng_seed=0)
+    reports = run_checks(gen, p, samples=samples, rng_seed=0)
+    # one draw, evaluated once as drawn and once perturbed for H2
+    assert calls == [0, 1, 0, 1]
+    for rep in reports.values():
         assert rep.passed is False, rep.summary()
         assert rep.violations == samples * p.n
         assert rep.first_violation["sample"] == 0 and rep.first_violation["component"] == 0
+    assert list(reports["H1"].first_violation) == _RECORD + _TUPLE
+    assert list(reports["H4"].first_violation) == _RECORD + _TUPLE
+    assert list(reports["H2"].first_violation) == (
+        _RECORD + ["t"] + [f"{k}{j}" for j in (1, 2) for k in _TUPLE[1:]])
 
 
 def test_checks_deterministic_given_seed():
     case = make_case("loggrowth")
-    a = check_h1(case.generator, case.params, samples=500, rng_seed=42)
-    b = check_h1(case.generator, case.params, samples=500, rng_seed=42)
+    a = run_checks(case.generator, case.params, samples=500, rng_seed=42)["H1"]
+    b = run_checks(case.generator, case.params, samples=500, rng_seed=42)["H1"]
     assert a.worst_margin == b.worst_margin
-    c = check_h1(case.generator, case.params, samples=500, rng_seed=43)
+    c = run_checks(case.generator, case.params, samples=500, rng_seed=43)["H1"]
     assert c.worst_margin != a.worst_margin
 
 
@@ -266,7 +277,7 @@ def test_h1_refutes_undeclared_quadratic_growth():
         fn=lambda i, t, y, ybar, z_i, z, zbar: 1.0 * (z_i**2).sum(axis=-1),
         params=p,
     )
-    rep = check_h1(gen, p, samples=5_000, rng_seed=0)
+    rep = run_checks(gen, p, samples=5_000, rng_seed=0)["H1"]
     assert not rep.passed
     assert rep.violations > 0
     assert rep.first_violation is not None
@@ -279,7 +290,7 @@ def test_h2_refutes_discontinuous_driver():
         fn=lambda i, t, y, ybar, z_i, z, zbar: 10.0 * np.sign(y[..., i]),
         params=p,
     )
-    rep = check_h2(gen, p, samples=5_000, rng_seed=1)
+    rep = run_checks(gen, p, samples=5_000, rng_seed=1)["H2"]
     assert not rep.passed
 
 
@@ -290,7 +301,7 @@ def test_h4_refutes_strong_signed_growth():
         fn=lambda i, t, y, ybar, z_i, z, zbar: 5.0 * y[..., i],
         params=p,
     )
-    rep = check_h4(gen, p, samples=5_000, rng_seed=0)
+    rep = run_checks(gen, p, samples=5_000, rng_seed=0)["H4"]
     assert not rep.passed
 
 
@@ -302,7 +313,7 @@ def test_h4_accepts_one_sided_driver():
         fn=lambda i, t, y, ybar, z_i, z, zbar: -5.0 * y[..., i],
         params=p,
     )
-    rep = check_h4(gen, p, samples=5_000, rng_seed=0)
+    rep = run_checks(gen, p, samples=5_000, rng_seed=0)["H4"]
     assert rep.passed
 
 
@@ -312,7 +323,7 @@ def test_report_payload_roundtrip():
         fn=lambda i, t, y, ybar, z_i, z, zbar: 1.0 * (z_i**2).sum(axis=-1),
         params=p,
     )
-    rep = check_h1(gen, p, samples=2_000, rng_seed=7)
+    rep = run_checks(gen, p, samples=2_000, rng_seed=7)["H1"]
     d = rep.to_dict()
     assert d["name"] == "H1" and d["passed"] is False
     fv = d["first_violation"]
@@ -326,7 +337,7 @@ def test_report_payload_roundtrip():
 def test_checker_rejects_empty_sample_budget():
     case = make_case("zero")
     with pytest.raises(ValueError):
-        check_h1(case.generator, case.params, samples=0)
+        run_checks(case.generator, case.params, samples=0)
 
 
 def test_generator_component_bounds():

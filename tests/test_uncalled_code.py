@@ -1,12 +1,15 @@
-"""Every function, class and method of the package has a caller inside it."""
+"""Every function, class and method of the package has a caller inside it,
+and every name the package namespace re-exports has a reader outside it."""
 
 import ast
 from collections import defaultdict
 from pathlib import Path
 
 import mfbsde
+from test_readme import library_example
 
 PACKAGE = Path(mfbsde.__file__).resolve().parent
+ROOT = PACKAGE.parent.parent
 
 # Uncalled names that stay, each with its reason.
 ALLOWED = {
@@ -56,3 +59,32 @@ def test_package_code_has_callers_in_the_package():
     found = uncalled(PACKAGE)
     assert found == set(ALLOWED), sorted(found ^ set(ALLOWED))
 
+
+
+def reexports() -> set[str]:
+    """The names ``__init__.py`` imports from the package's modules."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+
+
+def namespace_reads(source: str) -> set[str]:
+    """The names `source` imports ``from mfbsde`` or reads as ``mfbsde.<name>``
+    or ``mb.<name>``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "mfbsde":
+            names.update(alias.name for alias in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in ("mfbsde", "mb")):
+            names.add(node.attr)
+    return names
+
+
+def test_package_namespace_names_have_readers():
+    # __init__.py carries the names the README's library example, the tests
+    # and the benchmark worker use; a name none of them reads leaves it
+    sources = [library_example(), (ROOT / "perfbench" / "worker.py").read_text()]
+    sources += [path.read_text() for path in sorted((ROOT / "tests").rglob("*.py"))]
+    read = set().union(*map(namespace_reads, sources))
+    assert not reexports() - read, sorted(reexports() - read)
