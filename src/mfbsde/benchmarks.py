@@ -36,12 +36,15 @@ class BenchmarkCase:
     """
 
     name: str
-    params: ModelParams
     generator: Generator
     terminal: TerminalCondition
     oracle: Callable[[float, np.ndarray], tuple[np.ndarray, np.ndarray]] | None
     y0_exact: float | None
-    description: str = ""
+
+    @property
+    def params(self) -> ModelParams:
+        """The generator's parameters, the case's one copy of them."""
+        return self.generator.params
 
 
 def _oracle_node(case: BenchmarkCase, ens: Ensemble, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -145,12 +148,10 @@ def case_zero(c: float = 1.0, n: int = 1, d: int = 1, T: float = 1.0, gamma: flo
 
     return BenchmarkCase(
         name="zero",
-        params=params,
         generator=Generator(fn=fn, params=params, name="zero"),
         terminal=TerminalCondition(g=xi, bound=abs(c) * math.sqrt(n), params=params),
         oracle=oracle,
         y0_exact=c,
-        description="f = 0 with constant terminal; solver output is exact",
     )
 
 
@@ -187,12 +188,10 @@ def case_meanfield_linear(
 
     return BenchmarkCase(
         name="meanfield_linear",
-        params=params,
         generator=Generator(fn=fn, params=params, name="meanfield_linear"),
         terminal=TerminalCondition(g=xi, bound=abs(c) * math.sqrt(n), params=params),
         oracle=oracle,
         y0_exact=c * math.exp((a + b) * T),
-        description="deterministic linear mean-field drift, ODE oracle",
     )
 
 
@@ -235,12 +234,10 @@ def case_colehopf_diagonal(
 
     return BenchmarkCase(
         name="colehopf",
-        params=params,
         generator=Generator(fn=fn, params=params, name="colehopf"),
         terminal=TerminalCondition(g=xi, bound=B * math.sqrt(n), params=params),
         oracle=oracle,
         y0_exact=0.5 * gamma * T,
-        description="diagonal quadratic driver with exponential-transform oracle",
     )
 
 
@@ -286,12 +283,10 @@ def case_loggrowth(
 
     return BenchmarkCase(
         name="loggrowth",
-        params=params,
         generator=Generator(fn=fn, params=params, name="loggrowth"),
         terminal=TerminalCondition(g=xi, bound=B * math.sqrt(2.0), params=params),
         oracle=None,
         y0_exact=None,
-        description="logarithmic cross-row coupling, property-based scoring only",
     )
 
 

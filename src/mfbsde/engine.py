@@ -185,13 +185,6 @@ def default_basis(d: int) -> RegressionBasis:
 
 
 @dataclass(frozen=True, eq=False)
-class RegressionInfo:
-    cond: float
-    fallback: bool
-    constant: np.ndarray    # (m,) bool: target columns reproduced bitwise as constants
-
-
-@dataclass(frozen=True, eq=False)
 class RegressionFactor:
     """The cached operator of one (basis, node): R of a thin QR of the design
     X (so R^T R = X^T X), with the rank and condition number of X read off
@@ -278,14 +271,14 @@ class NodeRegression:
             self._factor = factor
         return self._X, self._factor
 
-    def project(self, values: np.ndarray):
+    def project(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fitted values of (N,) values, or of the m targets of (N, m) values.
 
-        Returns (fitted, RegressionInfo).  Constant columns are reproduced
-        bitwise and flagged in ``info.constant`` (one flag per target column,
-        a single one for (N,) values); k = 0 yields the sample mean; a
-        rank-deficient design falls back to the sample mean with a logged
-        warning.
+        Returns (fitted, constant), ``constant`` the (m,) bool mask of the
+        target columns reproduced bitwise as constants (a single flag for
+        (N,) values).  k = 0 yields the sample mean; a rank-deficient design
+        falls back to the sample mean with a logged warning, and its rank
+        and condition number stay on the cached factor.
         """
         vals = np.asarray(values, dtype=float)
         single = vals.ndim == 1
@@ -297,35 +290,31 @@ class NodeRegression:
         hi, lo = V.max(axis=0), V.min(axis=0)
         if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
             raise ValueError("regression targets must be finite")
-        const_cols = hi - lo == 0.0
-        if const_cols.all():
+        constant = hi - lo == 0.0
+        if constant.all():
             out = V.copy()
-            return (out[:, 0] if single else out), RegressionInfo(1.0, False, const_cols)
+        else:
+            out = self._fit(V)
+            out[:, constant] = V[0:1, constant]
+        return (out[:, 0] if single else out), constant
 
-        def _mean_fallback(cond, flag):
-            out = np.broadcast_to(V.mean(axis=0), V.shape).copy()
-            out[:, const_cols] = V[0:1, const_cols]
-            return (out[:, 0] if single else out), RegressionInfo(cond, flag, const_cols)
-
-        if self.k == 0:
-            return _mean_fallback(1.0, False)
-
-        X, factor = self._design()
-        if not factor.full_rank:
+    def _fit(self, V: np.ndarray) -> np.ndarray:
+        """Least-squares fitted values of the (N, m) targets V, or their
+        sample mean at the root node and on a rank-deficient design."""
+        if self.k > 0:
+            X, factor = self._design()
+            if factor.full_rank:
+                # Normal equations R^T R coef = X^T V, by two triangular solves.
+                rhs = X.T @ V
+                if not np.isfinite(rhs).all():
+                    raise ValueError("regression normal equations overflow: X^T V is not finite")
+                return X @ factor.solve(factor.solve(rhs, trans=0), trans=1)
             log.warning(
                 "rank-deficient regression design at node %d (rank %d < %d); "
                 "falling back to the sample mean",
                 self.k, factor.rank, X.shape[1],
             )
-            return _mean_fallback(float("inf"), True)
-        # Normal equations R^T R coef = X^T V, by two triangular solves.
-        rhs = X.T @ V
-        if not np.isfinite(rhs).all():
-            raise ValueError("regression normal equations overflow: X^T V is not finite")
-        coef = factor.solve(factor.solve(rhs, trans=0), trans=1)
-        out = X @ coef
-        out[:, const_cols] = V[0:1, const_cols]
-        return (out[:, 0] if single else out), RegressionInfo(factor.cond, False, const_cols)
+        return np.broadcast_to(V.mean(axis=0), V.shape).copy()
 
 
 @dataclass(eq=False)

@@ -289,7 +289,8 @@ class TerminalCondition:
 
     ``g`` receives the cumulative path array (N, M+1, d) and returns (N, n).
     ``bound`` caps the Euclidean norm per particle; evaluation rejects any
-    sample exceeding it.  When params are attached the bound must respect C1.
+    sample exceeding it or not finite.  When params are attached the bound
+    must respect C1.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
@@ -312,9 +313,9 @@ def terminal_values(tc: TerminalCondition, paths: np.ndarray) -> np.ndarray:
         raise ValueError(f"terminal map returned shape {vals.shape}, expected (N, n)")
     norms = np.sqrt((vals * vals).sum(axis=1))
     worst = float(norms.max())
-    if worst > tc.bound * (1.0 + 1e-12):
+    if not worst <= tc.bound * (1.0 + 1e-12):        # NaN fails too
         raise TerminalBoundError(
-            f"terminal sample norm {worst:.6g} exceeds declared bound {tc.bound:.6g}"
+            f"terminal sample norm {worst:.6g} is not within the declared bound {tc.bound:.6g}"
         )
     return vals
 

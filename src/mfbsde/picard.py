@@ -71,7 +71,6 @@ class BallSpec:
 
 @dataclass(frozen=True)
 class ComponentInfo:
-    index: int
     eta_bound: float
     y_bound: float
     trunc_R: float
@@ -189,7 +188,6 @@ def apply_gamma(
                    k_lo=k_lo)
     infos = tuple(
         ComponentInfo(
-            index=i,
             eta_bound=float(eta_bounds[i]),
             y_bound=y_bounds[i],
             trunc_R=radii[i],
@@ -205,7 +203,6 @@ def apply_gamma(
 class PicardIteration:
     """One sweep of the decoupling map with its distance and ball diagnostics."""
 
-    index: int
     diff_y: float
     diff_z: float
     sup_y: float
@@ -220,11 +217,10 @@ class PicardIteration:
 class PicardTrace:
     iterations: list[PicardIteration]
     converged: bool
-    pair: ProcessPair
     ball: BallSpec
     truncation_hits: int
-    sup_nodes: np.ndarray = field(repr=False)   # per-node sup_norm_estimate of pair.Y, (L+1,)
-    bmo_nodes: np.ndarray = field(repr=False)   # bmo_profile of pair, (L+1,)
+    sup_nodes: np.ndarray = field(repr=False)   # per-node sup_norm_estimate of the final Y, (L+1,)
+    bmo_nodes: np.ndarray = field(repr=False)   # bmo_profile of the final pair, (L+1,)
 
     def in_ball_throughout(self) -> bool:
         return all(it.in_ball_y and it.in_ball_z for it in self.iterations)
@@ -259,8 +255,8 @@ def picard_solve(
     environment and overwrites it with the next iterate, measuring in the
     same backward pass its distance from the environment, its sup and its
     BMO proxy.  Those serve both the sweep's record and the bounds of the
-    next sweep; the trace keeps ``pair`` and the per-node sup and BMO
-    profiles of its final iterate.  The initial guess (Y the terminal data
+    next sweep; the final iterate is left in ``pair``, and the trace keeps
+    its per-node sup and BMO profiles.  The initial guess (Y the terminal data
     at every node, "terminal-flat", or zero, "zero"; Z = 0) is measured
     from its definition: its sup and means are those of its last node and
     its BMO profile is zero.  A BlowUpError propagates from the sweep that
@@ -294,7 +290,6 @@ def picard_solve(
         sup_y, bmo = float(info.sup_nodes.max()), float(info.bmo_nodes.max())
         iterations.append(
             PicardIteration(
-                index=r,
                 diff_y=diff_y,
                 diff_z=diff_z,
                 sup_y=sup_y,
@@ -313,7 +308,6 @@ def picard_solve(
     return PicardTrace(
         iterations=iterations,
         converged=converged,
-        pair=pair,
         ball=ball,
         truncation_hits=hits,
         sup_nodes=info.sup_nodes,

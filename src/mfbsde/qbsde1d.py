@@ -209,8 +209,8 @@ def solve_1d(
     for j in range(L - 1, -1, -1):
         k = k_lo + j
         op = NodeRegression(ens, basis, k)
-        m, info = op.project(cur.T)                   # (N, n)
-        live = np.flatnonzero(~info.constant)
+        m, constant = op.project(cur.T)               # (N, n)
+        live = np.flatnonzero(~constant)
         if live.size == n:
             zk, clipped = _live_z(cur, m, live, op, radius)
         else:

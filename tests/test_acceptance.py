@@ -222,12 +222,12 @@ def test_ac09_stitching_consistency():
     ens = generate_ensemble(TimeGrid.make(20, 1.0), 2_000, 1, 7)
     report = solve_global(case.generator, case.terminal, ens, BASIS, ledger, tol=1e-3)
     ball = lambda_ball(ens.grid, ledger, 0, 20)
-    trace = picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball),
-                         tol=1e-3)
+    plain = fresh(ens, ball)
+    picard_solve(case.generator, case.terminal, ens, BASIS, ball, plain, tol=1e-3)
     single_ok = (
         report.plan.windows == ((0, 20),)
-        and np.array_equal(report.pair.Y, trace.pair.Y)
-        and np.array_equal(report.pair.Z, trace.pair.Z)
+        and np.array_equal(report.pair.Y, plain.Y)
+        and np.array_equal(report.pair.Z, plain.Z)
     )
 
     # T = 2.5 * t_lambda: several windows, exact tiling, and each window
@@ -252,9 +252,10 @@ def test_ac09_stitching_consistency():
     for k_lo, k_hi in plan.windows:
         ball2 = lambda_ball(ens2.grid, ledger2, k_lo, k_hi)
         edge = case2.terminal if k_hi == 50 else sol.Y[:, k_hi].copy()
-        alone = picard_solve(case2.generator, edge, ens2, BASIS, ball2, fresh(ens2, ball2), **kw)
-        seams = seams and np.array_equal(alone.pair.Y, sol.Y[:, k_lo : k_hi + 1])
-        seams = seams and np.array_equal(alone.pair.Z, sol.Z[:, k_lo:k_hi])
+        alone = fresh(ens2, ball2)
+        picard_solve(case2.generator, edge, ens2, BASIS, ball2, alone, **kw)
+        seams = seams and np.array_equal(alone.Y, sol.Y[:, k_lo : k_hi + 1])
+        seams = seams and np.array_equal(alone.Z, sol.Z[:, k_lo:k_hi])
 
     ok = single_ok and tiled and seams
     emit(9, ok, f"single-window bitwise={single_ok}; "
@@ -269,11 +270,12 @@ def test_ac10_initializer_independence():
     ball = BallSpec.full_interval(ens.grid, ledger)
     tol = 1e-3
     kw = dict(tol=tol, max_iter=25)
-    a = picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball),
+    pair_a, pair_b = fresh(ens, ball), fresh(ens, ball)
+    a = picard_solve(case.generator, case.terminal, ens, BASIS, ball, pair_a,
                      init="terminal-flat", **kw)
-    b = picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball),
+    b = picard_solve(case.generator, case.terminal, ens, BASIS, ball, pair_b,
                      init="zero", **kw)
-    dy = float(np.abs(a.pair.Y - b.pair.Y).max())
+    dy = float(np.abs(pair_a.Y - pair_b.Y).max())
     ok = a.converged and b.converged and dy < 3.0 * tol
     emit(10, ok, f"sup |Y_flat - Y_zero| = {dy:.2e} < {3 * tol:.0e}")
 

@@ -67,6 +67,13 @@ def test_catalog_names_and_factory_dispatch():
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
+def test_case_params_are_its_generators(name):
+    # one copy: the checks and the ledger read the params the solve runs on
+    case = make_case(name)
+    assert case.params is case.generator.params
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
 def test_every_case_satisfies_its_own_declarations(name):
     case = make_case(name)
     reports = run_checks(case.generator, case.params, samples=2_000, rng_seed=0)

@@ -650,6 +650,21 @@ def test_sweep_writes_refinement_table(tmp_path, capsys):
     assert "sweep meanfield_linear M=5 N=100" in capsys.readouterr().out
 
 
+def test_sweep_row_of_a_case_without_an_oracle(tmp_path, capsys):
+    # loggrowth has no closed form: each row carries the solved Y0 and
+    # writes its three error columns as nan
+    cfg = write_cfg(
+        tmp_path,
+        "[case]\nname = loggrowth\n[checks]\nsamples = 500\n[sweep]\npairs = 5:200, 10:400\n",
+    )
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    rows = [row.split(",") for row in (out / "sweep_loggrowth.csv").read_text().splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["5", "200"], ["10", "400"]]
+    for row in rows:
+        assert np.isfinite(float(row[2])) and row[3:] == ["nan", "nan", "nan"]
+
+
 def test_sweep_failed_check_exits_1(tmp_path, failing_apriori, capsys):
     cfg = write_cfg(
         tmp_path,

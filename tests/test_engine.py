@@ -159,9 +159,10 @@ def test_projection_reproduces_basis_functions_exactly():
     basis = default_basis(1)
     w = ens.cumulative[:, 3, 0]
     target = 2.0 + 3.0 * w - 0.5 * w**2
-    fitted, info = NodeRegression(ens, basis, 3).project(target)
+    fitted, _ = NodeRegression(ens, basis, 3).project(target)
     np.testing.assert_allclose(fitted, target, atol=1e-10)
-    assert not info.fallback and np.isfinite(info.cond)
+    factor = ens.factors[(basis, 3)]
+    assert factor.full_rank and np.isfinite(factor.cond)
 
 
 def test_projection_is_a_conditional_mean_not_interpolation():
@@ -175,18 +176,18 @@ def test_projection_is_a_conditional_mean_not_interpolation():
 def test_projection_constant_column_bitwise():
     ens = make_ens()
     vals = np.full(ens.N, 3.7)
-    fitted, info = NodeRegression(ens, default_basis(1), 5).project(vals)
+    fitted, constant = NodeRegression(ens, default_basis(1), 5).project(vals)
     assert np.array_equal(fitted, vals)
-    assert info.cond == 1.0
-    assert info.constant.tolist() == [True]
+    assert not ens.factors                  # constant targets need no design
+    assert constant.tolist() == [True]
     # multi-column: constant columns bitwise even when others are fitted
     both = np.column_stack([vals, ens.cumulative[:, 5, 0]])
-    fitted2, info2 = NodeRegression(ens, default_basis(1), 5).project(both)
+    fitted2, constant2 = NodeRegression(ens, default_basis(1), 5).project(both)
     assert np.array_equal(fitted2[:, 0], vals)
-    assert info2.constant.tolist() == [True, False]
+    assert constant2.tolist() == [True, False]
     # the flags hold on the root-node mean too
-    _, info0 = NodeRegression(ens, default_basis(1), 0).project(both)
-    assert info0.constant.tolist() == [True, False]
+    _, constant0 = NodeRegression(ens, default_basis(1), 0).project(both)
+    assert constant0.tolist() == [True, False]
 
 
 def test_projection_root_node_is_sample_mean():
@@ -214,8 +215,9 @@ def test_projection_rank_deficient_falls_back_to_mean(caplog):
     for call in (1, 2):
         caplog.clear()
         with caplog.at_level("WARNING"):
-            fitted, info = NodeRegression(ens, default_basis(1), 2).project(vals)
-        assert info.fallback and info.cond == float("inf")
+            fitted, _ = NodeRegression(ens, default_basis(1), 2).project(vals)
+        factor = ens.factors[(default_basis(1), 2)]
+        assert not factor.full_rank and factor.cond == float("inf")
         np.testing.assert_allclose(fitted, 2.0)
         assert any("rank-deficient" in r.message for r in caplog.records), call
     assert len(ens.factors) == 1
@@ -246,12 +248,13 @@ def test_projection_matches_lstsq(basis, d):
         block = np.column_stack([single, np.exp(w[:, 0]), np.full(ens.N, -1.25)])
         # twice per node: the second call reuses the cached factor
         for _ in range(2):
-            fitted, info = NodeRegression(ens, basis, k).project(single)
+            fitted, _ = NodeRegression(ens, basis, k).project(single)
             np.testing.assert_allclose(fitted, lstsq_fit(single, k, ens, basis),
                                        rtol=0.0, atol=1e-10)
-            assert not info.fallback and np.isfinite(info.cond)
-            fitted_block, info_block = NodeRegression(ens, basis, k).project(block)
-            assert info_block.constant.tolist() == [False, False, True]
+            factor = ens.factors[(basis, k)]
+            assert factor.full_rank and np.isfinite(factor.cond)
+            fitted_block, constant = NodeRegression(ens, basis, k).project(block)
+            assert constant.tolist() == [False, False, True]
             np.testing.assert_allclose(fitted_block[:, :2],
                                        lstsq_fit(block[:, :2], k, ens, basis),
                                        rtol=0.0, atol=1e-10)

@@ -33,6 +33,7 @@ from mfbsde import (
     verify_apriori,
     verify_bmo_membership,
 )
+from mfbsde import global_solver
 from mfbsde.constants import local_ball
 
 from conftest import pair_from_fields
@@ -120,21 +121,21 @@ def run_small_linear(M=20, N=300, seed=3):
     ens = generate_ensemble(TimeGrid.make(M, 1.0), N, 1, seed)
     ledger = compute_ledger(case.params)
     ball = BallSpec.full_interval(ens.grid, ledger)
-    trace = picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball),
-                         tol=1e-8, max_iter=60)
-    return case, ens, ledger, trace
+    pair = fresh(ens, ball)
+    picard_solve(case.generator, case.terminal, ens, BASIS, ball, pair, tol=1e-8, max_iter=60)
+    return case, ens, ledger, pair
 
 
 def test_verify_apriori_pass_and_fail():
-    _, _, ledger, trace = run_small_linear()
-    ok = verify_apriori(sup_norm_estimate(trace.pair.Y), ledger)
+    _, _, ledger, pair = run_small_linear()
+    ok = verify_apriori(sup_norm_estimate(pair.Y), ledger)
     assert ok.passed and ok.name == "apriori_sup"
     assert ok.observed <= ok.bound
     assert "lambda" in ok.detail
 
     # scale the solution above lambda: the check must flip
     big = pair_from_fields(
-        trace.pair.Y * (1.01 * ledger.lam / ok.observed), trace.pair.Z
+        pair.Y * (1.01 * ledger.lam / ok.observed), pair.Z
     )
     bad = verify_apriori(sup_norm_estimate(big.Y), ledger)
     assert not bad.passed
@@ -142,8 +143,8 @@ def test_verify_apriori_pass_and_fail():
 
 
 def test_verify_bmo_membership_zero_and_overflow_ceiling():
-    case, ens, ledger, trace = run_small_linear()
-    res = verify_bmo_membership(bmo_profile(trace.pair, ens, BASIS).max(), ledger)
+    case, ens, ledger, pair = run_small_linear()
+    res = verify_bmo_membership(bmo_profile(pair, ens, BASIS).max(), ledger)
     assert res.passed and res.name == "bmo_membership"
     assert res.observed == 0.0          # the linear solution carries Z = 0
 
@@ -151,7 +152,7 @@ def test_verify_bmo_membership_zero_and_overflow_ceiling():
     # and the log-domain comparison must still pass for a finite proxy
     assert res.bound == np.inf
     noisy = pair_from_fields(
-        trace.pair.Y, trace.pair.Z + 0.5
+        pair.Y, pair.Z + 0.5
     )
     res2 = verify_bmo_membership(bmo_profile(noisy, ens, BASIS).max(), ledger)
     assert res2.passed and res2.observed > 0.0
@@ -160,7 +161,21 @@ def test_verify_bmo_membership_zero_and_overflow_ceiling():
 # ------------------------------------------------------------- global solve
 
 
-def test_single_window_global_equals_plain_picard_bitwise():
+def record_picard_pairs(monkeypatch):
+    """The pair of every ``picard_solve`` call the global solver makes."""
+    pairs = []
+    solve = global_solver.picard_solve
+
+    def recording(gen, terminal, ens, basis, ball, pair, **kw):
+        pairs.append(pair)
+        return solve(gen, terminal, ens, basis, ball, pair, **kw)
+
+    monkeypatch.setattr(global_solver, "picard_solve", recording)
+    return pairs
+
+
+def test_single_window_global_equals_plain_picard_bitwise(monkeypatch):
+    pairs = record_picard_pairs(monkeypatch)
     case = case_colehopf_diagonal(gamma=1.0, n=1)
     ledger = compute_ledger(case.params)
     ens = generate_ensemble(TimeGrid.make(20, 1.0), 2_000, 1, 7)
@@ -168,16 +183,17 @@ def test_single_window_global_equals_plain_picard_bitwise():
     assert report.mode == "stitched" and report.plan.windows == ((0, 20),)
 
     ball = lambda_ball(ens.grid, ledger, 0, 20)
-    trace = picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball),
-                         tol=1e-3)
-    assert np.array_equal(report.pair.Y, trace.pair.Y)
-    assert np.array_equal(report.pair.Z, trace.pair.Z)
+    plain = fresh(ens, ball)
+    picard_solve(case.generator, case.terminal, ens, BASIS, ball, plain, tol=1e-3)
+    assert np.array_equal(report.pair.Y, plain.Y)
+    assert np.array_equal(report.pair.Z, plain.Z)
     assert report.converged and report.all_checks_passed()
     assert report.continuity_ok
     # one window over the whole grid: it was solved in the solution's
     # storage, and its BMO profile is the solution's
-    assert np.shares_memory(report.pair.Y, report.traces[0].pair.Y)
-    assert np.shares_memory(report.pair.Z, report.traces[0].pair.Z)
+    (window,) = pairs
+    assert np.shares_memory(report.pair.Y, window.Y)
+    assert np.shares_memory(report.pair.Z, window.Z)
     assert report.bmo_nodes is report.traces[0].bmo_nodes
 
 
@@ -243,12 +259,13 @@ def test_multi_window_stitch_equals_each_window_solved_alone_bitwise(init, sweep
         assert (trace.ball.k_lo, trace.ball.k_hi) == (k_lo, k_hi)
         ball = lambda_ball(ens.grid, ledger, k_lo, k_hi)
         terminal = eta if k_hi == ens.grid.M else sol.Y[:, k_hi].copy()
-        alone = picard_solve(gen, terminal, ens, BASIS, ball, fresh(ens, ball), **kw)
+        pair = fresh(ens, ball)
+        alone = picard_solve(gen, terminal, ens, BASIS, ball, pair, **kw)
         assert len(alone.iterations) == len(trace.iterations)
-        assert np.array_equal(alone.pair.Y, sol.Y[:, k_lo : k_hi + 1])
-        assert np.array_equal(alone.pair.Z, sol.Z[:, k_lo:k_hi])
-        assert np.array_equal(alone.pair.mean_Y, sol.mean_Y[k_lo : k_hi + 1])
-        assert np.array_equal(alone.pair.mean_Z, sol.mean_Z[k_lo:k_hi])
+        assert np.array_equal(pair.Y, sol.Y[:, k_lo : k_hi + 1])
+        assert np.array_equal(pair.Z, sol.Z[:, k_lo:k_hi])
+        assert np.array_equal(pair.mean_Y, sol.mean_Y[k_lo : k_hi + 1])
+        assert np.array_equal(pair.mean_Z, sol.mean_Z[k_lo:k_hi])
         assert np.array_equal(alone.sup_nodes, report.sup_nodes[k_lo : k_hi + 1])
     assert np.array_equal(report.bmo_nodes, bmo_profile(sol, ens, BASIS))
     d = report.to_dict()
@@ -289,9 +306,10 @@ def test_stitched_apriori_check_reads_the_largest_window_sup():
     assert report.checks[0].observed == pytest.approx(0.5 + 0.5 * T)
 
 
-def test_solve_auto_falls_back_when_step_unusable():
+def test_solve_auto_falls_back_when_step_unusable(monkeypatch):
     # the linear model's t_lambda collapses below any practical dt, so the
     # stitched solve refuses and the fallback single-window path takes over
+    pairs = record_picard_pairs(monkeypatch)
     case = case_meanfield_linear(a=0.5, b=0.5, c=1.0, T=1.0)
     ledger = compute_ledger(case.params)
     ens = generate_ensemble(TimeGrid.make(20, 1.0), 300, 1, 3)
@@ -301,7 +319,7 @@ def test_solve_auto_falls_back_when_step_unusable():
     assert report.plan is None and report.continuity_ok is None
     assert report.converged and report.all_checks_passed()
     assert len(report.windows) == 1 and report.windows[0].k_hi == 20
-    assert report.pair is report.traces[0].pair
+    assert pairs == [report.pair]
     assert report.bmo_nodes is report.traces[0].bmo_nodes
 
 
@@ -343,9 +361,10 @@ def test_fallback_after_a_failed_window_runs_alone_on_fresh_storage():
     assert report.mode == "full-interval-fallback" and not report.converged
     assert peak <= 1.4 * pair_bytes(report.pair)
     ball = BallSpec.full_interval(ens.grid, ledger)
-    alone = picard_solve(gen, eta, ens, BASIS, ball, fresh(ens, ball), **kw)
+    pair = fresh(ens, ball)
+    alone = picard_solve(gen, eta, ens, BASIS, ball, pair, **kw)
     for field in ("Y", "Z", "mean_Y", "mean_Z"):
-        assert np.array_equal(getattr(report.pair, field), getattr(alone.pair, field))
+        assert np.array_equal(getattr(report.pair, field), getattr(pair, field))
     assert np.array_equal(report.sup_nodes, alone.sup_nodes)
     assert np.array_equal(report.bmo_nodes, alone.bmo_nodes)
 

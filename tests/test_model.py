@@ -199,6 +199,13 @@ def test_terminal_bound_enforced():
     assert vals.shape == (4, 1)
 
 
+def test_terminal_bound_rejects_nan_samples():
+    # NaN compares False against the bound, so the check must be written to fail on it
+    tc = TerminalCondition(g=lambda p: np.full((p.shape[0], 1), np.nan), bound=1.0)
+    with pytest.raises(TerminalBoundError, match="norm nan"):
+        terminal_values(tc, np.zeros((4, 3, 1)))
+
+
 def test_terminal_bound_must_respect_declared_c1():
     p = simple_params(C1=1.0)
     with pytest.raises(ValueError, match="C1"):

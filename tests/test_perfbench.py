@@ -6,9 +6,12 @@ function of each layer module, plus ``RegressionBasis.design`` and
 what they return; its worker calls ``run_checks`` with the params by
 position, and ``oracle_errors`` on particle chunks of the solved pair.
 These tests make those calls the way the harness does, so a refactor of
-the package that breaks the harness fails here.
+the package that breaks the harness fails here.  They also pin the
+solution digests of the ``ladder`` and ``coupled`` workloads, which the
+worker compares only between the operations of one run.
 """
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -73,3 +76,34 @@ def test_chunked_oracle_errors_as_the_worker_calls_them():
         got = mfbsde.oracle_errors(case, pair.Y[part], pair.Z[part], sub)
         want = reference_errors(case, pair.Y[part], pair.Z[part], sub)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+# sha256 of Y then Z of each workload's solve, set up as perfbench/worker.py
+# does (solve_auto with the ledger, tol=1e-3, max_iter=40); ladder hashes its
+# three rungs in order into one digest.  Identical at 1 and 2 BLAS threads,
+# with the numpy, scipy and BLAS of tests/test_cli.py's bench digests.
+WORKLOAD_DIGESTS = {
+    "ladder": "f31b271594e1c68bff6c7c1f3ae05d8429595a24f55e47f4875a49f992c80ca2",
+    "coupled": "441a4158c6dde6319100f5a60427508dddae2c5faaf11f79d98157ec5123ccf9",
+}
+
+
+def workload_digest(name, rungs, seed):
+    case = mfbsde.make_case(name)
+    ledger = mfbsde.compute_ledger(case.params)
+    basis = mfbsde.default_basis(case.params.d)
+    h = hashlib.sha256()
+    for M, N in rungs:                  # one rung alive at a time
+        ens = mfbsde.generate_ensemble(mfbsde.TimeGrid.make(M, case.params.T), N,
+                                       case.params.d, seed)
+        pair = mfbsde.solve_auto(case.generator, case.terminal, ens, basis, ledger,
+                                 tol=1e-3, max_iter=40).pair
+        h.update(pair.Y.tobytes())
+        h.update(pair.Z.tobytes())
+    return h.hexdigest()
+
+
+def test_workload_solutions_match_the_pinned_digests():
+    got = {"ladder": workload_digest("colehopf", ((25, 1_000), (50, 10_000), (100, 100_000)), 7),
+           "coupled": workload_digest("loggrowth", ((50, 30_000),), 5)}
+    assert got == WORKLOAD_DIGESTS

@@ -253,7 +253,7 @@ def mixing_case(n, d):
         return np.column_stack([(1.0 + 0.5 * i) * w[:, i % d] + 0.3 * i for i in range(n)])
 
     return BenchmarkCase(
-        name=f"mixing{n}x{d}", params=p, generator=Generator(fn=fn, params=p, name="mixing"),
+        name=f"mixing{n}x{d}", generator=Generator(fn=fn, params=p, name="mixing"),
         terminal=TerminalCondition(g=xi, bound=20.0, params=p), oracle=None, y0_exact=None,
     )
 
@@ -382,7 +382,7 @@ def test_apply_gamma_two_rows_two_dims(monkeypatch, projections):
         return np.column_stack([w[:, 0] + w[:, 1], 2.0 * w[:, 1]])
 
     case = BenchmarkCase(
-        name="rows2d", params=p, generator=Generator(fn=fn, params=p, name="rows2d"),
+        name="rows2d", generator=Generator(fn=fn, params=p, name="rows2d"),
         terminal=TerminalCondition(g=xi, bound=10.0, params=p),
         oracle=None, y0_exact=None,
     )
@@ -449,8 +449,8 @@ def test_apply_gamma_bounds_read_the_window_budget():
     assert coupling > 1e-6                       # the mean-field term is pinned too
     budget = quad(p.a, t_lo, t_hi)[0] + coupling
     u, v = norms(pair, ens, ball)
-    for comp in info.components:
-        assert comp.eta_bound == np.abs(eta[:, comp.index]).max()
+    for i, comp in enumerate(info.components):
+        assert comp.eta_bound == np.abs(eta[:, i]).max()
         expect = bound_y(p, t_hi - t_lo, budget, comp.eta_bound, u, v)
         assert comp.y_bound == pytest.approx(expect, rel=0.0, abs=1e-12)
 
@@ -497,14 +497,15 @@ def test_picard_fixed_point_matches_implicit_trapezoid_product():
     # Y_k = Y_{k+1} + s * (Y_k + Y_{k+1})/2 * dt, hence a closed-form ratio
     case, ens, ledger = linear_setup(M=20, N=256)
     ball = BallSpec.full_interval(ens.grid, ledger)
+    pair = fresh(ens, ball)
     trace = picard_solve(
-        case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball), tol=1e-11, max_iter=100
+        case.generator, case.terminal, ens, BASIS, ball, pair, tol=1e-11, max_iter=100
     )
     assert trace.converged
     dt = ens.grid.dt
     ratio = (1.0 + 0.5 * dt / 2.0 + 0.5 * dt / 2.0) / (1.0 - 0.5 * dt / 2.0 - 0.5 * dt / 2.0)
     expect = ratio**20
-    np.testing.assert_allclose(trace.pair.Y[:, 0, 0], expect, rtol=1e-9)
+    np.testing.assert_allclose(pair.Y[:, 0, 0], expect, rtol=1e-9)
     # and that closed form is itself within O(dt^2) of e^{(a+b)T}
     assert abs(expect - np.e) < 5 * dt**2
 
@@ -514,14 +515,15 @@ def test_picard_zero_case_converges_first_sweep_bitwise():
     ens = generate_ensemble(TimeGrid.make(8, 1.0), 100, 1, 1)
     ledger = compute_ledger(case.params)
     ball = BallSpec.full_interval(ens.grid, ledger)
-    trace = picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball))
+    pair = fresh(ens, ball)
+    trace = picard_solve(case.generator, case.terminal, ens, BASIS, ball, pair)
     assert trace.converged and len(trace.iterations) == 1
     it = trace.iterations[0]
     assert it.diff_y == 0.0 and it.diff_z == 0.0
     assert it.ratio_y is None and it.ratio_z is None
     assert it.in_ball_y and it.in_ball_z
-    assert np.array_equal(trace.pair.Y, np.full((100, 9, 1), 2.0))
-    assert np.array_equal(trace.pair.Z, np.zeros((100, 8, 1, 1)))
+    assert np.array_equal(pair.Y, np.full((100, 9, 1), 2.0))
+    assert np.array_equal(pair.Z, np.zeros((100, 8, 1, 1)))
 
 
 def test_picard_iteration_diagnostics_monotone_tail():
@@ -542,12 +544,13 @@ def test_picard_inits_agree_at_fixed_point():
     case, ens, ledger = linear_setup(M=10, N=200)
     ball = BallSpec.full_interval(ens.grid, ledger)
     kw = dict(tol=1e-6, max_iter=60)
-    a = picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball),
+    pair_a, pair_b = fresh(ens, ball), fresh(ens, ball)
+    a = picard_solve(case.generator, case.terminal, ens, BASIS, ball, pair_a,
                      init="terminal-flat", **kw)
-    b = picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball),
+    b = picard_solve(case.generator, case.terminal, ens, BASIS, ball, pair_b,
                      init="zero", **kw)
     assert a.converged and b.converged
-    assert float(np.abs(a.pair.Y - b.pair.Y).max()) < 3e-6
+    assert float(np.abs(pair_a.Y - pair_b.Y).max()) < 3e-6
 
 
 def test_picard_argument_validation():
@@ -715,7 +718,10 @@ def test_picard_solve_allocates_no_pair(make, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(trace.iterations) >= 2 and trace.pair is pair
+    assert len(trace.iterations) >= 2
+    # the final iterate is the caller's pair
+    assert trace.sup_nodes.tolist() == [sup_norm_estimate(pair.Y[:, j])
+                                        for j in range(ball.steps + 1)]
     assert peak < min(pair.Y.nbytes, pair.Z.nbytes)
 
 
