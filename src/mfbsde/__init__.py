@@ -36,12 +36,11 @@ from .engine import (
     generate_ensemble,
     sup_norm_estimate,
 )
-from .errors import BlowUpError, ConfigError, StitchError, TerminalBoundError
+from .errors import BlowUpError, ConfigError, TerminalBoundError
 from .global_solver import (
     lambda_ball,
     plan_stitch,
     solve_auto,
-    solve_global,
     verify_apriori,
     verify_bmo_membership,
 )

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .benchmarks import CATALOG, BenchmarkCase, check_oracle, make_case, oracle_errors
-from .constants import FORMULAS, compute_ledger
+from .constants import FORMULAS, ConstantsLedger, compute_ledger
 from .engine import (
     PROXY_CAVEAT,
     Ensemble,
@@ -215,9 +215,19 @@ def _build_case(conf: dict) -> BenchmarkCase:
     name = params.pop("name")
     try:
         return make_case(name, **params)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         args = ", ".join(f"{k}={v!r}" for k, v in params.items())
         raise ConfigError(f"[case] {name}({args}): {exc}") from exc
+
+
+def _ledger(case: BenchmarkCase) -> ConstantsLedger:
+    """The case's constants ledger; parameters whose ledger leaves binary64
+    (lambda overflowing, gamma**2 underflowing) are a config error."""
+    try:
+        return compute_ledger(case.params)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"[case] {case.name}: the constants ledger cannot be evaluated: "
+                          f"{exc}") from exc
 
 
 def _out_dir(conf: dict) -> Path:
@@ -287,7 +297,7 @@ def _draw(case: BenchmarkCase, conf: dict, M: int, N: int) -> Ensemble:
     return generate_ensemble(TimeGrid.make(M, p.T), N, p.d, conf["ensemble"]["seed"])
 
 
-def _solve_case(case: BenchmarkCase, conf: dict, ens: Ensemble):
+def _solve_case(case: BenchmarkCase, ledger: ConstantsLedger, conf: dict, ens: Ensemble):
     """Shared core of solve/bench/sweep: checkers, verified global solve on
     `ens`, and the oracle errors of the solution (None for a case without an
     oracle)."""
@@ -295,7 +305,6 @@ def _solve_case(case: BenchmarkCase, conf: dict, ens: Ensemble):
     basis = default_basis(case.params.d) if degree is None else RegressionBasis(degree)
 
     structural = _structural(case, conf)
-    ledger = compute_ledger(case.params)
     report = solve_auto(case.generator, case.terminal, ens, basis, ledger, **conf["solver"])
     errors = None
     if case.oracle is not None:
@@ -348,11 +357,12 @@ def _passed(structural, report) -> bool:
     )
 
 
-def _solve_or_report(case: BenchmarkCase, conf: dict, ens: Ensemble, path: Path):
+def _solve_or_report(case: BenchmarkCase, ledger: ConstantsLedger, conf: dict, ens: Ensemble,
+                     path: Path):
     """``_solve_case``; on a blow-up, write the partial report (node,
     component row, guard) to `path` and re-raise."""
     try:
-        return _solve_case(case, conf, ens)
+        return _solve_case(case, ledger, conf, ens)
     except BlowUpError as exc:
         _write_json(path, {
             "case": case.name,
@@ -365,12 +375,13 @@ def _solve_or_report(case: BenchmarkCase, conf: dict, ens: Ensemble, path: Path)
         raise
 
 
-def _solve_and_write(case: BenchmarkCase, conf: dict, ens: Ensemble, out: Path, stem: str):
+def _solve_and_write(case: BenchmarkCase, ledger: ConstantsLedger, conf: dict, ens: Ensemble,
+                     out: Path, stem: str):
     """Solve `case` on `ens` and write `<stem>_report.json` and
     `<stem>_solution.csv` into `out`, or only the partial report of a
     blow-up, which is re-raised.  Returns the structural checks, the report
     and the report's payload."""
-    structural, report, errors = _solve_or_report(case, conf, ens,
+    structural, report, errors = _solve_or_report(case, ledger, conf, ens,
                                                   out / f"{stem}_report.json")
     payload = _solve_payload(case, structural, report, ens, errors)
     _write_json(out / f"{stem}_report.json", payload)
@@ -380,7 +391,7 @@ def _solve_and_write(case: BenchmarkCase, conf: dict, ens: Ensemble, out: Path, 
 
 def cmd_constants(conf, args) -> int:
     case = _build_case(conf)
-    ledger = compute_ledger(case.params)
+    ledger = _ledger(case)
     doc = dict(ledger.to_dict())
     doc["formulas"] = FORMULAS
     doc["caveats"] = [PROXY_CAVEAT]
@@ -403,10 +414,11 @@ def cmd_check(conf, args) -> int:
 
 def cmd_solve(conf, args) -> int:
     case = _build_case(conf)
+    ledger = _ledger(case)
     _check_oracles([case])
     out = _out_dir(conf)
     ens = _draw(case, conf, conf["grid"]["m"], conf["ensemble"]["n"])
-    structural, report, _ = _solve_and_write(case, conf, ens, out, case.name)
+    structural, report, _ = _solve_and_write(case, ledger, conf, ens, out, case.name)
     if args.save_state:
         np.savez_compressed(
             out / f"{case.name}_state.npz",
@@ -439,7 +451,8 @@ def cmd_bench(conf, args) -> int:
     for case in cases:
         name = case.name
         ens = dataclasses.replace(shared)
-        structural, report, payload = _solve_and_write(case, conf, ens, out, f"bench_{name}")
+        structural, report, payload = _solve_and_write(case, _ledger(case), conf, ens, out,
+                                                       f"bench_{name}")
         ok = _passed(structural, report)
         all_ok = all_ok and ok
         extra = ""
@@ -452,6 +465,7 @@ def cmd_bench(conf, args) -> int:
 
 def cmd_sweep(conf, args) -> int:
     case = _build_case(conf)
+    ledger = _ledger(case)
     _check_oracles([case])
     out = _out_dir(conf)
     rows = ["M,N,y0_mean,y0_abs_err,mean_node_err_Y,mean_node_err_Z"]
@@ -462,7 +476,7 @@ def cmd_sweep(conf, args) -> int:
         ens = _draw(case, conf, M, N)
         try:
             structural, report, errors = _solve_or_report(
-                case, conf, ens, out / f"sweep_{case.name}_report.json")
+                case, ledger, conf, ens, out / f"sweep_{case.name}_report.json")
         except BlowUpError:
             table.write_text("\n".join(rows) + "\n")      # the pairs solved so far
             raise

@@ -169,7 +169,8 @@ class ConstantsLedger:
 
     ``t_lambda`` may be 0.0: the window derived from the uniform bound is
     mathematically positive but can underflow binary64 for strongly coupled
-    models; the stitching planner treats 0.0 as "no representable window".
+    models; the stitching planner then plans one full-interval window, whose
+    reason says t_lambda is not positive.
     """
 
     c_dkn: float
@@ -196,8 +197,8 @@ class ConstantsLedger:
         """Return ledger fields that are not strictly positive and finite.
 
         c_dkn = 0 is legitimate for uncoupled models (K = 0) and is not
-        reported; t_lambda = 0.0 is reported, since downstream planning
-        refuses to stitch on it.
+        reported; t_lambda = 0.0 is reported, since the stitching planner
+        then plans the full interval, outside the guarantee.
         """
         bad = []
         for key, value in self.to_dict().items():

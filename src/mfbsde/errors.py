@@ -22,7 +22,8 @@ class BlowUpError(RuntimeError):
 
 
 class StitchError(RuntimeError):
-    """The guaranteed-contraction window cannot be laid out on the grid."""
+    """A stitched window did not converge or its left edge escaped lambda;
+    ``solve_auto`` then plans the full interval with this message as reason."""
 
 
 class TerminalBoundError(ValueError):

@@ -4,10 +4,11 @@ The a priori sup bound lambda dominates the solution on the whole interval,
 so every window of length at most t_lambda admits the fixed-point iteration
 inside the enlarged ball built from lambda.  Solving windows from the
 terminal backward, each window's left edge becomes the next window's
-terminal data, bitwise.  A solve allocates one solution pair on the whole
-grid, and each window is solved in place on a view of its own nodes, so
-neighbouring windows share their seam node; the verification step checks
-that pair against the explicit sup-norm and BMO ceilings.
+terminal data, bitwise; when that cannot be done, the plan is one
+full-interval window with the reason.  A solve allocates one solution pair
+on the whole grid, and each window is solved in place on a view of its own
+nodes, so neighbouring windows share their seam node; the verification step
+checks that pair against the explicit sup-norm and BMO ceilings.
 """
 
 from __future__ import annotations
@@ -37,11 +38,15 @@ APRIORI_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class StitchPlan:
-    """Backward tiling of the grid into windows of at most ``steps`` nodes."""
+    """The windows a solve runs, latest first: a backward tiling into
+    guaranteed windows of at most ``steps`` steps, or, when ``reason`` says
+    why the grid cannot be stitched, the one window (0, M) outside the
+    guarantee."""
 
     t_lambda: float
     steps: int
     windows: tuple[tuple[int, int], ...]   # (k_lo, k_hi), latest window first
+    reason: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -51,20 +56,23 @@ class StitchPlan:
         }
 
 
+def _full_interval_plan(grid: TimeGrid, ledger: ConstantsLedger, reason: str) -> StitchPlan:
+    return StitchPlan(t_lambda=float(ledger.t_lambda), steps=grid.M, windows=((0, grid.M),),
+                      reason=reason)
+
+
 def plan_stitch(grid: TimeGrid, ledger: ConstantsLedger) -> StitchPlan:
-    """Tile [0, T] backward from T into windows no longer than t_lambda."""
+    """Tile [0, T] backward from T into windows no longer than t_lambda, or
+    plan the full interval, with the reason, when t_lambda is not positive
+    or shorter than one grid step."""
     t_lam = ledger.t_lambda
     if not t_lam > 0.0:
-        raise StitchError(
-            f"guaranteed window length t_lambda = {t_lam} is not positive; "
-            "the stitched solve has no admissible step"
-        )
+        return _full_interval_plan(grid, ledger, f"guaranteed window length t_lambda = {t_lam} "
+                                   "is not positive; the stitched solve has no admissible step")
     steps = int(math.floor(t_lam / grid.dt + 1e-12))
     if steps < 1:
-        raise StitchError(
-            f"t_lambda = {t_lam:.6g} is shorter than one grid step "
-            f"dt = {grid.dt:.6g}; refine the grid below dt <= t_lambda"
-        )
+        return _full_interval_plan(grid, ledger, f"t_lambda = {t_lam:.6g} is shorter than one grid "
+                                   f"step dt = {grid.dt:.6g}; refine the grid below dt <= t_lambda")
     windows = []
     k_hi = grid.M
     while k_hi > 0:
@@ -181,18 +189,21 @@ class WindowSummary:
 class GlobalReport:
     """Assembled global solve with its plan, per-window traces and checks."""
 
-    mode: str                      # "stitched" or "full-interval-fallback"
     pair: ProcessPair
     ledger: ConstantsLedger
+    plan: StitchPlan
     windows: tuple[WindowSummary, ...]
     checks: tuple[CheckResult, ...]
     sup_nodes: np.ndarray = field(repr=False)   # per-node sup_norm_estimate of pair.Y, out of to_dict()
     bmo_nodes: np.ndarray = field(repr=False)   # bmo_profile of pair, out of to_dict()
     regression: dict               # engine.regression_summary after verification
     converged: bool
-    continuity_ok: bool | None = None
-    plan: StitchPlan | None = None
-    traces: tuple[PicardTrace, ...] = field(default=(), repr=False)
+    continuity_ok: bool | None     # None for a full-interval plan, which has no seam
+    traces: tuple[PicardTrace, ...] = field(repr=False)
+
+    @property
+    def mode(self) -> str:
+        return "stitched" if self.plan.reason is None else "full-interval-fallback"
 
     def all_checks_passed(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -202,7 +213,7 @@ class GlobalReport:
             "mode": self.mode,
             "converged": self.converged,
             "continuity_ok": self.continuity_ok,
-            "plan": self.plan.to_dict() if self.plan is not None else None,
+            "plan": self.plan.to_dict() if self.plan.reason is None else None,
             "windows": [w.to_dict() for w in self.windows],
             "checks": [c.to_dict() for c in self.checks],
             "regression": self.regression,
@@ -225,58 +236,23 @@ def _window_summary(idx: int, trace: PicardTrace, grid: TimeGrid) -> WindowSumma
     )
 
 
-def _verified_report(pair: ProcessPair, traces: tuple[PicardTrace, ...], ens: Ensemble,
-                     basis: RegressionBasis, ledger: ConstantsLedger, **fields) -> GlobalReport:
-    """The report of a solve whose windows, tiling the grid latest first,
-    were solved in place on ``pair``, the solution as it is: their
-    summaries, the checks against the sup and BMO ceilings and the
-    conditioning of the regression factors cached on the ensemble.
+def _solve_plan(plan: StitchPlan, gen: Generator, terminal, ens: Ensemble,
+                basis: RegressionBasis, ledger: ConstantsLedger,
+                tol: float, max_iter: int, init: str) -> GlobalReport:
+    """Solve the plan's windows, latest first, and verify the solution.
 
-    The sup profile is each window's last-sweep profile at its nodes (a
-    seam node holds one value, so either window's sup there is the same).
-    One window spans the grid and its BMO profile is the solution's;
-    several windows get one full-grid BMO pass."""
-    sup_nodes = np.empty(ens.grid.M + 1)
-    for t in traces:
-        sup_nodes[t.ball.k_lo : t.ball.k_hi + 1] = t.sup_nodes
-    bmo_nodes = traces[0].bmo_nodes if len(traces) == 1 else bmo_profile(pair, ens, basis)
-    checks = (
-        verify_apriori(sup_nodes.max(), ledger),
-        verify_bmo_membership(bmo_nodes.max(), ledger),
-    )
-    return GlobalReport(
-        pair=pair, ledger=ledger, checks=checks, sup_nodes=sup_nodes, bmo_nodes=bmo_nodes,
-        windows=tuple(_window_summary(i, t, ens.grid) for i, t in enumerate(traces)),
-        converged=all(t.converged for t in traces),
-        regression=regression_summary(ens, basis), traces=traces, **fields,
-    )
-
-
-def solve_global(
-    gen: Generator,
-    terminal,
-    ens: Ensemble,
-    basis: RegressionBasis,
-    ledger: ConstantsLedger | None = None,
-    tol: float = 1e-3,
-    max_iter: int = 25,
-    init: str = "terminal-flat",
-) -> GlobalReport:
-    """Solve on [0, T] by stitching guaranteed windows backward from T.
-
-    Raises StitchError when t_lambda does not cover a single grid step, when
-    a window fails to converge, or when a stitched terminal escapes lambda.
-    The solution pair is allocated once these checks have passed, and each
-    window is solved on a view of its nodes; the seam check compares the
-    node a window wrote at its right edge with the terminal it started from.
-    """
-    p = gen.params
-    if ledger is None:
-        ledger = compute_ledger(p)
-    plan = plan_stitch(ens.grid, ledger)
+    A terminal above lambda is a ConfigError, raised before the one solution
+    pair is allocated; each window is solved in place on its view of the
+    pair, from the terminal data or the left edge of the window after it.
+    A stitched window runs in its lambda ball and raises StitchError when it
+    does not converge or its left edge escapes lambda; the seam check
+    compares the node it wrote at its right edge with the terminal it was
+    solved from.  The sup profile is each window's last-sweep profile at its
+    nodes, a seam node holding one value; one window's BMO profile is the
+    solution's, and several windows get one full-grid BMO pass."""
     lam = ledger.lam
-
-    eta = _resolve_eta(terminal, ens, p.n)
+    stitched = plan.reason is None
+    eta = _resolve_eta(terminal, ens, gen.params.n)
     eta_sup = sup_norm_estimate(eta)
     if eta_sup > lam * (1.0 + 1e-9):
         raise ConfigError(
@@ -284,25 +260,26 @@ def solve_global(
             f"lambda = {lam:.6g}"
         )
 
-    solution = ProcessPair.empty(ens.N, ens.grid.M, p.n, ens.d)
+    solution = ProcessPair.empty(ens.N, ens.grid.M, gen.params.n, ens.d)
     cur_terminal = eta
     traces = []
     continuity_ok = True
-
     for idx, (k_lo, k_hi) in enumerate(plan.windows):
-        ball = lambda_ball(ens.grid, ledger, k_lo, k_hi)
+        ball = (lambda_ball(ens.grid, ledger, k_lo, k_hi) if stitched
+                else BallSpec.full_interval(ens.grid, ledger))
         trace = picard_solve(
             gen, cur_terminal, ens, basis, ball, solution.window(k_lo, k_hi),
             tol=tol, max_iter=max_iter, init=init,
         )
+        traces.append(trace)
+        if not stitched:
+            continue
         if not trace.converged:
             raise StitchError(
                 f"window {idx} (nodes {k_lo}..{k_hi}) did not converge within "
                 f"{max_iter} sweeps (tol {tol:g})"
             )
         continuity_ok = continuity_ok and np.array_equal(solution.Y[:, k_hi], cur_terminal)
-        traces.append(trace)
-
         cur_terminal = solution.Y[:, k_lo].copy()
         edge_sup = sup_norm_estimate(cur_terminal)
         if edge_sup > lam * (1.0 + 1e-9):
@@ -311,11 +288,21 @@ def solve_global(
                 f"lambda = {lam:.6g}; stitched terminal is inadmissible"
             )
 
-    return _verified_report(
-        solution, tuple(traces), ens, basis, ledger,
-        mode="stitched",
-        continuity_ok=continuity_ok,
-        plan=plan,
+    sup_nodes = np.empty(ens.grid.M + 1)
+    for t in traces:
+        sup_nodes[t.ball.k_lo : t.ball.k_hi + 1] = t.sup_nodes
+    bmo_nodes = traces[0].bmo_nodes if len(traces) == 1 else bmo_profile(solution, ens, basis)
+    checks = (
+        verify_apriori(sup_nodes.max(), ledger),
+        verify_bmo_membership(bmo_nodes.max(), ledger),
+    )
+    return GlobalReport(
+        pair=solution, ledger=ledger, plan=plan, checks=checks,
+        sup_nodes=sup_nodes, bmo_nodes=bmo_nodes,
+        windows=tuple(_window_summary(i, t, ens.grid) for i, t in enumerate(traces)),
+        converged=all(t.converged for t in traces),
+        continuity_ok=continuity_ok if stitched else None,
+        regression=regression_summary(ens, basis), traces=tuple(traces),
     )
 
 
@@ -329,24 +316,18 @@ def solve_auto(
     max_iter: int = 25,
     init: str = "terminal-flat",
 ) -> GlobalReport:
-    """Stitched solve when the guaranteed window covers a grid step, else a
-    single full-interval fixed-point solve outside the guarantee, on a fresh
-    solution pair once the StitchError is handled: the failed attempt's pair,
-    which its traceback holds until then, is freed first and none of its
-    writes reach the result.  After a BlowUpError the solution's contents
-    are undefined, and it is not returned."""
+    """Solve on [0, T] by the plan of ``plan_stitch``.
+
+    A stitched window's failure re-plans the full interval, with that
+    failure as reason, on a fresh solution pair: the failed attempt's pair,
+    held by its traceback until the StitchError is handled, is freed first,
+    and none of its writes reach the result.  After a BlowUpError the
+    solution's contents are undefined, and it is not returned."""
     if ledger is None:
         ledger = compute_ledger(gen.params)
+    args = (gen, terminal, ens, basis, ledger, tol, max_iter, init)
     try:
-        return solve_global(
-            gen, terminal, ens, basis, ledger,
-            tol=tol, max_iter=max_iter, init=init,
-        )
-    except StitchError:
-        pass
-    solution = ProcessPair.empty(ens.N, ens.grid.M, gen.params.n, ens.d)
-    trace = picard_solve(
-        gen, terminal, ens, basis, BallSpec.full_interval(ens.grid, ledger), solution,
-        tol=tol, max_iter=max_iter, init=init,
-    )
-    return _verified_report(solution, (trace,), ens, basis, ledger, mode="full-interval-fallback")
+        return _solve_plan(plan_stitch(ens.grid, ledger), *args)
+    except StitchError as exc:
+        reason = str(exc)
+    return _solve_plan(_full_interval_plan(ens.grid, ledger, reason), *args)

@@ -30,7 +30,6 @@ from mfbsde import (
     oracle_errors,
     picard_solve,
     solve_auto,
-    solve_global,
     sup_norm_estimate,
     verify_apriori,
     verify_bmo_membership,
@@ -220,12 +219,13 @@ def test_ac09_stitching_consistency():
 
     # T below the guaranteed step: one window, bitwise equal to a plain solve
     ens = generate_ensemble(TimeGrid.make(20, 1.0), 2_000, 1, 7)
-    report = solve_global(case.generator, case.terminal, ens, BASIS, ledger, tol=1e-3)
+    report = solve_auto(case.generator, case.terminal, ens, BASIS, ledger, tol=1e-3)
     ball = lambda_ball(ens.grid, ledger, 0, 20)
     plain = fresh(ens, ball)
     picard_solve(case.generator, case.terminal, ens, BASIS, ball, plain, tol=1e-3)
     single_ok = (
-        report.plan.windows == ((0, 20),)
+        report.mode == "stitched"
+        and report.plan.windows == ((0, 20),)
         and np.array_equal(report.pair.Y, plain.Y)
         and np.array_equal(report.pair.Z, plain.Z)
     )
@@ -238,7 +238,7 @@ def test_ac09_stitching_consistency():
     ens2 = generate_ensemble(TimeGrid.make(50, T2), 2_000, 1, 7)
     ledger2 = compute_ledger(case2.params)
     kw = dict(tol=2e-3, max_iter=40)
-    rep2 = solve_global(case2.generator, case2.terminal, ens2, BASIS, ledger2, **kw)
+    rep2 = solve_auto(case2.generator, case2.terminal, ens2, BASIS, ledger2, **kw)
     plan = rep2.plan
     edges = [50]
     tiled = len(plan.windows) >= 2
@@ -247,7 +247,7 @@ def test_ac09_stitching_consistency():
         edges.append(k_lo)
     tiled = tiled and edges[-1] == 0
     tiled = tiled and all(b - a == plan.steps for a, b in plan.windows[:-1])
-    seams = rep2.continuity_ok is True
+    seams = rep2.mode == "stitched" and rep2.continuity_ok is True
     sol = rep2.pair
     for k_lo, k_hi in plan.windows:
         ball2 = lambda_ball(ens2.grid, ledger2, k_lo, k_hi)

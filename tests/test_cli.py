@@ -438,6 +438,26 @@ def test_factory_reject_exits_2_under_every_subcommand(tmp_path, capsys, command
     assert_config_error([command, "--config", cfg], tmp_path, capsys, text)
 
 
+# Case values that parse but whose arithmetic leaves binary64, in the
+# factory or in the constants ledger; ";" separates keys.
+OUT_OF_RANGE = [
+    ("colehopf", "T=200"),                    # lambda overflows to inf
+    ("colehopf", "n=20;T=10"),                # lambda overflows to inf
+    ("colehopf", "gamma=1e-300"),             # gamma**2 underflows to 0
+    ("colehopf", "gamma=1e300"),              # gamma**2 overflows
+    ("meanfield_linear", "a=1e6"),            # the factory's exp((a + b) T) overflows
+]
+
+
+@pytest.mark.parametrize("command, name, params",
+                         [(command, *case) for case in OUT_OF_RANGE
+                          for command in ("constants", "solve", "sweep")]
+                         + [("check", *OUT_OF_RANGE[-1])])
+def test_out_of_range_case_values_exit_2(tmp_path, capsys, command, name, params):
+    cfg = write_cfg(tmp_path, f"[case]\nname = {name}\n" + params.replace(";", "\n") + "\n")
+    assert_config_error([command, "--config", cfg], tmp_path, capsys, f"[case] {name}")
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("seed", ["-3", "x"])
 def test_bad_seed_flag_exits_2(tmp_path, capsys, command, seed):

@@ -1,5 +1,6 @@
 """Window planning, bound verification and the stitched global solve."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,6 @@ from mfbsde import (
     Generator,
     ModelParams,
     ProcessPair,
-    StitchError,
     TimeGrid,
     bmo_profile,
     case_colehopf_diagonal,
@@ -28,7 +28,6 @@ from mfbsde import (
     picard_solve,
     plan_stitch,
     solve_auto,
-    solve_global,
     sup_norm_estimate,
     verify_apriori,
     verify_bmo_membership,
@@ -86,15 +85,15 @@ def test_plan_rejects_unusable_window():
     ledger = colehopf_ledger()
     # dt larger than t_lambda: no admissible step
     grid = TimeGrid.make(2, 10.0 * ledger.t_lambda)
-    with pytest.raises(StitchError, match="grid step"):
-        plan_stitch(grid, ledger)
+    plan = plan_stitch(grid, ledger)
+    assert re.search("grid step", plan.reason) and plan.windows == ((0, 2),)
 
     # t_lambda = 0 (degenerate constants) is refused up front
     import dataclasses
 
     dead = dataclasses.replace(ledger, t_lambda=0.0)
-    with pytest.raises(StitchError, match="not positive"):
-        plan_stitch(TimeGrid.make(10, 1.0), dead)
+    plan = plan_stitch(TimeGrid.make(10, 1.0), dead)
+    assert re.search("not positive", plan.reason) and plan.windows == ((0, 10),)
 
 
 def test_lambda_ball_uses_enlarged_radii():
@@ -179,7 +178,7 @@ def test_single_window_global_equals_plain_picard_bitwise(monkeypatch):
     case = case_colehopf_diagonal(gamma=1.0, n=1)
     ledger = compute_ledger(case.params)
     ens = generate_ensemble(TimeGrid.make(20, 1.0), 2_000, 1, 7)
-    report = solve_global(case.generator, case.terminal, ens, BASIS, ledger, tol=1e-3)
+    report = solve_auto(case.generator, case.terminal, ens, BASIS, ledger, tol=1e-3)
     assert report.mode == "stitched" and report.plan.windows == ((0, 20),)
 
     ball = lambda_ball(ens.grid, ledger, 0, 20)
@@ -203,7 +202,7 @@ def test_global_rejects_oversized_terminal():
     ens = generate_ensemble(TimeGrid.make(10, 1.0), 200, 1, 0)
     eta = np.full((200, 1), 2.0 * ledger.lam)
     with pytest.raises(ConfigError, match="lambda"):
-        solve_global(case.generator, eta, ens, BASIS, ledger)
+        solve_auto(case.generator, eta, ens, BASIS, ledger)
 
 
 def small_params(T=1.0):
@@ -226,8 +225,9 @@ def test_global_raises_on_window_nonconvergence():
     ens = generate_ensemble(TimeGrid.make(20, 1.0), 200, 1, 7)
     ledger = compute_ledger(p)
     assert ledger.t_lambda > ens.grid.dt
-    with pytest.raises(StitchError, match="did not converge"):
-        solve_global(gen, np.full((200, 1), 0.5), ens, BASIS, ledger, tol=1e-14, max_iter=2)
+    report = solve_auto(gen, np.full((200, 1), 0.5), ens, BASIS, ledger, tol=1e-14, max_iter=2)
+    assert report.mode == "full-interval-fallback"
+    assert re.search("did not converge", report.plan.reason)
 
 
 def y_feedback(f=lambda i, t, y, ybar, z_i, z, zbar: 0.4 * y[..., i] + 0.1 * ybar[..., i],
@@ -250,7 +250,7 @@ def test_multi_window_stitch_equals_each_window_solved_alone_bitwise(init, sweep
     # must give its slice of the stitched solution, bit for bit
     gen, eta, ens, ledger = y_feedback()
     kw = dict(tol=1e-6, max_iter=60, init=init)
-    report = solve_global(gen, eta, ens, BASIS, ledger, **kw)
+    report = solve_auto(gen, eta, ens, BASIS, ledger, **kw)
     assert report.mode == "stitched" and report.continuity_ok and report.all_checks_passed()
     assert [len(t.iterations) for t in report.traces] == sweeps
     sol = report.pair
@@ -286,7 +286,8 @@ def test_stitch_flags_a_window_that_did_not_end_on_its_terminal(monkeypatch):
 
     monkeypatch.setattr(gs, "picard_solve", off_by_one_ulp)
     gen, eta, ens, ledger = y_feedback(N=500)
-    report = solve_global(gen, eta, ens, BASIS, ledger, tol=1e-6, max_iter=60)
+    report = solve_auto(gen, eta, ens, BASIS, ledger, tol=1e-6, max_iter=60)
+    assert report.mode == "stitched"
     assert len(report.traces) == 3 and report.continuity_ok is False
 
 
@@ -298,7 +299,7 @@ def test_stitched_apriori_check_reads_the_largest_window_sup():
     gen = Generator(fn=lambda i, t, y, ybar, z_i, z, zbar: 0.0 * y[..., i] + 0.5, params=p,
                     name="drift")
     ens = generate_ensemble(TimeGrid.make(30, T), 200, 1, 7)
-    report = solve_global(gen, np.full((200, 1), 0.5), ens, BASIS, tol=1e-3, max_iter=40)
+    report = solve_auto(gen, np.full((200, 1), 0.5), ens, BASIS, tol=1e-3, max_iter=40)
     assert report.mode == "stitched" and len(report.traces) == 3
     sups = [t.iterations[-1].sup_y for t in report.traces]
     assert sups[0] < sups[1] < sups[2]
@@ -316,15 +317,54 @@ def test_solve_auto_falls_back_when_step_unusable(monkeypatch):
     assert ledger.t_lambda < ens.grid.dt
     report = solve_auto(case.generator, case.terminal, ens, BASIS, ledger, tol=1e-6, max_iter=60)
     assert report.mode == "full-interval-fallback"
-    assert report.plan is None and report.continuity_ok is None
+    assert re.search("shorter than one grid step", report.plan.reason)
+    assert report.continuity_ok is None and report.to_dict()["plan"] is None
     assert report.converged and report.all_checks_passed()
     assert len(report.windows) == 1 and report.windows[0].k_hi == 20
-    assert pairs == [report.pair]
+    (window,) = pairs
+    assert np.shares_memory(report.pair.Y, window.Y)
+    assert np.shares_memory(report.pair.Z, window.Z)
     assert report.bmo_nodes is report.traces[0].bmo_nodes
+
+
+@pytest.mark.parametrize("case, reason", [
+    (case_loggrowth(), "is not positive"),
+    (case_meanfield_linear(), "is shorter than one grid step"),
+], ids=["loggrowth", "meanfield_linear"])
+def test_planned_fallback_reasons_are_data(case, reason):
+    # the two planned causes of the full-interval solve are known from the
+    # ledger and the grid before any work: the plan carries them, unraised
+    ledger = compute_ledger(case.params)
+    ens = generate_ensemble(TimeGrid.make(50, case.params.T), 200, case.params.d, 5)
+    if case.name == "loggrowth":
+        assert ledger.t_lambda == 0.0
+    else:
+        assert 0.0 < ledger.t_lambda < ens.grid.dt
+    plan = plan_stitch(ens.grid, ledger)
+    assert reason in plan.reason and plan.windows == ((0, 50),)
+    report = solve_auto(case.generator, case.terminal, ens, default_basis(case.params.d), ledger)
+    assert report.mode == "full-interval-fallback" and report.plan.reason == plan.reason
 
 
 def pair_bytes(pair):
     return pair.Y.nbytes + pair.Z.nbytes + pair.mean_Y.nbytes + pair.mean_Z.nbytes
+
+
+def test_fallback_rejects_a_terminal_above_lambda_before_allocating():
+    # the terminal is checked against lambda on every plan, the full-interval
+    # one too, and before the solution pair exists
+    case = case_meanfield_linear(a=0.5, b=0.5, c=1.0, T=1.0)
+    ledger = compute_ledger(case.params)
+    ens = generate_ensemble(TimeGrid.make(20, 1.0), 2000, 1, 3)
+    assert ledger.t_lambda < ens.grid.dt
+    eta = np.full((2000, 1), 2.0 * ledger.lam)
+
+    def solve():
+        with pytest.raises(ConfigError, match="exceeds the a priori radius"):
+            solve_auto(case.generator, eta, ens, BASIS, ledger)
+
+    _, _, peak = traced(solve)
+    assert peak < pair_bytes(ProcessPair.empty(2000, 20, 1, 1))
 
 
 def traced(solve):
@@ -372,7 +412,7 @@ def test_fallback_after_a_failed_window_runs_alone_on_fresh_storage():
 def test_solve_auto_measures_each_iterate_once(bmo_passes, sup_passes):
     # each sweep's backward pass measures its iterate node by node, and the
     # initial guess is measured from its last node: no BMO pass and no
-    # whole-pair sup pass; the window spans the whole grid, so verification
+    # whole-pair sup pass beyond the terminal check; the window spans the whole grid, so verification
     # reuses the last sweep's profile, which the report keeps, and its sup
     case = case_loggrowth()
     ens = generate_ensemble(TimeGrid.make(10, case.params.T), 300, 1, 5)
@@ -380,7 +420,7 @@ def test_solve_auto_measures_each_iterate_once(bmo_passes, sup_passes):
     sweeps = len(report.traces[0].iterations)
     assert report.mode == "full-interval-fallback" and sweeps >= 2
     assert len(bmo_passes) == 0
-    assert len(sup_passes) == 1 + sweeps * 11
+    assert len(sup_passes) == 2 + sweeps * 11
     assert all(block.shape == (ens.N, 2) for block in sup_passes)
     assert report.bmo_nodes is report.traces[0].bmo_nodes
     assert np.array_equal(report.bmo_nodes, bmo_profile(report.pair, ens, BASIS))
