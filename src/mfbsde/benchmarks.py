@@ -52,7 +52,7 @@ def _oracle_node(case: BenchmarkCase, ens: Ensemble, k: int) -> tuple[np.ndarray
     if case.oracle is None:
         raise ValueError(f"case {case.name!r} has no oracle")
     p = case.params
-    y, z = case.oracle(float(ens.grid.nodes[k]), ens.cumulative[:, k, :])
+    y, z = case.oracle(float(ens.grid.nodes[k]), ens.node(k))
     return (np.broadcast_to(np.asarray(y, dtype=float), (ens.N, p.n)),
             np.broadcast_to(np.asarray(z, dtype=float), (ens.N, p.n, p.d)))
 

@@ -442,11 +442,10 @@ def cmd_bench(conf, args) -> int:
     _check_oracles(cases)
     out = _out_dir(conf)
     # The catalog cases share T and d, so their solves share one read-only
-    # draw.  Each solves on its own Ensemble, whose empty factor cache the
-    # report's regression block reads.
+    # draw (its path checkpoints are read-only already).  Each solves on its
+    # own Ensemble, whose empty factor cache the report's regression block reads.
     shared = _draw(cases[0], conf, conf["grid"]["m"], conf["ensemble"]["n"])
     shared.increments.flags.writeable = False
-    shared.cumulative.flags.writeable = False
     all_ok = True
     for case in cases:
         name = case.name

@@ -86,24 +86,52 @@ class TimeGrid:
     def make(cls, M: int, T: float) -> "TimeGrid":
         if M < 1:
             raise ValueError(f"M must be >= 1, got {M}")
-        if T <= 0.0:
-            raise ValueError(f"T must be positive, got {T}")
+        if not (math.isfinite(T) and T > 0.0):
+            raise ValueError(f"T must be finite and positive, got {T}")
         dt = T / M
         nodes = np.linspace(0.0, T, M + 1)
         return cls(M=M, T=float(T), dt=float(dt), nodes=nodes)
 
 
 _DRAW_CHUNK = 256      # particles per standard_normal draw of generate_ensemble
+_CHECKPOINT_EVERY = 10  # nodes between the stored path checkpoints of an Ensemble
 
 
-@dataclass(frozen=True, eq=False)
+def _advance(prev: np.ndarray, increments: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Write node k of the paths into ``out`` from node k-1 ``prev``, in
+    ``np.cumsum``'s order: node 1 is the first increment itself, and node k
+    is node k-1 plus increment k-1.  ``increments`` is (N, M, d)."""
+    if k == 1:
+        np.copyto(out, increments[:, 0])
+    else:
+        np.add(prev, increments[:, k - 1], out=out)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Ensemble:
-    """N Brownian paths on a grid: increments (N, M, d) and cumulative (N, M+1, d).
+    """N Brownian paths on a grid: increments (N, M, d) and path checkpoints
+    (N, M // c + 1, d), c = ``_CHECKPOINT_EVERY``, the states at nodes 0, c, 2c, ...
 
-    ``generate_ensemble`` stores both node-major and these are views, so each
-    node's (N, d) block is contiguous; ``.tobytes()`` gives the logical bytes,
-    and particle-major memory takes an explicit copy.  ``factors`` caches the
-    regression factor of each (basis, node) a ``NodeRegression`` used; it starts empty.
+    The full (N, M+1, d) path array is never stored.  ``node(k)`` serves the
+    states W_{t_k} of one node, rebuilding the block of nodes between two
+    checkpoints forward from the first with ``generate_ensemble``'s own adds,
+    so every node is bitwise the running sum.  The block stays cached until
+    another block is rebuilt or a pass walks out through the block's far end,
+    so a backward or forward pass costs one N x d add per node and leaves no
+    block behind.  ``cumulative`` allocates and returns the full path array
+    on every access; ``particles`` gives a slice of the paths as an ensemble.
+
+    Built by keyword, an Ensemble takes its paths either in full
+    (``cumulative``, which must be bitwise the running sums of the increments,
+    as ``np.cumsum`` forms them, from a zero node 0; a read-only copy of its
+    checkpoint nodes is kept) or as ``checkpoints`` (the form
+    ``generate_ensemble``, ``particles`` and ``dataclasses.replace`` pass,
+    taken as given).  Arrays may have any layout; ``generate_ensemble``
+    stores them node-major and these are views, so each node's (N, d) block
+    is contiguous, ``.tobytes()`` gives the logical bytes, and particle-major
+    memory takes an explicit copy.
+    ``factors`` caches the regression factor of each (basis, node) a
+    ``NodeRegression`` used; it starts empty.
     """
 
     grid: TimeGrid
@@ -111,19 +139,88 @@ class Ensemble:
     d: int
     seed: int
     increments: np.ndarray = field(repr=False)
-    cumulative: np.ndarray = field(repr=False)
-    factors: dict = field(default_factory=dict, init=False, repr=False)
+    checkpoints: np.ndarray = field(repr=False)
+    factors: dict = field(init=False, repr=False)
 
-    def __post_init__(self):
-        for name, nodes in (("increments", self.grid.M), ("cumulative", self.grid.M + 1)):
-            shape = np.shape(getattr(self, name))
-            if shape != (self.N, nodes, self.d):
-                raise ValueError(f"{name} must have shape {(self.N, nodes, self.d)}, got {shape}")
+    def __init__(self, grid: TimeGrid, N: int, d: int, seed: int, increments: np.ndarray,
+                 cumulative: np.ndarray | None = None, checkpoints: np.ndarray | None = None):
+        if (cumulative is None) == (checkpoints is None):
+            raise ValueError("give the paths either as cumulative or as checkpoints")
+        paths = (("cumulative", cumulative, grid.M + 1) if checkpoints is None
+                 else ("checkpoints", checkpoints, grid.M // _CHECKPOINT_EVERY + 1))
+        for name, array, nodes in (("increments", increments, grid.M), paths):
+            if np.shape(array) != (N, nodes, d):
+                raise ValueError(f"{name} must have shape {(N, nodes, d)}, got {np.shape(array)}")
+        if checkpoints is None:
+            checkpoints = _checkpoints_of(cumulative, increments)
+        stored = dict(grid=grid, N=N, d=d, seed=seed, increments=increments,
+                      checkpoints=checkpoints, factors={}, _block=(None, None, None))
+        for name, value in stored.items():
+            object.__setattr__(self, name, value)
+
+    def node(self, k: int) -> np.ndarray:
+        """The (N, d) block of W_{t_k}: a checkpoint, or a read-only node of
+        the block rebuilt from the checkpoint before it.  A block is never
+        overwritten, so a node held across later calls stays valid."""
+        if not 0 <= k <= self.grid.M:
+            raise ValueError(f"node index {k} outside grid 0..{self.grid.M}")
+        b, r = divmod(k, _CHECKPOINT_EVERY)
+        if r == 0:
+            return self.checkpoints[:, b]
+        cached, block, last = self._block
+        if cached != b:
+            lo = b * _CHECKPOINT_EVERY
+            block = np.empty((min(_CHECKPOINT_EVERY - 1, self.grid.M - lo), self.N, self.d))
+            prev = self.checkpoints[:, b]
+            for j in range(len(block)):
+                _advance(prev, self.increments, lo + 1 + j, block[j])
+                prev = block[j]
+            block.flags.writeable = False
+            last = None
+        # A pass that steps onto the block's first node going down, or its
+        # last going up, is leaving the block: the cache lets it go.
+        leaving = last is not None and abs(k - last) == 1 and r in (1, len(block))
+        object.__setattr__(self, "_block", (None, None, None) if leaving else (b, block, k))
+        return block[r - 1]
+
+    def particles(self, lo: int, hi: int) -> "Ensemble":
+        """Paths lo..hi-1 as an ensemble of their own, on views of this one's arrays."""
+        part = slice(lo, min(hi, self.N))
+        return Ensemble(grid=self.grid, N=part.stop - lo, d=self.d, seed=self.seed,
+                        increments=self.increments[part], checkpoints=self.checkpoints[part])
+
+    @property
+    def cumulative(self) -> np.ndarray:
+        """The full (N, M+1, d) path array, node-major; allocated anew on every access."""
+        paths = np.empty((self.grid.M + 1, self.N, self.d))
+        paths[0] = self.checkpoints[:, 0]
+        for k in range(1, self.grid.M + 1):
+            _advance(paths[k - 1], self.increments, k, paths[k])
+        return paths.swapaxes(0, 1)
+
+
+def _checkpoints_of(cumulative: np.ndarray, increments: np.ndarray) -> np.ndarray:
+    """The checkpoint nodes of full paths, copied node-major, after checking
+    that node 0 is zero and every other node is bitwise the running sum."""
+    N, nodes, d = np.shape(cumulative)
+    given = np.asarray(cumulative)
+    wrong = "cumulative must be the running sums of increments from zero"
+    if np.any(given[:, 0]):
+        raise ValueError(f"{wrong}: node 0 is not zero")
+    node = np.empty((N, d))
+    for k in range(1, nodes):
+        _advance(node, increments, k, node)
+        if not np.array_equal(node.view(np.int64), np.asarray(given[:, k], dtype=float).view(np.int64)):
+            raise ValueError(f"{wrong}: node {k} differs")
+    checkpoints = np.ascontiguousarray(given[:, ::_CHECKPOINT_EVERY].swapaxes(0, 1), dtype=float)
+    checkpoints.flags.writeable = False
+    return checkpoints.swapaxes(0, 1)
 
 
 def generate_ensemble(grid: TimeGrid, N: int, d: int, seed: int) -> Ensemble:
     """Draw N paths of a d-dimensional Brownian motion on the grid, reproducibly:
-    bitwise those of one (N, M, d) draw, drawn in particle chunks and stored node-major."""
+    bitwise those of one (N, M, d) draw, drawn in particle chunks and stored
+    node-major, with the paths kept at their checkpoint nodes only."""
     if N < 2:
         raise ValueError(f"need at least 2 particles for regression, got N = {N}")
     if d < 1:
@@ -136,12 +233,16 @@ def generate_ensemble(grid: TimeGrid, N: int, d: int, seed: int) -> Ensemble:
         rng.standard_normal(out=part)
         part *= np.sqrt(grid.dt)
         increments[:, lo : lo + len(part)] = part.swapaxes(0, 1)
-    cumulative = np.zeros((grid.M + 1, N, d))
-    cumulative[1] = increments[0]
-    for k in range(1, grid.M):       # np.cumsum's running sums, one node block at a time
-        np.add(cumulative[k], increments[k], out=cumulative[k + 1])
-    return Ensemble(grid=grid, N=N, d=d, seed=seed, increments=increments.swapaxes(0, 1),
-                    cumulative=cumulative.swapaxes(0, 1))
+    increments = increments.swapaxes(0, 1)
+    checkpoints = np.zeros((grid.M // _CHECKPOINT_EVERY + 1, N, d))
+    node = np.zeros((N, d))
+    for k in range(1, grid.M + 1):
+        _advance(node, increments, k, node)
+        if k % _CHECKPOINT_EVERY == 0:
+            checkpoints[k // _CHECKPOINT_EVERY] = node
+    checkpoints.flags.writeable = False
+    return Ensemble(grid=grid, N=N, d=d, seed=seed, increments=increments,
+                    checkpoints=checkpoints.swapaxes(0, 1))
 
 
 @dataclass(frozen=True)
@@ -264,7 +365,7 @@ class NodeRegression:
     def _design(self) -> tuple[np.ndarray, RegressionFactor]:
         if self._X is None:
             ens, basis, k = self.ens, self.basis, self.k
-            self._X = basis.design(ens.cumulative[:, k, :])
+            self._X = basis.design(ens.node(k))
             factor = ens.factors.get((basis, k))
             if factor is None:
                 factor = ens.factors[(basis, k)] = _factorize(self._X)

@@ -287,7 +287,9 @@ class Generator:
 class TerminalCondition:
     """Bounded terminal data: a map from the discrete Brownian path to R^n.
 
-    ``g`` receives the cumulative path array (N, M+1, d) and returns (N, n).
+    ``g`` receives a cumulative path array (N, M+1, d) and returns (N, n).
+    A solve calls it on particle chunks of the paths, so row i of its result
+    must depend on path i alone.
     ``bound`` caps the Euclidean norm per particle; evaluation rejects any
     sample exceeding it or not finite.  When params are attached the bound
     must respect C1.

@@ -27,6 +27,8 @@ from .qbsde1d import bound_y, bound_z, solve_1d, truncation_radius
 # escaping: regression noise may overshoot the exact radius slightly.
 BALL_SLACK = 1.05
 
+_TERMINAL_CHUNK = 1024   # particles per evaluation of a terminal map
+
 
 @dataclass(frozen=True)
 class BallSpec:
@@ -96,7 +98,10 @@ class ApplyInfo:
 
 def _resolve_eta(terminal, ens: Ensemble, n: int) -> np.ndarray:
     if isinstance(terminal, TerminalCondition):
-        return terminal_values(terminal, ens.cumulative)
+        # The terminal map reads whole paths.  It runs on particle chunks of
+        # them, so a solve never holds the full (N, M+1, d) path array.
+        chunks = (ens.particles(lo, lo + _TERMINAL_CHUNK) for lo in range(0, ens.N, _TERMINAL_CHUNK))
+        return np.concatenate([terminal_values(terminal, chunk.cumulative) for chunk in chunks])
     eta = np.asarray(terminal, dtype=float)
     if eta.shape != (ens.N, n):
         raise ValueError(f"terminal array must have shape ({ens.N}, {n}), got {eta.shape}")

@@ -25,6 +25,7 @@ from mfbsde import (
     run_checks,
     solve_auto,
 )
+from mfbsde import engine
 
 BASIS = default_basis(1)
 
@@ -285,7 +286,8 @@ def test_self_check_holds_only_its_ensemble(label):
 
     case = SELF_CHECK_CASES[label]()
     M, N = 200, 10_000
-    ensemble_bytes = 8 * N * (2 * M + 1) * case.params.d   # increments and paths
+    every = engine._CHECKPOINT_EVERY
+    ensemble_bytes = 8 * N * (M + M // every + 1) * case.params.d   # increments and checkpoints
     tracemalloc.start()
     try:
         residual_self_check(case, small_ens(case, M, N, 93))

@@ -849,8 +849,8 @@ def test_the_self_check_draw_is_released_before_the_first_solve(tmp_path, capsys
 
     def tracked(grid, N, d, seed):
         ens = original_draw(grid, N, d, seed)
-        drawn.append([weakref.ref(a) for a in (ens.increments, ens.cumulative,
-                                                ens.increments.base, ens.cumulative.base)])
+        drawn.append([weakref.ref(a) for a in (ens.increments, ens.checkpoints,
+                                                ens.increments.base, ens.checkpoints.base)])
         return ens
 
     def first_solve(*args, **kwargs):
@@ -882,7 +882,7 @@ def test_bench_solves_share_read_only_paths_with_their_own_factor_cache(tmp_path
     assert len({id(ens) for ens, _ in seen}) == len({id(ens.factors) for ens, _ in seen}) == 4
     for ens, factors_at_solve in seen:
         assert factors_at_solve == {}
-        for name in ("increments", "cumulative"):
+        for name in ("increments", "checkpoints"):
             assert getattr(ens, name) is getattr(first, name)
             with pytest.raises(ValueError, match="read-only"):
                 getattr(ens, name)[0, 0, 0] = 1.0
@@ -896,8 +896,8 @@ def test_sweep_releases_each_pair_before_the_next_solve(tmp_path, capsys, monkey
 
     def tracked(grid, N, d, seed):
         ens = original_draw(grid, N, d, seed)
-        drawn.append([weakref.ref(a) for a in (ens.increments, ens.cumulative,
-                                                ens.increments.base, ens.cumulative.base)])
+        drawn.append([weakref.ref(a) for a in (ens.increments, ens.checkpoints,
+                                                ens.increments.base, ens.checkpoints.base)])
         return ens
 
     def solving(*args, **kwargs):

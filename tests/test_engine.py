@@ -48,6 +48,12 @@ def test_grid_nodes():
         TimeGrid.make(10, -1.0)
 
 
+@pytest.mark.parametrize("T", [float("nan"), float("inf"), -float("inf"), 0.0])
+def test_grid_refuses_a_horizon_that_is_not_finite_and_positive(T):
+    with pytest.raises(ValueError, match="T must be finite and positive"):
+        TimeGrid.make(10, T)
+
+
 # ---------------------------------------------------------------- ensembles
 
 
@@ -103,14 +109,118 @@ def test_node_slices_are_contiguous():
             assert pair.Y[:, j].flags.c_contiguous and pair.Z[:, j].flags.c_contiguous
         assert pair.Y[:, -1].flags.c_contiguous
     for k in range(6):
-        assert ens.increments[:, k].flags.c_contiguous and ens.cumulative[:, k].flags.c_contiguous
+        assert ens.increments[:, k].flags.c_contiguous and ens.node(k).flags.c_contiguous
+    assert ens.checkpoints[:, 0].flags.c_contiguous
+
+
+def cumsum_paths(ens):
+    """The (N, M+1, d) running sums of the increments, in np.cumsum's order."""
+    paths = np.zeros((ens.N, ens.grid.M + 1, ens.d))
+    np.cumsum(ens.increments, axis=1, out=paths[:, 1:])
+    return paths
+
+
+@pytest.mark.parametrize("M", [7, 20, 23])     # below, at and off a multiple of the interval
+@pytest.mark.parametrize("d", [1, 3])
+def test_nodes_are_the_running_sums_bitwise_in_any_order(M, d):
+    ens = make_ens(M=M, N=300, d=d, seed=2)
+    ref = cumsum_paths(ens)
+    every = engine._CHECKPOINT_EVERY
+    assert ens.checkpoints.shape == (300, M // every + 1, d)
+    assert ens.checkpoints.tobytes() == ref[:, ::every].tobytes()
+    forward, backward = list(range(M + 1)), list(range(M, -1, -1))
+    shuffled = list(np.random.default_rng(0).permutation(M + 1))
+    for order in (forward, backward, shuffled, backward):
+        for k in order:
+            node = ens.node(k)
+            assert node.shape == (300, d) and not node.flags.writeable
+            assert node.tobytes() == ref[:, k].tobytes(), (order, k)
+    with pytest.raises(ValueError, match="node index"):
+        ens.node(M + 1)
+
+
+def test_a_held_node_survives_later_blocks():
+    ens = make_ens(M=35, N=50, seed=4)
+    ref = cumsum_paths(ens)
+    held = {k: ens.node(k) for k in (3, 17, 25, 33, 5)}
+    for k, node in held.items():
+        assert node.tobytes() == ref[:, k].tobytes()
+
+
+def test_cumulative_allocates_the_full_paths_on_every_access():
+    ens = make_ens(M=23, N=64, d=2, seed=3)
+    a, b = ens.cumulative, ens.cumulative
+    assert a is not b and not np.shares_memory(a, b)
+    assert a.tobytes() == b.tobytes() == cumsum_paths(ens).tobytes()
+    assert all(a[:, k].flags.c_contiguous for k in range(24))
+
+
+def test_particles_are_rows_of_the_paths():
+    ens = make_ens(M=23, N=100, d=2, seed=3)
+    paths = ens.cumulative
+    for lo, hi in ((0, 40), (40, 100), (90, 130)):
+        part = ens.particles(lo, hi)
+        assert part.N == min(hi, 100) - lo and part.grid is ens.grid
+        assert part.cumulative.tobytes() == paths[lo:hi].tobytes()
+        assert part.node(17).tobytes() == paths[lo:hi, 17].tobytes()
+
+
+def test_a_pass_leaves_no_block_behind():
+    import tracemalloc
+
+    ens = make_ens(M=40, N=20_000, seed=1)
+    tracemalloc.start()
+    try:
+        for order in (range(40, 0, -1), range(41)):
+            for k in order:
+                ens.node(k)
+            kept = tracemalloc.get_traced_memory()[0]
+            assert kept < 8 * ens.N, (list(order)[:2], kept)
+    finally:
+        tracemalloc.stop()
+
+
+def test_keyword_paths_keep_only_their_checkpoints():
+    import weakref
+
+    ens = make_ens(M=23, N=80, d=2, seed=6)
+    paths = np.ascontiguousarray(ens.cumulative)
+    ref = weakref.ref(paths)
+    built = engine.Ensemble(grid=ens.grid, N=80, d=2, seed=6, increments=ens.increments,
+                            cumulative=paths)
+    del paths
+    assert ref() is None
+    assert built.checkpoints.tobytes() == ens.checkpoints.tobytes()
+    assert built.cumulative.tobytes() == ens.cumulative.tobytes()
+
+
+@pytest.mark.parametrize("where", ["node 0", "checkpoint", "between checkpoints", "last node"])
+def test_keyword_paths_must_be_the_running_sums(where):
+    ens = make_ens(M=23, N=80, d=2, seed=6)
+    paths = ens.cumulative
+    node = {"node 0": 0, "checkpoint": 10, "between checkpoints": 14, "last node": 23}[where]
+    paths[37, node, 1] = np.nextafter(paths[37, node, 1], np.inf)
+    with pytest.raises(ValueError, match="cumulative must be the running sums"):
+        engine.Ensemble(grid=ens.grid, N=80, d=2, seed=6, increments=ens.increments,
+                        cumulative=paths)
+
+
+def test_paths_are_given_in_one_form():
+    ens = make_ens(M=5, N=50)
+    with pytest.raises(ValueError, match="either as cumulative or as checkpoints"):
+        engine.Ensemble(grid=ens.grid, N=50, d=1, seed=0, increments=ens.increments)
+    with pytest.raises(ValueError, match="either as cumulative or as checkpoints"):
+        engine.Ensemble(grid=ens.grid, N=50, d=1, seed=0, increments=ens.increments,
+                        cumulative=ens.cumulative, checkpoints=ens.checkpoints)
 
 
 @pytest.mark.parametrize("field, shape", [("increments", (50, 4, 1)), ("increments", (50, 5, 2)),
-                                          ("cumulative", (50, 5, 1)), ("cumulative", (49, 6, 1))])
+                                          ("cumulative", (50, 5, 1)), ("cumulative", (49, 6, 1)),
+                                          ("checkpoints", (50, 2, 1))])
 def test_ensemble_rejects_arrays_of_the_wrong_shape(field, shape):
     ens = make_ens(M=5, N=50)
-    arrays = {"increments": ens.increments, "cumulative": ens.cumulative, field: np.zeros(shape)}
+    paths = {"checkpoints": ens.checkpoints} if field == "checkpoints" else {"cumulative": ens.cumulative}
+    arrays = {"increments": ens.increments, **paths, field: np.zeros(shape)}
     with pytest.raises(ValueError, match=field):
         engine.Ensemble(grid=ens.grid, N=50, d=1, seed=0, **arrays)
 

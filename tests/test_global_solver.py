@@ -32,7 +32,7 @@ from mfbsde import (
     verify_apriori,
     verify_bmo_membership,
 )
-from mfbsde import global_solver
+from mfbsde import engine, global_solver
 from mfbsde.constants import local_ball
 
 from conftest import pair_from_fields
@@ -388,6 +388,26 @@ def test_multi_window_solve_holds_one_solution_pair():
                                                 BASIS, ledger, max_iter=40))
     assert report.mode == "stitched" and len(report.traces) == 3
     assert kept <= 1.05 * pair_bytes(report.pair)
+
+
+def test_solve_holds_no_full_path_array():
+    # the ensemble keeps increments and path checkpoints, the solve adds its
+    # pair and at most one block of rebuilt nodes, and the terminal map runs
+    # on particle chunks of the paths: no (N, M+1, d) array is ever alive,
+    # so the peak stays below a path array's worth of slack over that storage
+    case = case_colehopf_diagonal()
+    M, N = 40, 20_000
+    node = 8 * N                            # one node of the paths, d = 1
+    every = engine._CHECKPOINT_EVERY
+    storage = node * (M + M // every + 1 + every - 1)   # increments, checkpoints, one block
+    slack = 20 * node
+    assert slack < (M + 1) * node
+    report, _, peak = traced(lambda: solve_auto(
+        case.generator, case.terminal,
+        generate_ensemble(TimeGrid.make(M, case.params.T), N, 1, 7), BASIS))
+    assert report.mode == "stitched" and report.converged
+    assert peak < pair_bytes(report.pair) + storage + slack, (
+        (peak - pair_bytes(report.pair) - storage) / node)
 
 
 def test_fallback_after_a_failed_window_runs_alone_on_fresh_storage():
