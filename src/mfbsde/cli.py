@@ -297,21 +297,6 @@ def _draw(case: BenchmarkCase, conf: dict, M: int, N: int) -> Ensemble:
     return generate_ensemble(TimeGrid.make(M, p.T), N, p.d, conf["ensemble"]["seed"])
 
 
-def _solve_case(case: BenchmarkCase, ledger: ConstantsLedger, conf: dict, ens: Ensemble):
-    """Shared core of solve/bench/sweep: checkers, verified global solve on
-    `ens`, and the oracle errors of the solution (None for a case without an
-    oracle)."""
-    degree = conf["basis"]["degree"]
-    basis = default_basis(case.params.d) if degree is None else RegressionBasis(degree)
-
-    structural = _structural(case, conf)
-    report = solve_auto(case.generator, case.terminal, ens, basis, ledger, **conf["solver"])
-    errors = None
-    if case.oracle is not None:
-        errors = oracle_errors(case, report.pair.Y, report.pair.Z, ens)
-    return structural, report, errors
-
-
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a float vector."""
     return float(np.sqrt((v ** 2).sum()))
@@ -359,10 +344,14 @@ def _passed(structural, report) -> bool:
 
 def _solve_or_report(case: BenchmarkCase, ledger: ConstantsLedger, conf: dict, ens: Ensemble,
                      path: Path):
-    """``_solve_case``; on a blow-up, write the partial report (node,
-    component row, guard) to `path` and re-raise."""
+    """Shared core of solve/bench/sweep: the verified global solve of `case`
+    on `ens` and the oracle errors of its solution (None for a case without
+    an oracle).  On a blow-up, write the partial report (node, component
+    row, guard) to `path` and re-raise."""
+    degree = conf["basis"]["degree"]
+    basis = default_basis(case.params.d) if degree is None else RegressionBasis(degree)
     try:
-        return _solve_case(case, ledger, conf, ens)
+        report = solve_auto(case.generator, case.terminal, ens, basis, ledger, **conf["solver"])
     except BlowUpError as exc:
         _write_json(path, {
             "case": case.name,
@@ -373,16 +362,20 @@ def _solve_or_report(case: BenchmarkCase, ledger: ConstantsLedger, conf: dict, e
             "caveats": [PROXY_CAVEAT],
         })
         raise
+    errors = None
+    if case.oracle is not None:
+        errors = oracle_errors(case, report.pair.Y, report.pair.Z, ens)
+    return report, errors
 
 
 def _solve_and_write(case: BenchmarkCase, ledger: ConstantsLedger, conf: dict, ens: Ensemble,
                      out: Path, stem: str):
-    """Solve `case` on `ens` and write `<stem>_report.json` and
-    `<stem>_solution.csv` into `out`, or only the partial report of a
-    blow-up, which is re-raised.  Returns the structural checks, the report
-    and the report's payload."""
-    structural, report, errors = _solve_or_report(case, ledger, conf, ens,
-                                                  out / f"{stem}_report.json")
+    """Run the structural checks of `case`, solve it on `ens` and write
+    `<stem>_report.json` and `<stem>_solution.csv` into `out`, or only the
+    partial report of a blow-up, which is re-raised.  Returns the structural
+    checks, the report and the report's payload."""
+    structural = _structural(case, conf)
+    report, errors = _solve_or_report(case, ledger, conf, ens, out / f"{stem}_report.json")
     payload = _solve_payload(case, structural, report, ens, errors)
     _write_json(out / f"{stem}_report.json", payload)
     _write_solution_csv(out / f"{stem}_solution.csv", case, report, ens, errors)
@@ -467,6 +460,7 @@ def cmd_sweep(conf, args) -> int:
     ledger = _ledger(case)
     _check_oracles([case])
     out = _out_dir(conf)
+    structural = _structural(case, conf)
     rows = ["M,N,y0_mean,y0_abs_err,mean_node_err_Y,mean_node_err_Z"]
     table = out / f"sweep_{case.name}.csv"
     all_ok = True
@@ -474,7 +468,7 @@ def cmd_sweep(conf, args) -> int:
         start = time.perf_counter()
         ens = _draw(case, conf, M, N)
         try:
-            structural, report, errors = _solve_or_report(
+            report, errors = _solve_or_report(
                 case, ledger, conf, ens, out / f"sweep_{case.name}_report.json")
         except BlowUpError:
             table.write_text("\n".join(rows) + "\n")      # the pairs solved so far

@@ -29,11 +29,13 @@ from .engine import (
     sup_norm_estimate,
 )
 from .errors import ConfigError, StitchError
-from .model import Generator
-from .picard import BallSpec, PicardTrace, _resolve_eta, picard_solve
+from .model import Generator, TerminalCondition, terminal_values
+from .picard import BallSpec, PicardTrace, picard_solve
 
 # Relative and absolute slack of the a priori sup check against lambda.
 APRIORI_SLACK = 1e-9
+
+_TERMINAL_CHUNK = 1024   # particles per evaluation of a terminal map
 
 
 @dataclass(frozen=True)
@@ -64,12 +66,14 @@ def _full_interval_plan(grid: TimeGrid, ledger: ConstantsLedger, reason: str) ->
 def plan_stitch(grid: TimeGrid, ledger: ConstantsLedger) -> StitchPlan:
     """Tile [0, T] backward from T into windows no longer than t_lambda, or
     plan the full interval, with the reason, when t_lambda is not positive
-    or shorter than one grid step."""
+    or shorter than one grid step.  A t_lambda too long to count in grid
+    steps is one stitched window of M steps."""
     t_lam = ledger.t_lambda
     if not t_lam > 0.0:
         return _full_interval_plan(grid, ledger, f"guaranteed window length t_lambda = {t_lam} "
                                    "is not positive; the stitched solve has no admissible step")
-    steps = int(math.floor(t_lam / grid.dt + 1e-12))
+    ratio = t_lam / grid.dt + 1e-12
+    steps = int(math.floor(ratio)) if math.isfinite(ratio) else grid.M
     if steps < 1:
         return _full_interval_plan(grid, ledger, f"t_lambda = {t_lam:.6g} is shorter than one grid "
                                    f"step dt = {grid.dt:.6g}; refine the grid below dt <= t_lambda")
@@ -236,14 +240,13 @@ def _window_summary(idx: int, trace: PicardTrace, grid: TimeGrid) -> WindowSumma
     )
 
 
-def _solve_plan(plan: StitchPlan, gen: Generator, terminal, ens: Ensemble,
+def _solve_plan(plan: StitchPlan, gen: Generator, eta: np.ndarray, ens: Ensemble,
                 basis: RegressionBasis, ledger: ConstantsLedger,
                 tol: float, max_iter: int, init: str) -> GlobalReport:
     """Solve the plan's windows, latest first, and verify the solution.
 
-    A terminal above lambda is a ConfigError, raised before the one solution
-    pair is allocated; each window is solved in place on its view of the
-    pair, from the terminal data or the left edge of the window after it.
+    Each window is solved in place on its view of the one solution pair,
+    from the terminal data ``eta`` or the left edge of the window after it.
     A stitched window runs in its lambda ball and raises StitchError when it
     does not converge or its left edge escapes lambda; the seam check
     compares the node it wrote at its right edge with the terminal it was
@@ -252,14 +255,6 @@ def _solve_plan(plan: StitchPlan, gen: Generator, terminal, ens: Ensemble,
     solution's, and several windows get one full-grid BMO pass."""
     lam = ledger.lam
     stitched = plan.reason is None
-    eta = _resolve_eta(terminal, ens, gen.params.n)
-    eta_sup = sup_norm_estimate(eta)
-    if eta_sup > lam * (1.0 + 1e-9):
-        raise ConfigError(
-            f"terminal data norm {eta_sup:.6g} exceeds the a priori radius "
-            f"lambda = {lam:.6g}"
-        )
-
     solution = ProcessPair.empty(ens.N, ens.grid.M, gen.params.n, ens.d)
     cur_terminal = eta
     traces = []
@@ -308,7 +303,7 @@ def _solve_plan(plan: StitchPlan, gen: Generator, terminal, ens: Ensemble,
 
 def solve_auto(
     gen: Generator,
-    terminal,
+    terminal: TerminalCondition,
     ens: Ensemble,
     basis: RegressionBasis,
     ledger: ConstantsLedger | None = None,
@@ -318,14 +313,25 @@ def solve_auto(
 ) -> GlobalReport:
     """Solve on [0, T] by the plan of ``plan_stitch``.
 
+    The terminal map runs once per solve, on chunks of _TERMINAL_CHUNK
+    paths, so a solve never holds the full (N, M+1, d) path array; its data
+    above lambda is a ConfigError, raised before any pair is allocated.
     A stitched window's failure re-plans the full interval, with that
     failure as reason, on a fresh solution pair: the failed attempt's pair,
     held by its traceback until the StitchError is handled, is freed first,
     and none of its writes reach the result.  After a BlowUpError the
     solution's contents are undefined, and it is not returned."""
+    if not isinstance(terminal, TerminalCondition):
+        raise TypeError(f"terminal must be a TerminalCondition, got {type(terminal).__name__}")
     if ledger is None:
         ledger = compute_ledger(gen.params)
-    args = (gen, terminal, ens, basis, ledger, tol, max_iter, init)
+    chunks = (ens.particles(lo, lo + _TERMINAL_CHUNK) for lo in range(0, ens.N, _TERMINAL_CHUNK))
+    eta = np.concatenate([terminal_values(terminal, chunk.cumulative) for chunk in chunks])
+    eta_sup = sup_norm_estimate(eta)
+    if eta_sup > ledger.lam * (1.0 + 1e-9):
+        raise ConfigError(f"terminal data norm {eta_sup:.6g} exceeds the a priori radius "
+                          f"lambda = {ledger.lam:.6g}")
+    args = (gen, eta, ens, basis, ledger, tol, max_iter, init)
     try:
         return _solve_plan(plan_stitch(ens.grid, ledger), *args)
     except StitchError as exc:

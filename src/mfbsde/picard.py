@@ -20,14 +20,12 @@ import numpy as np
 
 from .constants import ConstantsLedger, contraction_coefficients
 from .engine import Ensemble, ProcessPair, RegressionBasis, TimeGrid, _node_mean, sup_norm_estimate
-from .model import Generator, TerminalCondition, _integrate, terminal_values
+from .model import Generator, _integrate
 from .qbsde1d import bound_y, bound_z, solve_1d, truncation_radius
 
 # Slack applied to the theoretical ball radii before flagging an iterate as
 # escaping: regression noise may overshoot the exact radius slightly.
 BALL_SLACK = 1.05
-
-_TERMINAL_CHUNK = 1024   # particles per evaluation of a terminal map
 
 
 @dataclass(frozen=True)
@@ -96,22 +94,15 @@ class ApplyInfo:
         return sum(c.truncation_hits for c in self.components)
 
 
-def _resolve_eta(terminal, ens: Ensemble, n: int) -> np.ndarray:
-    if isinstance(terminal, TerminalCondition):
-        # The terminal map reads whole paths.  It runs on particle chunks of
-        # them, so a solve never holds the full (N, M+1, d) path array.
-        chunks = (ens.particles(lo, lo + _TERMINAL_CHUNK) for lo in range(0, ens.N, _TERMINAL_CHUNK))
-        return np.concatenate([terminal_values(terminal, chunk.cumulative) for chunk in chunks])
-    eta = np.asarray(terminal, dtype=float)
-    if eta.shape != (ens.N, n):
-        raise ValueError(f"terminal array must have shape ({ens.N}, {n}), got {eta.shape}")
-    return eta
+def _check_eta(eta: np.ndarray, N: int, n: int) -> None:
+    if np.shape(eta) != (N, n):
+        raise ValueError(f"terminal array must have shape ({N}, {n}), got {np.shape(eta)}")
 
 
 def apply_gamma(
     pair: ProcessPair,
     gen: Generator,
-    terminal,
+    eta: np.ndarray,
     ens: Ensemble,
     basis: RegressionBasis,
     ball: BallSpec,
@@ -157,8 +148,7 @@ def apply_gamma(
     L = ball.steps
     if U.shape[1] != L + 1:
         raise ValueError(f"environment has {U.shape[1]} nodes; window [{k_lo}, {k_hi}] has {L + 1}")
-
-    eta = _resolve_eta(terminal, ens, n)
+    _check_eta(eta, N, n)
 
     # Deterministic drift budget of the window, summed from its last step
     # backward: the integrable density plus the mean-field coupling of the
@@ -241,7 +231,7 @@ def _ratio(prev: float | None, cur: float) -> float | None:
 
 def picard_solve(
     gen: Generator,
-    terminal,
+    eta: np.ndarray,
     ens: Ensemble,
     basis: RegressionBasis,
     ball: BallSpec,
@@ -250,7 +240,8 @@ def picard_solve(
     max_iter: int = 25,
     init: str = "terminal-flat",
 ) -> PicardTrace:
-    """Iterate the decoupling map on one window until successive sweeps agree.
+    """Iterate the decoupling map on one window, from its (N, n) terminal
+    data ``eta``, until successive sweeps agree.
 
     Convergence is declared when both the sup distance of Y and of Z between
     consecutive sweeps fall below tol.  Every sweep records its
@@ -273,8 +264,7 @@ def picard_solve(
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if init not in ("terminal-flat", "zero"):
         raise ValueError(f"unknown init {init!r}; expected 'zero' or 'terminal-flat'")
-    p = gen.params
-    eta = _resolve_eta(terminal, ens, p.n)
+    _check_eta(eta, ens.N, gen.params.n)
     y0 = eta if init == "terminal-flat" else np.zeros_like(eta)
     pair.Y[:] = y0[:, None, :]
     pair.mean_Y[:] = _node_mean(y0)

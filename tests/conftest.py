@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mfbsde import engine
+from mfbsde.model import terminal_values
 from mfbsde.picard import BallSpec
 
 
@@ -26,6 +27,12 @@ def pair_from_fields(Y, Z) -> engine.ProcessPair:
         for j in range(fld.shape[1]):
             mean[j] = engine._node_mean(fld[:, j])
     return pair
+
+
+def terminal_eta(terminal, ens) -> np.ndarray:
+    """The (N, n) terminal data ``solve_auto`` hands its windows: the map of
+    ``terminal`` on the ensemble's full paths."""
+    return terminal_values(terminal, ens.cumulative)
 
 
 def ball_from_ledger(grid, ledger, eps=None, k_hi=None) -> BallSpec:

@@ -37,7 +37,7 @@ from mfbsde import (
 from mfbsde.cli import main
 from mfbsde.constants import local_ball
 
-from conftest import ball_from_ledger, log_inequality_gap
+from conftest import ball_from_ledger, log_inequality_gap, terminal_eta
 
 BASIS = default_basis(1)
 
@@ -88,9 +88,8 @@ def ball_trace():
     ens = generate_ensemble(TimeGrid.make(50, 1.0), 10_000, 1, 1)
     ledger = compute_ledger(case.params)
     ball = ball_from_ledger(ens.grid, ledger)      # eps = min(eps0, T)
-    trace = picard_solve(
-        case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball), tol=1e-3, max_iter=10
-    )
+    trace = picard_solve(case.generator, terminal_eta(case.terminal, ens), ens, BASIS, ball,
+                         fresh(ens, ball), tol=1e-3, max_iter=10)
     return trace, ledger
 
 
@@ -222,7 +221,8 @@ def test_ac09_stitching_consistency():
     report = solve_auto(case.generator, case.terminal, ens, BASIS, ledger, tol=1e-3)
     ball = lambda_ball(ens.grid, ledger, 0, 20)
     plain = fresh(ens, ball)
-    picard_solve(case.generator, case.terminal, ens, BASIS, ball, plain, tol=1e-3)
+    picard_solve(case.generator, terminal_eta(case.terminal, ens), ens, BASIS, ball, plain,
+                 tol=1e-3)
     single_ok = (
         report.mode == "stitched"
         and report.plan.windows == ((0, 20),)
@@ -251,7 +251,7 @@ def test_ac09_stitching_consistency():
     sol = rep2.pair
     for k_lo, k_hi in plan.windows:
         ball2 = lambda_ball(ens2.grid, ledger2, k_lo, k_hi)
-        edge = case2.terminal if k_hi == 50 else sol.Y[:, k_hi].copy()
+        edge = terminal_eta(case2.terminal, ens2) if k_hi == 50 else sol.Y[:, k_hi].copy()
         alone = fresh(ens2, ball2)
         picard_solve(case2.generator, edge, ens2, BASIS, ball2, alone, **kw)
         seams = seams and np.array_equal(alone.Y, sol.Y[:, k_lo : k_hi + 1])
@@ -271,10 +271,9 @@ def test_ac10_initializer_independence():
     tol = 1e-3
     kw = dict(tol=tol, max_iter=25)
     pair_a, pair_b = fresh(ens, ball), fresh(ens, ball)
-    a = picard_solve(case.generator, case.terminal, ens, BASIS, ball, pair_a,
-                     init="terminal-flat", **kw)
-    b = picard_solve(case.generator, case.terminal, ens, BASIS, ball, pair_b,
-                     init="zero", **kw)
+    eta = terminal_eta(case.terminal, ens)
+    a = picard_solve(case.generator, eta, ens, BASIS, ball, pair_a, init="terminal-flat", **kw)
+    b = picard_solve(case.generator, eta, ens, BASIS, ball, pair_b, init="zero", **kw)
     dy = float(np.abs(pair_a.Y - pair_b.Y).max())
     ok = a.converged and b.converged and dy < 3.0 * tol
     emit(10, ok, f"sup |Y_flat - Y_zero| = {dy:.2e} < {3 * tol:.0e}")

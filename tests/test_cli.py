@@ -339,6 +339,19 @@ def test_solve_blowup_exits_3_with_partial_report(tmp_path, monkeypatch, capsys,
         assert [r.split(",")[:2] for r in rows[1:]] == [["5", "100"]]
 
 
+@pytest.mark.parametrize("a, m", [("1e-320", 50), ("1e-310", 1000)],
+                         ids=["t_lambda-infinite", "step-count-overflows"])
+def test_solve_stitches_one_window_when_t_lambda_outgrows_the_grid(tmp_path, capsys, a, m):
+    # t_lambda / dt is not finite: one stitched window over the whole grid
+    cfg = write_cfg(tmp_path, f"[case]\nname = meanfield_linear\na = {a}\nb = 0\n"
+                              f"[grid]\nm = {m}\n[ensemble]\nn = 200\n[checks]\nsamples = 500\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+    report = json.loads((tmp_path / "r" / "meanfield_linear_report.json").read_text())
+    assert report["solve"]["mode"] == "stitched"
+    assert report["solve"]["plan"]["windows"] == [[0, m]]
+    assert report["solve"]["plan"]["steps_per_window"] == m
+
+
 # -------------------------------------------------------------- bad configs
 
 
@@ -726,24 +739,30 @@ def test_sweep_rejects_grid_and_ensemble_size(tmp_path, section, key, value, cap
 
 
 def test_sweep_builds_its_case_once(tmp_path, monkeypatch):
-    # the catalog case, with its oracle self-check, is built once for all pairs
+    # the catalog case, with its oracle self-check and its structural
+    # checks, is built and checked once for all pairs
     import mfbsde.benchmarks as benchmarks
 
-    checks = []
-    original = benchmarks.residual_self_check
+    checks, structural = [], []
+    original, run_checks = benchmarks.residual_self_check, cli.run_checks
 
     def counting(case, *args, **kwargs):
         checks.append(case.name)
         return original(case, *args, **kwargs)
 
+    def counting_structural(gen, *args, **kwargs):
+        structural.append(gen.name)
+        return run_checks(gen, *args, **kwargs)
+
     monkeypatch.setattr(benchmarks, "residual_self_check", counting)
+    monkeypatch.setattr(cli, "run_checks", counting_structural)
     cfg = write_cfg(
         tmp_path,
         "[case]\nname = zero\n[checks]\nsamples = 500\n[sweep]\npairs = 5:100, 6:100, 7:120\n",
     )
     out = tmp_path / "s"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
-    assert checks == ["zero"]
+    assert checks == structural == ["zero"]
     rows = (out / "sweep_zero.csv").read_text().splitlines()
     assert [r.split(",")[:2] for r in rows[1:]] == [["5", "100"], ["6", "100"], ["7", "120"]]
 

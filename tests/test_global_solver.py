@@ -14,6 +14,7 @@ from mfbsde import (
     Generator,
     ModelParams,
     ProcessPair,
+    TerminalCondition,
     TimeGrid,
     bmo_profile,
     case_colehopf_diagonal,
@@ -35,7 +36,7 @@ from mfbsde import (
 from mfbsde import engine, global_solver
 from mfbsde.constants import local_ball
 
-from conftest import pair_from_fields
+from conftest import pair_from_fields, terminal_eta
 
 BASIS = default_basis(1)
 
@@ -47,6 +48,12 @@ def fresh(ens, ball, n=1):
 
 def colehopf_ledger():
     return compute_ledger(case_colehopf_diagonal(gamma=1.0, n=1).params)
+
+
+def constant_terminal(c, bound=1.0):
+    """The terminal data c on every path, a map without params, so that a
+    bound above lambda reaches the solve's check against lambda."""
+    return TerminalCondition(g=lambda paths: np.full((paths.shape[0], 1), c), bound=bound)
 
 
 # ------------------------------------------------------------------ planning
@@ -96,6 +103,22 @@ def test_plan_rejects_unusable_window():
     assert re.search("not positive", plan.reason) and plan.windows == ((0, 10),)
 
 
+@pytest.mark.parametrize("t_lambda, M", [(float("inf"), 50), (6.0e306, 1000)],
+                         ids=["infinite", "ratio-overflows"])
+def test_plan_is_one_stitched_window_when_the_step_count_overflows(t_lambda, M):
+    # t_lambda / dt is not finite: the whole grid fits in one guaranteed window
+    import dataclasses
+
+    ledger = dataclasses.replace(colehopf_ledger(), t_lambda=t_lambda)
+    grid = TimeGrid.make(M, 1.0)
+    assert t_lambda / grid.dt == float("inf")
+    plan = plan_stitch(grid, ledger)
+    assert plan.reason is None and plan.steps == M and plan.windows == ((0, M),)
+    # a finite ratio keeps its count of steps, unclamped
+    finite = plan_stitch(grid, dataclasses.replace(ledger, t_lambda=1e300))
+    assert finite.steps == int(1e300 / grid.dt) > M and finite.windows == ((0, M),)
+
+
 def test_lambda_ball_uses_enlarged_radii():
     ledger = colehopf_ledger()
     grid = TimeGrid.make(50, 1.0)
@@ -121,7 +144,8 @@ def run_small_linear(M=20, N=300, seed=3):
     ledger = compute_ledger(case.params)
     ball = BallSpec.full_interval(ens.grid, ledger)
     pair = fresh(ens, ball)
-    picard_solve(case.generator, case.terminal, ens, BASIS, ball, pair, tol=1e-8, max_iter=60)
+    picard_solve(case.generator, terminal_eta(case.terminal, ens), ens, BASIS, ball, pair,
+                 tol=1e-8, max_iter=60)
     return case, ens, ledger, pair
 
 
@@ -165,9 +189,9 @@ def record_picard_pairs(monkeypatch):
     pairs = []
     solve = global_solver.picard_solve
 
-    def recording(gen, terminal, ens, basis, ball, pair, **kw):
+    def recording(gen, eta, ens, basis, ball, pair, **kw):
         pairs.append(pair)
-        return solve(gen, terminal, ens, basis, ball, pair, **kw)
+        return solve(gen, eta, ens, basis, ball, pair, **kw)
 
     monkeypatch.setattr(global_solver, "picard_solve", recording)
     return pairs
@@ -183,7 +207,8 @@ def test_single_window_global_equals_plain_picard_bitwise(monkeypatch):
 
     ball = lambda_ball(ens.grid, ledger, 0, 20)
     plain = fresh(ens, ball)
-    picard_solve(case.generator, case.terminal, ens, BASIS, ball, plain, tol=1e-3)
+    picard_solve(case.generator, terminal_eta(case.terminal, ens), ens, BASIS, ball, plain,
+                 tol=1e-3)
     assert np.array_equal(report.pair.Y, plain.Y)
     assert np.array_equal(report.pair.Z, plain.Z)
     assert report.converged and report.all_checks_passed()
@@ -196,13 +221,41 @@ def test_single_window_global_equals_plain_picard_bitwise(monkeypatch):
     assert report.bmo_nodes is report.traces[0].bmo_nodes
 
 
+def refused_above_lambda_peak(gen, ens, ledger):
+    """tracemalloc peak of a solve_auto refused for terminal data 2 lambda."""
+    big = constant_terminal(2.0 * ledger.lam, bound=2.0 * ledger.lam)
+
+    def solve():
+        with pytest.raises(ConfigError, match="exceeds the a priori radius lambda"):
+            solve_auto(gen, big, ens, BASIS, ledger)
+
+    return traced(solve)[2]
+
+
 def test_global_rejects_oversized_terminal():
+    # a stitched plan checks the terminal against lambda before the
+    # solution pair exists
     case = case_colehopf_diagonal(gamma=1.0, n=1)
     ledger = compute_ledger(case.params)
-    ens = generate_ensemble(TimeGrid.make(10, 1.0), 200, 1, 0)
-    eta = np.full((200, 1), 2.0 * ledger.lam)
-    with pytest.raises(ConfigError, match="lambda"):
-        solve_auto(case.generator, eta, ens, BASIS, ledger)
+    ens = generate_ensemble(TimeGrid.make(20, 1.0), 2000, 1, 0)
+    assert plan_stitch(ens.grid, ledger).reason is None
+    peak = refused_above_lambda_peak(case.generator, ens, ledger)
+    assert peak < pair_bytes(ProcessPair.empty(2000, 20, 1, 1))
+
+
+def test_solve_auto_refuses_a_terminal_array_before_any_work():
+    # the terminal data is solve_auto's to evaluate: an array is refused
+    # before the ledger, the terminal map or any pair
+    case = case_colehopf_diagonal(gamma=1.0, n=1)
+    ens = generate_ensemble(TimeGrid.make(20, 1.0), 2000, 1, 0)
+    eta = terminal_eta(case.terminal, ens)
+
+    def solve():
+        with pytest.raises(TypeError, match="TerminalCondition, got ndarray"):
+            solve_auto(case.generator, eta, ens, BASIS)
+
+    _, _, peak = traced(solve)
+    assert peak < eta.nbytes
 
 
 def small_params(T=1.0):
@@ -225,20 +278,27 @@ def test_global_raises_on_window_nonconvergence():
     ens = generate_ensemble(TimeGrid.make(20, 1.0), 200, 1, 7)
     ledger = compute_ledger(p)
     assert ledger.t_lambda > ens.grid.dt
-    report = solve_auto(gen, np.full((200, 1), 0.5), ens, BASIS, ledger, tol=1e-14, max_iter=2)
+    report = solve_auto(gen, constant_terminal(0.5), ens, BASIS, ledger, tol=1e-14, max_iter=2)
     assert report.mode == "full-interval-fallback"
     assert re.search("did not converge", report.plan.reason)
+
+
+def relax(i, t, y, ybar, z_i, z, zbar):
+    """y-feedback alone, whose first stitched window does not reach tol 1e-14
+    in 3 sweeps."""
+    return 0.4 * y[..., i]
 
 
 def y_feedback(f=lambda i, t, y, ybar, z_i, z, zbar: 0.4 * y[..., i] + 0.1 * ybar[..., i],
                M=30, N=4000):
     """A scalar model with y-feedback on three stitched windows, T = 2.5 t_lambda,
-    with terminal clip(W_T, -1, 1): its sweep counts, and so its solution,
-    depend on init."""
+    with terminal clip(W_T, -1, 1), a map without params: its sweep counts,
+    and so its solution, depend on init."""
     T = 2.5 * compute_ledger(small_params()).t_lambda
     gen = Generator(fn=f, params=small_params(T), name="y-feedback")
     ens = generate_ensemble(TimeGrid.make(M, T), N, 1, 7)
-    return gen, np.clip(ens.cumulative[:, -1, :], -1.0, 1.0), ens, compute_ledger(gen.params)
+    terminal = TerminalCondition(g=lambda paths: np.clip(paths[:, -1, :], -1.0, 1.0), bound=1.0)
+    return gen, terminal, ens, compute_ledger(gen.params)
 
 
 @pytest.mark.parametrize("init, sweeps", [("terminal-flat", [9, 10, 7]), ("zero", [10, 11, 8])])
@@ -248,9 +308,9 @@ def test_multi_window_stitch_equals_each_window_solved_alone_bitwise(init, sweep
     # solved again on fresh storage, from the terminal data (the latest
     # window) or from the stitched left edge of the window after it, and
     # must give its slice of the stitched solution, bit for bit
-    gen, eta, ens, ledger = y_feedback()
+    gen, terminal, ens, ledger = y_feedback()
     kw = dict(tol=1e-6, max_iter=60, init=init)
-    report = solve_auto(gen, eta, ens, BASIS, ledger, **kw)
+    report = solve_auto(gen, terminal, ens, BASIS, ledger, **kw)
     assert report.mode == "stitched" and report.continuity_ok and report.all_checks_passed()
     assert [len(t.iterations) for t in report.traces] == sweeps
     sol = report.pair
@@ -258,9 +318,9 @@ def test_multi_window_stitch_equals_each_window_solved_alone_bitwise(init, sweep
     for (k_lo, k_hi), trace in zip(report.plan.windows, report.traces):
         assert (trace.ball.k_lo, trace.ball.k_hi) == (k_lo, k_hi)
         ball = lambda_ball(ens.grid, ledger, k_lo, k_hi)
-        terminal = eta if k_hi == ens.grid.M else sol.Y[:, k_hi].copy()
+        eta = terminal_eta(terminal, ens) if k_hi == ens.grid.M else sol.Y[:, k_hi].copy()
         pair = fresh(ens, ball)
-        alone = picard_solve(gen, terminal, ens, BASIS, ball, pair, **kw)
+        alone = picard_solve(gen, eta, ens, BASIS, ball, pair, **kw)
         assert len(alone.iterations) == len(trace.iterations)
         assert np.array_equal(pair.Y, sol.Y[:, k_lo : k_hi + 1])
         assert np.array_equal(pair.Z, sol.Z[:, k_lo:k_hi])
@@ -278,15 +338,15 @@ def test_stitch_flags_a_window_that_did_not_end_on_its_terminal(monkeypatch):
     # else there is caught
     import mfbsde.global_solver as gs
 
-    def off_by_one_ulp(gen, terminal, ens, basis, ball, pair, **kw):
-        trace = picard_solve(gen, terminal, ens, basis, ball, pair, **kw)
+    def off_by_one_ulp(gen, eta, ens, basis, ball, pair, **kw):
+        trace = picard_solve(gen, eta, ens, basis, ball, pair, **kw)
         if ball.k_lo == 0:
             pair.Y[:, -1] = np.nextafter(pair.Y[:, -1], np.inf)
         return trace
 
     monkeypatch.setattr(gs, "picard_solve", off_by_one_ulp)
-    gen, eta, ens, ledger = y_feedback(N=500)
-    report = solve_auto(gen, eta, ens, BASIS, ledger, tol=1e-6, max_iter=60)
+    gen, terminal, ens, ledger = y_feedback(N=500)
+    report = solve_auto(gen, terminal, ens, BASIS, ledger, tol=1e-6, max_iter=60)
     assert report.mode == "stitched"
     assert len(report.traces) == 3 and report.continuity_ok is False
 
@@ -299,7 +359,7 @@ def test_stitched_apriori_check_reads_the_largest_window_sup():
     gen = Generator(fn=lambda i, t, y, ybar, z_i, z, zbar: 0.0 * y[..., i] + 0.5, params=p,
                     name="drift")
     ens = generate_ensemble(TimeGrid.make(30, T), 200, 1, 7)
-    report = solve_auto(gen, np.full((200, 1), 0.5), ens, BASIS, tol=1e-3, max_iter=40)
+    report = solve_auto(gen, constant_terminal(0.5), ens, BASIS, tol=1e-3, max_iter=40)
     assert report.mode == "stitched" and len(report.traces) == 3
     sups = [t.iterations[-1].sup_y for t in report.traces]
     assert sups[0] < sups[1] < sups[2]
@@ -357,13 +417,7 @@ def test_fallback_rejects_a_terminal_above_lambda_before_allocating():
     ledger = compute_ledger(case.params)
     ens = generate_ensemble(TimeGrid.make(20, 1.0), 2000, 1, 3)
     assert ledger.t_lambda < ens.grid.dt
-    eta = np.full((2000, 1), 2.0 * ledger.lam)
-
-    def solve():
-        with pytest.raises(ConfigError, match="exceeds the a priori radius"):
-            solve_auto(case.generator, eta, ens, BASIS, ledger)
-
-    _, _, peak = traced(solve)
+    peak = refused_above_lambda_peak(case.generator, ens, ledger)
     assert peak < pair_bytes(ProcessPair.empty(2000, 20, 1, 1))
 
 
@@ -413,16 +467,29 @@ def test_solve_holds_no_full_path_array():
 def test_fallback_after_a_failed_window_runs_alone_on_fresh_storage():
     # the first stitched window fails to converge; its pair is released
     # before the fallback allocates its own, so the two never coexist, and
-    # none of its partial writes reach the fallback's result
-    gen, eta, ens, ledger = y_feedback(f=lambda i, t, y, ybar, z_i, z, zbar: 0.4 * y[..., i],
-                                       N=2000)
+    # none of its partial writes reach the fallback's result; the terminal
+    # map runs once per solve, one call per chunk of paths, and the fallback
+    # solves from the terminal data of the failed attempt
+    gen, terminal, ens, ledger = y_feedback(f=relax, N=2000)
+    calls = []
+
+    def counted(paths):
+        calls.append(paths.shape[0])
+        return terminal.g(paths)
+
+    counting = TerminalCondition(g=counted, bound=terminal.bound)
     kw = dict(tol=1e-14, max_iter=3)
-    report, _, peak = traced(lambda: solve_auto(gen, eta, ens, BASIS, ledger, **kw))
+    solve_auto(gen, counting, ens, BASIS, ledger, **kw)      # first-solve allocations
+    calls.clear()
+    report, _, peak = traced(lambda: solve_auto(gen, counting, ens, BASIS, ledger, **kw))
     assert report.mode == "full-interval-fallback" and not report.converged
-    assert peak <= 1.4 * pair_bytes(report.pair)
+    assert re.search("did not converge", report.plan.reason)
+    assert calls == [global_solver._TERMINAL_CHUNK, 2000 - global_solver._TERMINAL_CHUNK]
+    # the pair and the (N, n) terminal data it is solved from
+    assert peak <= 1.4 * pair_bytes(report.pair) + ens.N * gen.params.n * 8
     ball = BallSpec.full_interval(ens.grid, ledger)
     pair = fresh(ens, ball)
-    alone = picard_solve(gen, eta, ens, BASIS, ball, pair, **kw)
+    alone = picard_solve(gen, terminal_eta(terminal, ens), ens, BASIS, ball, pair, **kw)
     for field in ("Y", "Z", "mean_Y", "mean_Z"):
         assert np.array_equal(getattr(report.pair, field), getattr(pair, field))
     assert np.array_equal(report.sup_nodes, alone.sup_nodes)

@@ -32,14 +32,13 @@ from mfbsde import (
     solve_1d,
     solve_auto,
     sup_norm_estimate,
-    terminal_values,
     TerminalCondition,
     truncation_radius,
 )
 from mfbsde import picard, qbsde1d
 from mfbsde.benchmarks import BenchmarkCase
 
-from conftest import ball_from_ledger, pair_from_fields
+from conftest import ball_from_ledger, pair_from_fields, terminal_eta
 
 BASIS = default_basis(1)
 
@@ -165,14 +164,20 @@ def test_apply_gamma_works_on_the_window_nodes():
         apply_gamma(full, case.generator, eta, ens, BASIS, ball, 1.0, 0.0)
 
 
-def test_apply_gamma_rejects_bad_terminal_shape():
+@pytest.mark.parametrize("bad", ["wrong-shape", "terminal-condition"])
+def test_apply_gamma_rejects_bad_terminal_shape(bad):
+    # a window solve takes the (N, n) terminal array only: solve_auto
+    # evaluates the terminal map, and below it a TerminalCondition is refused
+    # like an array of the wrong shape, before anything is written
     case, ens, ledger = linear_setup(M=10, N=64)
     ball = BallSpec.full_interval(ens.grid, ledger)
-    pair = pair_from_fields(
-        np.zeros((ens.N, 11, 1)), np.zeros((ens.N, 10, 1, 1))
-    )
+    pair = pair_from_fields(np.ones((ens.N, 11, 1)), np.zeros((ens.N, 10, 1, 1)))
+    eta = np.zeros((ens.N, 2)) if bad == "wrong-shape" else case.terminal
+    with pytest.raises(ValueError, match=r"terminal array must have shape \(64, 1\)"):
+        apply_gamma(pair, case.generator, eta, ens, BASIS, ball, 1.0, 0.0)
     with pytest.raises(ValueError, match="terminal array"):
-        apply_gamma(pair, case.generator, np.zeros((ens.N, 2)), ens, BASIS, ball, 0.0, 0.0)
+        picard_solve(case.generator, eta, ens, BASIS, ball, pair)
+    assert np.array_equal(pair.Y, np.ones_like(pair.Y))
 
 
 def test_apply_gamma_blowup_carries_component_index():
@@ -313,7 +318,7 @@ def second_sweep(case, ens, basis, ball=None):
     environment returned is a snapshot taken before it."""
     if ball is None:
         ball = BallSpec.full_interval(ens.grid, compute_ledger(case.params))
-    eta = terminal_values(case.terminal, ens.cumulative)
+    eta = terminal_eta(case.terminal, ens)
     flat = np.repeat(eta[:, None, :], ball.steps + 1, axis=1)
     pair = pair_from_fields(flat, np.zeros((ens.N, ball.steps, case.params.n, ens.d)))
     apply_gamma(pair, case.generator, eta, ens, basis, ball, *norms(pair, ens, ball, basis))
@@ -349,7 +354,7 @@ def test_apply_gamma_projects_all_rows_together(projections):
     case = case_loggrowth()
     ens = generate_ensemble(TimeGrid.make(10, case.params.T), 300, 1, 4)
     ball = BallSpec.full_interval(ens.grid, compute_ledger(case.params))
-    eta = terminal_values(case.terminal, ens.cumulative)
+    eta = terminal_eta(case.terminal, ens)
     pair = pair_from_fields(
         np.repeat(eta[:, None, :], 11, axis=1), np.zeros((ens.N, 10, 2, 1))
     )
@@ -497,9 +502,10 @@ def test_picard_fixed_point_matches_implicit_trapezoid_product():
     # Y_k = Y_{k+1} + s * (Y_k + Y_{k+1})/2 * dt, hence a closed-form ratio
     case, ens, ledger = linear_setup(M=20, N=256)
     ball = BallSpec.full_interval(ens.grid, ledger)
+    eta = terminal_eta(case.terminal, ens)
     pair = fresh(ens, ball)
     trace = picard_solve(
-        case.generator, case.terminal, ens, BASIS, ball, pair, tol=1e-11, max_iter=100
+        case.generator, eta, ens, BASIS, ball, pair, tol=1e-11, max_iter=100
     )
     assert trace.converged
     dt = ens.grid.dt
@@ -515,8 +521,9 @@ def test_picard_zero_case_converges_first_sweep_bitwise():
     ens = generate_ensemble(TimeGrid.make(8, 1.0), 100, 1, 1)
     ledger = compute_ledger(case.params)
     ball = BallSpec.full_interval(ens.grid, ledger)
+    eta = terminal_eta(case.terminal, ens)
     pair = fresh(ens, ball)
-    trace = picard_solve(case.generator, case.terminal, ens, BASIS, ball, pair)
+    trace = picard_solve(case.generator, eta, ens, BASIS, ball, pair)
     assert trace.converged and len(trace.iterations) == 1
     it = trace.iterations[0]
     assert it.diff_y == 0.0 and it.diff_z == 0.0
@@ -529,8 +536,9 @@ def test_picard_zero_case_converges_first_sweep_bitwise():
 def test_picard_iteration_diagnostics_monotone_tail():
     case, ens, ledger = linear_setup(M=16, N=200)
     ball = BallSpec.full_interval(ens.grid, ledger)
+    eta = terminal_eta(case.terminal, ens)
     trace = picard_solve(
-        case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball), tol=1e-10, max_iter=50
+        case.generator, eta, ens, BASIS, ball, fresh(ens, ball), tol=1e-10, max_iter=50
     )
     assert trace.converged and len(trace.iterations) >= 3
     assert trace.iterations[0].ratio_y is None
@@ -543,11 +551,12 @@ def test_picard_iteration_diagnostics_monotone_tail():
 def test_picard_inits_agree_at_fixed_point():
     case, ens, ledger = linear_setup(M=10, N=200)
     ball = BallSpec.full_interval(ens.grid, ledger)
+    eta = terminal_eta(case.terminal, ens)
     kw = dict(tol=1e-6, max_iter=60)
     pair_a, pair_b = fresh(ens, ball), fresh(ens, ball)
-    a = picard_solve(case.generator, case.terminal, ens, BASIS, ball, pair_a,
+    a = picard_solve(case.generator, eta, ens, BASIS, ball, pair_a,
                      init="terminal-flat", **kw)
-    b = picard_solve(case.generator, case.terminal, ens, BASIS, ball, pair_b,
+    b = picard_solve(case.generator, eta, ens, BASIS, ball, pair_b,
                      init="zero", **kw)
     assert a.converged and b.converged
     assert float(np.abs(pair_a.Y - pair_b.Y).max()) < 3e-6
@@ -556,11 +565,12 @@ def test_picard_inits_agree_at_fixed_point():
 def test_picard_argument_validation():
     case, ens, ledger = linear_setup(M=10, N=64)
     ball = BallSpec.full_interval(ens.grid, ledger)
+    eta = terminal_eta(case.terminal, ens)
     with pytest.raises(ValueError, match="init"):
-        picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball),
+        picard_solve(case.generator, eta, ens, BASIS, ball, fresh(ens, ball),
                      init="bogus")
     with pytest.raises(ValueError, match="max_iter"):
-        picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball), max_iter=0)
+        picard_solve(case.generator, eta, ens, BASIS, ball, fresh(ens, ball), max_iter=0)
 
 
 @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0])
@@ -568,8 +578,9 @@ def test_picard_rejects_a_tol_that_is_not_finite_and_positive(tol):
     # tol = inf would declare convergence after one sweep, tol = nan never
     case, ens, ledger = linear_setup(M=10, N=64)
     ball = BallSpec.full_interval(ens.grid, ledger)
+    eta = terminal_eta(case.terminal, ens)
     with pytest.raises(ValueError, match="tol must be finite and positive"):
-        picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball), tol=tol)
+        picard_solve(case.generator, eta, ens, BASIS, ball, fresh(ens, ball), tol=tol)
 
 
 def record_sweeps(monkeypatch):
@@ -632,8 +643,9 @@ def test_initial_pair_is_measured_from_its_definition_bitwise(monkeypatch, init,
     # at N = 2000, np.mean of the colehopf terminal differs in the last bits
     ens = generate_ensemble(TimeGrid.make(10, case.params.T), 2000, 1, 5)
     ball = ball_from_ledger(ens.grid, compute_ledger(case.params), eps=0.5)
+    eta = terminal_eta(case.terminal, ens)
     assert ball.k_lo > 0
-    picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball, case.params.n),
+    picard_solve(case.generator, eta, ens, BASIS, ball, fresh(ens, ball, case.params.n),
                  max_iter=1, init=init)
     pair, u_norm, v_norm, _ = sweeps[0]
     assert u_norm == sup_norm_estimate(pair.Y)
@@ -711,10 +723,11 @@ def test_picard_solve_allocates_no_pair(make, n):
     assert case.params.n == n
     ens = generate_ensemble(TimeGrid.make(40, case.params.T), 4000, 1, 3)
     ball = BallSpec.full_interval(ens.grid, compute_ledger(case.params))
+    eta = terminal_eta(case.terminal, ens)
     pair = fresh(ens, ball, n)
     tracemalloc.start()
     try:
-        trace = picard_solve(case.generator, case.terminal, ens, BASIS, ball, pair,
+        trace = picard_solve(case.generator, eta, ens, BASIS, ball, pair,
                              tol=1e-12, max_iter=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -733,8 +746,8 @@ def warm_sweep_peak(n, M=20, N=20_000):
     ens = generate_ensemble(TimeGrid.make(M, case.params.T), N, 1, 7)
     ball = BallSpec.full_interval(ens.grid, compute_ledger(case.params))
     pair = fresh(ens, ball, n)
-    picard_solve(case.generator, case.terminal, ens, BASIS, ball, pair, max_iter=1)
-    eta = terminal_values(case.terminal, ens.cumulative)
+    eta = terminal_eta(case.terminal, ens)
+    picard_solve(case.generator, eta, ens, BASIS, ball, pair, max_iter=1)
     u_norm, v_norm = norms(pair, ens, ball)
     tracemalloc.start()
     try:
@@ -753,8 +766,9 @@ def test_sweep_memory_grows_linearly_in_the_rows():
 def test_picard_nonconvergence_reported_not_raised():
     case, ens, ledger = linear_setup(M=10, N=64)
     ball = BallSpec.full_interval(ens.grid, ledger)
+    eta = terminal_eta(case.terminal, ens)
     trace = picard_solve(
-        case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball), tol=1e-15, max_iter=2
+        case.generator, eta, ens, BASIS, ball, fresh(ens, ball), tol=1e-15, max_iter=2
     )
     assert not trace.converged and len(trace.iterations) == 2
 
@@ -765,7 +779,8 @@ def test_picard_nonconvergence_reported_not_raised():
 def test_contraction_report_requires_three_sweeps():
     case, ens, ledger = linear_setup(M=10, N=64)
     ball = BallSpec.full_interval(ens.grid, ledger)
-    short = picard_solve(case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball),
+    eta = terminal_eta(case.terminal, ens)
+    short = picard_solve(case.generator, eta, ens, BASIS, ball, fresh(ens, ball),
                          tol=1e-15, max_iter=2)
     with pytest.raises(ValueError, match="3 sweeps"):
         contraction_report(short, ledger)
@@ -774,8 +789,9 @@ def test_contraction_report_requires_three_sweeps():
 def test_contraction_report_observes_linear_decay():
     case, ens, ledger = linear_setup(M=16, N=200)
     ball = ball_from_ledger(ens.grid, ledger)
+    eta = terminal_eta(case.terminal, ens)
     trace = picard_solve(
-        case.generator, case.terminal, ens, BASIS, ball, fresh(ens, ball), tol=1e-10, max_iter=50
+        case.generator, eta, ens, BASIS, ball, fresh(ens, ball), tol=1e-10, max_iter=50
     )
     rep = contraction_report(trace, ledger)
     assert rep.observed_contracting

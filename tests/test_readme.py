@@ -101,4 +101,5 @@ def test_readme_call_signatures_match_the_code():
         for key, value in defaults.items():
             assert sig[key].default == value, f"README `{name}` default {key}={value!r}"
         checked.add(name)
-    assert {"picard_solve", "solve_1d", "ProcessPair.window", "NodeRegression"} <= checked
+    assert {"picard_solve", "apply_gamma", "solve_1d", "ProcessPair.window",
+            "NodeRegression"} <= checked

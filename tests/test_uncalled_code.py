@@ -64,7 +64,7 @@ def test_package_code_has_callers_in_the_package():
 
 # Unread fields that stay, each with its reason.
 _REPORTED = "ROADMAP item 4 plans to report it in the run record"
-_CONTRACTION = "the report of contraction_report, which ROADMAP item 12 keeps for now"
+_CONTRACTION = "the report of contraction_report, which ROADMAP item 4 plans to report"
 ALLOWED_FIELDS = {
     "picard.BallSpec.within_guarantee": _REPORTED,
     "picard.ComponentInfo.eta_bound": _REPORTED,
