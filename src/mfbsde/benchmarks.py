@@ -138,8 +138,8 @@ def case_zero(c: float = 1.0, n: int = 1, d: int = 1, T: float = 1.0, gamma: flo
     def fn(i, t, y, ybar, z_i, z, zbar):
         return np.zeros(y.shape[:-1])
 
-    def xi(paths):
-        return np.full((paths.shape[0], n), c)
+    def xi(w):
+        return np.full((w.shape[0], n), c)
 
     def oracle(t, w):
         y = np.full(w.shape[:-1] + (n,), c)
@@ -178,8 +178,8 @@ def case_meanfield_linear(
     def fn(i, t, y, ybar, z_i, z, zbar):
         return a * y[..., i] + b * ybar[..., i]
 
-    def xi(paths):
-        return np.full((paths.shape[0], n), c)
+    def xi(w):
+        return np.full((w.shape[0], n), c)
 
     def oracle(t, w):
         y = np.full(w.shape[:-1] + (n,), c * math.exp((a + b) * (T - t)))
@@ -222,8 +222,8 @@ def case_colehopf_diagonal(
         out *= 0.5 * gamma
         return out
 
-    def xi(paths):
-        w = np.clip(paths[:, -1, 0], -B, B)
+    def xi(w):
+        w = np.clip(w[:, 0], -B, B)
         return np.repeat(w[:, None], n, axis=1)
 
     def oracle(t, w):
@@ -277,8 +277,8 @@ def case_loggrowth(
         out += cross
         return out
 
-    def xi(paths):
-        w = np.clip(paths[:, -1, 0], -B, B)
+    def xi(w):
+        w = np.clip(w[:, 0], -B, B)
         return np.column_stack([w, w])
 
     return BenchmarkCase(

@@ -119,17 +119,18 @@ class Ensemble:
     another block is rebuilt or a pass walks out through the block's far end,
     so a backward or forward pass costs one N x d add per node and leaves no
     block behind.  ``cumulative`` allocates and returns the full path array
-    on every access; ``particles`` gives a slice of the paths as an ensemble.
+    on every access.  Nothing in the package reads it or passes it to the
+    constructor; both stay for callers outside the solve.
 
     Built by keyword, an Ensemble takes its paths either in full
     (``cumulative``, which must be bitwise the running sums of the increments,
     as ``np.cumsum`` forms them, from a zero node 0; a read-only copy of its
     checkpoint nodes is kept) or as ``checkpoints`` (the form
-    ``generate_ensemble``, ``particles`` and ``dataclasses.replace`` pass,
-    taken as given).  Arrays may have any layout; ``generate_ensemble``
-    stores them node-major and these are views, so each node's (N, d) block
-    is contiguous, ``.tobytes()`` gives the logical bytes, and particle-major
-    memory takes an explicit copy.
+    ``generate_ensemble`` and ``dataclasses.replace`` pass, taken as given).
+    Arrays may have any layout; ``generate_ensemble`` stores them node-major
+    and these are views, so each node's (N, d) block is contiguous,
+    ``.tobytes()`` gives the logical bytes, and particle-major memory takes
+    an explicit copy.
     ``factors`` caches the regression factor of each (basis, node) a
     ``NodeRegression`` used; it starts empty.
     """
@@ -182,12 +183,6 @@ class Ensemble:
         leaving = last is not None and abs(k - last) == 1 and r in (1, len(block))
         object.__setattr__(self, "_block", (None, None, None) if leaving else (b, block, k))
         return block[r - 1]
-
-    def particles(self, lo: int, hi: int) -> "Ensemble":
-        """Paths lo..hi-1 as an ensemble of their own, on views of this one's arrays."""
-        part = slice(lo, min(hi, self.N))
-        return Ensemble(grid=self.grid, N=part.stop - lo, d=self.d, seed=self.seed,
-                        increments=self.increments[part], checkpoints=self.checkpoints[part])
 
     @property
     def cumulative(self) -> np.ndarray:

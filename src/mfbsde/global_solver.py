@@ -35,8 +35,6 @@ from .picard import BallSpec, PicardTrace, picard_solve
 # Relative and absolute slack of the a priori sup check against lambda.
 APRIORI_SLACK = 1e-9
 
-_TERMINAL_CHUNK = 1024   # particles per evaluation of a terminal map
-
 
 @dataclass(frozen=True)
 class StitchPlan:
@@ -313,9 +311,9 @@ def solve_auto(
 ) -> GlobalReport:
     """Solve on [0, T] by the plan of ``plan_stitch``.
 
-    The terminal map runs once per solve, on chunks of _TERMINAL_CHUNK
-    paths, so a solve never holds the full (N, M+1, d) path array; its data
-    above lambda is a ConfigError, raised before any pair is allocated.
+    The terminal map runs once, on the states at T, ``ens.node(M)``; its data
+    is a ValueError unless (N, n), and a ConfigError above lambda, both
+    raised before any pair is allocated.
     A stitched window's failure re-plans the full interval, with that
     failure as reason, on a fresh solution pair: the failed attempt's pair,
     held by its traceback until the StitchError is handled, is freed first,
@@ -325,8 +323,9 @@ def solve_auto(
         raise TypeError(f"terminal must be a TerminalCondition, got {type(terminal).__name__}")
     if ledger is None:
         ledger = compute_ledger(gen.params)
-    chunks = (ens.particles(lo, lo + _TERMINAL_CHUNK) for lo in range(0, ens.N, _TERMINAL_CHUNK))
-    eta = np.concatenate([terminal_values(terminal, chunk.cumulative) for chunk in chunks])
+    eta = terminal_values(terminal, ens.node(ens.grid.M)[:, None])
+    if eta.shape != (ens.N, gen.params.n):
+        raise ValueError(f"terminal data has shape {eta.shape}, expected {(ens.N, gen.params.n)}")
     eta_sup = sup_norm_estimate(eta)
     if eta_sup > ledger.lam * (1.0 + 1e-9):
         raise ConfigError(f"terminal data norm {eta_sup:.6g} exceeds the a priori radius "

@@ -217,6 +217,9 @@ class ModelParams:
         # phi nondecreasing and nonnegative on a sampled grid reaching past
         # the ball radius 2*k1 for any plausible window.
         r_max = max(10.0, 4.0 * self.n * (self.C0 + self.C1 + 1.0))
+        if not math.isfinite(r_max):
+            raise ValueError(f"phi's sampling radius 4*n*(C0 + C1 + 1) is {r_max} for C0 = "
+                             f"{self.C0:.6g}, C1 = {self.C1:.6g}; it must be finite")
         rs = np.linspace(0.0, r_max, 201)
         pv = _sample_budget("phi", self.phi, rs)
         if np.any(pv < -1e-12):
@@ -285,11 +288,9 @@ class Generator:
 
 @dataclass(frozen=True, eq=False)
 class TerminalCondition:
-    """Bounded terminal data: a map from the discrete Brownian path to R^n.
-
-    ``g`` receives a cumulative path array (N, M+1, d) and returns (N, n).
-    A solve calls it on particle chunks of the paths, so row i of its result
-    must depend on path i alone.
+    """Bounded terminal data xi = g(W_T): ``g`` maps the (N, d) states at T to
+    (N, n).  The solver projects onto functions of W_{t_k} alone, so terminal
+    data that read the rest of the path could not be solved without bias.
     ``bound`` caps the Euclidean norm per particle; evaluation rejects any
     sample exceeding it or not finite.  When params are attached the bound
     must respect C1.
@@ -309,8 +310,12 @@ class TerminalCondition:
 
 
 def terminal_values(tc: TerminalCondition, paths: np.ndarray) -> np.ndarray:
-    """Evaluate terminal data on cumulative paths (N, M+1, d), enforcing the bound."""
-    vals = np.asarray(tc.g(np.asarray(paths, dtype=float)), dtype=float)
+    """Evaluate terminal data on the last node of paths (N, K, d), enforcing the
+    bound; a solve passes ``ens.node(M)[:, None]``, which gives full paths' bytes."""
+    paths = np.asarray(paths, dtype=float)
+    if paths.ndim != 3 or paths.shape[1] == 0:
+        raise ValueError(f"terminal paths must have shape (N, K >= 1, d), got {paths.shape}")
+    vals = np.asarray(tc.g(paths[:, -1]), dtype=float)
     if vals.ndim != 2 or vals.shape[0] != paths.shape[0]:
         raise ValueError(f"terminal map returned shape {vals.shape}, expected (N, n)")
     norms = np.sqrt((vals * vals).sum(axis=1))

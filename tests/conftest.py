@@ -31,7 +31,7 @@ def pair_from_fields(Y, Z) -> engine.ProcessPair:
 
 def terminal_eta(terminal, ens) -> np.ndarray:
     """The (N, n) terminal data ``solve_auto`` hands its windows: the map of
-    ``terminal`` on the ensemble's full paths."""
+    ``terminal`` on the states at T, read here off the ensemble's full paths."""
     return terminal_values(terminal, ens.cumulative)
 
 

@@ -471,6 +471,22 @@ def test_out_of_range_case_values_exit_2(tmp_path, capsys, command, name, params
     assert_config_error([command, "--config", cfg], tmp_path, capsys, f"[case] {name}")
 
 
+def test_an_overflowing_phi_radius_exits_2_with_a_clean_stderr(tmp_path):
+    # C1 = 1e308 takes phi's sampling radius to inf; the factory refuses it
+    # before numpy samples phi on a grid of nan and inf, so stderr holds the
+    # config error alone.  A fresh process: pytest would capture a warning
+    cfg = write_cfg(tmp_path, "[case]\nname = zero\nc = 1e308\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "mfbsde.cli", "solve", "--config", cfg,
+                           "--out", str(tmp_path / "r")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert proc.stderr == ("config error: [case] zero(c=1e+308): phi's sampling radius "
+                           "4*n*(C0 + C1 + 1) is inf for C0 = 0.01, C1 = 1e+308; "
+                           "it must be finite\n")
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("seed", ["-3", "x"])
 def test_bad_seed_flag_exits_2(tmp_path, capsys, command, seed):

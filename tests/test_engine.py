@@ -155,16 +155,6 @@ def test_cumulative_allocates_the_full_paths_on_every_access():
     assert all(a[:, k].flags.c_contiguous for k in range(24))
 
 
-def test_particles_are_rows_of_the_paths():
-    ens = make_ens(M=23, N=100, d=2, seed=3)
-    paths = ens.cumulative
-    for lo, hi in ((0, 40), (40, 100), (90, 130)):
-        part = ens.particles(lo, hi)
-        assert part.N == min(hi, 100) - lo and part.grid is ens.grid
-        assert part.cumulative.tobytes() == paths[lo:hi].tobytes()
-        assert part.node(17).tobytes() == paths[lo:hi, 17].tobytes()
-
-
 def test_a_pass_leaves_no_block_behind():
     import tracemalloc
 

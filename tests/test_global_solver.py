@@ -53,7 +53,7 @@ def colehopf_ledger():
 def constant_terminal(c, bound=1.0):
     """The terminal data c on every path, a map without params, so that a
     bound above lambda reaches the solve's check against lambda."""
-    return TerminalCondition(g=lambda paths: np.full((paths.shape[0], 1), c), bound=bound)
+    return TerminalCondition(g=lambda w: np.full((w.shape[0], 1), c), bound=bound)
 
 
 # ------------------------------------------------------------------ planning
@@ -243,6 +243,21 @@ def test_global_rejects_oversized_terminal():
     assert peak < pair_bytes(ProcessPair.empty(2000, 20, 1, 1))
 
 
+def test_solve_auto_refuses_a_terminal_of_the_wrong_width_before_allocating():
+    # the terminal data must be (N, n); a map of another width is refused
+    # next to the lambda check, before the solution pair exists
+    case = case_colehopf_diagonal(gamma=1.0, n=1)
+    ens = generate_ensemble(TimeGrid.make(20, 1.0), 2000, 1, 0)
+    wide = TerminalCondition(g=lambda w: np.repeat(np.clip(w, -1.0, 1.0), 2, axis=1), bound=2.0)
+
+    def solve():
+        with pytest.raises(ValueError, match=r"shape \(2000, 2\), expected \(2000, 1\)"):
+            solve_auto(case.generator, wide, ens, BASIS)
+
+    _, _, peak = traced(solve)
+    assert peak < pair_bytes(ProcessPair.empty(2000, 20, 1, 1))
+
+
 def test_solve_auto_refuses_a_terminal_array_before_any_work():
     # the terminal data is solve_auto's to evaluate: an array is refused
     # before the ledger, the terminal map or any pair
@@ -297,8 +312,25 @@ def y_feedback(f=lambda i, t, y, ybar, z_i, z, zbar: 0.4 * y[..., i] + 0.1 * yba
     T = 2.5 * compute_ledger(small_params()).t_lambda
     gen = Generator(fn=f, params=small_params(T), name="y-feedback")
     ens = generate_ensemble(TimeGrid.make(M, T), N, 1, 7)
-    terminal = TerminalCondition(g=lambda paths: np.clip(paths[:, -1, :], -1.0, 1.0), bound=1.0)
+    terminal = TerminalCondition(g=lambda w: np.clip(w, -1.0, 1.0), bound=1.0)
     return gen, terminal, ens, compute_ledger(gen.params)
+
+
+def counting_terminal(terminal):
+    """``terminal`` with a map that records the array of every call, uncopied."""
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return terminal.g(w)
+
+    return TerminalCondition(g=counted, bound=terminal.bound), calls
+
+
+def assert_read_the_terminal_states_once(calls, ens):
+    """The map ran once, on the (N, d) states at T: bitwise the paths' last node."""
+    assert [w.shape for w in calls] == [(ens.N, ens.d)]
+    assert calls[0].tobytes() == ens.cumulative[:, -1].tobytes()
 
 
 @pytest.mark.parametrize("init, sweeps", [("terminal-flat", [9, 10, 7]), ("zero", [10, 11, 8])])
@@ -309,9 +341,11 @@ def test_multi_window_stitch_equals_each_window_solved_alone_bitwise(init, sweep
     # window) or from the stitched left edge of the window after it, and
     # must give its slice of the stitched solution, bit for bit
     gen, terminal, ens, ledger = y_feedback()
+    counting, calls = counting_terminal(terminal)
     kw = dict(tol=1e-6, max_iter=60, init=init)
-    report = solve_auto(gen, terminal, ens, BASIS, ledger, **kw)
+    report = solve_auto(gen, counting, ens, BASIS, ledger, **kw)
     assert report.mode == "stitched" and report.continuity_ok and report.all_checks_passed()
+    assert_read_the_terminal_states_once(calls, ens)
     assert [len(t.iterations) for t in report.traces] == sweeps
     sol = report.pair
     assert sol.Y.shape == (4000, 31, 1) and sol.Z.shape == (4000, 30, 1, 1)
@@ -446,9 +480,9 @@ def test_multi_window_solve_holds_one_solution_pair():
 
 def test_solve_holds_no_full_path_array():
     # the ensemble keeps increments and path checkpoints, the solve adds its
-    # pair and at most one block of rebuilt nodes, and the terminal map runs
-    # on particle chunks of the paths: no (N, M+1, d) array is ever alive,
-    # so the peak stays below a path array's worth of slack over that storage
+    # pair and at most one block of rebuilt nodes, and the terminal map reads
+    # the states at T: no (N, M+1, d) array is ever alive, so the peak stays
+    # below a path array's worth of slack over that storage
     case = case_colehopf_diagonal()
     M, N = 40, 20_000
     node = 8 * N                            # one node of the paths, d = 1
@@ -468,23 +502,17 @@ def test_fallback_after_a_failed_window_runs_alone_on_fresh_storage():
     # the first stitched window fails to converge; its pair is released
     # before the fallback allocates its own, so the two never coexist, and
     # none of its partial writes reach the fallback's result; the terminal
-    # map runs once per solve, one call per chunk of paths, and the fallback
+    # map runs once per solve, on the terminal states, and the fallback
     # solves from the terminal data of the failed attempt
     gen, terminal, ens, ledger = y_feedback(f=relax, N=2000)
-    calls = []
-
-    def counted(paths):
-        calls.append(paths.shape[0])
-        return terminal.g(paths)
-
-    counting = TerminalCondition(g=counted, bound=terminal.bound)
+    counting, calls = counting_terminal(terminal)
     kw = dict(tol=1e-14, max_iter=3)
     solve_auto(gen, counting, ens, BASIS, ledger, **kw)      # first-solve allocations
     calls.clear()
     report, _, peak = traced(lambda: solve_auto(gen, counting, ens, BASIS, ledger, **kw))
     assert report.mode == "full-interval-fallback" and not report.converged
     assert re.search("did not converge", report.plan.reason)
-    assert calls == [global_solver._TERMINAL_CHUNK, 2000 - global_solver._TERMINAL_CHUNK]
+    assert_read_the_terminal_states_once(calls, ens)
     # the pair and the (N, n) terminal data it is solved from
     assert peak <= 1.4 * pair_bytes(report.pair) + ens.N * gen.params.n * 8
     ball = BallSpec.full_interval(ens.grid, ledger)

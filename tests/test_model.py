@@ -8,6 +8,7 @@ is worthless -- and (c) be deterministic given the seed.
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from mfbsde import (
     TerminalBoundError,
     TerminalCondition,
     TimeGrid,
+    generate_ensemble,
     make_case,
     run_checks,
     terminal_values,
@@ -72,6 +74,20 @@ def test_params_validation_rejects_bad_functions():
 def test_params_reject_a_non_finite_budget(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         simple_params(**{name: lambda t: value})
+
+
+@pytest.mark.parametrize("phi", [lambda r: 0.5, lambda r: 0.5 + r], ids=["constant", "linear"])
+@pytest.mark.parametrize("over", [dict(C1=1e308), dict(C0=1e308), dict(n=5, C1=1e308 / 8)],
+                         ids=["C1", "C0", "n"])
+def test_params_reject_a_phi_radius_that_overflows(phi, over):
+    # 4*n*(C0 + C1 + 1) overflows to inf: the radius is refused before phi
+    # is sampled on a grid of nan and inf, constant or not, and numpy warns
+    # about nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^phi's sampling radius 4\*n\*\(C0 \+ C1 \+ 1\) "
+                                             r"is inf for C0 = .*, C1 = .*; it must be finite"):
+            simple_params(phi=phi, **over)
 
 
 def test_params_reject_a_budget_that_does_not_take_an_array():
@@ -189,7 +205,7 @@ def test_integrate_refuses_an_integrand_that_exhausts_the_panels():
 
 
 def test_terminal_bound_enforced():
-    tc = TerminalCondition(g=lambda paths: paths[:, -1, :1] * 10.0, bound=1.0)
+    tc = TerminalCondition(g=lambda w: w[:, :1] * 10.0, bound=1.0)
     paths = np.zeros((4, 3, 1))
     paths[:, -1, 0] = [0.01, 0.05, -0.02, 0.3]
     with pytest.raises(TerminalBoundError):
@@ -206,10 +222,29 @@ def test_terminal_bound_rejects_nan_samples():
         terminal_values(tc, np.zeros((4, 3, 1)))
 
 
+def test_terminal_values_refuses_input_that_is_not_paths():
+    tc = TerminalCondition(g=lambda w: w[:, :1], bound=1.0)
+    for bad in (np.zeros((4, 1)), np.zeros(4), np.zeros((4, 3, 1, 1)), np.zeros((4, 0, 1))):
+        with pytest.raises(ValueError, match=r"terminal paths must have shape \(N, K >= 1, d\)"):
+            terminal_values(tc, bad)
+
+
+@pytest.mark.parametrize("M", [25, 30], ids=["block-node", "checkpoint"])
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_terminal_values_read_the_last_node_alone(name, M):
+    # the map sees the states at T whether it is given the full paths, as
+    # the benchmark worker does, or the last node alone, as a solve does
+    case = make_case(name)
+    ens = generate_ensemble(TimeGrid.make(M, case.params.T), 300, case.params.d, 7)
+    full = terminal_values(case.terminal, ens.cumulative)
+    assert full.shape == (300, case.params.n)
+    assert full.tobytes() == terminal_values(case.terminal, ens.node(M)[:, None]).tobytes()
+
+
 def test_terminal_bound_must_respect_declared_c1():
     p = simple_params(C1=1.0)
     with pytest.raises(ValueError, match="C1"):
-        TerminalCondition(g=lambda paths: paths[:, -1, :1], bound=2.0, params=p)
+        TerminalCondition(g=lambda w: w[:, :1], bound=2.0, params=p)
 
 
 # ------------------------------------------------------------ checker passes

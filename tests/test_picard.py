@@ -253,8 +253,8 @@ def mixing_case(n, d):
                 + 0.2 * np.sin(ybar[..., i]) + 0.1 * cross
                 + 0.05 * (zbar[..., i, :] * weights[i]).sum(axis=-1))
 
-    def xi(paths):
-        w = np.clip(paths[:, -1, :], -3.0, 3.0)
+    def xi(w):
+        w = np.clip(w, -3.0, 3.0)
         return np.column_stack([(1.0 + 0.5 * i) * w[:, i % d] + 0.3 * i for i in range(n)])
 
     return BenchmarkCase(
@@ -382,8 +382,8 @@ def test_apply_gamma_two_rows_two_dims(monkeypatch, projections):
         return (0.5 * np.sqrt((z_i * z_i).sum(axis=-1)) ** 2
                 + 0.05 * np.log1p(np.sqrt((other * other).sum(axis=-1))))
 
-    def xi(paths):
-        w = np.clip(paths[:, -1, :], -3.0, 3.0)
+    def xi(w):
+        w = np.clip(w, -3.0, 3.0)
         return np.column_stack([w[:, 0] + w[:, 1], 2.0 * w[:, 1]])
 
     case = BenchmarkCase(

@@ -2,7 +2,8 @@
 refer to it: ``model``, ``benchmarks``, ``global_solver`` and ``__init__``.
 ``solve_auto`` evaluates the map, and every layer below it takes the (N, n)
 terminal data as an array, so the choice of terminal form stays in one
-place."""
+place.  The map reads the states at T, so no module reads an ensemble's
+full path array, ``Ensemble.cumulative``: a solve never holds it."""
 
 import ast
 from pathlib import Path
@@ -50,3 +51,33 @@ def test_the_check_sees_every_form_of_reference():
                    "isinstance(t, TerminalCondition)"):
         assert terminal_references(source), source
     assert not terminal_references("from .model import Generator, _integrate")
+
+
+def cumulative_reads(source: str) -> list[int]:
+    """The lines of ``source`` that read an attribute ``cumulative``, by name
+    or through ``getattr``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "cumulative":
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant) and node.args[1].value == "cumulative"):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_reads_the_full_path_array():
+    reads = {path.stem: cumulative_reads(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    offenders = {stem: lines for stem, lines in reads.items() if lines}
+    assert not offenders, offenders
+
+
+def test_the_path_check_sees_every_read():
+    for source in ("eta = g(ens.cumulative[:, -1])",
+                   "parts = [chunk.cumulative for chunk in chunks]",
+                   "paths = getattr(ens, 'cumulative')"):
+        assert cumulative_reads(source), source
+    assert not cumulative_reads("Ensemble(grid, N, d, seed, increments, cumulative=paths)")
+    assert not cumulative_reads("raise ValueError('give the paths as cumulative')")
