@@ -24,7 +24,7 @@ import numpy as np
 
 from .engine import Ensemble, _node_mean, _sum_of_squares
 from .errors import ConfigError
-from .model import Generator, ModelParams, TerminalCondition
+from .model import Generator, ModelParams, TerminalCondition, _check_ensemble
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,9 +66,11 @@ def oracle_errors(
     (err_y (M+1,), err_z (M,)); err_y uses the Euclidean norm over
     components, err_z the Frobenius norm over the (n, d) block.  The oracle
     is evaluated one node at a time, and each node's squared errors are
-    averaged with ``_node_mean``, in the particle-major mean's order.
+    averaged with ``_node_mean``, in the particle-major mean's order.  An
+    ensemble on another horizon or dimension than the case's is a ValueError.
     """
     p = case.params
+    _check_ensemble(p, ens)
     M = ens.grid.M
     for name, arr, shape in (("Y", Y, (ens.N, M + 1, p.n)), ("Z", Z, (ens.N, M, p.n, p.d))):
         if np.shape(arr) != shape:
@@ -89,8 +91,10 @@ def residual_self_check(case: BenchmarkCase, ens: Ensemble) -> tuple[float, floa
         Y_k - Y_{k+1} - f(t_k, Y_k, E[Y_k], Z_k, E[Z_k]) dt + Z_k dW_k
     over the paths of `ens` must vanish up to the time-discretization error
     of the oracle itself plus Monte Carlo noise.  Returns (worst observed
-    mean residual, threshold).
+    mean residual, threshold); an ensemble on another horizon or dimension
+    than the case's is a ValueError.
     """
+    _check_ensemble(case.params, ens)
     grid = ens.grid
     # One node of oracle values at a time, node k+1's carried into step k+1;
     # _node_mean adds in the index order of a particle-major field's mean.

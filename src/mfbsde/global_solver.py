@@ -29,7 +29,7 @@ from .engine import (
     sup_norm_estimate,
 )
 from .errors import ConfigError, StitchError
-from .model import Generator, TerminalCondition, terminal_values
+from .model import Generator, TerminalCondition, _check_ensemble, terminal_values
 from .picard import BallSpec, PicardTrace, picard_solve
 
 # Relative and absolute slack of the a priori sup check against lambda.
@@ -311,9 +311,11 @@ def solve_auto(
 ) -> GlobalReport:
     """Solve on [0, T] by the plan of ``plan_stitch``.
 
-    The terminal map runs once, on the states at T, ``ens.node(M)``; its data
-    is a ValueError unless (N, n), and a ConfigError above lambda, both
-    raised before any pair is allocated.
+    An ensemble on another horizon or dimension than ``gen.params``, or a
+    ledger of other params, is a ValueError before any work.  The terminal
+    map runs once, on the states at T, ``ens.node(M)``; its data is a
+    ValueError unless (N, n), and a ConfigError above lambda, both raised
+    before any pair is allocated.
     A stitched window's failure re-plans the full interval, with that
     failure as reason, on a fresh solution pair: the failed attempt's pair,
     held by its traceback until the StitchError is handled, is freed first,
@@ -321,8 +323,12 @@ def solve_auto(
     solution's contents are undefined, and it is not returned."""
     if not isinstance(terminal, TerminalCondition):
         raise TypeError(f"terminal must be a TerminalCondition, got {type(terminal).__name__}")
+    _check_ensemble(gen.params, ens)
     if ledger is None:
         ledger = compute_ledger(gen.params)
+    elif ledger.params is not gen.params:
+        raise ValueError("ledger was computed for other params than the generator's; "
+                         "pass compute_ledger(gen.params)")
     eta = terminal_values(terminal, ens.node(ens.grid.M)[:, None])
     if eta.shape != (ens.N, gen.params.n):
         raise ValueError(f"terminal data has shape {eta.shape}, expected {(ens.N, gen.params.n)}")

@@ -246,6 +246,14 @@ class ModelParams:
             )
 
 
+def _check_ensemble(p: ModelParams, ens) -> None:
+    """Refuse an ensemble drawn for another model: its horizon and Brownian
+    dimension must be the model's T and d."""
+    if ens.grid.T != p.T or ens.d != p.d:
+        raise ValueError(f"ensemble has T = {ens.grid.T:.6g}, d = {ens.d}; the model has "
+                         f"T = {p.T:.6g}, d = {p.d}")
+
+
 @dataclass(frozen=True, eq=False)
 class Generator:
     """Vectorized driver f(t, y, ybar, z, zbar) -> R^n, given row by row.

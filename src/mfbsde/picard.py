@@ -21,7 +21,7 @@ import numpy as np
 from .constants import ConstantsLedger, contraction_coefficients
 from .engine import Ensemble, ProcessPair, RegressionBasis, TimeGrid, _node_mean, sup_norm_estimate
 from .model import Generator, _integrate
-from .qbsde1d import bound_y, bound_z, solve_1d, truncation_radius
+from .qbsde1d import Solve1DResult, bound_y, bound_z, solve_1d, truncation_radius
 
 # Slack applied to the theoretical ball radii before flagging an iterate as
 # escaping: regression noise may overshoot the exact radius slightly.
@@ -69,31 +69,6 @@ class BallSpec:
         )
 
 
-@dataclass(frozen=True)
-class ComponentInfo:
-    eta_bound: float
-    y_bound: float
-    trunc_R: float
-    truncation_hits: int
-
-
-@dataclass(frozen=True, eq=False)
-class ApplyInfo:
-    """Per-row bounds and clips of one sweep, how far it moved its pair, and
-    the sup and BMO profiles of its result as its ``solve_1d`` pass measured
-    them."""
-
-    components: tuple[ComponentInfo, ...]
-    diff_y: float
-    diff_z: float
-    sup_nodes: np.ndarray = field(repr=False)    # (L+1,)
-    bmo_nodes: np.ndarray = field(repr=False)    # (L+1,)
-
-    @property
-    def truncation_hits(self) -> int:
-        return sum(c.truncation_hits for c in self.components)
-
-
 def _check_eta(eta: np.ndarray, N: int, n: int) -> None:
     if np.shape(eta) != (N, n):
         raise ValueError(f"terminal array must have shape ({N}, {n}), got {np.shape(eta)}")
@@ -108,7 +83,7 @@ def apply_gamma(
     ball: BallSpec,
     u_norm: float,
     v_norm: float,
-) -> ApplyInfo:
+) -> Solve1DResult:
     """One application of the decoupling map on the window of ``ball``,
     advancing ``pair`` in place.
 
@@ -134,9 +109,8 @@ def apply_gamma(
     ``gen.component`` i with the regression estimate as its own row and V's
     (N, n, d) node block itself, uncopied, as the environment.
     A BlowUpError names the first node reached backward at which any row
-    exceeds its guard, and the lowest such row there.  The ApplyInfo
-    carries the sup distances between the environment and the result and
-    the result's sup and BMO profiles, all measured by that same pass.
+    exceeds its guard, and the lowest such row there.  The sweep returns
+    the ``Solve1DResult`` of that pass as it is.
     """
     p = gen.params
     n, N = p.n, ens.N
@@ -179,19 +153,8 @@ def apply_gamma(
             g[:, i] = gen.component(i, t_mid, u_mid, mu_mid, zk[:, i], V[:, j], mean_V[j])
         return g
 
-    res = solve_1d(eta, g_rows, ens, basis, np.array(radii), 10.0 * np.array(y_bounds), pair,
-                   k_lo=k_lo)
-    infos = tuple(
-        ComponentInfo(
-            eta_bound=float(eta_bounds[i]),
-            y_bound=y_bounds[i],
-            trunc_R=radii[i],
-            truncation_hits=res.row_hits[i],
-        )
-        for i in range(n)
-    )
-    return ApplyInfo(components=infos, diff_y=res.diff_y, diff_z=res.diff_z,
-                     sup_nodes=res.sup_nodes, bmo_nodes=res.bmo_nodes)
+    return solve_1d(eta, g_rows, ens, basis, np.array(radii), 10.0 * np.array(y_bounds), pair,
+                    k_lo=k_lo)
 
 
 @dataclass(frozen=True)

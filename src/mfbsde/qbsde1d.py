@@ -103,12 +103,15 @@ def truncation_radius(z_bound: float) -> float:
 
 @dataclass(eq=False)
 class Solve1DResult:
-    truncation_hits: int              # total over the rows
-    row_hits: tuple[int, ...]         # per row
+    row_hits: tuple[int, ...]         # clipped particles of each row's Z, per row
     diff_y: float                     # max |new - old| over pair.Y
     diff_z: float                     # max |new - old| over pair.Z
     sup_nodes: np.ndarray             # sup_norm_estimate of each node of Y, (L+1,)
     bmo_nodes: np.ndarray             # bmo_profile of (Y, Z), (L+1,)
+
+    @property
+    def truncation_hits(self) -> int:
+        return sum(self.row_hits)
 
 
 def _per_row(value, n: int, name: str) -> np.ndarray:
@@ -237,8 +240,8 @@ def solve_1d(
         bmo_nodes[j] = _tail_step(tail, zk, dt, op)
 
     diff_y = max(diff_y, _overwrite(pair.Y, pair.mean_Y, 0, y_next))
-    return Solve1DResult(truncation_hits=int(hits.sum()), row_hits=tuple(int(h) for h in hits),
-                         diff_y=diff_y, diff_z=diff_z, sup_nodes=sup_nodes, bmo_nodes=bmo_nodes)
+    return Solve1DResult(row_hits=tuple(int(h) for h in hits), diff_y=diff_y, diff_z=diff_z,
+                         sup_nodes=sup_nodes, bmo_nodes=bmo_nodes)
 
 
 def _overwrite(fld: np.ndarray, mean: np.ndarray, j: int, new: np.ndarray) -> float:

@@ -380,6 +380,22 @@ def test_oracle_errors_hold_a_few_node_blocks(label):
     assert peak <= 0.25 * pair.Y.nbytes, peak / pair.Y.nbytes
 
 
+@pytest.mark.parametrize("T, d", [(3.0, 1), (1.0, 2)], ids=["horizon", "dimension"])
+def test_oracle_scorers_refuse_an_ensemble_of_another_model(T, d):
+    # the colehopf oracle is exact on T = 1, d = 1 only; on another horizon
+    # its residual would still vanish and its errors still be numbers
+    case = case_colehopf_diagonal()
+    ens = generate_ensemble(TimeGrid.make(10, T), 300, d, 4)
+    Y, Z = np.zeros((300, 11, 1)), np.zeros((300, 10, 1, 1))
+    message = f"ensemble has T = {T:g}, d = {d}; the model has T = 1, d = 1"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        oracle_errors(case, Y, Z, ens)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        residual_self_check(case, ens)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_oracle(case, ens)
+
+
 @pytest.mark.parametrize("y_shape, z_shape, message", [
     ((11, 1), (10, 1, 1), "Y must have shape (300, 11, 1), got (11, 1)"),
     ((1, 11, 1), (1, 10, 1, 1), "Y must have shape (300, 11, 1), got (1, 11, 1)"),

@@ -1,5 +1,7 @@
 """Window planning, bound verification and the stitched global solve."""
 
+import hashlib
+import json
 import re
 import tracemalloc
 
@@ -33,7 +35,7 @@ from mfbsde import (
     verify_apriori,
     verify_bmo_membership,
 )
-from mfbsde import engine, global_solver
+from mfbsde import cli, engine, global_solver, qbsde1d
 from mfbsde.constants import local_ball
 
 from conftest import pair_from_fields, terminal_eta
@@ -273,6 +275,33 @@ def test_solve_auto_refuses_a_terminal_array_before_any_work():
     assert peak < eta.nbytes
 
 
+@pytest.mark.parametrize("mismatch, message", [
+    ("horizon", "ensemble has T = 2, d = 1; the model has T = 1, d = 1"),
+    ("dimension", "ensemble has T = 1, d = 2; the model has T = 1, d = 1"),
+    ("ledger", "ledger was computed for other params than the generator's"),
+])
+def test_solve_auto_refuses_another_models_ensemble_or_ledger_before_allocating(mismatch,
+                                                                               message):
+    # a solve on another horizon or dimension than the model's, or checked
+    # against another model's lambda, would pass its checks meaninglessly;
+    # each is refused before the terminal map runs or a pair exists
+    case = make_case("colehopf")
+    ledger = compute_ledger(case.params)
+    T, d = {"horizon": (2.0, 1), "dimension": (1.0, 2)}.get(mismatch, (1.0, 1))
+    if mismatch == "ledger":
+        ledger = compute_ledger(make_case("colehopf", gamma=3.0).params)
+    ens = generate_ensemble(TimeGrid.make(20, T), 2000, d, 7)
+    counting, calls = counting_terminal(case.terminal)
+
+    def solve():
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve_auto(case.generator, counting, ens, BASIS, ledger)
+
+    _, _, peak = traced(solve)
+    assert calls == []
+    assert peak < pair_bytes(ProcessPair.empty(2000, 20, 1, d))
+
+
 def small_params(T=1.0):
     """A scalar model with a small drift budget, whose guaranteed step
     (t_lambda = 2.02) is usable."""
@@ -383,6 +412,20 @@ def test_stitch_flags_a_window_that_did_not_end_on_its_terminal(monkeypatch):
     report = solve_auto(gen, terminal, ens, BASIS, ledger, tol=1e-6, max_iter=60)
     assert report.mode == "stitched"
     assert len(report.traces) == 3 and report.continuity_ok is False
+
+
+def test_multi_window_report_json_is_pinned(monkeypatch):
+    # three stitched windows, each clipping Z on every sweep, so the JSON
+    # pins each window's sweep count and its truncation hits end to end
+    monkeypatch.setattr(qbsde1d, "_TRUNC_MULT", 1e-3)
+    gen, terminal, ens, ledger = y_feedback(N=500)
+    report = solve_auto(gen, terminal, ens, BASIS, ledger, tol=1e-6, max_iter=60)
+    assert report.mode == "stitched" and report.all_checks_passed()
+    assert [len(t.iterations) for t in report.traces] == [9, 10, 8]
+    assert [w.truncation_hits for w in report.windows] == [53505, 59412, 23984]
+    text = json.dumps(cli._sanitize(report.to_dict()), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ae0b15f3d8c4827bad733aa9955101b18048caf166bea48f613ae02166012814")
 
 
 def test_stitched_apriori_check_reads_the_largest_window_sup():

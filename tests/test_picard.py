@@ -37,6 +37,7 @@ from mfbsde import (
 )
 from mfbsde import picard, qbsde1d
 from mfbsde.benchmarks import BenchmarkCase
+from mfbsde.qbsde1d import Solve1DResult
 
 from conftest import ball_from_ledger, pair_from_fields, terminal_eta
 
@@ -120,7 +121,27 @@ def norms(pair, ens, ball, basis=BASIS):
     return sup_norm_estimate(pair.Y), bmo_profile(pair, ens, basis, ball.k_lo).max()
 
 
-def test_apply_gamma_single_sweep_hand_value_on_flat_environment():
+def record(monkeypatch, name):
+    """Replace picard's ``name`` by a wrapper that records the (args,
+    kwargs, result) of every call."""
+    calls = []
+    real = getattr(picard, name)
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs, real(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(picard, name, recording)
+    return calls
+
+
+def last_pass(solves):
+    """The (trunc_R, blowup_guard, result) of the last recorded solve_1d."""
+    (_, _, _, _, trunc_R, guard, _), _, res = solves[-1]
+    return trunc_R, guard, res
+
+
+def test_apply_gamma_single_sweep_hand_value_on_flat_environment(monkeypatch):
     # frozen environment constant c on the window: each backward step adds
     # (a + b) * c * dt, so node k carries c * (1 + s*dt*(M-k))
     case, ens, ledger = linear_setup(M=10, N=128)
@@ -129,14 +150,27 @@ def test_apply_gamma_single_sweep_hand_value_on_flat_environment():
     Y0 = np.ones((ens.N, 11, 1))
     Z0 = np.zeros((ens.N, 10, 1, 1))
     pair = pair_from_fields(Y0, Z0)
+    solves = record(monkeypatch, "solve_1d")
     info = apply_gamma(pair, case.generator, eta, ens, BASIS, ball, *norms(pair, ens, ball))
     out = pair
     dt = ens.grid.dt
     for k in range(11):
         np.testing.assert_allclose(out.Y[:, k, 0], 1.0 + dt * (10 - k), rtol=1e-12)
     assert np.array_equal(out.Z, np.zeros_like(out.Z))
-    assert info.truncation_hits == 0
-    assert len(info.components) == 1 and info.components[0].trunc_R > 0.0
+    assert info.truncation_hits == 0 and info.row_hits == (0,)
+    trunc_R, _, _ = last_pass(solves)
+    assert trunc_R.shape == (1,) and trunc_R[0] > 0.0
+
+
+def test_apply_gamma_returns_the_result_of_its_solve_1d_pass(monkeypatch):
+    # one sweep is one solve_1d pass, and its record is that pass's own
+    case = case_loggrowth()
+    ens = generate_ensemble(TimeGrid.make(10, case.params.T), 300, 1, 4)
+    solves = record(monkeypatch, "solve_1d")
+    _, _, _, _, info = second_sweep(case, ens, BASIS)
+    assert len(solves) == 2
+    assert type(info) is Solve1DResult and info is last_pass(solves)[2]
+    assert info.truncation_hits == sum(info.row_hits) and len(info.row_hits) == 2
 
 
 def test_apply_gamma_works_on_the_window_nodes():
@@ -206,17 +240,17 @@ def test_apply_gamma_blowup_carries_component_index():
 # ------------------------------------------------------ one pass, all rows
 
 
-def per_row_reference(pair, gen, eta, ens, basis, ball, info):
+def per_row_reference(pair, gen, eta, ens, basis, ball, trunc_R, guard):
     """The sweep of apply_gamma solved one row at a time: solve_1d on the
-    (N, 1) block of each row, with its own frozen closure, radius and guard.
-    Returns (Y, Z, hits) on the window."""
+    (N, 1) block of each row, with its own frozen closure and the radius and
+    guard the sweep gave that row.  Returns (Y, Z, hits) on the window."""
     U, V = pair.Y, pair.Z
     nodes = ens.grid.nodes
     Y = np.zeros((ens.N, ball.steps + 1, gen.params.n))
     Z = np.zeros((ens.N, ball.steps, gen.params.n, ens.d))
     mean_Y, mean_Z = np.zeros((ball.steps + 1, 1)), np.zeros((ball.steps, 1, ens.d))
     hits = []
-    for i, comp in enumerate(info.components):
+    for i in range(gen.params.n):
         def g_i(k, zrow, i=i):
             j = k - ball.k_lo
             vsub = V[:, j].copy()
@@ -227,8 +261,8 @@ def per_row_reference(pair, gen, eta, ens, basis, ball, info):
             return gen.eval(t_mid, u_mid, mu_mid, vsub, pair.mean_Z[j])[:, i, None]
 
         row = ProcessPair(Y=Y[:, :, i : i + 1], Z=Z[:, :, i : i + 1], mean_Y=mean_Y, mean_Z=mean_Z)
-        res = solve_1d(eta[:, i : i + 1], g_i, ens, basis, np.array([comp.trunc_R]),
-                       np.array([10.0 * comp.y_bound]), row, ball.k_lo)
+        res = solve_1d(eta[:, i : i + 1], g_i, ens, basis, trunc_R[i : i + 1],
+                       guard[i : i + 1], row, ball.k_lo)
         hits.append(res.truncation_hits)
     return Y, Z, hits
 
@@ -286,7 +320,7 @@ def particle_first_drift(gen, env, ens, ball):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("d", [1, 2])
-def test_apply_gamma_drift_layout_is_the_particle_first_block_bitwise(n, d):
+def test_apply_gamma_drift_layout_is_the_particle_first_block_bitwise(n, d, monkeypatch):
     # the sweep's row-form calls, each on V's (N, n, d) node block as the
     # environment, give bitwise the sweep of the particle-first
     # (N, n, n, d) block, on a window that starts past node 0 and ends
@@ -298,17 +332,18 @@ def test_apply_gamma_drift_layout_is_the_particle_first_block_bitwise(n, d):
     env, eta, ball, _, _ = second_sweep(case, ens, basis, ball)
     assert np.abs(env.Z).min() > 0.0 and np.ptp(env.mean_Z) > 0.0     # every z-slot is live
     pair = snapshot(env)
+    solves = record(monkeypatch, "solve_1d")
     info = apply_gamma(pair, case.generator, eta, ens, basis, ball, *norms(env, ens, ball, basis))
+    trunc_R, guard, _ = last_pass(solves)
     ref = snapshot(env)
     res = solve_1d(eta, particle_first_drift(case.generator, env, ens, ball), ens, basis,
-                   np.array([c.trunc_R for c in info.components]),
-                   np.array([10.0 * c.y_bound for c in info.components]), ref, ball.k_lo)
+                   trunc_R, guard, ref, ball.k_lo)
     for name in ("Y", "Z", "mean_Y", "mean_Z"):
         assert np.array_equal(getattr(pair, name), getattr(ref, name)), name
     assert np.array_equal(info.sup_nodes, res.sup_nodes)
     assert np.array_equal(info.bmo_nodes, res.bmo_nodes)
     assert (info.diff_y, info.diff_z) == (res.diff_y, res.diff_z)
-    assert tuple(c.truncation_hits for c in info.components) == res.row_hits
+    assert info.row_hits == res.row_hits
 
 
 def second_sweep(case, ens, basis, ball=None):
@@ -327,22 +362,26 @@ def second_sweep(case, ens, basis, ball=None):
     return env, eta, ball, pair, info
 
 
-def test_apply_gamma_rows_match_per_row_reference():
+def test_apply_gamma_rows_match_per_row_reference(monkeypatch):
     case = case_loggrowth()
     ens = generate_ensemble(TimeGrid.make(10, case.params.T), 300, 1, 4)
+    solves = record(monkeypatch, "solve_1d")
     pair, eta, ball, out, info = second_sweep(case, ens, BASIS)
     assert np.abs(pair.Z).max() > 0.0           # the frozen z-slots are live
-    Y, Z, hits = per_row_reference(pair, case.generator, eta, ens, BASIS, ball, info)
+    trunc_R, guard, _ = last_pass(solves)
+    Y, Z, hits = per_row_reference(pair, case.generator, eta, ens, BASIS, ball, trunc_R, guard)
     np.testing.assert_allclose(out.Y, Y, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(out.Z, Z, rtol=0.0, atol=1e-12)
-    assert [c.truncation_hits for c in info.components] == hits
+    assert list(info.row_hits) == hits
 
 
-def test_apply_gamma_single_row_is_the_scalar_solve_bitwise():
+def test_apply_gamma_single_row_is_the_scalar_solve_bitwise(monkeypatch):
     case = case_colehopf_diagonal(gamma=1.0, n=1)
     ens = generate_ensemble(TimeGrid.make(10, case.params.T), 300, 1, 4)
+    solves = record(monkeypatch, "solve_1d")
     pair, eta, ball, out, info = second_sweep(case, ens, BASIS)
-    Y, Z, hits = per_row_reference(pair, case.generator, eta, ens, BASIS, ball, info)
+    trunc_R, guard, _ = last_pass(solves)
+    Y, Z, hits = per_row_reference(pair, case.generator, eta, ens, BASIS, ball, trunc_R, guard)
     assert np.array_equal(out.Y, Y) and np.array_equal(out.Z, Z)
     assert info.truncation_hits == hits[0]
 
@@ -395,18 +434,19 @@ def test_apply_gamma_two_rows_two_dims(monkeypatch, projections):
     ens = generate_ensemble(TimeGrid.make(8, 1.0), 400, 2, 6)
     # radii small enough that both rows clip
     monkeypatch.setattr(qbsde1d, "_TRUNC_MULT", 1e-3)
+    solves = record(monkeypatch, "solve_1d")
     pair, eta, ball, out, info = second_sweep(case, ens, basis)
     assert {shape for _, shape in projections} == {(ens.N, 2), (ens.N, 4), (ens.N,)}
-    Y, Z, hits = per_row_reference(pair, case.generator, eta, ens, basis, ball, info)
+    trunc_R, guard, _ = last_pass(solves)
+    Y, Z, hits = per_row_reference(pair, case.generator, eta, ens, basis, ball, trunc_R, guard)
     np.testing.assert_allclose(out.Y, Y, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(out.Z, Z, rtol=0.0, atol=1e-12)
-    row_hits = [c.truncation_hits for c in info.components]
-    assert row_hits == hits and all(h > 0 for h in row_hits)
-    assert info.truncation_hits == sum(row_hits)
-    for i, comp in enumerate(info.components):
+    assert list(info.row_hits) == hits and all(h > 0 for h in info.row_hits)
+    assert info.truncation_hits == sum(info.row_hits)
+    for i in range(2):
         norms = np.sqrt((out.Z[:, :, i, :] ** 2).sum(axis=-1))
-        assert norms.max() <= comp.trunc_R * (1 + 1e-12)
-    assert info.components[0].trunc_R != info.components[1].trunc_R
+        assert norms.max() <= trunc_R[i] * (1 + 1e-12)
+    assert trunc_R[0] != trunc_R[1]
 
 
 def test_apply_gamma_passes_each_row_its_radius_and_guard(monkeypatch):
@@ -414,31 +454,21 @@ def test_apply_gamma_passes_each_row_its_radius_and_guard(monkeypatch):
     # default multiple, and guarded at ten times its own bound_y
     case = case_loggrowth()
     ens = generate_ensemble(TimeGrid.make(10, case.params.T), 300, 1, 4)
-    solves, z_bounds = [], []
-    solve, bound_z = picard.solve_1d, picard.bound_z
-
-    def recording_solve(eta, drift, ens, basis, trunc_R, blowup_guard, pair, **window):
-        solves.append((trunc_R, blowup_guard, window))
-        return solve(eta, drift, ens, basis, trunc_R, blowup_guard, pair, **window)
-
-    def recording_bound_z(*args):
-        z_bounds.append(bound_z(*args))
-        return z_bounds[-1]
-
-    monkeypatch.setattr(picard, "solve_1d", recording_solve)
-    monkeypatch.setattr(picard, "bound_z", recording_bound_z)
+    solves = record(monkeypatch, "solve_1d")
+    y_bounds = record(monkeypatch, "bound_y")
+    z_bounds = record(monkeypatch, "bound_z")
     pair, eta, ball, out, info = second_sweep(case, ens, BASIS)
-    # two sweeps, each one solve_1d pass and one bound_z per row
-    assert len(solves) == 2 and len(z_bounds) == 4
-    trunc_R, guard, window = solves[-1]
-    assert window == {"k_lo": ball.k_lo}
+    # two sweeps, each one solve_1d pass and one bound_y and bound_z per row
+    assert len(solves) == 2 and len(y_bounds) == len(z_bounds) == 4
+    trunc_R, guard, _ = last_pass(solves)
+    assert solves[-1][1] == {"k_lo": ball.k_lo}
     assert trunc_R.shape == guard.shape == (2,)
-    for i, comp in enumerate(info.components):
-        assert trunc_R[i] == comp.trunc_R == truncation_radius(z_bounds[2 + i])
-        assert guard[i] == 10.0 * comp.y_bound
+    for i in range(2):
+        assert trunc_R[i] == truncation_radius(z_bounds[2 + i][2])
+        assert guard[i] == 10.0 * y_bounds[2 + i][2]
 
 
-def test_apply_gamma_bounds_read_the_window_budget():
+def test_apply_gamma_bounds_read_the_window_budget(monkeypatch):
     # each row's y_bound is bound_y over the window [t_lo, t_hi] with the
     # drift budget integral_{t_lo}^{t_hi} a + K dt sum_j |E[V_j]|^{1+delta}
     case = case_loggrowth()
@@ -447,6 +477,7 @@ def test_apply_gamma_bounds_read_the_window_budget():
     ledger = compute_ledger(p)
     ball = BallSpec(k_lo=3, k_hi=10, eps=0.7 * p.T, k1=ledger.k1, k2=ledger.k2,
                     within_guarantee=False)
+    y_bounds = record(monkeypatch, "bound_y")
     pair, eta, ball, out, info = second_sweep(case, ens, BASIS, ball)
     t_lo, t_hi = ens.grid.nodes[3], ens.grid.nodes[10]
     mean_z = np.sqrt((pair.mean_Z**2).sum(axis=(1, 2)))           # (L,)
@@ -454,14 +485,16 @@ def test_apply_gamma_bounds_read_the_window_budget():
     assert coupling > 1e-6                       # the mean-field term is pinned too
     budget = quad(p.a, t_lo, t_hi)[0] + coupling
     u, v = norms(pair, ens, ball)
-    for i, comp in enumerate(info.components):
-        assert comp.eta_bound == np.abs(eta[:, i]).max()
-        expect = bound_y(p, t_hi - t_lo, budget, comp.eta_bound, u, v)
-        assert comp.y_bound == pytest.approx(expect, rel=0.0, abs=1e-12)
+    for i in range(2):
+        args, _, y_bound = y_bounds[2 + i]             # the second sweep's row i
+        eta_bound = args[3]
+        assert eta_bound == np.abs(eta[:, i]).max()
+        expect = bound_y(p, t_hi - t_lo, budget, eta_bound, u, v)
+        assert y_bound == pytest.approx(expect, rel=0.0, abs=1e-12)
 
 
 def quad_bounds(p, env, eta, ens, ball, u, v):
-    """Each row's (y_bound, trunc_R) from a drift budget of one quad per
+    """Each row's (bound_y, trunc_R) from a drift budget of one quad per
     step, summed from the window's last step backward."""
     nodes, dt = ens.grid.nodes, ens.grid.dt
     budget = 0.0
@@ -480,18 +513,20 @@ def quad_bounds(p, env, eta, ens, ball, u, v):
 
 @pytest.mark.parametrize("make", [case_loggrowth, case_colehopf_diagonal])
 @pytest.mark.parametrize("k_lo", [0, 3])
-def test_apply_gamma_bounds_are_the_per_step_quad_budget_bitwise(make, k_lo):
+def test_apply_gamma_bounds_are_the_per_step_quad_budget_bitwise(make, k_lo, monkeypatch):
     case = make()
     p = case.params
     ens = generate_ensemble(TimeGrid.make(10, p.T), 300, 1, 4)
     ledger = compute_ledger(p)
     ball = BallSpec(k_lo=k_lo, k_hi=10, eps=(10 - k_lo) / 10 * p.T, k1=ledger.k1,
                     k2=ledger.k2, within_guarantee=False)
-    env, eta, ball, _, info = second_sweep(case, ens, BASIS, ball)
+    solves = record(monkeypatch, "solve_1d")
+    env, eta, ball, _, _ = second_sweep(case, ens, BASIS, ball)
     if p.K > 0.0:
         assert np.abs(env.mean_Z).max() > 0.0        # the coupling term is live
     expect = quad_bounds(p, env, eta, ens, ball, *norms(env, ens, ball))
-    assert [(c.y_bound, c.trunc_R) for c in info.components] == expect
+    trunc_R, guard, _ = last_pass(solves)
+    assert list(zip(guard, trunc_R)) == [(10.0 * y, R) for y, R in expect]
 
 
 # ------------------------------------------------------------- fixed point

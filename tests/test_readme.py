@@ -30,23 +30,48 @@ def test_readme_library_example_runs(capsys):
     assert "apriori_sup" in out and "bmo_membership" in out
 
 
-def config_table() -> dict[str, dict[str, str]]:
-    """section -> key -> accepted-values text, from the README's config table."""
+def config_table() -> dict[str, dict[str, tuple[str, str]]]:
+    """section -> key -> (default text, accepted-values text), from the
+    README's config table."""
     table = README.read_text().split("| section | key |", 1)[1].split("\n\n", 1)[0]
     rows = {}
     for line in table.splitlines()[2:]:
-        section, key, _, _, accepted = (cell.strip() for cell in line.strip("|").split("|"))
-        rows.setdefault(section.strip("`[]"), {})[key.strip("`")] = accepted
+        section, key, _, default, accepted = (cell.strip() for cell in line.strip("|").split("|"))
+        rows.setdefault(section.strip("`[]"), {})[key.strip("`")] = (default, accepted)
     return rows
 
 
 def test_readme_config_table_matches_the_schema():
     from mfbsde.cli import SCHEMA
+    from mfbsde.engine import default_basis
 
     rows = config_table()
     assert set(rows.pop("case")) == {"name", "parameters"}
-    assert rows == {section: {key: spec.expect for key, spec in keys.items()}
-                    for section, keys in SCHEMA.items()}
+    assert {section: {key: accepted for key, (_, accepted) in keys.items()}
+            for section, keys in rows.items()} == {
+        section: {key: spec.expect for key, spec in keys.items()}
+        for section, keys in SCHEMA.items()}
+    # the default column is the schema's default, read with the key's caster;
+    # the one unset default is the basis chosen by the state dimension
+    for section, keys in SCHEMA.items():
+        for key, spec in keys.items():
+            default = rows[section][key][0]
+            if spec.default is None:
+                assert (section, key, default) == ("basis", "degree", "3 for d = 1, else 2")
+                assert [default_basis(d).degree for d in (1, 2, 3)] == [3, 2, 2]
+            else:
+                assert spec.cast(default) == spec.default, (section, key, default)
+
+
+def test_solver_defaults_are_one_set():
+    # the [solver] defaults of the config are those of the library calls
+    from mfbsde.cli import SCHEMA
+
+    solver = {key: spec.default for key, spec in SCHEMA["solver"].items()}
+    assert solver == {"tol": 1e-3, "max_iter": 25, "init": "terminal-flat"}
+    for fn in (mfbsde.solve_auto, mfbsde.picard_solve):
+        params = inspect.signature(fn).parameters
+        assert {key: params[key].default for key in solver} == solver, fn.__name__
 
 
 # Backticked calls that name a convention, not a callable of the package.

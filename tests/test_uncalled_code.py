@@ -67,9 +67,6 @@ _REPORTED = "ROADMAP item 4 plans to report it in the run record"
 _CONTRACTION = "the report of contraction_report, which ROADMAP item 4 plans to report"
 ALLOWED_FIELDS = {
     "picard.BallSpec.within_guarantee": _REPORTED,
-    "picard.ComponentInfo.eta_bound": _REPORTED,
-    "picard.ComponentInfo.y_bound": _REPORTED,
-    "picard.ComponentInfo.trunc_R": _REPORTED,
     "picard.PicardIteration.sup_y": _REPORTED,
     "picard.PicardIteration.bmo_sq": _REPORTED,
     "picard.ContractionReport.coef_u": _CONTRACTION,
