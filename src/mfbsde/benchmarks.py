@@ -251,9 +251,12 @@ def case_loggrowth(
     """Two components coupled through logarithmic growth in the other row.
 
     f^1 = (gamma/2)|z^1|^2 + kappa*log(1 + |z^2|) and symmetrically for f^2,
-    terminal (clamped W_T, clamped W_T).  No closed-form oracle exists; the
-    case is scored by the structural checks (H1/H2/H4), the convergence of
-    the solve, and the explicit sup-norm/BMO ceilings.
+    terminal (clamped W_T, clamped W_T).  On the clamp approximation of
+    ``case_colehopf_diagonal``, Z^i = 1 makes each row's driver the constant
+    gamma/2 + kappa*log 2, so Y^i_t = W_t + (gamma/2 + kappa*log 2)(T - t).
+    The case does not carry that oracle yet: it is scored by the structural
+    checks (H1/H2/H4), the convergence of the solve, and the explicit
+    sup-norm/BMO ceilings.
     """
     if kappa <= 0.0:
         raise ConfigError(f"kappa must be positive, got {kappa}")

@@ -32,7 +32,8 @@ from .errors import ConfigError, StitchError
 from .model import Generator, TerminalCondition, _check_ensemble, terminal_values
 from .picard import BallSpec, PicardTrace, picard_solve
 
-# Relative and absolute slack of the a priori sup check against lambda.
+# Slack of every sup check against lambda: relative on the terminal data and
+# each stitched left edge, relative and absolute in verify_apriori.
 APRIORI_SLACK = 1e-9
 
 
@@ -171,22 +172,6 @@ def verify_bmo_membership(bmo: float, ledger: ConstantsLedger) -> CheckResult:
     )
 
 
-@dataclass(frozen=True)
-class WindowSummary:
-    index: int
-    k_lo: int
-    k_hi: int
-    t_lo: float
-    t_hi: float
-    iterations: int
-    converged: bool
-    truncation_hits: int
-    in_ball: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 @dataclass(eq=False)
 class GlobalReport:
     """Assembled global solve with its plan, per-window traces and checks."""
@@ -194,7 +179,7 @@ class GlobalReport:
     pair: ProcessPair
     ledger: ConstantsLedger
     plan: StitchPlan
-    windows: tuple[WindowSummary, ...]
+    windows: tuple[dict, ...]      # one row per window, as to_dict writes it
     checks: tuple[CheckResult, ...]
     sup_nodes: np.ndarray = field(repr=False)   # per-node sup_norm_estimate of pair.Y, out of to_dict()
     bmo_nodes: np.ndarray = field(repr=False)   # bmo_profile of pair, out of to_dict()
@@ -216,26 +201,19 @@ class GlobalReport:
             "converged": self.converged,
             "continuity_ok": self.continuity_ok,
             "plan": self.plan.to_dict() if self.plan.reason is None else None,
-            "windows": [w.to_dict() for w in self.windows],
+            "windows": [dict(w) for w in self.windows],
             "checks": [c.to_dict() for c in self.checks],
             "regression": self.regression,
             "constants": self.ledger.to_dict(),
         }
 
 
-def _window_summary(idx: int, trace: PicardTrace, grid: TimeGrid) -> WindowSummary:
+def _window_row(idx: int, trace: PicardTrace, grid: TimeGrid) -> dict:
     b = trace.ball
-    return WindowSummary(
-        index=idx,
-        k_lo=b.k_lo,
-        k_hi=b.k_hi,
-        t_lo=float(grid.nodes[b.k_lo]),
-        t_hi=float(grid.nodes[b.k_hi]),
-        iterations=len(trace.iterations),
-        converged=trace.converged,
-        truncation_hits=trace.truncation_hits,
-        in_ball=trace.in_ball_throughout(),
-    )
+    return {"index": idx, "k_lo": b.k_lo, "k_hi": b.k_hi,
+            "t_lo": float(grid.nodes[b.k_lo]), "t_hi": float(grid.nodes[b.k_hi]),
+            "iterations": len(trace.iterations), "converged": trace.converged,
+            "truncation_hits": trace.truncation_hits, "in_ball": trace.in_ball_throughout()}
 
 
 def _solve_plan(plan: StitchPlan, gen: Generator, eta: np.ndarray, ens: Ensemble,
@@ -246,11 +224,12 @@ def _solve_plan(plan: StitchPlan, gen: Generator, eta: np.ndarray, ens: Ensemble
     Each window is solved in place on its view of the one solution pair,
     from the terminal data ``eta`` or the left edge of the window after it.
     A stitched window runs in its lambda ball and raises StitchError when it
-    does not converge or its left edge escapes lambda; the seam check
-    compares the node it wrote at its right edge with the terminal it was
-    solved from.  The sup profile is each window's last-sweep profile at its
-    nodes, a seam node holding one value; one window's BMO profile is the
-    solution's, and several windows get one full-grid BMO pass."""
+    does not converge or its left edge, read off its last sweep's sup
+    profile, escapes lambda; the seam check compares the node it wrote at
+    its right edge with the terminal it was solved from.  The sup profile is
+    each window's last-sweep profile at its nodes, a seam node holding one
+    value; one window's BMO profile is the solution's, and several windows
+    get one full-grid BMO pass."""
     lam = ledger.lam
     stitched = plan.reason is None
     solution = ProcessPair.empty(ens.N, ens.grid.M, gen.params.n, ens.d)
@@ -274,8 +253,8 @@ def _solve_plan(plan: StitchPlan, gen: Generator, eta: np.ndarray, ens: Ensemble
             )
         continuity_ok = continuity_ok and np.array_equal(solution.Y[:, k_hi], cur_terminal)
         cur_terminal = solution.Y[:, k_lo].copy()
-        edge_sup = sup_norm_estimate(cur_terminal)
-        if edge_sup > lam * (1.0 + 1e-9):
+        edge_sup = float(trace.sup_nodes[0])
+        if edge_sup > lam * (1.0 + APRIORI_SLACK):
             raise StitchError(
                 f"window {idx} left edge norm {edge_sup:.6g} exceeds "
                 f"lambda = {lam:.6g}; stitched terminal is inadmissible"
@@ -292,7 +271,7 @@ def _solve_plan(plan: StitchPlan, gen: Generator, eta: np.ndarray, ens: Ensemble
     return GlobalReport(
         pair=solution, ledger=ledger, plan=plan, checks=checks,
         sup_nodes=sup_nodes, bmo_nodes=bmo_nodes,
-        windows=tuple(_window_summary(i, t, ens.grid) for i, t in enumerate(traces)),
+        windows=tuple(_window_row(i, t, ens.grid) for i, t in enumerate(traces)),
         converged=all(t.converged for t in traces),
         continuity_ok=continuity_ok if stitched else None,
         regression=regression_summary(ens, basis), traces=tuple(traces),
@@ -333,7 +312,7 @@ def solve_auto(
     if eta.shape != (ens.N, gen.params.n):
         raise ValueError(f"terminal data has shape {eta.shape}, expected {(ens.N, gen.params.n)}")
     eta_sup = sup_norm_estimate(eta)
-    if eta_sup > ledger.lam * (1.0 + 1e-9):
+    if eta_sup > ledger.lam * (1.0 + APRIORI_SLACK):
         raise ConfigError(f"terminal data norm {eta_sup:.6g} exceeds the a priori radius "
                           f"lambda = {ledger.lam:.6g}")
     args = (gen, eta, ens, basis, ledger, tol, max_iter, init)

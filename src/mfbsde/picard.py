@@ -14,7 +14,7 @@ Every pair here is window-local: on the L+1 nodes k_lo..k_hi of its
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,39 +157,37 @@ def apply_gamma(
                     k_lo=k_lo)
 
 
-@dataclass(frozen=True)
-class PicardIteration:
-    """One sweep of the decoupling map with its distance and ball diagnostics."""
-
-    diff_y: float
-    diff_z: float
-    sup_y: float
-    bmo_sq: float
-    in_ball_y: bool
-    in_ball_z: bool
-    ratio_y: float | None
-    ratio_z: float | None
-
-
 @dataclass(eq=False)
 class PicardTrace:
-    iterations: list[PicardIteration]
+    """A window's sweeps in order, each the ``Solve1DResult`` its
+    ``apply_gamma`` returned.  The last sweep measured the final iterate,
+    so its per-node sup and BMO profiles, (L+1,), are the trace's."""
+
+    iterations: list[Solve1DResult]
     converged: bool
     ball: BallSpec
-    truncation_hits: int
-    sup_nodes: np.ndarray = field(repr=False)   # per-node sup_norm_estimate of the final Y, (L+1,)
-    bmo_nodes: np.ndarray = field(repr=False)   # bmo_profile of the final pair, (L+1,)
+
+    @property
+    def truncation_hits(self) -> int:
+        return sum(it.truncation_hits for it in self.iterations)
+
+    @property
+    def sup_nodes(self) -> np.ndarray:
+        return self.iterations[-1].sup_nodes
+
+    @property
+    def bmo_nodes(self) -> np.ndarray:
+        return self.iterations[-1].bmo_nodes
 
     def in_ball_throughout(self) -> bool:
-        return all(it.in_ball_y and it.in_ball_z for it in self.iterations)
-
-
-def _ratio(prev: float | None, cur: float) -> float | None:
-    if prev is None:
-        return None
-    if prev == 0.0:
-        return 0.0 if cur == 0.0 else float("inf")
-    return cur / prev
+        """Every sweep's sup and squared BMO proxy within the slackened radii
+        2*k1*BALL_SLACK and 2*k2*BALL_SLACK."""
+        sup_cap, bmo_cap = 2.0 * self.ball.k1 * BALL_SLACK, 2.0 * self.ball.k2 * BALL_SLACK
+        for it in self.iterations:
+            bmo = float(it.bmo_nodes.max())
+            if not (float(it.sup_nodes.max()) <= sup_cap and bmo * bmo <= bmo_cap):
+                return False
+        return True
 
 
 def picard_solve(
@@ -207,19 +205,18 @@ def picard_solve(
     data ``eta``, until successive sweeps agree.
 
     Convergence is declared when both the sup distance of Y and of Z between
-    consecutive sweeps fall below tol.  Every sweep records its
-    ball membership against the slackened radii (2*k1, 2*k2) * BALL_SLACK.
-    The solve allocates no pair: the initial guess is written into the
-    caller's ``pair`` on the window's L+1 nodes, and each sweep consumes its
-    environment and overwrites it with the next iterate, measuring in the
-    same backward pass its distance from the environment, its sup and its
-    BMO proxy.  Those serve both the sweep's record and the bounds of the
-    next sweep; the final iterate is left in ``pair``, and the trace keeps
-    its per-node sup and BMO profiles.  The initial guess (Y the terminal data
-    at every node, "terminal-flat", or zero, "zero"; Z = 0) is measured
-    from its definition: its sup and means are those of its last node and
-    its BMO profile is zero.  A BlowUpError propagates from the sweep that
-    raised it, leaving the pair's contents undefined.
+    consecutive sweeps fall below tol.  The solve allocates no pair: the
+    initial guess is written into the caller's ``pair`` on the window's L+1
+    nodes, and each sweep consumes its environment and overwrites it with
+    the next iterate, measuring in the same backward pass its distance from
+    the environment, its sup and its BMO proxy.  The trace keeps each
+    sweep's ``Solve1DResult`` as it is, and its sup and BMO proxy set the
+    bounds of the next sweep; the final iterate is left in ``pair``.  The
+    initial guess (Y the terminal data at every node, "terminal-flat", or
+    zero, "zero"; Z = 0) is measured from its definition: its sup and means
+    are those of its last node and its BMO profile is zero.  A BlowUpError
+    propagates from the sweep that raised it, leaving the pair's contents
+    undefined.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -235,42 +232,15 @@ def picard_solve(
     pair.mean_Z[:] = 0.0
     sup_y, bmo = sup_norm_estimate(pair.Y[:, -1]), 0.0
 
-    iterations: list[PicardIteration] = []
-    hits = 0
-    prev_dy: float | None = None
-    prev_dz: float | None = None
-    converged = False
-
-    for r in range(1, max_iter + 1):
+    iterations: list[Solve1DResult] = []
+    for _ in range(max_iter):
         info = apply_gamma(pair, gen, eta, ens, basis, ball, sup_y, bmo)
-        hits += info.truncation_hits
-        diff_y, diff_z = info.diff_y, info.diff_z
-        sup_y, bmo = float(info.sup_nodes.max()), float(info.bmo_nodes.max())
-        iterations.append(
-            PicardIteration(
-                diff_y=diff_y,
-                diff_z=diff_z,
-                sup_y=sup_y,
-                bmo_sq=bmo * bmo,
-                in_ball_y=bool(sup_y <= 2.0 * ball.k1 * BALL_SLACK),
-                in_ball_z=bool(bmo * bmo <= 2.0 * ball.k2 * BALL_SLACK),
-                ratio_y=_ratio(prev_dy, diff_y),
-                ratio_z=_ratio(prev_dz, diff_z),
-            )
-        )
-        prev_dy, prev_dz = diff_y, diff_z
-        if diff_y < tol and diff_z < tol:
-            converged = True
+        iterations.append(info)
+        converged = bool(info.diff_y < tol and info.diff_z < tol)
+        if converged:
             break
-
-    return PicardTrace(
-        iterations=iterations,
-        converged=converged,
-        ball=ball,
-        truncation_hits=hits,
-        sup_nodes=info.sup_nodes,
-        bmo_nodes=info.bmo_nodes,
-    )
+        sup_y, bmo = float(info.sup_nodes.max()), float(info.bmo_nodes.max())
+    return PicardTrace(iterations=iterations, converged=converged, ball=ball)
 
 
 @dataclass(frozen=True)
@@ -296,8 +266,14 @@ def contraction_report(trace: PicardTrace, ledger: ConstantsLedger) -> Contracti
     coef_u, coef_v = contraction_coefficients(
         trace.ball.eps, trace.ball.k1, trace.ball.k2, ledger.params
     )
-    ry = tuple(it.ratio_y for it in trace.iterations[2:] if it.ratio_y is not None)
-    rz = tuple(it.ratio_z for it in trace.iterations[2:] if it.ratio_z is not None)
+
+    def ratios(diffs: list[float]) -> tuple[float, ...]:
+        # sweep r's distance over sweep r-1's, for r >= 3; 0/0 is 0, x/0 inf
+        return tuple((0.0 if cur == 0.0 else math.inf) if prev == 0.0 else cur / prev
+                     for prev, cur in zip(diffs[1:], diffs[2:]))
+
+    ry = ratios([it.diff_y for it in trace.iterations])
+    rz = ratios([it.diff_z for it in trace.iterations])
     observed = all(r < 1.0 for r in ry) and all(r < 1.0 for r in rz)
     return ContractionReport(
         coef_u=coef_u,

@@ -23,6 +23,7 @@ from mfbsde import (
     case_colehopf_diagonal,
     case_meanfield_linear,
     compute_ledger,
+    contraction_report,
     default_basis,
     generate_ensemble,
     lambda_ball,
@@ -168,8 +169,8 @@ def test_ac05_ball_invariance_on_guaranteed_window(ball_trace):
     ball = trace.ball
     sup_cap = 2.0 * ball.k1 * 1.05
     bmo_cap = 2.0 * ball.k2 * 1.05
-    worst_sup = max(it.sup_y for it in trace.iterations)
-    worst_bmo = max(it.bmo_sq for it in trace.iterations)
+    worst_sup = max(float(it.sup_nodes.max()) for it in trace.iterations)
+    worst_bmo = max(float(it.bmo_nodes.max()) ** 2 for it in trace.iterations)
     ok = (
         trace.converged
         and len(trace.iterations) <= 10
@@ -183,10 +184,12 @@ def test_ac05_ball_invariance_on_guaranteed_window(ball_trace):
 
 
 def test_ac06_contraction_observed(ball_trace):
-    trace, _ = ball_trace
-    tail = trace.iterations[2:]
-    ratios = [r for it in tail for r in (it.ratio_y, it.ratio_z) if r is not None]
-    ok = len(tail) >= 1 and all(r < 1.0 for r in ratios)
+    trace, ledger = ball_trace
+    ratios = ()
+    if len(trace.iterations) >= 3:
+        report = contraction_report(trace, ledger)
+        ratios = report.observed_ratios_y + report.observed_ratios_z
+    ok = len(ratios) >= 1 and all(r < 1.0 for r in ratios)
     emit(6, ok, f"{len(ratios)} successive-difference ratios after sweep 2, "
                 f"max={max(ratios):.4f}" if ratios else "no ratios observed")
 

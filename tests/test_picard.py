@@ -562,8 +562,9 @@ def test_picard_zero_case_converges_first_sweep_bitwise():
     assert trace.converged and len(trace.iterations) == 1
     it = trace.iterations[0]
     assert it.diff_y == 0.0 and it.diff_z == 0.0
-    assert it.ratio_y is None and it.ratio_z is None
-    assert it.in_ball_y and it.in_ball_z
+    assert trace.in_ball_throughout()
+    with pytest.raises(ValueError, match="at least 3 sweeps"):
+        contraction_report(trace, ledger)
     assert np.array_equal(pair.Y, np.full((100, 9, 1), 2.0))
     assert np.array_equal(pair.Z, np.zeros((100, 8, 1, 1)))
 
@@ -576,9 +577,9 @@ def test_picard_iteration_diagnostics_monotone_tail():
         case.generator, eta, ens, BASIS, ball, fresh(ens, ball), tol=1e-10, max_iter=50
     )
     assert trace.converged and len(trace.iterations) >= 3
-    assert trace.iterations[0].ratio_y is None
-    for it in trace.iterations[2:]:
-        assert it.ratio_y is not None and it.ratio_y < 1.0
+    report = contraction_report(trace, ledger)
+    assert len(report.observed_ratios_y) == len(trace.iterations) - 2
+    assert all(r < 1.0 for r in report.observed_ratios_y)
     assert trace.in_ball_throughout()
     assert trace.truncation_hits == 0
 
@@ -619,7 +620,8 @@ def test_picard_rejects_a_tol_that_is_not_finite_and_positive(tol):
 
 
 def record_sweeps(monkeypatch):
-    """(environment, u_norm, v_norm, result) of every apply_gamma call.
+    """(environment, u_norm, v_norm, result, record) of every apply_gamma
+    call, the record being the object the call returned.
 
     A sweep overwrites its pair, so each environment is a snapshot, and a
     result is the live pair until the next sweep, which first replaces it
@@ -631,9 +633,9 @@ def record_sweeps(monkeypatch):
     def recording(pair, gen, terminal, ens, basis, ball, u_norm, v_norm):
         env = snapshot(pair)
         if sweeps:
-            sweeps[-1] = sweeps[-1][:3] + (env,)
+            sweeps[-1] = sweeps[-1][:3] + (env,) + sweeps[-1][4:]
         info = apply(pair, gen, terminal, ens, basis, ball, u_norm, v_norm)
-        sweeps.append((env, u_norm, v_norm, pair))
+        sweeps.append((env, u_norm, v_norm, pair, info))
         return info
 
     monkeypatch.setattr(picard, "apply_gamma", recording)
@@ -649,12 +651,17 @@ def test_sweep_records_are_the_standalone_measurements_bitwise(monkeypatch):
     report = solve_auto(case.generator, case.terminal, ens, BASIS)
     (trace,) = report.traces
     assert len(sweeps) == len(trace.iterations) >= 2
-    for it, (_, _, _, out) in zip(trace.iterations, sweeps):
-        assert it.sup_y == sup_norm_estimate(out.Y)
-        assert it.bmo_sq == bmo_profile(out, ens, BASIS, trace.ball.k_lo).max() ** 2
+    # the trace keeps the very record each sweep returned, and its profiles
+    # are the last sweep's arrays
+    assert all(it is info for it, (*_, info) in zip(trace.iterations, sweeps))
+    assert trace.sup_nodes is trace.iterations[-1].sup_nodes
+    assert trace.bmo_nodes is trace.iterations[-1].bmo_nodes
+    for it, (_, _, _, out, _) in zip(trace.iterations, sweeps):
+        assert it.sup_nodes.max() == sup_norm_estimate(out.Y)
+        assert it.bmo_nodes.max() == bmo_profile(out, ens, BASIS, trace.ball.k_lo).max()
     # each sweep's bounds are read from the measurements of its environment
-    for (_, u_norm, v_norm, _), it in zip(sweeps[1:], trace.iterations):
-        assert (u_norm, v_norm * v_norm) == (it.sup_y, it.bmo_sq)
+    for (_, u_norm, v_norm, _, _), it in zip(sweeps[1:], trace.iterations):
+        assert (u_norm, v_norm) == (it.sup_nodes.max(), it.bmo_nodes.max())
     assert np.shares_memory(sweeps[-1][3].Y, report.pair.Y)
     assert np.shares_memory(sweeps[-1][3].Z, report.pair.Z)
     assert np.array_equal(report.bmo_nodes, bmo_profile(report.pair, ens, BASIS))
@@ -682,7 +689,7 @@ def test_initial_pair_is_measured_from_its_definition_bitwise(monkeypatch, init,
     assert ball.k_lo > 0
     picard_solve(case.generator, eta, ens, BASIS, ball, fresh(ens, ball, case.params.n),
                  max_iter=1, init=init)
-    pair, u_norm, v_norm, _ = sweeps[0]
+    pair, u_norm, v_norm, _, _ = sweeps[0]
     assert u_norm == sup_norm_estimate(pair.Y)
     assert v_norm == bmo_profile(pair, ens, BASIS, ball.k_lo).max() == 0.0
     assert (u_norm > 0.0) == (init == "terminal-flat")
