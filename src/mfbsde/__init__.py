@@ -38,7 +38,6 @@ from .engine import (
 )
 from .errors import BlowUpError, ConfigError, TerminalBoundError
 from .global_solver import (
-    lambda_ball,
     plan_stitch,
     solve_auto,
     verify_apriori,

@@ -147,10 +147,10 @@ def _reject_unread(cfg: configparser.ConfigParser, command: str) -> None:
 
 def _case_section(cfg: configparser.ConfigParser) -> dict:
     """[case] name and its parameters cast against the factory's signature,
-    without building the case; {} when the section is absent."""
-    if not cfg.has_section("case"):
+    without building the case; {} when the section is absent or empty."""
+    raw = dict(cfg.items("case")) if cfg.has_section("case") else {}
+    if not raw:
         return {}
-    raw = dict(cfg.items("case"))
     name = raw.pop("name", None)
     if name is None:
         raise ConfigError(_NO_CASE)

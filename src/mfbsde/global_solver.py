@@ -39,34 +39,36 @@ APRIORI_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class StitchPlan:
-    """The windows a solve runs, latest first: a backward tiling into
-    guaranteed windows of at most ``steps`` steps, or, when ``reason`` says
-    why the grid cannot be stitched, the one window (0, M) outside the
-    guarantee."""
+    """The windows a solve runs, each as the ball it is solved in, latest
+    first: a backward tiling into guaranteed windows of at most ``steps``
+    steps, each in the ball built with lambda as terminal bound, or, when
+    ``reason`` says why the grid cannot be stitched, the one full-interval
+    window (0, M)."""
 
     t_lambda: float
     steps: int
-    windows: tuple[tuple[int, int], ...]   # (k_lo, k_hi), latest window first
+    windows: tuple[BallSpec, ...]   # latest window first
     reason: str | None = None
 
     def to_dict(self) -> dict:
         return {
             "t_lambda": self.t_lambda,
             "steps_per_window": self.steps,
-            "windows": [list(w) for w in self.windows],
+            "windows": [[b.k_lo, b.k_hi] for b in self.windows],
         }
 
 
 def _full_interval_plan(grid: TimeGrid, ledger: ConstantsLedger, reason: str) -> StitchPlan:
-    return StitchPlan(t_lambda=float(ledger.t_lambda), steps=grid.M, windows=((0, grid.M),),
-                      reason=reason)
+    return StitchPlan(t_lambda=float(ledger.t_lambda), steps=grid.M,
+                      windows=(BallSpec.full_interval(grid, ledger),), reason=reason)
 
 
 def plan_stitch(grid: TimeGrid, ledger: ConstantsLedger) -> StitchPlan:
-    """Tile [0, T] backward from T into windows no longer than t_lambda, or
-    plan the full interval, with the reason, when t_lambda is not positive
-    or shorter than one grid step.  A t_lambda too long to count in grid
-    steps is one stitched window of M steps."""
+    """Tile [0, T] backward from T into windows no longer than t_lambda, each
+    in the ball whose radii are built with C1 replaced by lambda, or plan the
+    full interval, with the reason, when t_lambda is not positive or shorter
+    than one grid step.  A t_lambda too long to count in grid steps is one
+    stitched window of M steps."""
     t_lam = ledger.t_lambda
     if not t_lam > 0.0:
         return _full_interval_plan(grid, ledger, f"guaranteed window length t_lambda = {t_lam} "
@@ -76,30 +78,16 @@ def plan_stitch(grid: TimeGrid, ledger: ConstantsLedger) -> StitchPlan:
     if steps < 1:
         return _full_interval_plan(grid, ledger, f"t_lambda = {t_lam:.6g} is shorter than one grid "
                                    f"step dt = {grid.dt:.6g}; refine the grid below dt <= t_lambda")
+    k1, k2 = local_ball(replace(ledger.params, C1=ledger.lam))
     windows = []
     k_hi = grid.M
     while k_hi > 0:
         k_lo = max(0, k_hi - steps)
-        windows.append((k_lo, k_hi))
+        length = (k_hi - k_lo) * grid.dt
+        windows.append(BallSpec(k_lo=k_lo, k_hi=k_hi, eps=float(length), k1=k1, k2=k2,
+                                within_guarantee=bool(length <= t_lam * (1 + 1e-12))))
         k_hi = k_lo
     return StitchPlan(t_lambda=float(t_lam), steps=steps, windows=tuple(windows))
-
-
-def lambda_ball(
-    grid: TimeGrid, ledger: ConstantsLedger, k_lo: int, k_hi: int
-) -> BallSpec:
-    """Ball spec for one stitched window, radii built with C1 replaced by lambda."""
-    lam_params = replace(ledger.params, C1=ledger.lam)
-    k1l, k2l = local_ball(lam_params)
-    length = (k_hi - k_lo) * grid.dt
-    return BallSpec(
-        k_lo=k_lo,
-        k_hi=k_hi,
-        eps=float(length),
-        k1=k1l,
-        k2=k2l,
-        within_guarantee=bool(length <= ledger.t_lambda * (1 + 1e-12)),
-    )
 
 
 @dataclass(frozen=True)
@@ -221,24 +209,23 @@ def _solve_plan(plan: StitchPlan, gen: Generator, eta: np.ndarray, ens: Ensemble
                 tol: float, max_iter: int, init: str) -> GlobalReport:
     """Solve the plan's windows, latest first, and verify the solution.
 
-    Each window is solved in place on its view of the one solution pair,
-    from the terminal data ``eta`` or the left edge of the window after it.
-    A stitched window runs in its lambda ball and raises StitchError when it
-    does not converge or its left edge, read off its last sweep's sup
-    profile, escapes lambda; the seam check compares the node it wrote at
-    its right edge with the terminal it was solved from.  The sup profile is
-    each window's last-sweep profile at its nodes, a seam node holding one
-    value; one window's BMO profile is the solution's, and several windows
-    get one full-grid BMO pass."""
+    Each window is solved in its planned ball, in place on its view of the
+    one solution pair, from the terminal data ``eta`` or the left edge of
+    the window after it.  A stitched window raises StitchError when it does
+    not converge or its left edge, read off its last sweep's sup profile,
+    escapes lambda; the seam check compares the node it wrote at its right
+    edge with the terminal it was solved from.  The sup profile is each
+    window's last-sweep profile at its nodes, a seam node holding one value;
+    one window's BMO profile is the solution's, and several windows get one
+    full-grid BMO pass."""
     lam = ledger.lam
     stitched = plan.reason is None
     solution = ProcessPair.empty(ens.N, ens.grid.M, gen.params.n, ens.d)
     cur_terminal = eta
     traces = []
     continuity_ok = True
-    for idx, (k_lo, k_hi) in enumerate(plan.windows):
-        ball = (lambda_ball(ens.grid, ledger, k_lo, k_hi) if stitched
-                else BallSpec.full_interval(ens.grid, ledger))
+    for idx, ball in enumerate(plan.windows):
+        k_lo, k_hi = ball.k_lo, ball.k_hi
         trace = picard_solve(
             gen, cur_terminal, ens, basis, ball, solution.window(k_lo, k_hi),
             tol=tol, max_iter=max_iter, init=init,

@@ -26,7 +26,6 @@ from mfbsde import (
     contraction_report,
     default_basis,
     generate_ensemble,
-    lambda_ball,
     make_case,
     oracle_errors,
     picard_solve,
@@ -222,13 +221,14 @@ def test_ac09_stitching_consistency():
     # T below the guaranteed step: one window, bitwise equal to a plain solve
     ens = generate_ensemble(TimeGrid.make(20, 1.0), 2_000, 1, 7)
     report = solve_auto(case.generator, case.terminal, ens, BASIS, ledger, tol=1e-3)
-    ball = lambda_ball(ens.grid, ledger, 0, 20)
+    ball = report.plan.windows[0]
     plain = fresh(ens, ball)
     picard_solve(case.generator, terminal_eta(case.terminal, ens), ens, BASIS, ball, plain,
                  tol=1e-3)
     single_ok = (
         report.mode == "stitched"
-        and report.plan.windows == ((0, 20),)
+        and [(b.k_lo, b.k_hi) for b in report.plan.windows] == [(0, 20)]
+        and report.traces[0].ball is ball
         and np.array_equal(report.pair.Y, plain.Y)
         and np.array_equal(report.pair.Z, plain.Z)
     )
@@ -243,17 +243,19 @@ def test_ac09_stitching_consistency():
     kw = dict(tol=2e-3, max_iter=40)
     rep2 = solve_auto(case2.generator, case2.terminal, ens2, BASIS, ledger2, **kw)
     plan = rep2.plan
+    windows = [(b.k_lo, b.k_hi) for b in plan.windows]
     edges = [50]
-    tiled = len(plan.windows) >= 2
-    for k_lo, k_hi in plan.windows:
+    tiled = len(windows) >= 2
+    for k_lo, k_hi in windows:
         tiled = tiled and k_hi == edges[-1] and 0 < k_hi - k_lo <= plan.steps
         edges.append(k_lo)
     tiled = tiled and edges[-1] == 0
-    tiled = tiled and all(b - a == plan.steps for a, b in plan.windows[:-1])
+    tiled = tiled and all(b - a == plan.steps for a, b in windows[:-1])
     seams = rep2.mode == "stitched" and rep2.continuity_ok is True
     sol = rep2.pair
-    for k_lo, k_hi in plan.windows:
-        ball2 = lambda_ball(ens2.grid, ledger2, k_lo, k_hi)
+    for ball2, trace in zip(plan.windows, rep2.traces, strict=True):
+        k_lo, k_hi = ball2.k_lo, ball2.k_hi
+        seams = seams and trace.ball is ball2
         edge = terminal_eta(case2.terminal, ens2) if k_hi == 50 else sol.Y[:, k_hi].copy()
         alone = fresh(ens2, ball2)
         picard_solve(case2.generator, edge, ens2, BASIS, ball2, alone, **kw)
@@ -262,7 +264,7 @@ def test_ac09_stitching_consistency():
 
     ok = single_ok and tiled and seams
     emit(9, ok, f"single-window bitwise={single_ok}; "
-                f"windows={list(plan.windows)} steps={plan.steps} "
+                f"windows={windows} steps={plan.steps} "
                 f"tiled={tiled} windows-alone-bitwise={seams}")
 
 

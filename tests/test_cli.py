@@ -355,10 +355,16 @@ def test_solve_stitches_one_window_when_t_lambda_outgrows_the_grid(tmp_path, cap
 # -------------------------------------------------------------- bad configs
 
 
+NO_CASE = [
+    "[grid]\nm = 10\n",                                      # no case section
+    "[case]\n",                                              # an empty one
+    "[case]\ngamma = 1.0\n",                                 # parameters, no name
+]
+
+
 @pytest.mark.parametrize(
     "body",
-    [
-        "[grid]\nm = 10\n",                                  # no case section
+    NO_CASE + [
         "[case]\nname = not_a_case\n",                       # unknown case
         "[case]\nname = zero\nwhatever = 1\n",               # unknown parameter
         "[case]\nname = zero\nc = hello\n",                  # uncastable value
@@ -381,7 +387,9 @@ def test_solve_stitches_one_window_when_t_lambda_outgrows_the_grid(tmp_path, cap
 def test_config_errors_exit_2(tmp_path, body, capsys):
     cfg = write_cfg(tmp_path, body)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert ("config must declare [case] name = <catalog name>" in err) == (body in NO_CASE)
 
 
 @pytest.mark.parametrize(
@@ -844,6 +852,7 @@ SELF_CHECK_DRAW = (200, 10_000, 1, 93)
     ("constants", "[case]\nname = colehopf\n", []),
     ("check", "[case]\nname = colehopf\n[checks]\nsamples = 500\n", []),
     ("bench", "", [SELF_CHECK_DRAW, (50, 10_000, 1, 1)]),
+    ("bench", "[case]\n", [SELF_CHECK_DRAW, (50, 10_000, 1, 1)]),
     ("solve", "[case]\nname = colehopf\n[grid]\nm = 10\n[ensemble]\nn = 300\n",
      [SELF_CHECK_DRAW, (10, 300, 1, 1)]),
     ("solve", "[case]\nname = loggrowth\n[grid]\nm = 10\n[ensemble]\nn = 300\n",

@@ -123,6 +123,8 @@ def test_contraction_coefficients_hand_value():
         96 * math.sqrt(3.0) * 1 * eps * 25.0 * (1 + 1) * (1.0 + 8 + 12 * k2 + 4 * k2)
     )
     assert coef_v == pytest.approx(expect_v, rel=1e-12)
+    with pytest.raises(ValueError, match="^eps must be positive, got 0.0$"):
+        contraction_coefficients(0.0, k1, k2, p)
 
 
 # ------------------------------------------------------------------ properties
@@ -176,6 +178,10 @@ def test_local_step_degenerate_envelope_raises():
     p = params(K=0.0, C1=1.0, phi=lambda r: 0.0)
     with pytest.raises(ValueError, match="degenerate"):
         local_step(p)
+    # phi passes its sampled check on [0, 10] but is negative at 2*k1 = 141.6
+    p = params(gamma=0.01, C1=1.0, phi=lambda r: np.where(np.asarray(r) <= 10.0, 1.0, -1.0))
+    with pytest.raises(ValueError, match="^phi returned a negative value$"):
+        compute_ledger(p)
 
 
 def test_ledger_roundtrip_and_validation():

@@ -85,6 +85,8 @@ def test_ensemble_increment_scale():
 def test_ensemble_rejects_tiny_population():
     with pytest.raises(ValueError):
         make_ens(N=1)
+    with pytest.raises(ValueError, match="^d must be >= 1, got 0$"):
+        make_ens(d=0)
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -26,7 +26,6 @@ from mfbsde import (
     compute_ledger,
     default_basis,
     generate_ensemble,
-    lambda_ball,
     make_case,
     picard_solve,
     plan_stitch,
@@ -58,6 +57,11 @@ def constant_terminal(c, bound=1.0):
     return TerminalCondition(g=lambda w: np.full((w.shape[0], 1), c), bound=bound)
 
 
+def spans(plan):
+    """The plan's windows as (k_lo, k_hi), latest first."""
+    return tuple((b.k_lo, b.k_hi) for b in plan.windows)
+
+
 # ------------------------------------------------------------------ planning
 
 
@@ -67,7 +71,7 @@ def test_plan_tiles_grid_backward_exactly():
     ledger = colehopf_ledger()
     grid = TimeGrid.make(50, 1.0)
     plan = plan_stitch(grid, ledger)
-    assert plan.windows == ((0, 50),)
+    assert spans(plan) == ((0, 50),)
 
     # T = 2.5 * t_lambda forces at least three windows
     import dataclasses
@@ -80,12 +84,12 @@ def test_plan_tiles_grid_backward_exactly():
     assert steps == int(np.floor(t_lam / grid2.dt + 1e-12))
     # windows tile [0, M] with no gaps or overlaps, latest first
     ks = [50]
-    for k_lo, k_hi in plan2.windows:
+    for k_lo, k_hi in spans(plan2):
         assert k_hi == ks[-1]
         assert k_hi - k_lo <= steps
         ks.append(k_lo)
     assert ks[-1] == 0
-    assert all(b - a == steps for a, b in plan2.windows[:-1])
+    assert all(b - a == steps for a, b in spans(plan2)[:-1])
     d = plan2.to_dict()
     assert d["steps_per_window"] == steps and d["windows"][0] == [50 - steps, 50]
 
@@ -95,14 +99,14 @@ def test_plan_rejects_unusable_window():
     # dt larger than t_lambda: no admissible step
     grid = TimeGrid.make(2, 10.0 * ledger.t_lambda)
     plan = plan_stitch(grid, ledger)
-    assert re.search("grid step", plan.reason) and plan.windows == ((0, 2),)
+    assert re.search("grid step", plan.reason) and spans(plan) == ((0, 2),)
 
     # t_lambda = 0 (degenerate constants) is refused up front
     import dataclasses
 
     dead = dataclasses.replace(ledger, t_lambda=0.0)
     plan = plan_stitch(TimeGrid.make(10, 1.0), dead)
-    assert re.search("not positive", plan.reason) and plan.windows == ((0, 10),)
+    assert re.search("not positive", plan.reason) and spans(plan) == ((0, 10),)
 
 
 @pytest.mark.parametrize("t_lambda, M", [(float("inf"), 50), (6.0e306, 1000)],
@@ -115,26 +119,27 @@ def test_plan_is_one_stitched_window_when_the_step_count_overflows(t_lambda, M):
     grid = TimeGrid.make(M, 1.0)
     assert t_lambda / grid.dt == float("inf")
     plan = plan_stitch(grid, ledger)
-    assert plan.reason is None and plan.steps == M and plan.windows == ((0, M),)
+    assert plan.reason is None and plan.steps == M and spans(plan) == ((0, M),)
     # a finite ratio keeps its count of steps, unclamped
     finite = plan_stitch(grid, dataclasses.replace(ledger, t_lambda=1e300))
-    assert finite.steps == int(1e300 / grid.dt) > M and finite.windows == ((0, M),)
+    assert finite.steps == int(1e300 / grid.dt) > M and spans(finite) == ((0, M),)
 
 
-def test_lambda_ball_uses_enlarged_radii():
+def test_plan_windows_use_enlarged_radii():
     ledger = colehopf_ledger()
-    grid = TimeGrid.make(50, 1.0)
-    ball = lambda_ball(grid, ledger, 10, 30)
-    assert (ball.k_lo, ball.k_hi) == (10, 30)
-    assert ball.eps == pytest.approx(0.4)
+    grid = TimeGrid.make(50, 2.5 * ledger.t_lambda)
+    plan = plan_stitch(grid, ledger)
+    assert plan.reason is None and len(plan.windows) == 3
     # radii come from the ledger with C1 replaced by lambda, so they dominate
     # the small-terminal radii strictly
     import dataclasses
 
     k1l, k2l = local_ball(dataclasses.replace(ledger.params, C1=ledger.lam))
-    assert (ball.k1, ball.k2) == (k1l, k2l)
-    assert ball.k1 > ledger.k1 and ball.k2 >= ledger.k2
-    assert ball.within_guarantee
+    assert k1l > ledger.k1 and k2l >= ledger.k2
+    for ball in plan.windows:
+        assert (ball.k1, ball.k2) == (k1l, k2l)
+        assert ball.eps == (ball.k_hi - ball.k_lo) * grid.dt
+        assert ball.within_guarantee
 
 
 # ------------------------------------------------------------ verifications
@@ -205,9 +210,10 @@ def test_single_window_global_equals_plain_picard_bitwise(monkeypatch):
     ledger = compute_ledger(case.params)
     ens = generate_ensemble(TimeGrid.make(20, 1.0), 2_000, 1, 7)
     report = solve_auto(case.generator, case.terminal, ens, BASIS, ledger, tol=1e-3)
-    assert report.mode == "stitched" and report.plan.windows == ((0, 20),)
+    assert report.mode == "stitched" and spans(report.plan) == ((0, 20),)
 
-    ball = lambda_ball(ens.grid, ledger, 0, 20)
+    ball = report.plan.windows[0]
+    assert ball is report.traces[0].ball
     plain = fresh(ens, ball)
     picard_solve(case.generator, terminal_eta(case.terminal, ens), ens, BASIS, ball, plain,
                  tol=1e-3)
@@ -327,6 +333,28 @@ def test_global_raises_on_window_nonconvergence():
     assert re.search("did not converge", report.plan.reason)
 
 
+def test_global_falls_back_when_a_left_edge_escapes_lambda():
+    # a constant drift of 30 carries terminal data lambda - 10 past lambda
+    # by t = 0: the one stitched window converges, its left edge is refused,
+    # and the full-interval solve fails the a priori check out of its ball
+    case = case_colehopf_diagonal(gamma=1.0, n=1)
+    ledger = compute_ledger(case.params)
+    gen = Generator(fn=lambda i, t, y, ybar, z_i, z, zbar: 0.0 * y[..., i] + 30.0,
+                    params=case.params, name="drift")
+    ens = generate_ensemble(TimeGrid.make(20, 1.0), 500, 1, 3)
+    assert ledger.t_lambda > ens.grid.T
+    terminal = constant_terminal(ledger.lam - 10.0, bound=ledger.lam - 10.0)
+    report = solve_auto(gen, terminal, ens, BASIS, ledger)
+    assert report.mode == "full-interval-fallback"
+    assert report.plan.reason.startswith(
+        f"window 0 left edge norm 1189.36 exceeds lambda = {ledger.lam:.6g}")
+    apriori = report.checks[0]
+    assert apriori.name == "apriori_sup" and not apriori.passed
+    assert apriori.observed == pytest.approx(ledger.lam + 20.0)
+    (row,) = report.windows
+    assert row["in_ball"] is False
+
+
 def relax(i, t, y, ybar, z_i, z, zbar):
     """y-feedback alone, whose first stitched window does not reach tol 1e-14
     in 3 sweeps."""
@@ -378,9 +406,9 @@ def test_multi_window_stitch_equals_each_window_solved_alone_bitwise(init, sweep
     assert [len(t.iterations) for t in report.traces] == sweeps
     sol = report.pair
     assert sol.Y.shape == (4000, 31, 1) and sol.Z.shape == (4000, 30, 1, 1)
-    for (k_lo, k_hi), trace in zip(report.plan.windows, report.traces):
-        assert (trace.ball.k_lo, trace.ball.k_hi) == (k_lo, k_hi)
-        ball = lambda_ball(ens.grid, ledger, k_lo, k_hi)
+    for ball, trace in zip(report.plan.windows, report.traces, strict=True):
+        assert trace.ball is ball
+        k_lo, k_hi = ball.k_lo, ball.k_hi
         eta = terminal_eta(terminal, ens) if k_hi == ens.grid.M else sol.Y[:, k_hi].copy()
         pair = fresh(ens, ball)
         alone = picard_solve(gen, eta, ens, BASIS, ball, pair, **kw)
@@ -478,7 +506,8 @@ def test_planned_fallback_reasons_are_data(case, reason):
     else:
         assert 0.0 < ledger.t_lambda < ens.grid.dt
     plan = plan_stitch(ens.grid, ledger)
-    assert reason in plan.reason and plan.windows == ((0, 50),)
+    assert reason in plan.reason and spans(plan) == ((0, 50),)
+    assert plan.windows == (BallSpec.full_interval(ens.grid, ledger),)
     report = solve_auto(case.generator, case.terminal, ens, default_basis(case.params.d), ledger)
     assert report.mode == "full-interval-fallback" and report.plan.reason == plan.reason
 

@@ -63,6 +63,8 @@ def test_params_validation_rejects_bad_functions():
         simple_params(a=lambda t: -0.1)
     with pytest.raises(ValueError, match="nondecreasing"):
         simple_params(phi=lambda r: 1.0 / (1.0 + r))
+    with pytest.raises(ValueError, match=r"^phi must map \[0, inf\) into \[0, inf\)$"):
+        simple_params(phi=lambda r: r - 1.0)
     with pytest.raises(ValueError, match="C0"):
         simple_params(a=lambda t: 1.0, C0=0.01)
     with pytest.raises(ValueError, match="C2"):
@@ -227,6 +229,9 @@ def test_terminal_values_refuses_input_that_is_not_paths():
     for bad in (np.zeros((4, 1)), np.zeros(4), np.zeros((4, 3, 1, 1)), np.zeros((4, 0, 1))):
         with pytest.raises(ValueError, match=r"terminal paths must have shape \(N, K >= 1, d\)"):
             terminal_values(tc, bad)
+    flat = TerminalCondition(g=lambda w: w[:, 0], bound=1.0)
+    with pytest.raises(ValueError, match=r"^terminal map returned shape \(4,\), expected \(N, n\)$"):
+        terminal_values(flat, np.zeros((4, 3, 1)))
 
 
 @pytest.mark.parametrize("M", [25, 30], ids=["block-node", "checkpoint"])
