@@ -1,7 +1,8 @@
 """Benchmark catalog: models with independent closed-form oracles.
 
 Each case packages a generator, bounded terminal data, the declared structural
-budgets, and (where one exists) an exact solution used to score the solver.
+budgets, and the exact solution that scores the solver when the case carries
+one (loggrowth has a closed form but does not carry it yet).
 A factory only builds the case.  ``check_oracle(case, ens)`` runs the
 one-step residual self-check of the oracle against the discrete backward
 relation on the paths of ``ens``.  The commands that read an oracle (solve,
@@ -9,9 +10,14 @@ bench, sweep) run it before their first solve, on the ensemble
 ``cli._check_oracles`` draws, so a typo in either the generator or the
 oracle fails fast rather than polluting downstream error measurements.
 
-The declared budgets are deliberately not the minimal ones: strictly positive
-phi and integral budgets keep the constants ledger non-degenerate (a zero
-envelope would make the guaranteed window length meaningless).
+The declared budgets follow one house policy: a = alpha = 0.01/T, C0 = 0.01
+and delta = 0, with beta = eta = 0.01/T and C2 = 0.03 unless a case declares
+otherwise.  Two do: meanfield_linear (beta = |a| + |b|, eta = 0 and
+C2 = (|a| + |b|)T + 0.02) and loggrowth (K = eta = kappa and
+C2 = 0.02 + kappa*log(1 + kappa)*T + 0.01).  The budgets are deliberately not
+the minimal ones: strictly positive phi and integral budgets keep the
+constants ledger non-degenerate (a zero envelope would make the guaranteed
+window length meaningless).
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ class BenchmarkCase:
     """A solvable model plus its exact reference fields.
 
     ``oracle(t, w)`` maps a node time and states (..., d) to exact values
-    (Y (..., n), Z (..., n, d)); None when the case has no closed form.
+    (Y (..., n), Z (..., n, d)); None when the case carries none.
     """
 
     name: str
@@ -123,40 +129,52 @@ def check_oracle(case: BenchmarkCase, ens: Ensemble) -> None:
         )
 
 
+def _house_params(n, d, T, gamma, phi, C1, K=0.0, beta=None, eta=None, C2=0.03) -> ModelParams:
+    """A case's ModelParams on the house budgets of the module docstring."""
+    def house(t):
+        return 0.01 / T
+
+    return ModelParams(n=n, d=d, T=T, gamma=gamma, K=K, delta=0.0, phi=phi, a=house,
+                       alpha=house, beta=beta or house, eta=eta or house,
+                       C0=0.01, C1=C1, C2=C2)
+
+
+def _deterministic_case(name, fn, params, c, y) -> BenchmarkCase:
+    """A case with terminal c in every component and oracle Y_t = y(t), Z = 0."""
+    n, d = params.n, params.d
+
+    def xi(w):
+        return np.full((w.shape[0], n), c)
+
+    def oracle(t, w):
+        return np.full(w.shape[:-1] + (n,), y(t)), np.zeros(w.shape[:-1] + (n, d))
+
+    return BenchmarkCase(name, Generator(fn=fn, params=params, name=name),
+                         TerminalCondition(g=xi, bound=params.C1, params=params), oracle,
+                         y0_exact=y(0.0))
+
+
+def _clamped_terminal(params, B) -> TerminalCondition:
+    """Terminal clamp(W_T, +-B) in every component, bounded by C1 = B*sqrt(n)."""
+    def xi(w):
+        w = np.clip(w[:, 0], -B, B)
+        return np.repeat(w[:, None], params.n, axis=1)
+
+    return TerminalCondition(g=xi, bound=params.C1, params=params)
+
+
 def case_zero(c: float = 1.0, n: int = 1, d: int = 1, T: float = 1.0, gamma: float = 1.0) -> BenchmarkCase:
     """Trivial driver: f = 0, terminal constant c; exact Y = c, Z = 0.
 
     The solver reproduces this case bitwise -- constant targets bypass the
     regression -- so any nonzero error flags a plumbing bug.
     """
-    params = ModelParams(
-        n=n, d=d, T=T, gamma=gamma, K=0.0, delta=0.0,
-        phi=lambda r: 0.5,
-        a=lambda t: 0.01 / T,
-        alpha=lambda t: 0.01 / T,
-        beta=lambda t: 0.01 / T,
-        eta=lambda t: 0.01 / T,
-        C0=0.01, C1=abs(c) * math.sqrt(n), C2=0.03,
-    )
+    params = _house_params(n, d, T, gamma, lambda r: 0.5, abs(c) * math.sqrt(n))
 
     def fn(i, t, y, ybar, z_i, z, zbar):
         return np.zeros(y.shape[:-1])
 
-    def xi(w):
-        return np.full((w.shape[0], n), c)
-
-    def oracle(t, w):
-        y = np.full(w.shape[:-1] + (n,), c)
-        z = np.zeros(w.shape[:-1] + (n, d))
-        return y, z
-
-    return BenchmarkCase(
-        name="zero",
-        generator=Generator(fn=fn, params=params, name="zero"),
-        terminal=TerminalCondition(g=xi, bound=abs(c) * math.sqrt(n), params=params),
-        oracle=oracle,
-        y0_exact=c,
-    )
+    return _deterministic_case("zero", fn, params, c, lambda t: c)
 
 
 def case_meanfield_linear(
@@ -169,34 +187,14 @@ def case_meanfield_linear(
     only solver error is time discretization of the drift.
     """
     s = abs(a) + abs(b)
-    params = ModelParams(
-        n=n, d=d, T=T, gamma=gamma, K=0.0, delta=0.0,
-        phi=lambda r: s * (1.0 + r),
-        a=lambda t: 0.01 / T,
-        alpha=lambda t: 0.01 / T,
-        beta=lambda t: s,
-        eta=lambda t: 0.0,
-        C0=0.01, C1=abs(c) * math.sqrt(n), C2=s * T + 0.02,
-    )
+    params = _house_params(n, d, T, gamma, lambda r: s * (1.0 + r), abs(c) * math.sqrt(n),
+                           beta=lambda t: s, eta=lambda t: 0.0, C2=s * T + 0.02)
 
     def fn(i, t, y, ybar, z_i, z, zbar):
         return a * y[..., i] + b * ybar[..., i]
 
-    def xi(w):
-        return np.full((w.shape[0], n), c)
-
-    def oracle(t, w):
-        y = np.full(w.shape[:-1] + (n,), c * math.exp((a + b) * (T - t)))
-        z = np.zeros(w.shape[:-1] + (n, d))
-        return y, z
-
-    return BenchmarkCase(
-        name="meanfield_linear",
-        generator=Generator(fn=fn, params=params, name="meanfield_linear"),
-        terminal=TerminalCondition(g=xi, bound=abs(c) * math.sqrt(n), params=params),
-        oracle=oracle,
-        y0_exact=c * math.exp((a + b) * T),
-    )
+    return _deterministic_case("meanfield_linear", fn, params, c,
+                               lambda t: c * math.exp((a + b) * (T - t)))
 
 
 def case_colehopf_diagonal(
@@ -211,38 +209,19 @@ def case_colehopf_diagonal(
     unclamped closed form serves as the oracle with widened tolerances.
     """
     B = clamp_mult * math.sqrt(T)
-    params = ModelParams(
-        n=n, d=1, T=T, gamma=gamma, K=0.0, delta=0.0,
-        phi=lambda r: 0.5 * gamma,
-        a=lambda t: 0.01 / T,
-        alpha=lambda t: 0.01 / T,
-        beta=lambda t: 0.01 / T,
-        eta=lambda t: 0.01 / T,
-        C0=0.01, C1=B * math.sqrt(n), C2=0.03,
-    )
+    params = _house_params(n, 1, T, gamma, lambda r: 0.5 * gamma, B * math.sqrt(n))
 
     def fn(i, t, y, ybar, z_i, z, zbar):
         out = _sum_of_squares(z_i)
         out *= 0.5 * gamma
         return out
 
-    def xi(w):
-        w = np.clip(w[:, 0], -B, B)
-        return np.repeat(w[:, None], n, axis=1)
-
     def oracle(t, w):
         base = w[..., 0] + 0.5 * gamma * (T - t)
-        y = np.repeat(base[..., None], n, axis=-1)
-        z = np.ones(w.shape[:-1] + (n, 1))
-        return y, z
+        return np.repeat(base[..., None], n, axis=-1), np.ones(w.shape[:-1] + (n, 1))
 
-    return BenchmarkCase(
-        name="colehopf",
-        generator=Generator(fn=fn, params=params, name="colehopf"),
-        terminal=TerminalCondition(g=xi, bound=B * math.sqrt(n), params=params),
-        oracle=oracle,
-        y0_exact=0.5 * gamma * T,
-    )
+    return BenchmarkCase("colehopf", Generator(fn=fn, params=params, name="colehopf"),
+                         _clamped_terminal(params, B), oracle, y0_exact=0.5 * gamma * T)
 
 
 def case_loggrowth(
@@ -261,20 +240,16 @@ def case_loggrowth(
     if kappa <= 0.0:
         raise ConfigError(f"kappa must be positive, got {kappa}")
     B = clamp_mult * math.sqrt(T)
-    params = ModelParams(
-        n=2, d=1, T=T, gamma=gamma, K=kappa, delta=0.0,
-        phi=lambda r: max(0.5 * gamma, kappa),
-        a=lambda t: 0.01 / T,
-        alpha=lambda t: 0.01 / T,
-        beta=lambda t: 0.01 / T,
-        eta=lambda t: kappa,
-        C0=0.01, C1=B * math.sqrt(2.0),
-        C2=0.02 + kappa * math.log1p(kappa) * T + 0.01,
-    )
+    params = _house_params(2, 1, T, gamma, lambda r: max(0.5 * gamma, kappa), B * math.sqrt(2.0),
+                           K=kappa, eta=lambda t: kappa,
+                           C2=0.02 + kappa * math.log1p(kappa) * T + 0.01)
 
     def fn(i, t, y, ybar, z_i, z, zbar):
+        # |z^i| squared, not the sum of squares itself: sqrt(x)**2 is not x
+        # bitwise (x = 2 gives 2.0000000000000004), and the bench digests
+        # pin these bytes
         out = _sum_of_squares(z_i)
-        np.sqrt(out, out=out)                         # |z^i|
+        np.sqrt(out, out=out)
         np.square(out, out=out)
         out *= 0.5 * gamma
         cross = _sum_of_squares(z[..., 1 - i, :])
@@ -284,17 +259,8 @@ def case_loggrowth(
         out += cross
         return out
 
-    def xi(w):
-        w = np.clip(w[:, 0], -B, B)
-        return np.column_stack([w, w])
-
-    return BenchmarkCase(
-        name="loggrowth",
-        generator=Generator(fn=fn, params=params, name="loggrowth"),
-        terminal=TerminalCondition(g=xi, bound=B * math.sqrt(2.0), params=params),
-        oracle=None,
-        y0_exact=None,
-    )
+    return BenchmarkCase("loggrowth", Generator(fn=fn, params=params, name="loggrowth"),
+                         _clamped_terminal(params, B), oracle=None, y0_exact=None)
 
 
 CATALOG: dict[str, Callable[..., BenchmarkCase]] = {

@@ -1,5 +1,7 @@
 """Benchmark catalog: oracles, residual self-checks, solver agreement."""
 
+import dataclasses
+import hashlib
 import math
 import re
 
@@ -91,6 +93,80 @@ def test_every_case_has_usable_ledger(name):
     assert ledger.k1 > 0.0 and ledger.k2 > 0.0 and ledger.lam > 0.0
 
 
+def _digest(*values):
+    """16 hex digits of the sha256 over each value: an array's dtype, shape
+    and bytes, or another value's repr, which tells 2 from 2.0."""
+    h = hashlib.sha256()
+    for v in values:
+        if isinstance(v, (np.ndarray, np.generic)):
+            h.update(f"{v.dtype.str}{v.shape}".encode())
+            h.update(np.ascontiguousarray(v).tobytes())
+        else:
+            h.update(repr(v).encode())
+        h.update(b";")
+    return h.hexdigest()[:16]
+
+
+def declarations(case):
+    """Digests of what a factory declares: the params' scalars, the budgets
+    on fixed grids, the terminal's bound and map on fixed states, y0_exact
+    with the oracle at three (t, w), and the ledger."""
+    p = case.params
+    ts, rs = np.linspace(0.0, p.T, 7), np.linspace(0.0, 30.0, 7)
+    states = np.linspace(-12.0, 12.0, 6 * p.d).reshape(6, p.d)
+    oracle = [] if case.oracle is None else [
+        v for t in (0.0, p.T / 3, p.T) for v in case.oracle(t, states)]
+    return (
+        _digest(*(getattr(p, k) for k in ("n", "d", "T", "gamma", "K", "delta", "C0", "C1", "C2"))),
+        _digest(p.phi(rs), *(getattr(p, k)(ts) for k in ("a", "alpha", "beta", "eta"))),
+        _digest(case.terminal.bound, case.terminal.g(states)),
+        _digest(case.y0_exact, *oracle),
+        _digest(*compute_ledger(p).to_dict().items()),
+    )
+
+
+# Two non-default argument sets per factory and the digests of their
+# declarations (params, budgets, terminal, oracle, ledger), taken before the
+# factories shared their house budgets and terminals.  The bench digests
+# pin the defaults only.
+DECLARED = {
+    "zero-a": (case_zero, dict(c=2, n=3, d=2, T=2, gamma=0.5),
+        ("242dbb7c3f6d6185", "48c08f3e139d2da4", "12720d7f518f6167",
+         "6a8cdf5a94bd11f7", "840914f0c2a223eb")),
+    "zero-b": (case_zero, dict(c=-1.5, n=2, T=0.5),
+        ("36aa529cf9e9379b", "8da1331c745056cb", "5a4ff63b6798b147",
+         "6dbc4095f8959c4a", "d02c63e9c3383a27")),
+    "meanfield_linear-a": (case_meanfield_linear, dict(a=0.3, b=-0.2, c=2, T=2, n=2, d=2),
+        ("e927cf2762706193", "5c830c20021e00db", "b494e0e708d313f1",
+         "3d63fcb07957cffb", "e4dff8e9e0051591")),
+    "meanfield_linear-b": (case_meanfield_linear, dict(a=-0.5, b=-0.5),
+        ("3610c8ef8738af43", "f4b081e74d9164c5", "cf2fffd0e2a08845",
+         "704161f969efee51", "09b82a38eda3f298")),
+    "colehopf-a": (case_colehopf_diagonal, dict(gamma=2, n=3, T=2),
+        ("7b9deb06688036b8", "355bb9df796873ab", "74a28acb54dfefe8",
+         "919477a356825d0e", "4856e839b79c5941")),
+    "colehopf-b": (case_colehopf_diagonal, dict(gamma=0.5, n=2, T=0.5, clamp_mult=4),
+        ("6e3d8f5de6eaca4b", "920f1022e9db92cd", "1f6ac35d2ff1780d",
+         "60483c971bf0f330", "e1eba7e57f8c39be")),
+    "loggrowth-a": (case_loggrowth, dict(gamma=2, kappa=0.2, T=2),
+        ("4cb848f41acdf9e9", "cbae94d308befb9e", "453a67682021cdf7",
+         "51708e0a5e240c50", "2460ac7d089523c1")),
+    "loggrowth-b": (case_loggrowth, dict(gamma=0.5, kappa=0.01, T=0.5, clamp_mult=4),
+        ("ccf516b2285d7217", "5b6fb874bd5710bd", "1f6ac35d2ff1780d",
+         "51708e0a5e240c50", "fa78f785995b8078")),
+}
+
+
+@pytest.mark.parametrize("label", sorted(DECLARED))
+def test_declarations_at_non_default_arguments_are_pinned(label):
+    factory, kwargs, pinned = DECLARED[label]
+    case = factory(**kwargs)
+    assert declarations(case) == pinned
+    reports = run_checks(case.generator, case.params, samples=5_000, rng_seed=3)
+    for name, rep in reports.items():
+        assert rep.passed, f"{label}: {name} violated: {rep.first_violation}"
+
+
 # ------------------------------------------------------------------ oracles
 
 
@@ -132,6 +208,42 @@ def test_loggrowth_has_no_oracle():
         oracle_errors(case, np.zeros((500, 21, 2)), np.zeros((500, 20, 2, 1)), small_ens(case))
     with pytest.raises(ConfigError, match="kappa"):
         case_loggrowth(kappa=0.0)
+
+
+def loggrowth_oracle(gamma, kappa, T):
+    """loggrowth's closed form on colehopf's clamp approximation: Z^i = 1
+    makes each row's driver gamma/2 + kappa*log 2, so
+    Y^i_t = W_t + (gamma/2 + kappa*log 2)(T - t)."""
+    def oracle(t, w):
+        base = w[..., 0] + (0.5 * gamma + kappa * math.log(2.0)) * (T - t)
+        return np.repeat(base[..., None], 2, axis=-1), np.ones(w.shape[:-1] + (2, 1))
+    return oracle
+
+
+def solve_case(case, M, N, seed):
+    ens = generate_ensemble(TimeGrid.make(M, case.params.T), N, case.params.d, seed)
+    return solve_auto(case.generator, case.terminal, ens, BASIS, compute_ledger(case.params)), ens
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7])
+def test_loggrowth_is_colehopf_shifted_by_kappa_log_2_on_one_draw(seed):
+    # on the same paths the two solves share their noise, so loggrowth's Y0
+    # minus colehopf's isolates the log-growth row's drift kappa*log 2
+    log_report, _ = solve_case(case_loggrowth(), 25, 1_000, seed)
+    cole_report, _ = solve_case(case_colehopf_diagonal(), 25, 1_000, seed)
+    shift = log_report.pair.mean_Y[0] - cole_report.pair.mean_Y[0][0]
+    assert np.abs(shift - 0.05 * math.log(2.0)).max() < 2e-3, shift
+
+
+def test_loggrowth_z_error_against_its_closed_form_falls_with_the_rung():
+    case = dataclasses.replace(case_loggrowth(), oracle=loggrowth_oracle(1.0, 0.05, 1.0))
+    worst, threshold = residual_self_check(case, small_ens(case, M=100, N=2_000, seed=10))
+    assert worst <= threshold
+    err_z = []
+    for M, N in ((25, 1_000), (50, 10_000)):
+        report, ens = solve_case(case, M, N, 7)
+        err_z.append(oracle_errors(case, report.pair.Y, report.pair.Z, ens)[1].mean())
+    assert err_z[1] < 0.5 * err_z[0], err_z       # 0.132 -> 0.040
 
 
 def test_loggrowth_generator_couples_rows_symmetrically():
@@ -233,8 +345,6 @@ def test_residual_self_check_accepts_correct_oracles():
 
 
 def test_residual_self_check_rejects_wrong_oracle():
-    import dataclasses
-
     case = case_colehopf_diagonal()
 
     # a time-independent shift would cancel in one-step differences, so the
@@ -310,8 +420,6 @@ def test_case_construction_does_not_self_check(monkeypatch):
 
 
 def test_check_oracle_raises_on_a_wrong_oracle():
-    import dataclasses
-
     case = case_colehopf_diagonal()
     ens = small_ens(case, M=100, N=2_000, seed=10)
     assert check_oracle(case, ens) is None

@@ -1,7 +1,7 @@
 """Every function, class and method of the package has a caller inside it,
 every field of its dataclasses has a reader in the package or the benchmark
-worker, and every name the package namespace re-exports has a reader
-outside it."""
+worker, every module-level name it assigns has a reader inside it, and every
+name the package namespace re-exports has a reader outside it."""
 
 import ast
 from collections import defaultdict
@@ -108,6 +108,33 @@ def test_package_fields_have_readers():
     # allow-list names each exception and goes stale as soon as one is read
     found = unread_fields(PACKAGE, [ROOT / "perfbench" / "worker.py"])
     assert found == set(ALLOWED_FIELDS), sorted(found ^ set(ALLOWED_FIELDS))
+
+
+def unread_assignments(package: Path) -> set[str]:
+    """Module-level names the package's modules assign that no ``ast.Name``
+    in load context and no ``ast.Attribute`` anywhere in the package reads."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(package.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    found = set()
+    for path, tree in trees.items():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else [])
+            found.update(f"{path.stem}.{name.id}" for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name) and name.id not in read)
+    return found
+
+
+def test_package_constants_have_readers():
+    # a module constant a refactor left behind goes; the package version is
+    # there for the package's users, not for its own code
+    assert unread_assignments(PACKAGE) == {"__init__.__version__"}
 
 
 def reexports() -> set[str]:
